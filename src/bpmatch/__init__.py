@@ -21,7 +21,7 @@ from .ctree import (LabeledTree, TreeNode, BranchValue, TreeDPResult, TreeError,
                     tree_size, dump_tree)
 from .oracle import (LPSolution, DualCertificate, CSReport, TightnessReport,
                      OracleError, InfeasibleError, GuardExceeded, CertificateError,
-                     brute_force, lp_solve, dual_solve, solve_relaxation,
+                     brute_force, solve_relaxation,
                      build_certificate, dual_objective, check_cs, is_tight,
                      tightness_by_enumeration, iteration_bound, coverage_threshold,
                      parse_certificate, serialize_certificate)

@@ -3,7 +3,8 @@
 Commands: solve, certify, tree-verify, sweep, schedule-validate.  Exit codes
 distinguish outcomes: 0 success, 1 unexpected error, 2 parse/validation
 problems, 3 infeasible instances, 4 non-convergence, 5 mismatch against the
-oracle (a hard failure on certified-tight instances).
+oracle (a hard failure on certified-tight instances) or a tie at the
+selection boundary at a certified stop.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .graph import (PERFECT, NONPERFECT, GraphError, GraphParseError,
 from .engine import MessageInit, EngineError
 from .schedule import (ScheduleError, make_schedule, parse_schedule,
                        validate_schedule, coverage)
-from .ctree import build_tree, build_gct, dump_tree, TreeError
+from .ctree import GCTBuilder, dump_tree, TreeError
 from .harness import (solve_pipeline, certify_instance, sweep, tree_verify,
                       _fmt_edges)
 from .oracle import (InfeasibleError, GuardExceeded, CertificateError,
@@ -229,11 +230,9 @@ def cmd_tree_verify(args) -> int:
         seed = args.seed
     rows, ok, first = tree_verify(work, args.t_max, kind, seed)
     if args.dump_tree:
-        chunks = []
-        for root in work.vertices():
-            tree = (build_tree(work, root, args.t_max) if kind is None
-                    else build_gct(work, make_schedule(work, kind, seed=seed), root, args.t_max))
-            chunks.append(f"# root {root}, t={args.t_max}\n" + dump_tree(tree))
+        builder = GCTBuilder(work, make_schedule(work, kind or "sync", seed=seed), args.t_max)
+        chunks = [f"# root {root}, t={args.t_max}\n" + dump_tree(builder.gct(root, args.t_max))
+                  for root in work.vertices()]
         _write(args.dump_tree, "\n".join(chunks))
     payload = {"instance": args.graph, "t_max": args.t_max,
                "schedule": kind or "sync", "checks": len(rows), "ok": ok,

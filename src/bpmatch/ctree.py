@@ -7,7 +7,8 @@ the root (label i) has children labeled with i's neighbors, and every
 non-leaf node labeled s with parent labeled r has children labeled with the
 neighbors of s except r; all leaves sit at depth t+1.  The schedule-driven
 generalized tree grows a branch only at steps where its directed edge is
-updated, so it is usually unbalanced.
+updated, so it is usually unbalanced; under the all-edges schedule it is the
+balanced tree.
 
 On either tree, a perfect tree matching picks edges so that every non-leaf
 node labeled i has tree-degree exactly b_i (leaves are unconstrained).  For
@@ -19,10 +20,9 @@ engine's per-vertex estimates.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, edge_key
+from .graph import Graph, ZERO, GraphError, edge_key
 
 DEFAULT_NODE_CAP = 200_000
 
@@ -70,15 +70,18 @@ def tree_size(tree: LabeledTree) -> int:
 
 
 def tree_depth(tree: LabeledTree) -> int:
-    """Length of the shortest root-to-leaf path."""
-    queue = deque([(tree.root, 0)])
-    while queue:
-        node, d = queue.popleft()
-        if not node.children:
-            return d
-        for c in node.children:
-            queue.append((c, d + 1))
-    raise TreeError("unreachable")
+    """Length of the shortest root-to-leaf path (shared subtrees visited
+    once)."""
+    memo = {}
+
+    def depth(node):
+        got = memo.get(id(node))
+        if got is None:
+            got = 1 + min(depth(c) for c in node.children) if node.children else 0
+            memo[id(node)] = got
+        return got
+
+    return depth(tree.root)
 
 
 def dump_tree(tree: LabeledTree) -> str:
@@ -99,27 +102,15 @@ def dump_tree(tree: LabeledTree) -> str:
 
 def build_tree(g: Graph, root: int, t: int, node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
     """Balanced level-t tree rooted at `root`: leaves at depth t+1, or
-    earlier where the unrolling runs out of neighbors (acyclic regions)."""
+    earlier where the unrolling runs out of neighbors (acyclic regions).  It
+    is the generalized tree of the all-edges schedule, built with shared
+    subtrees; `node_cap` still bounds the unrolled size."""
     if t < 0:
         raise TreeError("t must be >= 0")
     if not 1 <= root <= g.n:
         raise TreeError(f"vertex {root} out of range")
-    budget = [node_cap]
-
-    def expand(label, parent, depth):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise TreeSizeError(f"tree exceeds {node_cap} nodes")
-        w = None if parent is None else g.weight(parent, label)
-        if depth == t + 1:
-            return TreeNode(label, w, ())
-        if parent is None:
-            kids = g.neighbors(label)
-        else:
-            kids = tuple(s for s in g.neighbors(label) if s != parent)
-        return TreeNode(label, w, tuple(expand(s, label, depth + 1) for s in kids))
-
-    return LabeledTree(expand(root, None, 0), "balanced", g, t)
+    branches = _BranchBuilder(g, [frozenset(g.directed_edges())] * t)
+    return _rooted(branches, root, t, node_cap, "balanced")
 
 
 class _BranchBuilder:
@@ -191,16 +182,21 @@ class GCTBuilder:
         self.t_max = t_max
 
     def gct(self, root: int, t: int, node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
-        g = self.g
-        if not (1 <= root <= g.n):
+        if not (1 <= root <= self.g.n):
             raise TreeError(f"vertex {root} out of range")
         if not 0 <= t <= self.t_max:
             raise TreeError(f"t must be within 0..{self.t_max}")
-        kids = tuple(self._inner.node(r, root, t) for r in g.neighbors(root))
-        tree = LabeledTree(TreeNode(root, None, kids), "generalized", g, t)
-        if tree_size(tree) > node_cap:
-            raise TreeSizeError(f"tree exceeds {node_cap} nodes")
-        return tree
+        return _rooted(self._inner, root, t, node_cap, "generalized")
+
+
+def _rooted(branches: _BranchBuilder, root: int, t: int, node_cap: int, kind: str) -> LabeledTree:
+    # the root's branches are the computation branches of its incoming edges
+    g = branches.g
+    kids = tuple(branches.node(r, root, t) for r in g.neighbors(root))
+    tree = LabeledTree(TreeNode(root, None, kids), kind, g, t)
+    if tree_size(tree) > node_cap:
+        raise TreeSizeError(f"tree exceeds {node_cap} nodes")
+    return tree
 
 
 # -- tree dynamic program ------------------------------------------------------------
@@ -247,7 +243,7 @@ def tree_bmatching_dp(tree: LabeledTree, init=None) -> TreeDPResult:
             w = node.edge_weight
             if init is not None:
                 w = init.get((node.label, parent_label), w)
-            val = BranchValue(w, g.zero())
+            val = BranchValue(w, ZERO)
         else:
             a = g.cap(node.label)
             vals = [branch(c, node.label) for c in node.children]
@@ -255,9 +251,9 @@ def tree_bmatching_dp(tree: LabeledTree, init=None) -> TreeDPResult:
                 raise DegenerateTreeError(
                     f"node labeled {node.label} has {len(vals)} children but capacity {a}")
             diffs = sorted(v.n for v in vals)
-            base = sum((v.w_minus for v in vals), g.zero())
-            w_plus = node.edge_weight + base + sum(diffs[:a - 1], g.zero())
-            w_minus = base + sum(diffs[:a], g.zero())
+            base = sum((v.w_minus for v in vals), ZERO)
+            w_plus = node.edge_weight + base + sum(diffs[:a - 1], ZERO)
+            w_minus = base + sum(diffs[:a], ZERO)
             if len(diffs) > a and diffs[a - 1] == diffs[a]:
                 ties.add(node.label)
             val = BranchValue(w_plus, w_minus)
@@ -276,6 +272,6 @@ def tree_bmatching_dp(tree: LabeledTree, init=None) -> TreeDPResult:
             ties.add(root.label)
         selected = tuple(sorted(label for label, _ in chosen))
         selection = frozenset(edge_key(root.label, label) for label in selected)
-        total = (sum((v.w_minus for _, v in child_vals), g.zero())
-                 + sum((v.n for _, v in chosen), g.zero()))
+        total = (sum((v.w_minus for _, v in child_vals), ZERO)
+                 + sum((v.n for _, v in chosen), ZERO))
     return TreeDPResult(root.label, branches, selection, selected, total, frozenset(ties))

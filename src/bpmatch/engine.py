@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
-from .graph import (Graph, PERFECT, NONPERFECT, MODES, GraphError,
+from .graph import (Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError,
                     ValidationError, edge_key, validate)
 
 
@@ -60,12 +61,11 @@ class MessageInit:
         dirs = g.directed_edges()
         if self.kind == "weights":
             return {(i, j): g.weight(i, j) for (i, j) in dirs}
-        coerce = Fraction if g.numeric_mode == "exact" else float
         if self.kind == "constant":
-            v = coerce(self.value)
+            v = Fraction(self.value)
             return {d: v for d in dirs}
         if self.kind == "explicit":
-            mapping = {(int(i), int(j)): coerce(v) for (i, j), v in self.mapping.items()}
+            mapping = {(int(i), int(j)): Fraction(v) for (i, j), v in self.mapping.items()}
             missing = [d for d in dirs if d not in mapping]
             if missing:
                 raise EngineError(f"explicit init is missing directed edges: {missing[:5]}")
@@ -77,7 +77,7 @@ class MessageInit:
 
     def max_abs(self, g: Graph):
         values = self.build(g).values()
-        return max((abs(v) for v in values), default=g.zero())
+        return max((abs(v) for v in values), default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,19 @@ def _updated(g, m, i, j, mode, inc_sorted):
     if mode == PERFECT:
         return w - _kth_min_excluding(inc_sorted[i], b, m[(j, i)])
     if g.degree(i) - 1 < b:
-        inner = g.zero()
+        inner = ZERO
     else:
         inner = _kth_min_excluding(inc_sorted[i], b, m[(j, i)])
-    return w - min(g.zero(), inner)
+    return w - min(ZERO, inner)
 
 
 def _round(g: Graph, s: MessageState, mode: str, updates=None) -> MessageState:
+    """Recompute the directed edges in `updates` (all of them when None) from
+    state s; the others carry over.  Update sets hold distinct directed
+    edges of g, so one as large as the edge set is the edge set: that step
+    builds a fresh map in canonical order instead of copying the old one."""
     m = s.m
-    if updates is None:
+    if updates is None or len(updates) == len(g.directed_edges()):
         targets = g.directed_edges()
         new = {}
     else:
@@ -179,7 +183,8 @@ def extract_estimate_perfect(g: Graph, s: MessageState) -> Estimate:
 def extract_estimate_nonperfect(g: Graph, s: MessageState) -> Estimate:
     # Selecting an edge only pays off while capacity remains, so each vertex
     # takes its at most b_i most negative incoming messages, strictly
-    # negative only; zero messages are excluded and flagged as boundary ties.
+    # negative only.  A zero message is a boundary tie only while capacity
+    # remains (c < b_i); past b_i negative selections it is not a candidate.
     edges = set()
     selected = {}
     ties = set()
@@ -188,7 +193,7 @@ def extract_estimate_nonperfect(g: Graph, s: MessageState) -> Estimate:
         b = g.cap(i)
         chosen = [j for j in nbrs[:b] if s.m[(j, i)] < 0]
         c = len(chosen)
-        if any(s.m[(j, i)] == 0 for j in nbrs):
+        if c < b and any(s.m[(j, i)] == 0 for j in nbrs):
             ties.add(i)
         elif c == b and b < len(nbrs) and s.m[(nbrs[b - 1], i)] == s.m[(nbrs[b], i)]:
             ties.add(i)
@@ -277,8 +282,56 @@ def detect_period(history, max_period):
     return None
 
 
+def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
+         keep_trace: bool, covered=None) -> RunResult:
+    """The run loop shared by synchronous and asynchronous runs: apply the
+    update sets drawn from `steps` until `stop` holds.  A coverage stop asks
+    `covered()` after every step (and once before the first)."""
+    state = init_messages(g, init)
+    est = extract_estimate(g, state, mode)
+    history = [est.edges]
+    trace = [state] if keep_trace else None
+    last_change = 0
+    if stop.kind == "window":
+        window_size = stop.window_size if stop.window_size else max(g.n, 1)
+        limit = stop.limit if stop.limit is not None else max(100, 20 * window_size)
+    else:
+        window_size = g.n
+
+    t = 0
+    stop_met = stop.kind == "coverage" and covered()
+    it = iter(steps)
+    while not stop_met:
+        if stop.kind in ("budget", "certified") and t >= stop.iterations:
+            break
+        if stop.kind == "window" and (t - last_change >= window_size or t >= limit):
+            break
+        updates = next(it)
+        t += 1
+        state = _round(g, state, mode, updates)
+        est = extract_estimate(g, state, mode)
+        if est.edges != history[-1]:
+            last_change = t
+        history.append(est.edges)
+        if keep_trace:
+            trace.append(state)
+        if stop.kind == "coverage":
+            stop_met = covered()
+
+    stable_for = t - last_change
+    converged = stop_met if stop.kind == "coverage" else stable_for >= window_size
+    period = None
+    if not converged:
+        period = detect_period(history, max(window_size, 2))
+    return RunResult(mode=mode, estimate=est, iterations=t, stabilized_at=last_change,
+                     stable_for=stable_for, converged=converged, period=period,
+                     history=history, stop=stop, trace=trace)
+
+
 def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,
              stop: StopPolicy | None = None, keep_trace: bool = False) -> RunResult:
+    """Synchronous message passing: the run loop under the all-edges
+    schedule, which updates every directed edge at every step."""
     if mode not in MODES:
         raise GraphError(f"unknown mode {mode!r}")
     violations = validate(g, mode)
@@ -289,45 +342,4 @@ def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,
     stop = stop or StopPolicy.window()
     if stop.kind == "coverage":
         raise EngineError("coverage stopping applies to asynchronous runs only")
-
-    state = init_messages(g, init)
-    est = extract_estimate(g, state, mode)
-    history = [est.edges]
-    trace = [state] if keep_trace else None
-    last_change = 0
-
-    if stop.kind in ("budget", "certified"):
-        total = stop.iterations
-        window_size = g.n
-        limit = total
-    else:
-        window_size = stop.window_size if stop.window_size else max(g.n, 1)
-        limit = stop.limit if stop.limit is not None else max(100, 20 * window_size)
-        total = None
-
-    t = 0
-    while True:
-        if total is not None and t >= total:
-            break
-        if total is None:
-            if t - last_change >= window_size:
-                break
-            if t >= limit:
-                break
-        t += 1
-        state = _round(g, state, mode)
-        est = extract_estimate(g, state, mode)
-        if est.edges != history[-1]:
-            last_change = t
-        history.append(est.edges)
-        if keep_trace:
-            trace.append(state)
-
-    stable_for = t - last_change
-    converged = stable_for >= window_size if window_size > 0 else True
-    period = None
-    if not converged:
-        period = detect_period(history, max(window_size, 2))
-    return RunResult(mode=mode, estimate=est, iterations=t, stabilized_at=last_change,
-                     stable_for=stable_for, converged=converged, period=period,
-                     history=history, stop=stop, trace=trace)
+    return _run(g, mode, init, stop, repeat(frozenset(g.directed_edges())), keep_trace)

@@ -6,22 +6,19 @@ weight; every vertex i carries a positive integer capacity b_i.  A matching
 here means a subgraph whose degrees are bounded by (non-perfect mode) or
 equal to (perfect mode) the capacities.
 
-All weights are exact rationals by default.  Float mode exists only for
-benchmarking and is rejected by every certification path.
+All weights are exact rationals.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 PERFECT = "perfect"
 NONPERFECT = "nonperfect"
 MODES = (PERFECT, NONPERFECT)
 
-EXACT = "exact"
-FLOAT = "float"
+ZERO = Fraction(0)
 
 
 class GraphError(Exception):
@@ -64,11 +61,9 @@ class Violation:
 class Graph:
     """Immutable simple undirected graph with edge weights and vertex capacities."""
 
-    def __init__(self, n, capacities, edges, numeric_mode=EXACT):
+    def __init__(self, n, capacities, edges):
         if n < 0:
             raise GraphError("vertex count must be >= 0")
-        if numeric_mode not in (EXACT, FLOAT):
-            raise GraphError(f"unknown numeric mode {numeric_mode!r}")
         capacities = tuple(capacities)
         if len(capacities) != n:
             raise GraphError(f"expected {n} capacities, got {len(capacities)}")
@@ -82,15 +77,8 @@ class Graph:
             e = edge_key(i, j)
             if e in weights:
                 raise GraphError(f"duplicate edge {e}")
-            if numeric_mode == EXACT:
-                w = Fraction(w)
-            else:
-                w = float(w)
-                if not math.isfinite(w):
-                    raise GraphError(f"non-finite weight on edge {e}")
-            weights[e] = w
+            weights[e] = Fraction(w)
         self.n = n
-        self.numeric_mode = numeric_mode
         self._b = capacities
         self._w = weights
         adj = {i: [] for i in range(1, n + 1)}
@@ -137,22 +125,13 @@ class Graph:
     def weights(self) -> dict:
         return dict(self._w)
 
-    def zero(self):
-        """Additive zero in the graph's numeric field."""
-        return Fraction(0) if self.numeric_mode == EXACT else 0.0
-
-    def to_float(self) -> "Graph":
-        return Graph(self.n, self._b, [(i, j, float(w)) for (i, j), w in self._w.items()],
-                     numeric_mode=FLOAT)
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n == other.n and self._b == other._b
-                and self._w == other._w and self.numeric_mode == other.numeric_mode)
+        return self.n == other.n and self._b == other._b and self._w == other._w
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={self.m}, mode={self.numeric_mode})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 # -- text format ----------------------------------------------------------
@@ -277,7 +256,7 @@ class Matching:
         for e in keys:
             if not g.has_edge(*e):
                 raise GraphError(f"matching edge {e} not in graph")
-        total = sum((g.weight(*e) for e in keys), g.zero())
+        total = sum((g.weight(*e) for e in keys), ZERO)
         return cls(keys, mode, total)
 
     def degree_violations(self, g: Graph) -> list[str]:
@@ -377,5 +356,5 @@ def reduce_trivial(g: Graph) -> Reduction:
     for (i, j) in g.edges():
         if i in alive and j in alive:
             edges.append((relabel[i], relabel[j], g.weight(i, j)))
-    reduced = Graph(len(remaining), [b[v] for v in remaining], edges, numeric_mode=g.numeric_mode)
+    reduced = Graph(len(remaining), [b[v] for v in remaining], edges)
     return Reduction(reduced, frozenset(forced), vertex_map, False, g.n)

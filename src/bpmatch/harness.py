@@ -6,16 +6,15 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import (Graph, PERFECT, NONPERFECT, Matching, Reduction,
+from .graph import (Graph, PERFECT, NONPERFECT, ZERO, Matching, Reduction,
                     validate, reduce_trivial, ValidationError)
 from .engine import (MessageInit, StopPolicy, RunResult, run_sync,
                      extract_estimate)
-from .schedule import make_schedule, run_async, coverage
-from .ctree import build_tree, GCTBuilder, tree_bmatching_dp, TreeNode
+from .schedule import make_schedule, run_async
+from .ctree import GCTBuilder, tree_bmatching_dp, tree_depth
 from . import oracle
 from .oracle import (brute_force, solve_relaxation, is_tight, check_cs,
                      iteration_bound, coverage_threshold,
@@ -256,7 +255,7 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
         final = reduction.to_original(run.estimate.edges)
     else:
         final = run.estimate.edges
-    weight = sum((g.weight(*e) for e in final), g.zero())
+    weight = sum((g.weight(*e) for e in final), ZERO)
     matching = Matching(final, mode, weight)
     matching_ok = matching.is_valid(g)
 
@@ -387,47 +386,37 @@ def sweep(mode: str, instances=200, n_max=6, seed=0, weight_lo=None, weight_hi=N
 
 # -- tree verification -----------------------------------------------------------------
 
-def _branch_depth(node: TreeNode) -> int:
-    # shortest path from the branch's top edge down to a leaf
-    frontier = deque([(node, 1)])
-    while frontier:
-        node, d = frontier.popleft()
-        if not node.children:
-            return d
-        for c in node.children:
-            frontier.append((c, d + 1))
-    raise RuntimeError("unreachable")
-
-
 def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
                 init: MessageInit | None = None):
     """Compare engine messages/estimates against tree optimization for every
-    root and every t <= t_max; returns (rows, ok, first_mismatch)."""
+    root and every t <= t_max, and check that every generalized tree is at
+    least u(t) deep; returns (rows, ok, first_mismatch).  A missing schedule
+    kind means the all-edges schedule, whose trees are the balanced ones."""
     rows = []
     first = None
     init_map = init.build(g) if init is not None and init.kind != "weights" else None
-    if schedule_kind is None or schedule_kind == "sync":
+    sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
+    if sched.kind == "sync":
         run = run_sync(g, PERFECT, init, StopPolicy.budget(t_max), keep_trace=True)
-        sched = builder = None
     else:
-        sched = make_schedule(g, schedule_kind, seed=schedule_seed)
         run = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
-        builder = GCTBuilder(g, sched, t_max)
+    builder = GCTBuilder(g, sched, t_max)
+    # u(t) for every t <= t_max in one pass over the schedule prefix
+    counts = dict.fromkeys(g.directed_edges(), 0)
+    u = [0]
+    for updates in sched.prefix(t_max):
+        for e in updates:
+            counts[e] += 1
+        u.append(min(counts.values(), default=0))
     for t in range(t_max + 1):
         state = run.trace[t]
         est = extract_estimate(g, state, PERFECT)
-        cov = coverage(g, sched, t) if sched is not None else None
         for root in g.vertices():
-            if sched is None:
-                tree = build_tree(g, root, t)
-            else:
-                tree = builder.gct(root, t)
+            tree = builder.gct(root, t)
             dp = tree_bmatching_dp(tree, init_map)
             msgs_ok = all(dp.branches[r].n == state.m[(r, root)] for r in g.neighbors(root))
             sel_ok = frozenset(dp.selected_labels) == frozenset(est.selected[root])
-            depth_ok = True
-            if cov is not None:
-                depth_ok = all(_branch_depth(c) >= cov.u for c in tree.root.children)
+            depth_ok = tree_depth(tree) >= u[t]
             ok = msgs_ok and sel_ok and depth_ok
             rows.append({"root": root, "t": t, "messages": msgs_ok,
                          "selection": sel_ok, "depth": depth_ok})

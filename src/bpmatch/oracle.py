@@ -19,15 +19,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (Graph, PERFECT, NONPERFECT, MODES, EXACT, GraphError,
-                    edge_key)
+from .graph import Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError, edge_key
 from .engine import MessageInit
 from .simplex import solve_lp, LPInfeasible
 
 BRUTE_FORCE_GUARD = 30
 ENUMERATION_GUARD = 18
-
-ZERO = Fraction(0)
 
 
 class OracleError(GraphError):
@@ -50,11 +47,6 @@ class NotTightError(OracleError):
     pass
 
 
-def _require_exact(g: Graph):
-    if g.numeric_mode != EXACT:
-        raise OracleError("certification requires an exact-rational graph")
-
-
 def _require_mode(mode: str):
     if mode not in MODES:
         raise OracleError(f"unknown mode {mode!r}")
@@ -68,7 +60,6 @@ def brute_force(g: Graph, mode: str, guard: int = BRUTE_FORCE_GUARD):
     Returns (optimal weight, sorted list of optimal edge sets).  Raises
     InfeasibleError when perfect mode has no feasible matching.
     """
-    _require_exact(g)
     _require_mode(mode)
     if g.m > guard:
         raise GuardExceeded(f"{g.m} edges exceeds the enumeration guard {guard}")
@@ -160,7 +151,6 @@ class DualCertificate:
 
 def build_certificate(g: Graph, y, lam, mode: str, check: bool = True) -> DualCertificate:
     """Derive S / epsilon / L from dual values, verifying dual feasibility."""
-    _require_exact(g)
     _require_mode(mode)
     y = {i: Fraction(y.get(i, 0)) for i in g.vertices()}
     lam = {e: Fraction(lam.get(e, 0)) for e in g.edges()}
@@ -227,7 +217,6 @@ def _build_relaxation(g: Graph, mode: str):
 
 def solve_relaxation(g: Graph, mode: str):
     """Optimal vertex of the relaxation plus the matching dual certificate."""
-    _require_exact(g)
     _require_mode(mode)
     edges = g.edges()
     if not edges:
@@ -254,14 +243,6 @@ def solve_relaxation(g: Graph, mode: str):
     if dual_objective(g, cert) != sol.objective:
         raise OracleError("strong duality violated; simplex produced a bad dual")
     return sol, cert
-
-
-def lp_solve(g: Graph, mode: str) -> LPSolution:
-    return solve_relaxation(g, mode)[0]
-
-
-def dual_solve(g: Graph, mode: str) -> DualCertificate:
-    return solve_relaxation(g, mode)[1]
 
 
 # -- complementary slackness -------------------------------------------------------
@@ -398,7 +379,6 @@ def is_tight(g: Graph, mode: str) -> TightnessReport:
     to a single (hence integral) point.  A fractional optimal point is
     returned as the witness whenever the answer is no.
     """
-    _require_exact(g)
     _require_mode(mode)
     bf_weight, bf_all = brute_force(g, mode)
     sol, cert = solve_relaxation(g, mode)
@@ -454,7 +434,6 @@ def tightness_by_enumeration(g: Graph, mode: str, lp_objective: Fraction,
     means exactly one optimal point exists and it is integral.  Returns
     (tight, fractional witness or None).
     """
-    _require_exact(g)
     _require_mode(mode)
     if g.m > guard:
         raise GuardExceeded(f"{g.m} edges exceeds the enumeration guard {guard}")

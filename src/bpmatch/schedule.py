@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .graph import Graph, PERFECT, GraphError
-from .engine import (MessageInit, MessageState, StopPolicy, RunResult,
-                     init_messages, extract_estimate, detect_period, _round,
-                     _check_reduced)
+from .engine import (MessageInit, MessageState, StopPolicy, RunResult, _round,
+                     _run, _check_reduced)
 
 
 class ScheduleError(GraphError):
@@ -290,7 +289,7 @@ def async_round(g: Graph, s: MessageState, updates, mode: str = PERFECT) -> Mess
         raise ScheduleError(f"{foreign[0]} is not a directed edge of the graph")
     if mode == PERFECT and updates:
         _check_reduced(g)
-    return _round(g, s, mode, updates=sorted(updates))
+    return _round(g, s, mode, updates)
 
 
 def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
@@ -308,68 +307,33 @@ def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
     if mode == PERFECT and g.m > 0:
         _check_reduced(g)
     stop = stop or StopPolicy.coverage(0)
-    state = init_messages(g, init)
-    est = extract_estimate(g, state, mode)
-    history = [est.edges]
-    trace = [state] if keep_trace else None
     tracker = _RedundancyTracker(g) if (check_redundancy and not sched.trusted) else None
     counts = {e: 0 for e in g.directed_edges()}
-    last_change = 0
-    window_size = stop.window_size if stop.kind == "window" and stop.window_size else max(g.n, 1)
+
+    def steps():
+        it = iter(sched)
+        t = 0
+        while True:
+            if t >= max_steps:
+                raise ScheduleExhausted(f"stop condition not met within {max_steps} steps")
+            updates = next(it, None)
+            if updates is None:
+                raise ScheduleExhausted(
+                    f"schedule ended after {t} steps before the stop condition was met")
+            t += 1
+            if tracker is not None:
+                violation = tracker.step(t, updates)
+                if violation is not None:
+                    raise RedundantScheduleError(violation)
+            for e in updates:
+                counts[e] += 1
+            yield updates
 
     def covered():
         # a graph with no directed edges is vacuously covered
         return not counts or min(counts.values()) > stop.threshold
 
-    t = 0
-    stop_met = stop.kind == "coverage" and covered()
-    it = iter(sched)
-    while not stop_met:
-        if stop.kind in ("budget", "certified") and t >= stop.iterations:
-            break
-        if stop.kind == "window":
-            if t - last_change >= window_size:
-                stop_met = True
-                break
-            limit = stop.limit if stop.limit is not None else max(100, 20 * window_size)
-            if t >= limit:
-                break
-        if t >= max_steps:
-            raise ScheduleExhausted(f"stop condition not met within {max_steps} steps")
-        try:
-            updates = next(it)
-        except StopIteration:
-            raise ScheduleExhausted(
-                f"schedule ended after {t} steps before the stop condition was met") from None
-        t += 1
-        if tracker is not None:
-            violation = tracker.step(t, updates)
-            if violation is not None:
-                raise RedundantScheduleError(violation)
-        state = _round(g, state, mode, updates=sorted(updates))
-        for e in updates:
-            counts[e] += 1
-        est = extract_estimate(g, state, mode)
-        if est.edges != history[-1]:
-            last_change = t
-        history.append(est.edges)
-        if keep_trace:
-            trace.append(state)
-        if stop.kind == "coverage":
-            stop_met = covered()
-
-    stable_for = t - last_change
-    if stop.kind == "window":
-        converged = stable_for >= window_size
-    elif stop.kind == "coverage":
-        converged = stop_met
-    else:
-        converged = stable_for >= window_size
-    period = None
-    if not converged:
-        period = detect_period(history, max(window_size, 2))
-    cov = CoverageStats(t, counts, min(counts.values(), default=0))
-    return RunResult(mode=mode, estimate=est, iterations=t, stabilized_at=last_change,
-                     stable_for=stable_for, converged=converged, period=period,
-                     history=history, stop=stop, trace=trace, coverage=cov,
-                     schedule_kind=sched.describe())
+    run = _run(g, mode, init, stop, steps(), keep_trace, covered)
+    run.coverage = CoverageStats(run.iterations, counts, min(counts.values(), default=0))
+    run.schedule_kind = sched.describe()
+    return run

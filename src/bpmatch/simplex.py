@@ -148,24 +148,24 @@ def solve_lp(A, b, c) -> LPResult:
         if infeas != ZERO:
             raise LPInfeasible("phase one optimum is positive")
         # Drive leftover zero-level artificials out, or drop redundant rows.
-        drop = []
+        # A tableau row with no original entry left is redundant; the
+        # original row to drop is the one whose artificial is basic there.
+        drop, redundant = set(), set()
         for i in range(m):
             if basis[i] >= n:
                 col = next((j for j in range(n) if T[i][j] != ZERO), None)
                 if col is None:
-                    drop.append(i)
+                    drop.add(i)
+                    redundant.add(art_rows[basis[i] - n])
                 else:
                     _pivot(T, rhs, basis, i, col)
-        if drop:
-            keep = [i for i in range(m) if i not in set(drop)]
-            T = [T[i] for i in keep]
-            rhs = [rhs[i] for i in keep]
-            basis = [basis[i] for i in keep]
-            A0 = [A0[i] for i in keep]
-            sign = [sign[i] for i in keep]
-            kept_rows = keep
-        else:
-            kept_rows = list(range(m))
+        keep = [i for i in range(m) if i not in drop]
+        T = [T[i] for i in keep]
+        rhs = [rhs[i] for i in keep]
+        basis = [basis[i] for i in keep]
+        kept_rows = [i for i in range(m) if i not in redundant]
+        A0 = [A0[i] for i in kept_rows]
+        sign = [sign[i] for i in kept_rows]
         for row in T:
             del row[n:]
     else:

@@ -116,6 +116,19 @@ class TestSolve:
         assert payload["certification"]["bound"] == 4
         assert payload["bp"]["iterations"] == 4
 
+    def test_certified_nonperfect_zero_message_past_capacity_exits_zero(self, capsys, tmp_path):
+        # at the certified stop vertex 4 (b = 2) has taken two negative
+        # messages and also receives a zero one: no tie, exit 0
+        path = tmp_path / "k4b.graph"
+        path.write_text("4 6\n2 1 1 2\n1 2 -14\n1 3 -17\n1 4 -15\n"
+                        "2 3 -4\n2 4 -19\n3 4 -17\n")
+        code, out, _ = run_cli(capsys, "solve", str(path), "--mode", "nonperfect",
+                               "--certify", "--stop", "certified", "--json")
+        payload = json.loads(out)
+        assert payload["match"] is True and payload["certified"] is True
+        assert payload["bp"]["ties"] == [] and payload["bp"]["iterations"] == 61
+        assert code == 0 and payload["exit_code"] == 0
+
     def test_suboptimal_dual_file_rejected(self, capsys, tmp_path):
         cert = tmp_path / "bad.cert"
         cert.write_text("y 1 0\ny 2 0\ny 3 0\ny 4 0\n")  # feasible, not optimal

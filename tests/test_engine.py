@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -157,6 +158,17 @@ class TestExtract:
         assert est.edges == frozenset()
         assert est.ties == frozenset({1, 2, 3})
 
+    def test_nonperfect_zero_past_capacity_is_no_tie(self):
+        # vertex 4 (b = 2) takes its two negative messages; the zero lies
+        # past the selection boundary
+        g = Graph(4, [2, 1, 1, 2], [(1, 2, -14), (1, 3, -17), (1, 4, -15),
+                                    (2, 3, -4), (2, 4, -19), (3, 4, -17)])
+        m = {d: F(-1) for d in g.directed_edges()}
+        m.update({(2, 4): F(-19), (1, 4): F(-15), (3, 4): F(0)})
+        est = extract_estimate_nonperfect(g, init_messages(g, MessageInit.explicit(m)))
+        assert est.selected[4] == (2, 1)
+        assert 4 not in est.ties
+
 
 class TestRunSync:
     def test_c4_stabilizes_to_optimum(self, c4):
@@ -194,10 +206,3 @@ class TestRunSync:
         g = Graph(0, (), ())
         res = run_sync(g, PERFECT)
         assert res.estimate.edges == frozenset() and res.converged
-
-    def test_float_mode_mirrors_exact_on_benign_instance(self, c4):
-        exact = run_sync(c4, PERFECT, stop=StopPolicy.budget(5), keep_trace=True)
-        fl = run_sync(c4.to_float(), PERFECT, stop=StopPolicy.budget(5), keep_trace=True)
-        for se, sf in zip(exact.trace, fl.trace):
-            for d in c4.directed_edges():
-                assert float(se.value(*d)) == sf.value(*d)

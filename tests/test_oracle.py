@@ -4,12 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from bpmatch import (Graph, PERFECT, NONPERFECT, MessageInit, StopPolicy,
-                     brute_force, lp_solve, dual_solve, solve_relaxation,
+                     brute_force, solve_relaxation,
                      build_certificate, dual_objective, check_cs, is_tight,
                      tightness_by_enumeration, iteration_bound,
                      InfeasibleError, GuardExceeded, CertificateError,
                      LPSolution, parse_certificate, serialize_certificate,
-                     run_sync, OracleError)
+                     run_sync)
 from conftest import naive_optima, random_graph_any
 
 
@@ -52,19 +52,19 @@ class TestBruteForce:
 
 class TestRelaxation:
     def test_c4_integral_optimum(self, c4):
-        sol = lp_solve(c4, PERFECT)
+        sol, _ = solve_relaxation(c4, PERFECT)
         assert sol.objective == 2 and sol.integral
         assert sol.x[(1, 2)] == 1 and sol.x[(2, 3)] == 0
 
     def test_uniform_triangle_fractional_vertex(self, tri_half):
-        sol = lp_solve(tri_half, NONPERFECT)
+        sol, _ = solve_relaxation(tri_half, NONPERFECT)
         assert sol.objective == F(-3, 2)
         assert sol.x == {(1, 2): F(1, 2), (1, 3): F(1, 2), (2, 3): F(1, 2)}
         assert not sol.integral
 
     def test_empty_graph(self):
         g = Graph(0, (), ())
-        sol = lp_solve(g, PERFECT)
+        sol, _ = solve_relaxation(g, PERFECT)
         assert sol.objective == 0 and sol.x == {}
 
     def test_relaxation_never_beats_matching(self):
@@ -78,17 +78,13 @@ class TestRelaxation:
                     w, _ = brute_force(g, mode)
                 except InfeasibleError:
                     continue
-                assert lp_solve(g, mode).objective <= w
+                assert solve_relaxation(g, mode)[0].objective <= w
 
     def test_infeasible_relaxation(self):
         # on the path, the middle vertex cannot satisfy both endpoints
         g = Graph(3, [1, 1, 1], [(1, 2, 1), (2, 3, 1)])
         with pytest.raises(InfeasibleError):
-            lp_solve(g, PERFECT)
-
-    def test_float_graphs_rejected(self, c4):
-        with pytest.raises(OracleError):
-            lp_solve(c4.to_float(), PERFECT)
+            solve_relaxation(g, PERFECT)
 
 
 class TestDual:
@@ -123,7 +119,7 @@ class TestDual:
         assert cert.S == frozenset() and cert.epsilon is None and cert.L == 2
 
     def test_certificate_file_roundtrip(self, k4):
-        cert = dual_solve(k4, PERFECT)
+        _, cert = solve_relaxation(k4, PERFECT)
         text = serialize_certificate(cert)
         back = parse_certificate(text, k4, PERFECT)
         assert back.y == cert.y and back.lam == cert.lam

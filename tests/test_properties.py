@@ -1,0 +1,124 @@
+"""Property tests pinning the single run loop and the single tree builder:
+synchronous runs are runs under the all-edges schedule, balanced trees are
+the generalized trees of that schedule, and both agree with the tree
+dynamic program."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: E402
+                     run_sync, run_async, make_schedule, build_tree, build_gct,
+                     dump_tree, tree_bmatching_dp, tree_size, tree_depth,
+                     extract_estimate)
+from bpmatch.ctree import LabeledTree, TreeNode  # noqa: E402
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+EMPTY = Graph(0, (), ())
+
+
+@st.composite
+def graphs(draw, mode):
+    """Graphs run_sync accepts in `mode`: a Hamiltonian cycle plus random
+    chords keeps every degree at least 2, so perfect capacities can stay
+    below the degree (a reduced graph) and non-perfect ones at most it."""
+    n = draw(st.sampled_from([0, 3, 4, 5, 6]))
+    cycle = {edge_key(i, i % n + 1) for i in range(1, n + 1)}
+    chords = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+              if (i, j) not in cycle]
+    keep = draw(st.lists(st.booleans(), min_size=len(chords), max_size=len(chords)))
+    edges = sorted(cycle) + [e for e, k in zip(chords, keep) if k]
+    deg = dict.fromkeys(range(1, n + 1), 0)
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    head = 1 if mode == PERFECT else 0
+    caps = [draw(st.integers(1, min(2, deg[i] - head))) for i in range(1, n + 1)]
+    hi = 18 if mode == PERFECT else 0
+    weights = st.integers(-18, hi).map(lambda k: Fraction(k, 2))
+    return Graph(n, caps, [(i, j, draw(weights)) for (i, j) in edges])
+
+
+@st.composite
+def instances(draw):
+    mode = draw(st.sampled_from([PERFECT, NONPERFECT]))
+    return mode, draw(graphs(mode))
+
+
+STOPS = st.one_of(
+    st.integers(0, 12).map(StopPolicy.budget),
+    st.integers(0, 12).map(StopPolicy.certified),
+    st.builds(StopPolicy.window, st.one_of(st.none(), st.integers(1, 6)),
+              st.one_of(st.none(), st.integers(0, 40))),
+)
+
+FIELDS = ("estimate", "iterations", "stabilized_at", "stable_for", "converged",
+          "period", "history", "trace")
+
+
+@SETTINGS
+@given(instances(), STOPS)
+@example((PERFECT, EMPTY), StopPolicy.budget(0))
+@example((NONPERFECT, EMPTY), StopPolicy.certified(3))
+@example((PERFECT, EMPTY), StopPolicy.window())
+def test_sync_run_is_the_all_edges_schedule(instance, stop):
+    mode, g = instance
+    sync = run_sync(g, mode, None, stop, keep_trace=True)
+    asyn = run_async(g, make_schedule(g, "sync"), None, stop, mode, keep_trace=True)
+    for name in FIELDS:
+        assert getattr(sync, name) == getattr(asyn, name), name
+    assert sync.coverage is None and sync.schedule_kind is None
+    assert asyn.coverage.u == (asyn.iterations if g.m else 0)
+    if g.n == 0:
+        assert sync.converged
+
+
+def _balanced_reference(g, root, t):
+    # the balanced tree by its definition, expanded without sharing
+    def expand(label, parent, depth):
+        w = None if parent is None else g.weight(parent, label)
+        if depth == t + 1:
+            return TreeNode(label, w, ())
+        kids = tuple(s for s in g.neighbors(label) if s != parent)
+        return TreeNode(label, w, tuple(expand(s, label, depth + 1) for s in kids))
+
+    return LabeledTree(expand(root, None, 0), "balanced", g, t)
+
+
+def _count(node):
+    return 1 + sum(_count(c) for c in node.children)
+
+
+@SETTINGS
+@given(graphs(PERFECT).filter(lambda g: g.n > 0), st.integers(0, 4), st.data())
+def test_balanced_tree_is_the_sync_gct(g, t, data):
+    root = data.draw(st.integers(1, g.n))
+    tree = build_tree(g, root, t)
+    ref = _balanced_reference(g, root, t)
+    assert dump_tree(tree) == dump_tree(ref)
+    assert dump_tree(build_gct(g, make_schedule(g, "sync"), root, t)) == dump_tree(ref)
+    assert tree_size(tree) == _count(ref.root)
+    assert tree_depth(tree) == tree_depth(ref)
+
+
+@SETTINGS
+@given(graphs(PERFECT).filter(lambda g: g.n > 0), st.integers(0, 4),
+       st.sampled_from([("sync", None), ("roundrobin", None), ("random", 3), ("random", 11)]))
+def test_engine_equals_tree_dp(g, t_max, kind):
+    sched = make_schedule(g, kind[0], seed=kind[1])
+    if sched.kind == "sync":
+        run = run_sync(g, PERFECT, None, StopPolicy.budget(t_max), keep_trace=True)
+    else:
+        run = run_async(g, sched, None, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
+    for t, state in enumerate(run.trace):
+        est = extract_estimate(g, state, PERFECT)
+        for root in g.vertices():
+            tree = build_tree(g, root, t) if sched.kind == "sync" else build_gct(g, sched, root, t)
+            dp = tree_bmatching_dp(tree)
+            for r in g.neighbors(root):
+                assert dp.branches[r].n == state.value(r, root)
+            assert frozenset(dp.selected_labels) == frozenset(est.selected[root])

@@ -77,3 +77,28 @@ def test_duals_certify_objective_exactly():
     for j in range(4):
         reduced = c[j] - sum(res.dual[i] * A[i][j] for i in range(2))
         assert reduced >= 0
+
+
+def test_redundant_row_drops_the_artificials_own_row():
+    # Perfect relaxation of a 6-vertex graph plus the row c.x = OPT = 38.
+    # Phase one leaves an artificial basic on a redundant row whose tableau
+    # position differs from the original row it belongs to.
+    from bpmatch import Graph, PERFECT
+    from bpmatch.oracle import _build_relaxation
+    g = Graph(6, [1] * 6, [(1, 3, 28), (1, 4, 27), (1, 6, 16), (2, 3, 28), (2, 4, 3),
+                           (2, 6, 19), (3, 5, 19), (4, 5, 5), (5, 6, 14)])
+    A, b, c, idx = _build_relaxation(g, PERFECT)
+    A, b = A + [list(c)], b + [38]
+    optimum = {(1, 6), (2, 4), (3, 5)}
+    for cost, objective in (([0] * len(c), 0), (c, 38)):
+        res = solve_lp(A, b, cost)
+        assert res.objective == objective
+        assert {e for e, k in idx.items() if res.x[k] == 1} == optimum
+        assert all(res.x[k] == 0 for e, k in idx.items() if e not in optimum)
+        assert all(sum(a * v for a, v in zip(row, res.x)) == rhs for row, rhs in zip(A, b))
+        assert len(res.dual) == len(A)
+        # the prices certify the objective and are dual feasible
+        assert sum(p * v for p, v in zip(res.dual, b)) == objective
+        for j in range(len(cost)):
+            assert cost[j] - sum(res.dual[i] * A[i][j] for i in range(len(A))) >= 0
+    assert solve_lp(A, b, [0] * len(c)).dual == [0] * len(A)
