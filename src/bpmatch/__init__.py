@@ -16,7 +16,7 @@ from .schedule import (Schedule, ScheduleViolation, CoverageStats, ScheduleError
                        parse_schedule, serialize_schedule, validate_schedule,
                        coverage, async_round, run_async)
 from .ctree import (LabeledTree, TreeNode, BranchValue, TreeDPResult, TreeError,
-                    TreeSizeError, DegenerateTreeError, build_tree,
+                    TreeSizeError, DegenerateTreeError, TreeDepthError, build_tree,
                     build_gct_branch, build_gct, tree_bmatching_dp, tree_depth,
                     tree_size, dump_tree)
 from .oracle import (LPSolution, DualCertificate, CSReport, TightnessReport,

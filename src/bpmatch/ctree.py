@@ -20,6 +20,7 @@ engine's per-vertex estimates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .graph import Graph, ZERO, GraphError, edge_key
@@ -37,6 +38,17 @@ class TreeSizeError(TreeError):
 
 class DegenerateTreeError(TreeError):
     pass
+
+
+class TreeDepthError(TreeError):
+    pass
+
+
+# The builder, tree_size, tree_depth and the tree DP recurse once per tree
+# level and use three frames of the recursion limit a level (the function,
+# its generator or comprehension, and the builtin that drives it); this many
+# frames stay free for their callers.
+_CALLER_FRAMES = 200
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,7 @@ class _BranchBuilder:
         self.g = g
         self.sets = sets  # sets[k] is the update set of step k+1
         self.memo = {}
+        _check_depth(g, sets)
 
     def node(self, i, j, t):
         # The branch of (i -> j) at time t, as the node labeled i hanging
@@ -139,6 +152,24 @@ class _BranchBuilder:
             made = TreeNode(i, w, kids)
         self.memo[key] = made
         return made
+
+
+def _check_depth(g: Graph, sets):
+    """Raise TreeDepthError, before anything is built, when some tree over
+    these update sets has more levels than the recursive code can walk."""
+    limit = (sys.getrecursionlimit() - _CALLER_FRAMES) // 3
+    # levels[(i, j)]: levels of the branch node of (i -> j) after step k;
+    # a tree has one more level, its root
+    levels = dict.fromkeys(g.directed_edges(), 1)
+    for k, updates in enumerate(sets, start=1):
+        grown = {(i, j): 1 + max((levels[(r, i)] for r in g.neighbors(i) if r != j), default=0)
+                 for (i, j) in updates}
+        levels.update(grown)
+        if max(grown.values(), default=0) + 1 > limit:
+            raise TreeDepthError(
+                f"t = {len(sets)} gives trees more than {limit} levels deep (from step "
+                f"{k} on), deeper than the recursive tree code can walk under the "
+                f"recursion limit {sys.getrecursionlimit()}")
 
 
 def _schedule_prefix(sched, t):

@@ -65,15 +65,16 @@ class Certification:
 def certify_instance(g: Graph, mode: str, init: MessageInit | None = None,
                      cert_override: DualCertificate | None = None) -> Certification:
     """Oracle pipeline on one (already reduced, validated) instance."""
-    bf_weight, bf_all = brute_force(g, mode)
-    sol, cert = solve_relaxation(g, mode)
+    optima = bf_weight, bf_all = brute_force(g, mode)
+    relaxation = sol, cert = solve_relaxation(g, mode)
     if cert_override is not None:
         if oracle.dual_objective(g, cert_override) != sol.objective:
             raise oracle.CertificateError(
                 "supplied dual is feasible but not optimal; its objective is "
                 f"{oracle.dual_objective(g, cert_override)}, the optimum is {sol.objective}")
         cert = cert_override
-    report = is_tight(g, mode)
+    # the verdict uses the solver's own dual, whatever bound dual was supplied
+    report = is_tight(g, mode, optima=optima, relaxation=relaxation)
     cs = check_cs(g, sol, cert)
     bound = iteration_bound(g, cert, init, mode) if report.tight else None
     return Certification(bf_weight, bf_all, sol, cert, report.tight, report.reason,
@@ -329,15 +330,15 @@ def analyze_instance(g: Graph, mode: str, check_enumeration=True):
     """One sweep step: oracle, consistency cross-checks, certified run."""
     row = {"n": g.n, "m": g.m, "mode": mode}
     try:
-        bf_weight, bf_all = brute_force(g, mode)
+        optima = bf_weight, bf_all = brute_force(g, mode)
     except InfeasibleError:
         row.update(feasible=False, tight=None, match=None)
         return row
     row["feasible"] = True
-    sol, cert = solve_relaxation(g, mode)
+    relaxation = sol, cert = solve_relaxation(g, mode)
     row["strong_duality"] = oracle.dual_objective(g, cert) == sol.objective
     row["cs_ok"] = check_cs(g, sol, cert).ok
-    report = is_tight(g, mode)
+    report = is_tight(g, mode, optima=optima, relaxation=relaxation)
     row["tight"] = report.tight
     if check_enumeration and g.m <= oracle.ENUMERATION_GUARD:
         enum_tight, _ = tightness_by_enumeration(g, mode, sol.objective)
@@ -396,11 +397,11 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     first = None
     init_map = init.build(g) if init is not None and init.kind != "weights" else None
     sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
+    builder = GCTBuilder(g, sched, t_max)
     if sched.kind == "sync":
         run = run_sync(g, PERFECT, init, StopPolicy.budget(t_max), keep_trace=True)
     else:
         run = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
-    builder = GCTBuilder(g, sched, t_max)
     # u(t) for every t <= t_max in one pass over the schedule prefix
     counts = dict.fromkeys(g.directed_edges(), 0)
     u = [0]

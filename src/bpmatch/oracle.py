@@ -3,7 +3,8 @@
 Everything here is exact: exhaustive enumeration of optimal matchings, the
 linear relaxation and its dual solved by rational simplex, complementary
 slackness checking, a tightness decision (does the relaxation admit any
-fractional optimum?), and the certified iteration bound for the engine.
+fractional optimum?) made with at most one LP over the optimal face on top
+of the relaxation, and the certified iteration bound for the engine.
 
 The dual certificate carries the derived quantities the bound needs: the
 set S of edges whose weight differs from the sum of its endpoints' dual
@@ -327,9 +328,9 @@ class TightnessReport:
     bf_count: int
 
 
-def _probe_lp(g, mode, free, fixed_one, equality_vertices, objective_edge, maximize):
-    """Optimize one free edge variable over the optimal face."""
-    free = list(free)
+def _face_lp(g, mode, free, fixed_one, equality_vertices, cost):
+    """Minimize `cost` (a map from free edges to coefficients) over the
+    optimal face, whose only variables are the free edges."""
     fidx = {e: k for k, e in enumerate(free)}
     nfree = len(free)
     forced = dict.fromkeys(g.vertices(), 0)
@@ -364,24 +365,28 @@ def _probe_lp(g, mode, free, fixed_one, equality_vertices, objective_edge, maxim
         A.append(row)
         b.append(Fraction(1))
     c = [ZERO] * ncols
-    c[fidx[objective_edge]] = Fraction(-1) if maximize else Fraction(1)
+    for e, v in cost.items():
+        c[fidx[e]] = v
     res = solve_lp(A, b, c)
-    values = {e: res.x[fidx[e]] for e in free}
-    return values
+    return {e: res.x[fidx[e]] for e in free}
 
 
-def is_tight(g: Graph, mode: str) -> TightnessReport:
+def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessReport:
     """Decide whether every optimal point of the relaxation is integral.
 
-    Three-step decision: the relaxation value must equal the exhaustive
-    optimum, the exhaustive optimum must be unique, and probing every edge
-    left free by complementary slackness over the optimal face must pin it
-    to a single (hence integral) point.  A fractional optimal point is
-    returned as the witness whenever the answer is no.
+    `optima` is the caller's `brute_force(g, mode)` result and `relaxation`
+    its `solve_relaxation(g, mode)` result; either is computed here when
+    omitted.  The relaxation value must equal the exhaustive optimum, the
+    exhaustive optimum must be unique, and the relaxation vertex x* must be
+    integral.  Complementary slackness with the relaxation's dual then fixes
+    some edges to 0 or 1 and leaves the rest free; one LP maximizes
+    ||x - x*||_1 over the optimal face (linear, because x* is 0/1), and the
+    instance is tight iff that maximum is zero.  A fractional optimal point
+    is returned as the witness whenever the answer is no.
     """
     _require_mode(mode)
-    bf_weight, bf_all = brute_force(g, mode)
-    sol, cert = solve_relaxation(g, mode)
+    bf_weight, bf_all = optima if optima is not None else brute_force(g, mode)
+    sol, cert = relaxation if relaxation is not None else solve_relaxation(g, mode)
     if sol.objective != bf_weight:
         if sol.integral:
             raise OracleError("integral relaxation optimum below the exhaustive optimum")
@@ -392,9 +397,13 @@ def is_tight(g: Graph, mode: str) -> TightnessReport:
         witness = {e: (Fraction(int(e in a)) + Fraction(int(e in b_))) / 2 for e in g.edges()}
         return TightnessReport(False, witness, "multiple_integral_optima",
                                sol.objective, bf_weight, len(bf_all))
+    if not sol.integral:
+        # an optimal vertex besides the unique integral optimum
+        return TightnessReport(False, dict(sol.x), "optimal_face_has_positive_dimension",
+                               sol.objective, bf_weight, 1)
 
     # Complementary slackness pins edges with a positive dual slack to 0 and
-    # edges with positive lambda to 1; probe whatever is left.
+    # edges with positive lambda to 1; the rest span the optimal face.
     fixed_zero, fixed_one, free = set(), set(), []
     for e in g.edges():
         gap = g.weight(*e) + cert.lam[e] - (cert.y[e[0]] + cert.y[e[1]]) if mode == PERFECT \
@@ -406,13 +415,13 @@ def is_tight(g: Graph, mode: str) -> TightnessReport:
         else:
             free.append(e)
     equality_vertices = {i for i in g.vertices() if cert.y[i] != 0} if mode == NONPERFECT else set(g.vertices())
-    for e in sorted(free):
-        hi = _probe_lp(g, mode, free, fixed_one, equality_vertices, e, maximize=True)
-        lo = _probe_lp(g, mode, free, fixed_one, equality_vertices, e, maximize=False)
-        if hi[e] != lo[e]:
-            witness = {d: (hi[d] + lo[d]) / 2 for d in free}
-            witness.update({d: ZERO for d in fixed_zero})
-            witness.update({d: Fraction(1) for d in fixed_one})
+    if free:
+        cost = {e: Fraction(1) if sol.x[e] == 1 else Fraction(-1) for e in free}
+        far = _face_lp(g, mode, free, fixed_one, equality_vertices, cost)
+        if any(far[e] != sol.x[e] for e in free):
+            witness = {e: (sol.x[e] + far[e]) / 2 for e in free}
+            witness.update({e: ZERO for e in fixed_zero})
+            witness.update({e: Fraction(1) for e in fixed_one})
             return TightnessReport(False, witness, "optimal_face_has_positive_dimension",
                                    sol.objective, bf_weight, 1)
     optimum = bf_all[0]

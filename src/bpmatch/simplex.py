@@ -70,8 +70,8 @@ def _reduced_costs(T, basis, cost):
 
 def _bland(T, rhs, basis, cost, allowed):
     """Run Bland-rule pivots until optimal; raises LPUnbounded."""
+    reduced = _reduced_costs(T, basis, cost)
     while True:
-        reduced = _reduced_costs(T, basis, cost)
         enter = None
         for j in allowed:
             if reduced[j] < ZERO:
@@ -91,6 +91,10 @@ def _bland(T, rhs, basis, cost, allowed):
         if leave is None:
             raise LPUnbounded("improving direction with no binding row")
         _pivot(T, rhs, basis, leave, enter)
+        # the objective row pivots like any other row: exactly the reduced
+        # costs of the new basis, without rebuilding them
+        f = reduced[enter]
+        reduced = [r - f * t if t else r for r, t in zip(reduced, T[leave])]
 
 
 def solve_lp(A, b, c) -> LPResult:

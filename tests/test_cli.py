@@ -164,6 +164,18 @@ class TestCertify:
         assert code == 0
         assert "epsilon undefined (S empty); bound n+1 = 1" in out
 
+    def test_dual_file_changes_the_bound_but_not_the_verdict(self, capsys, tmp_path):
+        cert = tmp_path / "hand.cert"
+        cert.write_text("y 1 1/2\ny 2 1/2\ny 3 1/2\ny 4 1/2\n")
+        code, out, _ = run_cli(capsys, "certify", fx("k4-appendix"), "--json")
+        own = json.loads(out)["certification"]
+        code_hand, out, _ = run_cli(capsys, "certify", fx("k4-appendix"), "--json",
+                                    "--dual-file", str(cert))
+        hand = json.loads(out)["certification"]
+        assert code == code_hand == 0
+        assert (hand["epsilon"], hand["L"], hand["bound"]) != (own["epsilon"], own["L"], own["bound"])
+        assert (hand["tight"], hand["tight_reason"]) == (own["tight"], own["tight_reason"])
+
     def test_loose_instance_prints_witness(self, capsys):
         code, out, _ = run_cli(capsys, "certify", fx("tri-half"), "--mode", "nonperfect")
         assert code == 0
@@ -185,6 +197,11 @@ class TestTreeVerify:
         run_cli(capsys, "tree-verify", fx("c4"), "--t-max", "1", "--dump-tree", str(dump))
         assert "# root 1, t=1" in dump.read_text()
         assert "0 label=1" in dump.read_text()
+
+    def test_t_max_too_deep_for_the_tree_code_is_a_clean_error(self, capsys):
+        code, out, err = run_cli(capsys, "tree-verify", fx("c4"), "--t-max", "1200")
+        assert code == 1 and out == ""
+        assert err.startswith("error: t = 1200") and err.count("\n") == 1
 
 
 class TestSweepAndScheduleValidate:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, TreeSizeError,
-                     DegenerateTreeError, build_tree, build_gct_branch,
+                     DegenerateTreeError, TreeDepthError, build_tree, build_gct_branch,
                      build_gct, tree_bmatching_dp, tree_depth, tree_size,
                      dump_tree, make_schedule, coverage, run_sync,
                      init_messages, sync_round_perfect)
@@ -52,6 +52,22 @@ class TestBuildBalanced:
     def test_size_cap(self, k4):
         with pytest.raises(TreeSizeError):
             build_tree(k4, 1, 10, node_cap=100)
+
+    def test_deepest_accepted_tree_is_walkable(self, c4):
+        # the deepest tree the depth check lets through can be sized, solved and dumped
+        t = 400
+        while True:
+            try:
+                tree = build_tree(c4, 1, t)
+                break
+            except TreeDepthError:
+                t -= 1
+        assert 250 < t < 400
+        assert tree_size(tree) == 2 * t + 3 and tree_depth(tree) == t + 1
+        assert tree_bmatching_dp(tree).total is not None
+        assert dump_tree(tree).count("\n") == 2 * t + 3
+        with pytest.raises(TreeDepthError):
+            build_gct(c4, make_schedule(c4, "sync"), 1, t + 1)
 
 
 def _leaves(node):

@@ -10,6 +10,8 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, MessageInit, StopPolicy,
                      InfeasibleError, GuardExceeded, CertificateError,
                      LPSolution, parse_certificate, serialize_certificate,
                      run_sync)
+from bpmatch import harness, oracle
+from bpmatch.harness import certify_instance
 from conftest import naive_optima, random_graph_any
 
 
@@ -198,6 +200,37 @@ class TestTightness:
                 assert enum_tight == rep.tight, (mode, g.edges())
                 checked += 1
         assert checked >= 30
+
+
+def _counting(monkeypatch, name, *modules):
+    # count calls through every module that binds the function
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestTightnessWork:
+    def test_certify_instance_runs_each_oracle_once(self, monkeypatch, k4):
+        bf = _counting(monkeypatch, "brute_force", oracle, harness)
+        relax = _counting(monkeypatch, "solve_relaxation", oracle, harness)
+        lps = _counting(monkeypatch, "solve_lp", oracle)
+        c = certify_instance(k4, PERFECT)
+        assert c.tight
+        assert len(bf) == 1 and len(relax) == 1 and len(lps) <= 2
+
+    def test_positive_dimensional_face_needs_one_lp_past_the_relaxation(self, monkeypatch,
+                                                                        tri_neg):
+        lps = _counting(monkeypatch, "solve_lp", oracle)
+        rep = is_tight(tri_neg, NONPERFECT)
+        assert rep.reason == "optimal_face_has_positive_dimension"
+        assert len(lps) <= 2
 
 
 class TestIterationBound:

@@ -1,7 +1,8 @@
 """Property tests pinning the single run loop and the single tree builder:
 synchronous runs are runs under the all-edges schedule, balanced trees are
 the generalized trees of that schedule, and both agree with the tree
-dynamic program."""
+dynamic program.  The LP tightness decision agrees with half-integral
+enumeration."""
 
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: E402
                      run_sync, run_async, make_schedule, build_tree, build_gct,
                      dump_tree, tree_bmatching_dp, tree_size, tree_depth,
-                     extract_estimate)
+                     extract_estimate, brute_force, solve_relaxation, is_tight,
+                     tightness_by_enumeration, InfeasibleError)
 from bpmatch.ctree import LabeledTree, TreeNode  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -122,3 +124,31 @@ def test_engine_equals_tree_dp(g, t_max, kind):
             for r in g.neighbors(root):
                 assert dp.branches[r].n == state.value(r, root)
             assert frozenset(dp.selected_labels) == frozenset(est.selected[root])
+
+
+# an integral relaxation vertex on a face with a fractional point (tri-neg),
+# and a fractional relaxation vertex beside a unique integral optimum
+@SETTINGS
+@given(instances())
+@example((NONPERFECT, Graph(3, [1, 1, 1], [(1, 2, -3), (2, 3, -1), (1, 3, -2)])))
+@example((NONPERFECT, Graph(4, [2, 2, 1, 1], [(1, 2, -15), (1, 3, -28), (1, 4, -28),
+                                             (2, 3, -9), (2, 4, -6), (3, 4, -26)])))
+def test_lp_tightness_agrees_with_enumeration(instance):
+    mode, g = instance
+    try:
+        optima = brute_force(g, mode)
+    except InfeasibleError:
+        return
+    relaxation = solve_relaxation(g, mode)
+    rep = is_tight(g, mode)
+    assert is_tight(g, mode, optima=optima, relaxation=relaxation) == rep
+    assert rep.tight == tightness_by_enumeration(g, mode, rep.lp_objective)[0]
+    if rep.tight:
+        return
+    w = rep.witness
+    assert set(w) == set(g.edges()) and all(0 <= v <= 1 for v in w.values())
+    for i in g.vertices():
+        load = sum(v for e, v in w.items() if i in e)
+        assert load == g.cap(i) if mode == PERFECT else load <= g.cap(i)
+    assert sum(v * g.weight(*e) for e, v in w.items()) == rep.lp_objective
+    assert any(v not in (0, 1) for v in w.values())
