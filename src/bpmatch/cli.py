@@ -56,8 +56,16 @@ def _parse_init(spec) -> MessageInit:
             if not body:
                 continue
             if len(body) != 3:
-                raise EngineError(f"init file line {lineno}: expected 'i j value'")
-            mapping[(int(body[0]), int(body[1]))] = Fraction(body[2])
+                raise GraphParseError(f"init file line {lineno}: expected 'i j value'")
+            try:
+                edge = (int(body[0]), int(body[1]))
+            except ValueError:
+                raise GraphParseError(f"init file line {lineno}: bad vertex id in "
+                                      f"{' '.join(body[:2])!r}") from None
+            try:
+                mapping[edge] = Fraction(body[2])
+            except (ValueError, ZeroDivisionError):
+                raise GraphParseError(f"init file line {lineno}: bad value {body[2]!r}") from None
         return MessageInit.explicit(mapping)
     raise EngineError(f"unknown --init {spec!r}")
 

@@ -13,15 +13,21 @@ non-perfect mode it is defined as 0 when vertex i has exactly b_i neighbors
 always exists.
 
 The running estimate is, per vertex, the b_i edges with smallest incoming
-messages (perfect) or all edges with strictly negative incoming messages
-(non-perfect); the global estimate is the union over vertices.
+messages, ties broken by the smaller neighbor label (perfect), or those of
+them whose message is strictly negative (non-perfect); the global estimate
+is the union over vertices.
+
+Runs work on messages scaled to exact integers (see _Net) and recompute
+only the selections a step can change; every public value (MessageState,
+traces, estimates) is the same exact rational as the unscaled rule gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
+from math import lcm
 
 from .graph import (Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError,
                     ValidationError, edge_key, validate)
@@ -69,7 +75,8 @@ class MessageInit:
             missing = [d for d in dirs if d not in mapping]
             if missing:
                 raise EngineError(f"explicit init is missing directed edges: {missing[:5]}")
-            unknown = [d for d in mapping if d not in set(dirs)]
+            known = set(dirs)
+            unknown = [d for d in mapping if d not in known]
             if unknown:
                 raise EngineError(f"explicit init names unknown directed edges: {unknown[:5]}")
             return {d: mapping[d] for d in dirs}
@@ -95,7 +102,7 @@ def init_messages(g: Graph, init: MessageInit | None = None) -> MessageState:
     return MessageState(0, init.build(g))
 
 
-# -- rounds -------------------------------------------------------------------
+# -- the integer kernel ------------------------------------------------------
 
 def _check_reduced(g: Graph):
     for i in g.vertices():
@@ -105,52 +112,109 @@ def _check_reduced(g: Graph):
                 "perfect-mode rounds need a reduced graph")
 
 
-def _kth_min_excluding(sorted_values, k, excluded_value):
-    # k-th smallest (1-based) after removing one occurrence of excluded_value.
-    if excluded_value <= sorted_values[k - 1]:
-        return sorted_values[k]
-    return sorted_values[k - 1]
+class _Net:
+    """A graph compiled for the kernel.
+
+    Directed edge k is g.directed_edges()[k], so the edges out of vertex i
+    hold the consecutive ids out[i], in neighbor order; rev[k] is the reverse
+    of edge k, inc[i] lists the edges into i in neighbor order and `linked`
+    the vertices with at least one edge, in order.  Weights and messages are
+    multiplied by `scale`, the least common denominator of the weights and
+    of the initial messages `values`.  The update rule only subtracts, takes
+    min(0, .) and compares, so every later message is an exact int too,
+    scale times its rational value, in the same order."""
+
+    def __init__(self, g: Graph, values):
+        dirs = g.directed_edges()
+        ids = {e: k for k, e in enumerate(dirs)}
+        self.dirs = dirs
+        self.ids = ids
+        self.scale = lcm(*(Fraction(v).denominator
+                           for v in chain(g.weights().values(), values)))
+        self.rev = [ids[(j, i)] for (i, j) in dirs]
+        self.head = [j for (_, j) in dirs]
+        self.tail = [i for (i, _) in dirs]
+        self.inc = [()]
+        self.out = [range(0)]
+        for i in g.vertices():
+            self.inc.append(tuple(ids[(l, i)] for l in g.neighbors(i)))
+            first = ids[(i, g.neighbors(i)[0])] if g.degree(i) else 0
+            self.out.append(range(first, first + g.degree(i)))
+        self.linked = [i for i in g.vertices() if g.degree(i)]
+        self.cap = (0,) + g.capacities()
+        self.w = [self.up(g.weight(i, j)) for (i, j) in dirs]
+
+    def up(self, v) -> int:
+        v = Fraction(v)
+        return v.numerator * (self.scale // v.denominator)
+
+    def down(self, v) -> Fraction:
+        return Fraction(v, self.scale)
+
+    def state(self, t, msgs) -> MessageState:
+        return MessageState(t, {e: self.down(v) for e, v in zip(self.dirs, msgs)})
 
 
-def _updated(g, m, i, j, mode, inc_sorted):
-    w = g.weight(i, j)
-    b = g.cap(i)
-    if mode == PERFECT:
-        return w - _kth_min_excluding(inc_sorted[i], b, m[(j, i)])
-    if g.degree(i) - 1 < b:
-        inner = ZERO
-    else:
-        inner = _kth_min_excluding(inc_sorted[i], b, m[(j, i)])
-    return w - min(ZERO, inner)
+def _round(net: _Net, msgs: list, mode: str, updates=None) -> list:
+    """One step on scaled messages: recompute the edge ids in `updates`, or
+    every directed edge when it is None, from the values at t-1 in `msgs`.
+    A partial step computes all its new values before it writes any of them
+    into `msgs`, and returns `msgs`; an all-edges step returns a fresh list.
+
+    For an edge i -> j with lo and hi the b_i-th and (b_i+1)-th smallest
+    messages into i, the b_i-th smallest with j's message excluded is hi when
+    m(j -> i) <= lo and lo otherwise."""
+    perfect = mode == PERFECT
+    w, cap, inc = net.w, net.cap, net.inc
+    if updates is None:
+        new = []
+        for i in net.linked:
+            out, b = net.out[i], cap[i]
+            if not perfect and len(out) <= b:
+                new.extend(w[k] for k in out)
+                continue
+            vals = [msgs[r] for r in inc[i]]
+            s = sorted(vals)
+            lo, hi = s[b - 1], s[b]
+            for k, x in zip(out, vals):
+                kth = hi if x <= lo else lo
+                new.append(w[k] - kth if perfect or kth < 0 else w[k])
+        return new
+    bounds = {}
+    writes = []
+    for k in updates:
+        i = net.tail[k]
+        b = cap[i]
+        if not perfect and len(net.out[i]) <= b:
+            writes.append((k, w[k]))
+            continue
+        if i not in bounds:
+            s = sorted([msgs[r] for r in inc[i]])
+            bounds[i] = s[b - 1], s[b]
+        lo, hi = bounds[i]
+        kth = hi if msgs[net.rev[k]] <= lo else lo
+        writes.append((k, w[k] - kth if perfect or kth < 0 else w[k]))
+    for k, v in writes:
+        msgs[k] = v
+    return msgs
 
 
-def _round(g: Graph, s: MessageState, mode: str, updates=None) -> MessageState:
-    """Recompute the directed edges in `updates` (all of them when None) from
-    state s; the others carry over.  Update sets hold distinct directed
-    edges of g, so one as large as the edge set is the edge set: that step
-    builds a fresh map in canonical order instead of copying the old one."""
-    m = s.m
-    if updates is None or len(updates) == len(g.directed_edges()):
-        targets = g.directed_edges()
-        new = {}
-    else:
-        targets = updates
-        new = dict(m)
-    inc_sorted = {}
-    for (i, j) in targets:
-        if i not in inc_sorted:
-            inc_sorted[i] = sorted(m[(l, i)] for l in g.neighbors(i))
-        new[(i, j)] = _updated(g, m, i, j, mode, inc_sorted)
-    return MessageState(s.t + 1, new)
+def _step(g: Graph, s: MessageState, mode: str, updates=None) -> MessageState:
+    # the kernel on a public state: scale, one step, divide back
+    net = _Net(g, s.m.values())
+    msgs = [net.up(s.m[e]) for e in net.dirs]
+    if updates is not None:
+        updates = [net.ids[e] for e in updates]
+    return net.state(s.t + 1, _round(net, msgs, mode, updates))
 
 
 def sync_round_perfect(g: Graph, s: MessageState) -> MessageState:
     _check_reduced(g)
-    return _round(g, s, PERFECT)
+    return _step(g, s, PERFECT)
 
 
 def sync_round_nonperfect(g: Graph, s: MessageState) -> MessageState:
-    return _round(g, s, NONPERFECT)
+    return _step(g, s, NONPERFECT)
 
 
 # -- estimates ----------------------------------------------------------------
@@ -164,52 +228,50 @@ class Estimate:
     ties: frozenset
 
 
-def extract_estimate_perfect(g: Graph, s: MessageState) -> Estimate:
-    edges = set()
-    selected = {}
-    ties = set()
-    for i in g.vertices():
-        nbrs = sorted(g.neighbors(i), key=lambda j: (s.m[(j, i)], j))
-        b = g.cap(i)
-        chosen = nbrs[:b]
-        if 0 < b < len(nbrs) and s.m[(nbrs[b - 1], i)] == s.m[(nbrs[b], i)]:
-            ties.add(i)
-        selected[i] = tuple(chosen)
-        for j in chosen:
-            edges.add(edge_key(i, j))
-    return Estimate(frozenset(edges), selected, frozenset(ties))
+def _select(g: Graph, i, vals, mode: str):
+    """Vertex i's selection and tie flag from its incoming messages `vals`,
+    listed in neighbor order (exact rationals or the kernel's scaled ints).
 
-
-def extract_estimate_nonperfect(g: Graph, s: MessageState) -> Estimate:
-    # Selecting an edge only pays off while capacity remains, so each vertex
-    # takes its at most b_i most negative incoming messages, strictly
-    # negative only.  A zero message is a boundary tie only while capacity
-    # remains (c < b_i); past b_i negative selections it is not a candidate.
-    edges = set()
-    selected = {}
-    ties = set()
-    for i in g.vertices():
-        nbrs = sorted(g.neighbors(i), key=lambda j: (s.m[(j, i)], j))
-        b = g.cap(i)
-        chosen = [j for j in nbrs[:b] if s.m[(j, i)] < 0]
-        c = len(chosen)
-        if c < b and any(s.m[(j, i)] == 0 for j in nbrs):
-            ties.add(i)
-        elif c == b and b < len(nbrs) and s.m[(nbrs[b - 1], i)] == s.m[(nbrs[b], i)]:
-            ties.add(i)
-        selected[i] = tuple(chosen)
-        for j in chosen:
-            if g.weight(i, j) > 0:
-                raise EngineError(f"selected positive-weight edge {edge_key(i, j)}; "
-                                  "non-perfect estimates assume non-positive weights")
-            edges.add(edge_key(i, j))
-    return Estimate(frozenset(edges), selected, frozenset(ties))
+    Perfect mode takes the b_i neighbors with the smallest messages, ties
+    broken by label.  Non-perfect mode keeps only the strictly negative ones
+    among them: selecting an edge only pays off while capacity remains.  A
+    zero message is a boundary tie only while capacity remains (fewer than
+    b_i selections); past b_i negative selections it is not a candidate."""
+    nbrs = g.neighbors(i)
+    b = g.cap(i)
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    boundary_tie = b < len(vals) and vals[order[b - 1]] == vals[order[b]]
+    if mode == PERFECT:
+        return tuple(nbrs[k] for k in order[:b]), boundary_tie
+    chosen = tuple(nbrs[k] for k in order[:b] if vals[k] < 0)
+    for j in chosen:
+        if g.weight(i, j) > 0:
+            raise EngineError(f"selected positive-weight edge {edge_key(i, j)}; "
+                              "non-perfect estimates assume non-positive weights")
+    if len(chosen) < b:
+        return chosen, 0 in vals
+    return chosen, boundary_tie
 
 
 def extract_estimate(g: Graph, s: MessageState, mode: str) -> Estimate:
-    if mode == PERFECT:
-        return extract_estimate_perfect(g, s)
-    return extract_estimate_nonperfect(g, s)
+    edges = set()
+    selected = {}
+    ties = set()
+    for i in g.vertices():
+        chosen, tie = _select(g, i, [s.m[(j, i)] for j in g.neighbors(i)], mode)
+        selected[i] = chosen
+        if tie:
+            ties.add(i)
+        edges.update(edge_key(i, j) for j in chosen)
+    return Estimate(frozenset(edges), selected, frozenset(ties))
+
+
+def extract_estimate_perfect(g: Graph, s: MessageState) -> Estimate:
+    return extract_estimate(g, s, PERFECT)
+
+
+def extract_estimate_nonperfect(g: Graph, s: MessageState) -> Estimate:
+    return extract_estimate(g, s, NONPERFECT)
 
 
 # -- run loop -------------------------------------------------------------------
@@ -286,11 +348,45 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
          keep_trace: bool, covered=None) -> RunResult:
     """The run loop shared by synchronous and asynchronous runs: apply the
     update sets drawn from `steps` until `stop` holds.  A coverage stop asks
-    `covered()` after every step (and once before the first)."""
-    state = init_messages(g, init)
-    est = extract_estimate(g, state, mode)
-    history = [est.edges]
-    trace = [state] if keep_trace else None
+    `covered()` after every step (and once before the first).
+
+    Messages live in the integer kernel.  Only the heads of a step's updated
+    edges can change their selection, so only they are recomputed; an edge is
+    in the estimate while either endpoint selects it, and the estimate's edge
+    set is rebuilt only when an edge enters or leaves it."""
+    start = (init or MessageInit.weights()).build(g)
+    net = _Net(g, start.values())
+    msgs = [net.up(start[e]) for e in net.dirs]
+    eid, head, inc = net.ids, net.head, net.inc
+    select = _select
+    sel = [()] * (g.n + 1)
+    tie = [False] * (g.n + 1)
+    cur = set()
+
+    def refresh(heads):
+        # recompute the selections at `heads`; True when `cur` changed
+        touched = False
+        for j in heads:
+            new, tie[j] = select(g, j, [msgs[k] for k in inc[j]], mode)
+            old = sel[j]
+            if new == old:
+                continue
+            sel[j] = new
+            for l in old + new:
+                e = (j, l) if j < l else (l, j)
+                chosen = l in new or j in sel[l]
+                if chosen != (e in cur):
+                    if chosen:
+                        cur.add(e)
+                    else:
+                        cur.discard(e)
+                    touched = True
+        return touched
+
+    refresh(g.vertices())
+    edges = frozenset(cur)
+    history = [edges]
+    trace = [MessageState(0, start)] if keep_trace else None
     last_change = 0
     if stop.kind == "window":
         window_size = stop.window_size if stop.window_size else max(g.n, 1)
@@ -308,16 +404,33 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             break
         updates = next(it)
         t += 1
-        state = _round(g, state, mode, updates)
-        est = extract_estimate(g, state, mode)
-        if est.edges != history[-1]:
-            last_change = t
-        history.append(est.edges)
-        if keep_trace:
-            trace.append(state)
+        if len(updates) == len(net.dirs):
+            msgs = _round(net, msgs, mode)
+            if keep_trace:
+                trace.append(net.state(t, msgs))
+            heads = net.linked
+        else:
+            ids = [eid[e] for e in updates]
+            _round(net, msgs, mode, ids)
+            if keep_trace:
+                m = dict(trace[-1].m)
+                for k in ids:
+                    m[net.dirs[k]] = net.down(msgs[k])
+                trace.append(MessageState(t, m))
+            # in vertex order, so an error names the vertex a full
+            # extraction would
+            heads = sorted({head[k] for k in ids})
+        if refresh(heads):
+            now = frozenset(cur)
+            if now != edges:
+                edges = now
+                last_change = t
+        history.append(edges)
         if stop.kind == "coverage":
             stop_met = covered()
 
+    est = Estimate(edges, {i: sel[i] for i in g.vertices()},
+                   frozenset(i for i in g.vertices() if tie[i]))
     stable_for = t - last_change
     converged = stop_met if stop.kind == "coverage" else stable_for >= window_size
     period = None

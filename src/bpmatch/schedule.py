@@ -19,9 +19,10 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from itertools import islice
+from math import floor
 
 from .graph import Graph, PERFECT, GraphError
-from .engine import (MessageInit, MessageState, StopPolicy, RunResult, _round,
+from .engine import (MessageInit, MessageState, StopPolicy, RunResult, _step,
                      _run, _check_reduced)
 
 
@@ -108,19 +109,17 @@ def _reupdatable(g: Graph):
         alive -= dead
 
 
-def _boundary_ok(g: Graph, prev_seq, next_seq):
-    # prev_seq/next_seq: lists of single directed edges forming two cycles.
-    prev_pos = {e: k for k, e in enumerate(prev_seq)}
-    next_pos = {e: k for k, e in enumerate(next_seq)}
-    for e, q in next_pos.items():
-        if e not in prev_pos:
-            continue
-        i, j = e
-        feeders = {(l, i) for l in g.neighbors(i) if l != j}
+def _boundary_ok(feeders, prev_pos, next_seq):
+    # Two cycles, each a permutation of the same edge indices: prev_pos[e] is
+    # e's position in the previous one, feeders[e] the indices of e's feeding
+    # edges.  Each re-update of e in next_seq needs a feeder after e in the
+    # previous cycle or before e in next_seq.
+    seen = [False] * len(next_seq)
+    for e in next_seq:
         p = prev_pos[e]
-        window = set(prev_seq[p:]) | set(next_seq[:q])
-        if not (feeders & window):
+        if not any(seen[f] or prev_pos[f] >= p for f in feeders[e]):
             return False
+        seen[e] = True
     return True
 
 
@@ -160,6 +159,12 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
             raise ScheduleError("random schedules need a seed")
         repeat = sorted(_reupdatable(g))
         once = [e for e in dirs if e not in set(repeat)]
+        # cycles shuffle indices into `repeat`: the same draws as shuffling
+        # the edges themselves, with position lookups by list index
+        index = {e: k for k, e in enumerate(repeat)}
+        feeders = [[index[(l, i)] for l in g.neighbors(i) if l != j and (l, i) in index]
+                   for (i, j) in repeat]
+        singles = [frozenset((e,)) for e in repeat]
 
         def factory():
             rng = _random.Random(seed)
@@ -168,20 +173,23 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
             prev = None
             while repeat:
                 if prev is None:
-                    cycle = repeat[:]
+                    cycle = list(range(len(repeat)))
                     rng.shuffle(cycle)
                 else:
+                    prev_pos = [0] * len(prev)
+                    for p, e in enumerate(prev):
+                        prev_pos[e] = p
                     cycle = None
                     for _ in range(100):
-                        cand = repeat[:]
+                        cand = list(range(len(repeat)))
                         rng.shuffle(cand)
-                        if _boundary_ok(g, prev, cand):
+                        if _boundary_ok(feeders, prev_pos, cand):
                             cycle = cand
                             break
                     if cycle is None:
                         cycle = prev[:]  # repeating the same order is always safe
                 for e in cycle:
-                    yield frozenset((e,))
+                    yield singles[e]
                 prev = cycle
         return Schedule("random", factory=factory, seed=seed, trusted=True)
 
@@ -289,7 +297,7 @@ def async_round(g: Graph, s: MessageState, updates, mode: str = PERFECT) -> Mess
         raise ScheduleError(f"{foreign[0]} is not a directed edge of the graph")
     if mode == PERFECT and updates:
         _check_reduced(g)
-    return _round(g, s, mode, updates)
+    return _step(g, s, mode, updates)
 
 
 def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
@@ -309,8 +317,13 @@ def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
     stop = stop or StopPolicy.coverage(0)
     tracker = _RedundancyTracker(g) if (check_redundancy and not sched.trusted) else None
     counts = {e: 0 for e in g.directed_edges()}
+    # a coverage stop needs every count above the threshold, i.e. at least
+    # `need`; `pending` counts the directed edges still short of it
+    need = floor(stop.threshold) + 1 if stop.kind == "coverage" else 0
+    pending = len(counts) if need > 0 else 0
 
     def steps():
+        nonlocal pending
         it = iter(sched)
         t = 0
         while True:
@@ -327,11 +340,13 @@ def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
                     raise RedundantScheduleError(violation)
             for e in updates:
                 counts[e] += 1
+                if counts[e] == need:
+                    pending -= 1
             yield updates
 
     def covered():
         # a graph with no directed edges is vacuously covered
-        return not counts or min(counts.values()) > stop.threshold
+        return not pending
 
     run = _run(g, mode, init, stop, steps(), keep_trace, covered)
     run.coverage = CoverageStats(run.iterations, counts, min(counts.values(), default=0))

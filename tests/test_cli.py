@@ -87,6 +87,27 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", fx("c4"), "--init", f"file={path}", "--certify")
         assert code == 0 and "match vs oracle: True" in out
 
+    def _bad_init(self, capsys, tmp_path, line):
+        g = parse_graph(fixture_path("c4").read_text())
+        rows = [f"{i} {j} 2" for (i, j) in g.directed_edges()]
+        rows[2] = line
+        path = tmp_path / "init.txt"
+        path.write_text("# header\n" + "\n".join(rows) + "\n")
+        return run_cli(capsys, "solve", fx("c4"), "--init", f"file={path}")
+
+    def test_init_file_zero_denominator(self, capsys, tmp_path):
+        code, out, err = self._bad_init(capsys, tmp_path, "2 1 1/0")
+        assert code == 2 and out == ""
+        assert err == "error: init file line 4: bad value '1/0'\n"
+
+    def test_init_file_non_numeric_value(self, capsys, tmp_path):
+        code, _, err = self._bad_init(capsys, tmp_path, "2 1 abc")
+        assert code == 2 and err == "error: init file line 4: bad value 'abc'\n"
+
+    def test_init_file_non_integer_vertex(self, capsys, tmp_path):
+        code, _, err = self._bad_init(capsys, tmp_path, "2.5 1 3")
+        assert code == 2 and err == "error: init file line 4: bad vertex id in '2.5 1'\n"
+
     def test_async_random_schedule_certified(self, capsys):
         code, out, _ = run_cli(capsys, "solve", fx("c4"), "--schedule", "random:7",
                                "--stop", "certified", "--certify", "--json")

@@ -81,13 +81,13 @@ class TestPerfectRound:
         assert first.m == second.m and s.t == 0
 
     def test_update_order_is_irrelevant(self, c4):
-        from bpmatch.engine import _round
+        from bpmatch import async_round
         rng = random.Random(6)
         s = init_messages(c4)
         for _ in range(4):
             order = list(c4.directed_edges())
             rng.shuffle(order)
-            shuffled = _round(c4, s, PERFECT, updates=order)
+            shuffled = async_round(c4, s, order, PERFECT)
             assert shuffled.m == sync_round_perfect(c4, s).m
             s = shuffled
 
@@ -206,3 +206,34 @@ class TestRunSync:
         g = Graph(0, (), ())
         res = run_sync(g, PERFECT)
         assert res.estimate.edges == frozenset() and res.converged
+
+
+class TestWork:
+    """The run loop recomputes a vertex's selection only when one of its
+    incoming messages was updated: once per vertex for the initial state,
+    then once per head of an updated edge.  Counts calls, times nothing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from bpmatch import engine
+        seen = []
+        real = engine._select
+
+        def counting(g, i, vals, mode):
+            seen.append(i)
+            return real(g, i, vals, mode)
+
+        monkeypatch.setattr(engine, "_select", counting)
+        return seen
+
+    def test_single_edge_steps_recompute_one_head(self, c4, calls):
+        from bpmatch import make_schedule, run_async
+        steps = 37
+        res = run_async(c4, make_schedule(c4, "roundrobin"), stop=StopPolicy.budget(steps))
+        assert res.iterations == steps
+        assert len(calls) == c4.n + steps
+
+    def test_sync_rounds_recompute_every_vertex(self, c4, calls):
+        rounds = 9
+        run_sync(c4, PERFECT, stop=StopPolicy.budget(rounds))
+        assert len(calls) == c4.n * (rounds + 1)

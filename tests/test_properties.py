@@ -1,22 +1,25 @@
 """Property tests pinning the single run loop and the single tree builder:
 synchronous runs are runs under the all-edges schedule, balanced trees are
 the generalized trees of that schedule, and both agree with the tree
-dynamic program.  The LP tightness decision agrees with half-integral
-enumeration."""
+dynamic program.  The run loop's scaled-integer messages and incremental
+estimates agree with a plain rational stepper.  The LP tightness decision
+agrees with half-integral enumeration."""
 
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: E402
+                     MessageInit, MessageState, Estimate, CoverageStats,
                      run_sync, run_async, make_schedule, build_tree, build_gct,
                      dump_tree, tree_bmatching_dp, tree_size, tree_depth,
                      extract_estimate, brute_force, solve_relaxation, is_tight,
                      tightness_by_enumeration, InfeasibleError)
 from bpmatch.ctree import LabeledTree, TreeNode  # noqa: E402
+from bpmatch.engine import detect_period  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -24,10 +27,11 @@ EMPTY = Graph(0, (), ())
 
 
 @st.composite
-def graphs(draw, mode):
+def graphs(draw, mode, denominators=(2,)):
     """Graphs run_sync accepts in `mode`: a Hamiltonian cycle plus random
     chords keeps every degree at least 2, so perfect capacities can stay
-    below the degree (a reduced graph) and non-perfect ones at most it."""
+    below the degree (a reduced graph) and non-perfect ones at most it.
+    Weights are k/d for d drawn from `denominators`."""
     n = draw(st.sampled_from([0, 3, 4, 5, 6]))
     cycle = {edge_key(i, i % n + 1) for i in range(1, n + 1)}
     chords = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
@@ -41,7 +45,7 @@ def graphs(draw, mode):
     head = 1 if mode == PERFECT else 0
     caps = [draw(st.integers(1, min(2, deg[i] - head))) for i in range(1, n + 1)]
     hi = 18 if mode == PERFECT else 0
-    weights = st.integers(-18, hi).map(lambda k: Fraction(k, 2))
+    weights = st.builds(Fraction, st.integers(-18, hi), st.sampled_from(denominators))
     return Graph(n, caps, [(i, j, draw(weights)) for (i, j) in edges])
 
 
@@ -124,6 +128,120 @@ def test_engine_equals_tree_dp(g, t_max, kind):
             for r in g.neighbors(root):
                 assert dp.branches[r].n == state.value(r, root)
             assert frozenset(dp.selected_labels) == frozenset(est.selected[root])
+
+
+def _rational_step(g, m, updates, mode):
+    # the update rule as the engine docstring states it, on exact rationals:
+    # the b_i-th smallest message into i with j's own message left out
+    new = dict(m)
+    for (i, j) in updates:
+        rest = sorted(m[(l, i)] for l in g.neighbors(i) if l != j)
+        b = g.cap(i)
+        if mode == PERFECT:
+            new[(i, j)] = g.weight(i, j) - rest[b - 1]
+        else:
+            inner = rest[b - 1] if len(rest) >= b else 0
+            new[(i, j)] = g.weight(i, j) - min(0, inner)
+    return new
+
+
+def _rational_estimate(g, m, mode):
+    edges, selected, ties = set(), {}, set()
+    for i in g.vertices():
+        b = g.cap(i)
+        order = sorted(g.neighbors(i), key=lambda j: (m[(j, i)], j))
+        vals = [m[(j, i)] for j in order]
+        boundary = b < len(vals) and vals[b - 1] == vals[b]
+        if mode == PERFECT:
+            chosen, tie = order[:b], boundary
+        else:
+            chosen = [j for j, v in zip(order[:b], vals) if v < 0]
+            tie = 0 in vals if len(chosen) < b else boundary
+        selected[i] = tuple(chosen)
+        if tie:
+            ties.add(i)
+        edges.update(edge_key(i, j) for j in chosen)
+    return Estimate(frozenset(edges), selected, frozenset(ties))
+
+
+def _rational_run(g, mode, init, stop, sets):
+    """The run loop's stop rules over _rational_step; returns the fields a
+    RunResult carries, plus the update counts."""
+    m = (init or MessageInit.weights()).build(g)
+    states, history = [MessageState(0, m)], [_rational_estimate(g, m, mode).edges]
+    counts = dict.fromkeys(g.directed_edges(), 0)
+    window = g.n
+    if stop.kind == "window":
+        window = stop.window_size or max(g.n, 1)
+        limit = stop.limit if stop.limit is not None else max(100, 20 * window)
+
+    def covered():
+        return all(c > stop.threshold for c in counts.values())
+
+    t = last = 0
+    met = stop.kind == "coverage" and covered()
+    it = iter(sets)
+    while not met:
+        if stop.kind in ("budget", "certified") and t >= stop.iterations:
+            break
+        if stop.kind == "window" and (t - last >= window or t >= limit):
+            break
+        updates = next(it)
+        t += 1
+        for e in updates:
+            counts[e] += 1
+        m = _rational_step(g, m, updates, mode)
+        edges = _rational_estimate(g, m, mode).edges
+        if edges != history[-1]:
+            last = t
+        history.append(edges)
+        states.append(MessageState(t, m))
+        if stop.kind == "coverage":
+            met = covered()
+    converged = met if stop.kind == "coverage" else t - last >= window
+    return dict(estimate=_rational_estimate(g, m, mode), iterations=t, stabilized_at=last,
+                stable_for=t - last, converged=converged,
+                period=None if converged else detect_period(history, max(window, 2)),
+                history=history, trace=states), counts
+
+
+def _inits(g):
+    fractions = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 7]))
+    return st.one_of(
+        st.none(),
+        st.builds(MessageInit.constant, fractions),
+        st.builds(MessageInit.explicit,
+                  st.fixed_dictionaries({d: fractions for d in g.directed_edges()})))
+
+
+@SETTINGS
+@given(st.sampled_from([PERFECT, NONPERFECT]).flatmap(
+           lambda mode: st.tuples(st.just(mode), graphs(mode, (1, 2, 3, 7)))),
+       st.sampled_from([("sync", None), ("roundrobin", None), ("random", 3), ("random", 11)]),
+       st.one_of(STOPS, st.builds(StopPolicy.coverage,
+                                  st.sampled_from([0, 1, Fraction(5, 2), -1]))),
+       st.booleans(), st.data())
+def test_integer_run_equals_rational_stepper(instance, kind, stop, keep_trace, data):
+    mode, g = instance
+    # an edgeless graph has an empty single-edge schedule: only a coverage
+    # stop (met at once) ends such a run without exhausting it
+    assume(g.m or kind[0] == "sync" or stop.kind == "coverage")
+    init = data.draw(_inits(g))
+    sched = make_schedule(g, kind[0], seed=kind[1])
+    runs = [run_async(g, sched, init, stop, mode, keep_trace=keep_trace)]
+    if sched.kind == "sync" and stop.kind != "coverage":
+        runs.append(run_sync(g, mode, init, stop, keep_trace))
+    want, counts = _rational_run(g, mode, init, stop, make_schedule(g, kind[0], seed=kind[1]))
+    states = want["trace"]
+    if not keep_trace:
+        want["trace"] = None
+    for run in runs:
+        for name, value in want.items():
+            assert getattr(run, name) == value, name
+        assert run.estimate == extract_estimate(g, states[-1], mode)
+    asyn = runs[0]
+    assert asyn.coverage == CoverageStats(asyn.iterations, counts, min(counts.values(), default=0))
+    assert asyn.schedule_kind == sched.describe()
 
 
 # an integral relaxation vertex on a face with a fractional point (tri-neg),

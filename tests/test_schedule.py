@@ -10,7 +10,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy,
                      async_round, run_async, run_sync, init_messages,
                      sync_round_perfect, brute_force, solve_relaxation,
                      coverage_threshold)
-from conftest import random_graph_any
+from conftest import load_fixture, random_graph_any
 
 
 class TestValidate:
@@ -54,6 +54,59 @@ class TestValidate:
     def test_foreign_edge_rejected(self, c4):
         with pytest.raises(ScheduleError):
             make_schedule(c4, "explicit", sets=[{(1, 3)}])
+
+
+def _reference_random_prefix(g, seed, horizon):
+    """The random schedule as first specified: a shuffled cycle per round
+    over the re-updatable edges, resampled until every re-updated edge has
+    a feeding edge in the window since its previous update (set-based)."""
+    alive = set(g.directed_edges())
+    while True:
+        dead = {(i, j) for (i, j) in alive
+                if not any((l, i) in alive for l in g.neighbors(i) if l != j)}
+        if not dead:
+            break
+        alive -= dead
+    repeat = sorted(alive)
+    once = [e for e in g.directed_edges() if e not in alive]
+
+    def boundary_ok(prev_seq, next_seq):
+        prev_pos = {e: k for k, e in enumerate(prev_seq)}
+        for q, e in enumerate(next_seq):
+            i, j = e
+            feeders = {(l, i) for l in g.neighbors(i) if l != j}
+            window = set(prev_seq[prev_pos[e]:]) | set(next_seq[:q])
+            if not feeders & window:
+                return False
+        return True
+
+    rng = random.Random(seed)
+    out = [frozenset((e,)) for e in sorted(once, key=lambda _: rng.random())]
+    prev = None
+    while repeat and len(out) < horizon:
+        if prev is None:
+            cycle = repeat[:]
+            rng.shuffle(cycle)
+        else:
+            cycle = prev[:]
+            for _ in range(100):
+                cand = repeat[:]
+                rng.shuffle(cand)
+                if boundary_ok(prev, cand):
+                    cycle = cand
+                    break
+        out += [frozenset((e,)) for e in cycle]
+        prev = cycle
+    return out[:horizon]
+
+
+@pytest.mark.parametrize("name", ["c4", "k4-appendix", "tri-neg", "tri-half", "p4"])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_random_schedule_is_pinned(name, seed):
+    g = load_fixture(name)
+    horizon = 10 * len(g.directed_edges())  # at least ten cycles
+    got = make_schedule(g, "random", seed=seed).prefix(horizon)
+    assert got == _reference_random_prefix(g, seed, horizon)
 
 
 class TestCoverage:
