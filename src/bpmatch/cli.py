@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .graph import (PERFECT, NONPERFECT, GraphError, GraphParseError,
                     ValidationError, parse_graph, reduce_trivial, validate)
-from .engine import MessageInit, EngineError
+from .engine import MessageInit
 from .schedule import (ScheduleError, make_schedule, parse_schedule,
                        validate_schedule, coverage)
 from .ctree import GCTBuilder, dump_tree, TreeError
@@ -44,30 +44,42 @@ def _write(path, text):
         fh.write(text)
 
 
-def _parse_init(spec) -> MessageInit:
+class UsageError(Exception):
+    """A malformed command-line flag value."""
+
+
+def _parse_init(spec, g) -> MessageInit:
+    """--init value; an init file gives a value for every directed edge of `g`."""
     if spec is None or spec == "weights":
         return MessageInit.weights()
     if spec == "zero":
         return MessageInit.constant(0)
-    if spec.startswith("file="):
-        mapping = {}
-        for lineno, raw in enumerate(_read(spec[5:]).splitlines(), start=1):
-            body = raw.split("#", 1)[0].split()
-            if not body:
-                continue
-            if len(body) != 3:
-                raise GraphParseError(f"init file line {lineno}: expected 'i j value'")
-            try:
-                edge = (int(body[0]), int(body[1]))
-            except ValueError:
-                raise GraphParseError(f"init file line {lineno}: bad vertex id in "
-                                      f"{' '.join(body[:2])!r}") from None
-            try:
-                mapping[edge] = Fraction(body[2])
-            except (ValueError, ZeroDivisionError):
-                raise GraphParseError(f"init file line {lineno}: bad value {body[2]!r}") from None
-        return MessageInit.explicit(mapping)
-    raise EngineError(f"unknown --init {spec!r}")
+    if not spec.startswith("file="):
+        raise UsageError(f"unknown --init {spec!r} (use weights, zero or file=PATH)")
+    known = set(g.directed_edges())
+    mapping = {}
+    for lineno, raw in enumerate(_read(spec[5:]).splitlines(), start=1):
+        body = raw.split("#", 1)[0].split()
+        if not body:
+            continue
+        if len(body) != 3:
+            raise GraphParseError(f"init file line {lineno}: expected 'i j value'")
+        try:
+            edge = (int(body[0]), int(body[1]))
+        except ValueError:
+            raise GraphParseError(f"init file line {lineno}: bad vertex id in "
+                                  f"{' '.join(body[:2])!r}") from None
+        if edge not in known:
+            raise GraphParseError(f"init file line {lineno}: {edge} is not a directed edge "
+                                  "of the graph")
+        try:
+            mapping[edge] = Fraction(body[2])
+        except (ValueError, ZeroDivisionError):
+            raise GraphParseError(f"init file line {lineno}: bad value {body[2]!r}") from None
+    missing = [d for d in g.directed_edges() if d not in mapping]
+    if missing:
+        raise GraphParseError(f"init file: no value for directed edge {missing[0]}")
+    return MessageInit.explicit(mapping)
 
 
 def _parse_stop(spec):
@@ -75,11 +87,12 @@ def _parse_stop(spec):
         return None
     if spec == "certified":
         return ("certified", None)
-    if spec.startswith("budget="):
-        return ("budget", int(spec[7:]))
-    if spec.startswith("window="):
-        return ("window", int(spec[7:]))
-    raise ValueError(f"unknown --stop {spec!r} (use budget=T, window=K, or certified)")
+    kind, _, arg = spec.partition("=")
+    if kind == "budget":
+        return ("budget", _at_least(arg, 0, "--stop budget="))
+    if kind == "window":
+        return ("window", _at_least(arg, 1, "--stop window="))
+    raise UsageError(f"unknown --stop {spec!r} (use budget=T, window=K, or certified)")
 
 
 def _parse_schedule_flag(spec, g):
@@ -89,11 +102,26 @@ def _parse_schedule_flag(spec, g):
     if spec == "roundrobin":
         return "roundrobin", None, None
     if spec.startswith("random:"):
-        return "random", int(spec.split(":", 1)[1]), None
+        try:
+            return "random", int(spec[7:]), None
+        except ValueError:
+            raise UsageError(f"--schedule random:SEED needs an integer seed, "
+                             f"got {spec[7:]!r}") from None
     if spec.startswith("file="):
         sched = parse_schedule(_read(spec[5:]), g)
         return "explicit", None, sched.prefix(len(sched))
-    raise ScheduleError(f"unknown --schedule {spec!r}")
+    raise UsageError(f"unknown --schedule {spec!r}")
+
+
+def _at_least(text, low, flag):
+    """`text` (a flag's text or int) as an int; UsageError unless it is >= low."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = low - 1
+    if value < low:
+        raise UsageError(f"{flag} must be an integer >= {low}, got {text!r}")
+    return value
 
 
 def _emit(args, payload, human_lines):
@@ -114,7 +142,7 @@ def _write_trace(path, trace):
 
 def cmd_solve(args) -> int:
     g = parse_graph(_read(args.graph))
-    init = _parse_init(args.init)
+    init = _parse_init(args.init, g)
     stop_spec = _parse_stop(args.stop)
     kind, seed, sets = _parse_schedule_flag(args.schedule, g)
     if kind == "random" and seed is None:
@@ -225,6 +253,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_tree_verify(args) -> int:
+    _at_least(args.t_max, 0, "--t-max")
     g = parse_graph(_read(args.graph))
     red = reduce_trivial(g)
     if red.infeasible:
@@ -257,6 +286,7 @@ def cmd_tree_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _at_least(args.n_max, 3, "--n-max")
     t0 = time.monotonic()
     result = sweep(args.mode, instances=args.instances, n_max=args.n_max,
                    seed=args.seed, weight_lo=args.weight_lo, weight_hi=args.weight_hi,
@@ -279,6 +309,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_schedule_validate(args) -> int:
+    _at_least(args.horizon, 0, "--horizon")
     g = parse_graph(_read(args.graph))
     kind, seed, sets = _parse_schedule_flag(args.schedule, g)
     if kind is None:
@@ -366,7 +397,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, ValidationError, CertificateError, ScheduleError) as exc:
+    except (GraphParseError, ValidationError, CertificateError, ScheduleError,
+            UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:

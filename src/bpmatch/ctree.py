@@ -20,8 +20,7 @@ engine's per-vertex estimates.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Graph, ZERO, GraphError, edge_key
 
@@ -40,22 +39,20 @@ class DegenerateTreeError(TreeError):
     pass
 
 
-class TreeDepthError(TreeError):
-    pass
-
-
-# The builder, tree_size, tree_depth and the tree DP recurse once per tree
-# level and use three frames of the recursion limit a level (the function,
-# its generator or comprehension, and the builtin that drives it); this many
-# frames stay free for their callers.
-_CALLER_FRAMES = 200
-
-
 @dataclass(frozen=True)
 class TreeNode:
     label: int
     edge_weight: object  # weight of the edge to the parent; None at the root
     children: tuple
+    # nodes of the unrolled subtree (shared subtrees counted by multiplicity)
+    # and its shortest root-to-leaf path; children always exist first
+    size: int = field(init=False, compare=False, repr=False)
+    depth: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        kids = self.children
+        object.__setattr__(self, "size", 1 + sum(c.size for c in kids))
+        object.__setattr__(self, "depth", 1 + min(c.depth for c in kids) if kids else 0)
 
 
 @dataclass(frozen=True)
@@ -69,44 +66,23 @@ class LabeledTree:
 def tree_size(tree: LabeledTree) -> int:
     """Number of nodes of the unrolled tree (shared subtrees counted by
     multiplicity)."""
-    memo = {}
-
-    def count(node):
-        got = memo.get(id(node))
-        if got is None:
-            got = 1 + sum(count(c) for c in node.children)
-            memo[id(node)] = got
-        return got
-
-    return count(tree.root)
+    return tree.root.size
 
 
 def tree_depth(tree: LabeledTree) -> int:
-    """Length of the shortest root-to-leaf path (shared subtrees visited
-    once)."""
-    memo = {}
-
-    def depth(node):
-        got = memo.get(id(node))
-        if got is None:
-            got = 1 + min(depth(c) for c in node.children) if node.children else 0
-            memo[id(node)] = got
-        return got
-
-    return depth(tree.root)
+    """Length of the shortest root-to-leaf path."""
+    return tree.root.depth
 
 
 def dump_tree(tree: LabeledTree) -> str:
     """Indented text form, one node per line: depth, label, edge weight."""
     lines = []
-
-    def walk(node, depth):
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         w = "" if node.edge_weight is None else f" w={node.edge_weight}"
         lines.append(f"{'  ' * depth}{depth} label={node.label}{w}")
-        for c in node.children:
-            walk(c, depth + 1)
-
-    walk(tree.root, 0)
+        stack.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines) + "\n"
 
 
@@ -126,50 +102,23 @@ def build_tree(g: Graph, root: int, t: int, node_cap: int = DEFAULT_NODE_CAP) ->
 
 
 class _BranchBuilder:
-    """Memoized construction of schedule-driven computation branches."""
+    """Schedule-driven computation branches, built forward in time.
+
+    at[t][(i, j)] is the branch of (i -> j) after step t: the node labeled i
+    hanging under a parent labeled j.  An edge updated at step t gets a new
+    node over the step t-1 branches feeding it; any other edge keeps the
+    same node, so branches share every subtree that did not change."""
 
     def __init__(self, g: Graph, sets):
         self.g = g
-        self.sets = sets  # sets[k] is the update set of step k+1
-        self.memo = {}
-        _check_depth(g, sets)
-
-    def node(self, i, j, t):
-        # The branch of (i -> j) at time t, as the node labeled i hanging
-        # under a parent labeled j.  Steps where (i -> j) was not updated
-        # leave the branch unchanged, so skip back to the last update.
-        while t > 0 and (i, j) not in self.sets[t - 1]:
-            t -= 1
-        key = (i, j, t)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        w = self.g.weight(i, j)
-        if t == 0:
-            made = TreeNode(i, w, ())
-        else:
-            kids = tuple(self.node(r, i, t - 1) for r in self.g.neighbors(i) if r != j)
-            made = TreeNode(i, w, kids)
-        self.memo[key] = made
-        return made
-
-
-def _check_depth(g: Graph, sets):
-    """Raise TreeDepthError, before anything is built, when some tree over
-    these update sets has more levels than the recursive code can walk."""
-    limit = (sys.getrecursionlimit() - _CALLER_FRAMES) // 3
-    # levels[(i, j)]: levels of the branch node of (i -> j) after step k;
-    # a tree has one more level, its root
-    levels = dict.fromkeys(g.directed_edges(), 1)
-    for k, updates in enumerate(sets, start=1):
-        grown = {(i, j): 1 + max((levels[(r, i)] for r in g.neighbors(i) if r != j), default=0)
-                 for (i, j) in updates}
-        levels.update(grown)
-        if max(grown.values(), default=0) + 1 > limit:
-            raise TreeDepthError(
-                f"t = {len(sets)} gives trees more than {limit} levels deep (from step "
-                f"{k} on), deeper than the recursive tree code can walk under the "
-                f"recursion limit {sys.getrecursionlimit()}")
+        node = {(i, j): TreeNode(i, g.weight(i, j), ()) for (i, j) in g.directed_edges()}
+        self.at = [node]
+        for updates in sets:
+            prev, node = node, dict(node)
+            for (i, j) in updates:
+                kids = tuple(prev[(r, i)] for r in g.neighbors(i) if r != j)
+                node[(i, j)] = TreeNode(i, prev[(i, j)].edge_weight, kids)
+            self.at.append(node)
 
 
 def _schedule_prefix(sched, t):
@@ -188,12 +137,7 @@ def build_gct_branch(g: Graph, sched, edge, t: int,
         raise TreeError(f"({i},{j}) is not an edge of the graph")
     if t < 0:
         raise TreeError("t must be >= 0")
-    builder = _BranchBuilder(g, _schedule_prefix(sched, t))
-    root = TreeNode(j, None, (builder.node(i, j, t),))
-    tree = LabeledTree(root, "branch", g, t)
-    if tree_size(tree) > node_cap:
-        raise TreeSizeError(f"tree exceeds {node_cap} nodes")
-    return tree
+    return _rooted(_BranchBuilder(g, _schedule_prefix(sched, t)), j, t, node_cap, "branch", (i,))
 
 
 def build_gct(g: Graph, sched, root: int, t: int,
@@ -220,10 +164,13 @@ class GCTBuilder:
         return _rooted(self._inner, root, t, node_cap, "generalized")
 
 
-def _rooted(branches: _BranchBuilder, root: int, t: int, node_cap: int, kind: str) -> LabeledTree:
-    # the root's branches are the computation branches of its incoming edges
+def _rooted(branches: _BranchBuilder, root: int, t: int, node_cap: int, kind: str,
+            sources=None) -> LabeledTree:
+    # the root's branches are the computation branches at time t of the
+    # edges into it from `sources`, by default all its neighbors
     g = branches.g
-    kids = tuple(branches.node(r, root, t) for r in g.neighbors(root))
+    at = branches.at[t]
+    kids = tuple(at[(r, root)] for r in (g.neighbors(root) if sources is None else sources))
     tree = LabeledTree(TreeNode(root, None, kids), kind, g, t)
     if tree_size(tree) > node_cap:
         raise TreeSizeError(f"tree exceeds {node_cap} nodes")
@@ -263,36 +210,42 @@ def tree_bmatching_dp(tree: LabeledTree, init=None) -> TreeDPResult:
     arbitrary initial messages.
     """
     g = tree.graph
-    memo = {}
+    memo = {}  # id(node) -> BranchValue; each distinct node is solved once
     ties = set()
-
-    def branch(node, parent_label):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    root = tree.root
+    # post-order over distinct nodes: a node is solved when it is back on top
+    # of the stack with all its children solved
+    stack = [(c, root.label) for c in reversed(root.children)]
+    while stack:
+        node, parent_label = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        pending = [(c, node.label) for c in node.children if id(c) not in memo]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
         if not node.children:
             w = node.edge_weight
             if init is not None:
                 w = init.get((node.label, parent_label), w)
-            val = BranchValue(w, ZERO)
-        else:
-            a = g.cap(node.label)
-            vals = [branch(c, node.label) for c in node.children]
-            if len(vals) < a:
-                raise DegenerateTreeError(
-                    f"node labeled {node.label} has {len(vals)} children but capacity {a}")
-            diffs = sorted(v.n for v in vals)
-            base = sum((v.w_minus for v in vals), ZERO)
-            w_plus = node.edge_weight + base + sum(diffs[:a - 1], ZERO)
-            w_minus = base + sum(diffs[:a], ZERO)
-            if len(diffs) > a and diffs[a - 1] == diffs[a]:
-                ties.add(node.label)
-            val = BranchValue(w_plus, w_minus)
-        memo[id(node)] = val
-        return val
+            memo[id(node)] = BranchValue(w, ZERO)
+            continue
+        a = g.cap(node.label)
+        vals = [memo[id(c)] for c in node.children]
+        if len(vals) < a:
+            raise DegenerateTreeError(
+                f"node labeled {node.label} has {len(vals)} children but capacity {a}")
+        diffs = sorted(v.n for v in vals)
+        base = sum((v.w_minus for v in vals), ZERO)
+        w_plus = node.edge_weight + base + sum(diffs[:a - 1], ZERO)
+        w_minus = base + sum(diffs[:a], ZERO)
+        if len(diffs) > a and diffs[a - 1] == diffs[a]:
+            ties.add(node.label)
+        memo[id(node)] = BranchValue(w_plus, w_minus)
 
-    root = tree.root
-    child_vals = [(c.label, branch(c, root.label)) for c in root.children]
+    child_vals = [(c.label, memo[id(c)]) for c in root.children]
     branches = dict(child_vals)
     b_root = g.cap(root.label)
     selection = selected = total = None

@@ -72,13 +72,13 @@ class MessageInit:
             return {d: v for d in dirs}
         if self.kind == "explicit":
             mapping = {(int(i), int(j)): Fraction(v) for (i, j), v in self.mapping.items()}
-            missing = [d for d in dirs if d not in mapping]
-            if missing:
-                raise EngineError(f"explicit init is missing directed edges: {missing[:5]}")
             known = set(dirs)
             unknown = [d for d in mapping if d not in known]
             if unknown:
                 raise EngineError(f"explicit init names unknown directed edges: {unknown[:5]}")
+            missing = [d for d in dirs if d not in mapping]
+            if missing:
+                raise EngineError(f"explicit init is missing directed edges: {missing[:5]}")
             return {d: mapping[d] for d in dirs}
         raise EngineError(f"unknown init kind {self.kind!r}")
 

@@ -166,6 +166,15 @@ def _relabel_schedule(sets, reduction: Reduction):
     return out
 
 
+def _relabel_init(init: MessageInit, reduction: Reduction) -> MessageInit:
+    """Map original-label initial messages onto the reduced instance,
+    dropping those of removed vertices' edges, as for schedules."""
+    inverse = {orig: red for red, orig in reduction.vertex_map.items()}
+    return MessageInit.explicit({(inverse[i], inverse[j]): v
+                                 for (i, j), v in init.mapping.items()
+                                 if i in inverse and j in inverse})
+
+
 def _resolve_stop(stop_spec, g: Graph, certification, mode, is_async, notes):
     """Map a CLI stop spec onto a concrete policy; returns (policy, certified)."""
     if stop_spec is None:
@@ -211,6 +220,9 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
         work = reduction.graph
         if reduction.forced:
             notes.append(f"{len(reduction.forced)} forced edge(s) from trivial vertices")
+        if init is not None and init.kind == "explicit" and not reduction.is_identity:
+            init = _relabel_init(init, reduction)
+            notes.append("initial messages relabeled onto the reduced instance")
 
     want_oracle = certify or (stop_spec is not None and stop_spec[0] == "certified")
     certification = None
@@ -330,28 +342,25 @@ def analyze_instance(g: Graph, mode: str, check_enumeration=True):
     """One sweep step: oracle, consistency cross-checks, certified run."""
     row = {"n": g.n, "m": g.m, "mode": mode}
     try:
-        optima = bf_weight, bf_all = brute_force(g, mode)
+        c = certify_instance(g, mode)
     except InfeasibleError:
         row.update(feasible=False, tight=None, match=None)
         return row
     row["feasible"] = True
-    relaxation = sol, cert = solve_relaxation(g, mode)
-    row["strong_duality"] = oracle.dual_objective(g, cert) == sol.objective
-    row["cs_ok"] = check_cs(g, sol, cert).ok
-    report = is_tight(g, mode, optima=optima, relaxation=relaxation)
-    row["tight"] = report.tight
+    row["strong_duality"] = oracle.dual_objective(g, c.cert) == c.lp.objective
+    row["cs_ok"] = c.cs_ok
+    row["tight"] = c.tight
     if check_enumeration and g.m <= oracle.ENUMERATION_GUARD:
-        enum_tight, _ = tightness_by_enumeration(g, mode, sol.objective)
+        enum_tight, _ = tightness_by_enumeration(g, mode, c.lp.objective)
         row["tight_enum"] = enum_tight
-        row["tight_agree"] = enum_tight == report.tight
-    if not report.tight:
+        row["tight_agree"] = enum_tight == c.tight
+    if not c.tight:
         row["match"] = None
         return row
-    bound = iteration_bound(g, cert, None, mode)
-    row["bound"] = bound
-    run = run_sync(g, mode, None, StopPolicy.certified(bound))
+    row["bound"] = c.bound
+    run = run_sync(g, mode, None, StopPolicy.certified(c.bound))
     row["stabilized_at"] = run.stabilized_at
-    row["match"] = run.estimate.edges == bf_all[0]
+    row["match"] = run.estimate.edges == c.bf_optima[0]
     return row
 
 

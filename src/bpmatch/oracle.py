@@ -573,7 +573,10 @@ def parse_certificate(text: str, g: Graph, mode: str) -> DualCertificate:
                     raise CertificateError(f"line {lineno}: vertex {i} out of range")
                 y[i] = Fraction(tokens[2])
             elif tokens[0] == "lambda" and len(tokens) == 4:
-                e = edge_key(int(tokens[1]), int(tokens[2]))
+                i, j = int(tokens[1]), int(tokens[2])
+                if i == j:
+                    raise CertificateError(f"line {lineno}: self-loop at vertex {i}")
+                e = edge_key(i, j)
                 if e not in g.weights():
                     raise CertificateError(f"line {lineno}: edge {e} not in graph")
                 lam[e] = Fraction(tokens[3])

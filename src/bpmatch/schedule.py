@@ -235,10 +235,8 @@ def parse_schedule(text: str, g: Graph) -> Schedule:
 
 
 def serialize_schedule(sets) -> str:
-    lines = []
-    for s in sets:
-        lines.append(" ".join(f"{i}>{j}" for (i, j) in sorted(s)))
-    return "\n".join(lines) + "\n"
+    # one line per step, so no steps is no lines
+    return "".join(" ".join(f"{i}>{j}" for (i, j) in sorted(s)) + "\n" for s in sets)
 
 
 # -- validation and coverage -----------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from bpmatch import fixture_path, parse_certificate, parse_graph
 from bpmatch.cli import main
@@ -108,6 +111,26 @@ class TestSolve:
         code, _, err = self._bad_init(capsys, tmp_path, "2.5 1 3")
         assert code == 2 and err == "error: init file line 4: bad vertex id in '2.5 1'\n"
 
+    def test_init_file_pair_that_is_not_a_directed_edge(self, capsys, tmp_path):
+        for line, pair in (("1 3 5", "(1, 3)"), ("1 1 5", "(1, 1)")):
+            code, out, err = self._bad_init(capsys, tmp_path, line)
+            assert code == 2 and out == ""
+            assert err == f"error: init file line 4: {pair} is not a directed edge of the graph\n"
+
+    def test_init_file_missing_a_directed_edge(self, capsys, tmp_path):
+        code, _, err = self._bad_init(capsys, tmp_path, "# no line for 2 1")
+        assert code == 2 and err == "error: init file: no value for directed edge (2, 1)\n"
+
+    def test_init_file_on_a_reduced_instance(self, capsys, tmp_path):
+        # p4 reduces away entirely; its init file names the input graph's edges
+        path = tmp_path / "init.txt"
+        path.write_text("1 2 1\n2 1 1\n2 3 5\n3 2 5\n3 4 2\n4 3 2\n")
+        code, out, _ = run_cli(capsys, "solve", fx("p4"), "--init", f"file={path}",
+                               "--certify", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["match"] is True
+        assert "initial messages relabeled onto the reduced instance" in payload["notes"]
+
     def test_async_random_schedule_certified(self, capsys):
         code, out, _ = run_cli(capsys, "solve", fx("c4"), "--schedule", "random:7",
                                "--stop", "certified", "--certify", "--json")
@@ -149,6 +172,14 @@ class TestSolve:
         assert payload["match"] is True and payload["certified"] is True
         assert payload["bp"]["ties"] == [] and payload["bp"]["iterations"] == 61
         assert code == 0 and payload["exit_code"] == 0
+
+    def test_dual_file_self_loop_is_a_parse_error(self, capsys, tmp_path):
+        cert = tmp_path / "loop.cert"
+        cert.write_text("y 1 1/2\nlambda 2 2 0\n")
+        for argv in (("certify", fx("c4")), ("solve", fx("c4"), "--certify")):
+            code, out, err = run_cli(capsys, *argv, "--dual-file", str(cert))
+            assert code == 2 and out == ""
+            assert err == "error: line 2: self-loop at vertex 2\n"
 
     def test_suboptimal_dual_file_rejected(self, capsys, tmp_path):
         cert = tmp_path / "bad.cert"
@@ -219,10 +250,20 @@ class TestTreeVerify:
         assert "# root 1, t=1" in dump.read_text()
         assert "0 label=1" in dump.read_text()
 
-    def test_t_max_too_deep_for_the_tree_code_is_a_clean_error(self, capsys):
-        code, out, err = run_cli(capsys, "tree-verify", fx("c4"), "--t-max", "1200")
-        assert code == 1 and out == ""
-        assert err.startswith("error: t = 1200") and err.count("\n") == 1
+    def test_tree_code_needs_no_frame_per_level(self, capsys):
+        # 100 frames above the current stack cannot hold one frame per
+        # level of t = 60 trees; the check itself is quadratic in t, so a
+        # deeper t would be slow rather than a stronger test
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            code, out, _ = run_cli(capsys, "tree-verify", fx("c4"), "--t-max", "60")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0 and "all 244 root/time checks passed" in out
 
 
 class TestSweepAndScheduleValidate:
@@ -244,3 +285,21 @@ class TestSweepAndScheduleValidate:
         code, out, _ = run_cli(capsys, "schedule-validate", fx("c4"),
                                "--schedule", f"file={path}", "--horizon", "2")
         assert code == 2 and "re-updated" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "C4", "--stop", "budget=abc"),
+    ("solve", "C4", "--stop", "foo"),
+    ("solve", "C4", "--stop", "budget=-3"),
+    ("solve", "C4", "--stop", "window=0"),
+    ("solve", "C4", "--schedule", "random:abc"),
+    ("solve", "C4", "--schedule", "bogus"),
+    ("solve", "C4", "--init", "bogus"),
+    ("tree-verify", "C4", "--t-max", "-1"),
+    ("schedule-validate", "C4", "--schedule", "roundrobin", "--horizon", "-1"),
+    ("sweep", "--n-max", "2"),
+])
+def test_malformed_flag_value_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *(fx("c4") if a == "C4" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, TreeSizeError,
-                     DegenerateTreeError, TreeDepthError, build_tree, build_gct_branch,
+                     DegenerateTreeError, build_tree, build_gct_branch,
                      build_gct, tree_bmatching_dp, tree_depth, tree_size,
                      dump_tree, make_schedule, coverage, run_sync,
                      init_messages, sync_round_perfect)
@@ -53,21 +54,15 @@ class TestBuildBalanced:
         with pytest.raises(TreeSizeError):
             build_tree(k4, 1, 10, node_cap=100)
 
-    def test_deepest_accepted_tree_is_walkable(self, c4):
-        # the deepest tree the depth check lets through can be sized, solved and dumped
-        t = 400
-        while True:
-            try:
-                tree = build_tree(c4, 1, t)
-                break
-            except TreeDepthError:
-                t -= 1
-        assert 250 < t < 400
+    def test_deep_tree_is_walkable_without_recursion(self, c4):
+        # 2000 levels, twice the default recursion limit: built, sized,
+        # solved and dumped without using a frame per level
+        t = 2000
+        assert sys.getrecursionlimit() <= 1000
+        tree = build_tree(c4, 1, t)
         assert tree_size(tree) == 2 * t + 3 and tree_depth(tree) == t + 1
         assert tree_bmatching_dp(tree).total is not None
         assert dump_tree(tree).count("\n") == 2 * t + 3
-        with pytest.raises(TreeDepthError):
-            build_gct(c4, make_schedule(c4, "sync"), 1, t + 1)
 
 
 def _leaves(node):

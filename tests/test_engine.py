@@ -30,10 +30,12 @@ class TestInit:
             init_messages(c4, MessageInit.explicit(mapping))
 
     def test_explicit_unknown_edge_rejected(self, c4):
-        mapping = {d: 1 for d in c4.directed_edges()}
-        mapping[(1, 3)] = 1
-        with pytest.raises(EngineError, match="unknown"):
-            init_messages(c4, MessageInit.explicit(mapping))
+        # also when the unknown pair takes the place of a directed edge
+        for left_out in (None, (2, 1)):
+            mapping = {d: 1 for d in c4.directed_edges() if d != left_out}
+            mapping[(1, 3)] = 1
+            with pytest.raises(EngineError, match="unknown"):
+                init_messages(c4, MessageInit.explicit(mapping))
 
 
 class TestPerfectRound:

@@ -3,9 +3,14 @@ synchronous runs are runs under the all-edges schedule, balanced trees are
 the generalized trees of that schedule, and both agree with the tree
 dynamic program.  The run loop's scaled-integer messages and incremental
 estimates agree with a plain rational stepper.  The LP tightness decision
-agrees with half-integral enumeration."""
+agrees with half-integral enumeration.  Graph, schedule and certificate
+files round-trip, and fuzzed input files give a clean CLI exit code."""
 
+import contextlib
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +22,10 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: 
                      run_sync, run_async, make_schedule, build_tree, build_gct,
                      dump_tree, tree_bmatching_dp, tree_size, tree_depth,
                      extract_estimate, brute_force, solve_relaxation, is_tight,
-                     tightness_by_enumeration, InfeasibleError)
+                     tightness_by_enumeration, InfeasibleError, parse_graph,
+                     serialize_graph, parse_schedule, serialize_schedule,
+                     parse_certificate, serialize_certificate)
+from bpmatch.cli import main  # noqa: E402
 from bpmatch.ctree import LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import detect_period  # noqa: E402
 
@@ -99,6 +107,10 @@ def _count(node):
     return 1 + sum(_count(c) for c in node.children)
 
 
+def _min_depth(node):
+    return 1 + min(_min_depth(c) for c in node.children) if node.children else 0
+
+
 @SETTINGS
 @given(graphs(PERFECT).filter(lambda g: g.n > 0), st.integers(0, 4), st.data())
 def test_balanced_tree_is_the_sync_gct(g, t, data):
@@ -108,7 +120,7 @@ def test_balanced_tree_is_the_sync_gct(g, t, data):
     assert dump_tree(tree) == dump_tree(ref)
     assert dump_tree(build_gct(g, make_schedule(g, "sync"), root, t)) == dump_tree(ref)
     assert tree_size(tree) == _count(ref.root)
-    assert tree_depth(tree) == tree_depth(ref)
+    assert tree_depth(tree) == _min_depth(ref.root)
 
 
 @SETTINGS
@@ -270,3 +282,87 @@ def test_lp_tightness_agrees_with_enumeration(instance):
         assert load == g.cap(i) if mode == PERFECT else load <= g.cap(i)
     assert sum(v * g.weight(*e) for e, v in w.items()) == rep.lp_objective
     assert any(v not in (0, 1) for v in w.values())
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_files_round_trip(instance, data):
+    mode, g = instance
+    assert parse_graph(serialize_graph(g)) == g
+    steps = st.frozensets(st.sampled_from(g.directed_edges())) if g.m else st.just(frozenset())
+    sets = data.draw(st.lists(steps, max_size=6))
+    assert parse_schedule(serialize_schedule(sets), g).prefix(len(sets) + 1) == sets
+    try:
+        _, cert = solve_relaxation(g, mode)
+    except InfeasibleError:
+        return
+    assert parse_certificate(serialize_certificate(cert), g, mode) == cert
+
+
+# Fuzzed input files: a valid file for BASE with a few lines dropped,
+# duplicated, inserted or given a different token.  Every outcome must be
+# a result or a clean error (exit code 0 or 2 to 5), never an unexpected
+# error (1) or a traceback.  BASE is valid in both modes.
+BASE = Graph(4, [1, 1, 2, 2], [(1, 2, -3), (1, 3, -5), (1, 4, -2),
+                               (2, 3, -4), (2, 4, -6), (3, 4, -1)])
+FUZZ_BASES = {
+    "graph": serialize_graph(BASE),
+    "schedule": serialize_schedule(make_schedule(BASE, "roundrobin").prefix(24)),
+    "dual": serialize_certificate(solve_relaxation(BASE, PERFECT)[1]),
+    "init": "".join(f"{i} {j} {BASE.weight(i, j)}\n" for (i, j) in BASE.directed_edges()),
+}
+FUZZ_TOKENS = ["0", "1", "2", "3", "4", "5", "-1", "-7", "1/2", "1/0", "2.5", "x", "#",
+               "y", "lambda", "1>2", "2>1", "1>1", "3>", ">", "9>1", "99999"]
+
+
+@st.composite
+def fuzzed(draw, text):
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["token", "drop", "duplicate", "insert"]))
+        if op == "insert" or not lines:
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=4)))
+            continue
+        k = draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, list(lines[k]))
+        else:
+            pos = draw(st.integers(0, len(lines[k])))
+            lines[k][pos:pos + 1] = [draw(st.sampled_from(FUZZ_TOKENS))]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+# {} is the fuzzed file, BASE the graph file
+FUZZ_COMMANDS = {
+    "graph": [["solve", "{}", "--certify", "--stop", "certified"], ["certify", "{}"],
+              ["tree-verify", "{}", "--t-max", "2"]],
+    "schedule": [["solve", "BASE", "--schedule", "file={}", "--stop", "budget=8"],
+                 ["schedule-validate", "BASE", "--schedule", "file={}", "--horizon", "8"]],
+    "dual": [["certify", "BASE", "--dual-file", "{}"],
+             ["solve", "BASE", "--certify", "--stop", "certified", "--dual-file", "{}"]],
+    "init": [["solve", "BASE", "--certify", "--init", "file={}", "--stop", "certified"]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_BASES))
+def test_fuzzed_files_exit_cleanly(kind):
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(fuzzed(FUZZ_BASES[kind]), st.sampled_from(FUZZ_COMMANDS[kind]),
+           st.sampled_from([PERFECT, NONPERFECT]))
+    def check(text, command, mode):
+        with tempfile.TemporaryDirectory() as tmp:
+            fuzz, base = Path(tmp, "fuzz"), Path(tmp, "base")
+            fuzz.write_text(text)
+            base.write_text(FUZZ_BASES["graph"])
+            argv = [a.replace("{}", str(fuzz)).replace("BASE", str(base)) for a in command]
+            if command[0] in ("solve", "certify"):
+                argv += ["--mode", mode]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code != 1 and "Traceback" not in err.getvalue(), (text, argv, err.getvalue())
+
+    check()
