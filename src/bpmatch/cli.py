@@ -22,7 +22,7 @@ from .schedule import (ScheduleError, make_schedule, parse_schedule,
                        validate_schedule, coverage)
 from .ctree import GCTBuilder, dump_tree, TreeError
 from .harness import (solve_pipeline, certify_instance, sweep, tree_verify,
-                      _fmt_edges)
+                      WeightRangeError, _fmt_edges)
 from .oracle import (InfeasibleError, GuardExceeded, CertificateError,
                      parse_certificate, serialize_certificate)
 
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GraphParseError, ValidationError, CertificateError, ScheduleError,
-            UsageError) as exc:
+            UsageError, WeightRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:

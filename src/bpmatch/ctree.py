@@ -39,15 +39,17 @@ class DegenerateTreeError(TreeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeNode:
+    """A tree node; nodes compare and hash by identity, so a shared subtree is
+    one object that can key a memo, and no comparison walks the tree."""
     label: int
     edge_weight: object  # weight of the edge to the parent; None at the root
     children: tuple
     # nodes of the unrolled subtree (shared subtrees counted by multiplicity)
     # and its shortest root-to-leaf path; children always exist first
-    size: int = field(init=False, compare=False, repr=False)
-    depth: int = field(init=False, compare=False, repr=False)
+    size: int = field(init=False, repr=False)
+    depth: int = field(init=False, repr=False)
 
     def __post_init__(self):
         kids = self.children
@@ -189,6 +191,9 @@ class BranchValue:
         return self.w_plus - self.w_minus
 
 
+_NO_TIES = frozenset()
+
+
 @dataclass(frozen=True)
 class TreeDPResult:
     root: int
@@ -199,7 +204,7 @@ class TreeDPResult:
     ties: frozenset       # labels whose selection threshold was non-strict
 
 
-def tree_bmatching_dp(tree: LabeledTree, init=None) -> TreeDPResult:
+def tree_bmatching_dp(tree: LabeledTree, init=None, memo=None) -> TreeDPResult:
     """Bottom-up exact optimum over the tree.
 
     At every internal node the children are ranked by W+ - W-; forcing the
@@ -208,20 +213,26 @@ def tree_bmatching_dp(tree: LabeledTree, init=None) -> TreeDPResult:
     and W- = 0; when `init` maps (leaf_label, parent_label) to a value, that
     value replaces the leaf edge weight, which reproduces runs started from
     arbitrary initial messages.
+
+    `memo` maps each solved branch node to its BranchValue and the labels
+    with a non-strict selection threshold in its subtree.  A branch's value
+    depends only on the node and `init`, so one dict passed to every call
+    over the trees of one builder and one `init` solves each shared branch
+    once; by default every call starts a fresh memo.
     """
     g = tree.graph
-    memo = {}  # id(node) -> BranchValue; each distinct node is solved once
-    ties = set()
+    if memo is None:
+        memo = {}
     root = tree.root
-    # post-order over distinct nodes: a node is solved when it is back on top
-    # of the stack with all its children solved
+    # post-order over distinct unsolved nodes: a node is solved when it is
+    # back on top of the stack with all its children solved
     stack = [(c, root.label) for c in reversed(root.children)]
     while stack:
         node, parent_label = stack[-1]
-        if id(node) in memo:
+        if node in memo:
             stack.pop()
             continue
-        pending = [(c, node.label) for c in node.children if id(c) not in memo]
+        pending = [(c, node.label) for c in node.children if c not in memo]
         if pending:
             stack.extend(reversed(pending))
             continue
@@ -230,22 +241,24 @@ def tree_bmatching_dp(tree: LabeledTree, init=None) -> TreeDPResult:
             w = node.edge_weight
             if init is not None:
                 w = init.get((node.label, parent_label), w)
-            memo[id(node)] = BranchValue(w, ZERO)
+            memo[node] = (BranchValue(w, ZERO), _NO_TIES)
             continue
         a = g.cap(node.label)
-        vals = [memo[id(c)] for c in node.children]
-        if len(vals) < a:
+        solved = [memo[c] for c in node.children]
+        if len(solved) < a:
             raise DegenerateTreeError(
-                f"node labeled {node.label} has {len(vals)} children but capacity {a}")
-        diffs = sorted(v.n for v in vals)
-        base = sum((v.w_minus for v in vals), ZERO)
+                f"node labeled {node.label} has {len(solved)} children but capacity {a}")
+        diffs = sorted(v.n for v, _ in solved)
+        base = sum((v.w_minus for v, _ in solved), ZERO)
         w_plus = node.edge_weight + base + sum(diffs[:a - 1], ZERO)
         w_minus = base + sum(diffs[:a], ZERO)
+        ties = _NO_TIES.union(*(t for _, t in solved))
         if len(diffs) > a and diffs[a - 1] == diffs[a]:
-            ties.add(node.label)
-        memo[id(node)] = BranchValue(w_plus, w_minus)
+            ties |= {node.label}
+        memo[node] = (BranchValue(w_plus, w_minus), ties)
 
-    child_vals = [(c.label, memo[id(c)]) for c in root.children]
+    child_vals = [(c.label, memo[c][0]) for c in root.children]
+    ties = set().union(*(memo[c][1] for c in root.children))
     branches = dict(child_vals)
     b_root = g.cap(root.label)
     selection = selected = total = None

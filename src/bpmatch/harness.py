@@ -285,6 +285,10 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
 
 # -- random instances and sweeps -----------------------------------------------------
 
+class WeightRangeError(ValueError):
+    """Random-instance weight bounds with no integer between them."""
+
+
 def random_instance(rng: random.Random, n_max=6, mode=PERFECT,
                     weight_lo=None, weight_hi=None, distinct=False,
                     allow_b2=True) -> Graph:
@@ -295,6 +299,9 @@ def random_instance(rng: random.Random, n_max=6, mode=PERFECT,
         weight_lo = 1 if mode == PERFECT else -30
     if weight_hi is None:
         weight_hi = 30 if mode == PERFECT else -1
+    if weight_lo > weight_hi:
+        raise WeightRangeError(f"empty weight range: weight_lo {weight_lo} > "
+                               f"weight_hi {weight_hi} (mode {mode})")
     while True:
         n = rng.randint(3, n_max)
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -407,6 +414,7 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     init_map = init.build(g) if init is not None and init.kind != "weights" else None
     sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
     builder = GCTBuilder(g, sched, t_max)
+    memo = {}  # one tree-DP memo for every tree of the builder and init map
     if sched.kind == "sync":
         run = run_sync(g, PERFECT, init, StopPolicy.budget(t_max), keep_trace=True)
     else:
@@ -423,7 +431,7 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
         est = extract_estimate(g, state, PERFECT)
         for root in g.vertices():
             tree = builder.gct(root, t)
-            dp = tree_bmatching_dp(tree, init_map)
+            dp = tree_bmatching_dp(tree, init_map, memo)
             msgs_ok = all(dp.branches[r].n == state.m[(r, root)] for r in g.neighbors(root))
             sel_ok = frozenset(dp.selected_labels) == frozenset(est.selected[root])
             depth_ok = tree_depth(tree) >= u[t]

@@ -154,6 +154,19 @@ def test_tree_semantics_match_engine():
         f"{checks} root/time comparisons across 50 graphs, zero mismatches")
 
 
+def test_tree_semantics_over_a_long_horizon():
+    """Every root/time check on the c4 fixture up to t = 1200: one tree-DP
+    memo per builder keeps the check linear in the horizon."""
+    t0 = time.monotonic()
+    rows, ok, first = tree_verify(load_fixture("c4"), 1200)
+    assert ok, first
+    assert len(rows) == 4 * 1201
+    assert all(r["messages"] and r["selection"] and r["depth"] for r in rows)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60.0
+    _ok("tree semantics over a long horizon", elapsed, f"{len(rows)} root/time checks on c4")
+
+
 def test_convergence_independent_of_initialization():
     """Arbitrary starting messages only stretch the certified bound; the
     stabilized estimate is unchanged."""

@@ -252,8 +252,7 @@ class TestTreeVerify:
 
     def test_tree_code_needs_no_frame_per_level(self, capsys):
         # 100 frames above the current stack cannot hold one frame per
-        # level of t = 60 trees; the check itself is quadratic in t, so a
-        # deeper t would be slow rather than a stronger test
+        # level of t = 60 trees
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
@@ -298,6 +297,7 @@ class TestSweepAndScheduleValidate:
     ("tree-verify", "C4", "--t-max", "-1"),
     ("schedule-validate", "C4", "--schedule", "roundrobin", "--horizon", "-1"),
     ("sweep", "--n-max", "2"),
+    ("sweep", "--mode", "nonperfect", "--weight-lo", "5"),
 ])
 def test_malformed_flag_value_is_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *(fx("c4") if a == "C4" else a for a in argv))

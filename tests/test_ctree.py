@@ -9,6 +9,7 @@ from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, TreeSizeError,
                      build_gct, tree_bmatching_dp, tree_depth, tree_size,
                      dump_tree, make_schedule, coverage, run_sync,
                      init_messages, sync_round_perfect)
+from bpmatch.ctree import GCTBuilder
 from bpmatch.harness import tree_verify, random_instance
 
 
@@ -63,6 +64,14 @@ class TestBuildBalanced:
         assert tree_size(tree) == 2 * t + 3 and tree_depth(tree) == t + 1
         assert tree_bmatching_dp(tree).total is not None
         assert dump_tree(tree).count("\n") == 2 * t + 3
+
+    def test_nodes_compare_by_identity(self, c4):
+        # no generated __eq__/__hash__ walking 2000 levels of children
+        a = build_tree(c4, 1, 2000).root
+        b = build_tree(c4, 1, 2000).root
+        assert a != b
+        assert a == a and hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
 
 def _leaves(node):
@@ -143,6 +152,15 @@ class TestTreeDP:
         assert all(v.w_plus == 0 and v.w_minus == 0 for v in dp.branches.values())
         assert 1 in dp.ties
 
+    def test_ties_below_the_root_children_are_collected(self):
+        # the only non-strict threshold is at the label-3 nodes, two levels
+        # down; a memo shared across times still reports it at every t
+        g = Graph(5, [1] * 5, [(1, 2, 0), (2, 3, 0), (3, 4, 0), (3, 5, 0), (4, 5, 0)])
+        builder, memo = GCTBuilder(g, make_schedule(g, "sync"), 4), {}
+        for t, want in enumerate([set(), set(), {3}, {3}, {3}]):
+            assert tree_bmatching_dp(build_tree(g, 1, t)).ties == want
+            assert tree_bmatching_dp(builder.gct(1, t), None, memo).ties == want
+
     def test_root_selection_size(self, k4):
         dp = tree_bmatching_dp(build_tree(k4, 1, 2))
         assert dp.selection is not None and len(dp.selection) == k4.cap(1)
@@ -209,3 +227,32 @@ class TestEquivalence:
         bent = tree_bmatching_dp(tree, tweaked)
         assert plain.branches[2].n != bent.branches[2].n
         assert plain.branches[4].n == bent.branches[4].n
+
+
+class TestWork:
+    """tree_verify solves each distinct branch node once, however many
+    (root, t) trees share it.  A builder makes 2m leaf nodes and one node
+    per update of each step.  Counts values, times nothing."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from bpmatch import ctree
+        seen = []
+
+        class Counting(ctree.BranchValue):
+            def __init__(self, *args):
+                seen.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ctree, "BranchValue", Counting)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["sync", "roundrobin"])
+    def test_one_value_per_distinct_branch_node(self, c4, built, kind):
+        t_max = 100
+        nodes = 2 * c4.m + sum(len(s) for s in make_schedule(c4, kind).prefix(t_max))
+        assert nodes <= 2 * c4.m * (t_max + 1)
+        rows, ok, first = tree_verify(c4, t_max, kind)
+        assert ok, first
+        assert len(rows) == c4.n * (t_max + 1)
+        assert 0 < len(built) <= nodes

@@ -1,7 +1,8 @@
 """Property tests pinning the single run loop and the single tree builder:
 synchronous runs are runs under the all-edges schedule, balanced trees are
 the generalized trees of that schedule, and both agree with the tree
-dynamic program.  The run loop's scaled-integer messages and incremental
+dynamic program, also when one tree-DP memo is shared across a builder's
+trees.  The run loop's scaled-integer messages and incremental
 estimates agree with a plain rational stepper.  The LP tightness decision
 agrees with half-integral enumeration.  Graph, schedule and certificate
 files round-trip, and fuzzed input files give a clean CLI exit code."""
@@ -26,7 +27,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: 
                      serialize_graph, parse_schedule, serialize_schedule,
                      parse_certificate, serialize_certificate)
 from bpmatch.cli import main  # noqa: E402
-from bpmatch.ctree import LabeledTree, TreeNode  # noqa: E402
+from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import detect_period  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -125,21 +126,37 @@ def test_balanced_tree_is_the_sync_gct(g, t, data):
 
 @SETTINGS
 @given(graphs(PERFECT).filter(lambda g: g.n > 0), st.integers(0, 4),
-       st.sampled_from([("sync", None), ("roundrobin", None), ("random", 3), ("random", 11)]))
-def test_engine_equals_tree_dp(g, t_max, kind):
+       st.sampled_from([("sync", None), ("roundrobin", None), ("random", 3), ("random", 11)]),
+       st.booleans(), st.booleans(), st.data())
+def test_engine_equals_tree_dp(g, t_max, kind, equal_weights, explicit_init, data):
+    # the engine against a fresh tree DP per tree, and a DP that shares one
+    # memo over every root and time of one builder against the fresh one;
+    # equal weights make the selection thresholds tie almost everywhere
+    if equal_weights:
+        g = Graph(g.n, [g.cap(i) for i in g.vertices()], [(i, j, 1) for (i, j) in g.weights()])
+    init = init_map = None
+    if explicit_init:
+        values = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2]))
+        init = MessageInit.explicit({d: data.draw(values) for d in g.directed_edges()})
+        init_map = init.build(g)
     sched = make_schedule(g, kind[0], seed=kind[1])
     if sched.kind == "sync":
-        run = run_sync(g, PERFECT, None, StopPolicy.budget(t_max), keep_trace=True)
+        run = run_sync(g, PERFECT, init, StopPolicy.budget(t_max), keep_trace=True)
     else:
-        run = run_async(g, sched, None, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
+        run = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
+    builder = GCTBuilder(g, sched, t_max)
+    memo = {}
     for t, state in enumerate(run.trace):
         est = extract_estimate(g, state, PERFECT)
         for root in g.vertices():
             tree = build_tree(g, root, t) if sched.kind == "sync" else build_gct(g, sched, root, t)
-            dp = tree_bmatching_dp(tree)
+            dp = tree_bmatching_dp(tree, init_map)
             for r in g.neighbors(root):
                 assert dp.branches[r].n == state.value(r, root)
             assert frozenset(dp.selected_labels) == frozenset(est.selected[root])
+            shared = tree_bmatching_dp(builder.gct(root, t), init_map, memo)
+            for name in ("branches", "selection", "selected_labels", "total", "ties"):
+                assert getattr(shared, name) == getattr(dp, name), name
 
 
 def _rational_step(g, m, updates, mode):
