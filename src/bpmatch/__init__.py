@@ -8,13 +8,12 @@ from .graph import (Graph, Matching, Reduction, Violation, GraphError,
                     edge_key, parse_graph, serialize_graph, validate,
                     require_valid, reduce_trivial)
 from .engine import (MessageInit, MessageState, Estimate, StopPolicy, RunResult,
-                     init_messages, sync_round_perfect, sync_round_nonperfect,
-                     extract_estimate_perfect, extract_estimate_nonperfect,
-                     extract_estimate, run_sync, EngineError, TrivialVertexError)
+                     init_messages, extract_estimate, run_sync, EngineError,
+                     TrivialVertexError)
 from .schedule import (Schedule, ScheduleViolation, CoverageStats, ScheduleError,
                        RedundantScheduleError, ScheduleExhausted, make_schedule,
                        parse_schedule, serialize_schedule, validate_schedule,
-                       coverage, async_round, run_async)
+                       coverage, run_async)
 from .ctree import (LabeledTree, TreeNode, BranchValue, TreeDPResult, TreeError,
                     TreeSizeError, DegenerateTreeError, build_tree, build_gct_branch,
                     build_gct, tree_bmatching_dp, tree_depth, tree_size, dump_tree)

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from .graph import (PERFECT, NONPERFECT, GraphError, GraphParseError,
-                    ValidationError, parse_graph, reduce_trivial, validate)
+                    ValidationError, parse_graph, reduce_trivial, require_valid)
 from .engine import MessageInit
 from .schedule import (ScheduleError, make_schedule, parse_schedule,
                        validate_schedule, coverage)
@@ -195,9 +195,7 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     g = parse_graph(_read(args.graph))
-    violations = validate(g, args.mode)
-    if violations:
-        raise ValidationError(violations)
+    require_valid(g, args.mode)
     work = g
     forced = None
     if args.mode == PERFECT:

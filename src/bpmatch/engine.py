@@ -29,8 +29,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
 
-from .graph import (Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError,
-                    ValidationError, edge_key, validate)
+from .graph import Graph, PERFECT, ZERO, GraphError, edge_key, require_valid
 
 
 class EngineError(GraphError):
@@ -104,7 +103,12 @@ def init_messages(g: Graph, init: MessageInit | None = None) -> MessageState:
 
 # -- the integer kernel ------------------------------------------------------
 
-def _check_reduced(g: Graph):
+def _check_input(g: Graph, mode: str):
+    """The input checks of every run: a known mode, a graph valid in it and,
+    in perfect mode, a reduced graph."""
+    require_valid(g, mode)
+    if mode != PERFECT or g.m == 0:
+        return
     for i in g.vertices():
         if g.degree(i) <= g.cap(i):
             raise TrivialVertexError(
@@ -199,24 +203,6 @@ def _round(net: _Net, msgs: list, mode: str, updates=None) -> list:
     return msgs
 
 
-def _step(g: Graph, s: MessageState, mode: str, updates=None) -> MessageState:
-    # the kernel on a public state: scale, one step, divide back
-    net = _Net(g, s.m.values())
-    msgs = [net.up(s.m[e]) for e in net.dirs]
-    if updates is not None:
-        updates = [net.ids[e] for e in updates]
-    return net.state(s.t + 1, _round(net, msgs, mode, updates))
-
-
-def sync_round_perfect(g: Graph, s: MessageState) -> MessageState:
-    _check_reduced(g)
-    return _step(g, s, PERFECT)
-
-
-def sync_round_nonperfect(g: Graph, s: MessageState) -> MessageState:
-    return _step(g, s, NONPERFECT)
-
-
 # -- estimates ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -264,14 +250,6 @@ def extract_estimate(g: Graph, s: MessageState, mode: str) -> Estimate:
             ties.add(i)
         edges.update(edge_key(i, j) for j in chosen)
     return Estimate(frozenset(edges), selected, frozenset(ties))
-
-
-def extract_estimate_perfect(g: Graph, s: MessageState) -> Estimate:
-    return extract_estimate(g, s, PERFECT)
-
-
-def extract_estimate_nonperfect(g: Graph, s: MessageState) -> Estimate:
-    return extract_estimate(g, s, NONPERFECT)
 
 
 # -- run loop -------------------------------------------------------------------
@@ -325,10 +303,6 @@ class RunResult:
     trace: list | None = None
     coverage: object = None
     schedule_kind: str | None = None
-
-    @property
-    def tie_report(self):
-        return self.estimate.ties
 
 
 def detect_period(history, max_period):
@@ -445,13 +419,7 @@ def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,
              stop: StopPolicy | None = None, keep_trace: bool = False) -> RunResult:
     """Synchronous message passing: the run loop under the all-edges
     schedule, which updates every directed edge at every step."""
-    if mode not in MODES:
-        raise GraphError(f"unknown mode {mode!r}")
-    violations = validate(g, mode)
-    if violations:
-        raise ValidationError(violations)
-    if mode == PERFECT and g.m > 0:
-        _check_reduced(g)
+    _check_input(g, mode)
     stop = stop or StopPolicy.window()
     if stop.kind == "coverage":
         raise EngineError("coverage stopping applies to asynchronous runs only")

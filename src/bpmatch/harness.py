@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import (Graph, PERFECT, NONPERFECT, ZERO, Matching, Reduction,
-                    validate, reduce_trivial, ValidationError)
+                    require_valid, reduce_trivial)
 from .engine import (MessageInit, StopPolicy, RunResult, run_sync,
                      extract_estimate)
 from .schedule import make_schedule, run_async
@@ -204,9 +204,7 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
     forced edges, and optionally certify against the oracle."""
     t0 = time.monotonic()
     notes = []
-    violations = validate(g, mode)
-    if violations:
-        raise ValidationError(violations)
+    require_valid(g, mode)
 
     reduction = None
     work = g

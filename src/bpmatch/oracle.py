@@ -143,11 +143,12 @@ class DualCertificate:
     epsilon: Fraction | None
     L: Fraction
 
-    def gap(self, g: Graph, e) -> Fraction:
-        i, j = e
-        if self.mode == PERFECT:
-            return g.weight(i, j) - self.y[i] - self.y[j]
-        return g.weight(i, j) + self.y[i] + self.y[j]
+
+def _gap(mode: str, w, y, e) -> Fraction:
+    """The dual gap of edge e = (i, j) at cost w (its weight, or weight plus
+    lambda): w - (y_i + y_j) in perfect mode, w + (y_i + y_j) in non-perfect."""
+    i, j = e
+    return w - y[i] - y[j] if mode == PERFECT else w + y[i] + y[j]
 
 
 def build_certificate(g: Graph, y, lam, mode: str, check: bool = True) -> DualCertificate:
@@ -164,17 +165,14 @@ def build_certificate(g: Graph, y, lam, mode: str, check: bool = True) -> DualCe
             for i, v in y.items():
                 if v < 0:
                     problems.append(f"y[{i}] = {v} < 0 in non-perfect mode")
-        for (i, j) in g.edges():
-            w = g.weight(i, j)
-            bound = (y[i] + y[j]) if mode == PERFECT else (-y[i] - y[j])
-            if w + lam[(i, j)] < bound:
-                problems.append(f"edge {(i, j)}: w + lambda = {w + lam[(i, j)]} < {bound}")
+        for e in g.edges():
+            cost = g.weight(*e) + lam[e]
+            bound = cost - _gap(mode, cost, y, e)  # y_i + y_j, negated if non-perfect
+            if cost < bound:
+                problems.append(f"edge {e}: w + lambda = {cost} < {bound}")
         if problems:
             raise CertificateError("dual infeasible: " + "; ".join(problems))
-    gaps = {}
-    for e in g.edges():
-        i, j = e
-        gaps[e] = g.weight(i, j) - y[i] - y[j] if mode == PERFECT else g.weight(i, j) + y[i] + y[j]
+    gaps = {e: _gap(mode, g.weight(*e), y, e) for e in g.edges()}
     S = frozenset(e for e, v in gaps.items() if v != 0)
     epsilon = min((abs(gaps[e]) for e in S), default=None)
     L = max((abs(v) for v in y.values()), default=ZERO)
@@ -282,11 +280,8 @@ def check_cs(g: Graph, primal: LPSolution, dual: DualCertificate) -> CSReport:
     checks = []
     y, lam = dual.y, dual.lam
     for e in g.edges():
-        i, j = e
-        w = g.weight(i, j)
         xe = primal.x.get(e, ZERO)
-        slack = w + lam[e] - y[i] - y[j] if mode == PERFECT else w + lam[e] + y[i] + y[j]
-        v1 = xe * slack
+        v1 = xe * _gap(mode, g.weight(*e) + lam[e], y, e)
         checks.append(CSCheck("edge_slack_product", e, v1, v1 == 0))
         v2 = (xe - 1) * lam[e]
         checks.append(CSCheck("upper_bound_product", e, v2, v2 == 0))
@@ -298,10 +293,8 @@ def check_cs(g: Graph, primal: LPSolution, dual: DualCertificate) -> CSReport:
     if primal.integral:
         member = {e for e, v in primal.x.items() if v == 1}
         for e in g.edges():
-            i, j = e
-            w = g.weight(i, j)
             if e in member:
-                slack = w + lam[e] - y[i] - y[j] if mode == PERFECT else w + lam[e] + y[i] + y[j]
+                slack = _gap(mode, g.weight(*e) + lam[e], y, e)
                 checks.append(CSCheck("member_edge_tight", e, slack, slack == 0))
             else:
                 checks.append(CSCheck("nonmember_lambda_zero", e, lam[e], lam[e] == 0))
@@ -406,9 +399,7 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
     # edges with positive lambda to 1; the rest span the optimal face.
     fixed_zero, fixed_one, free = set(), set(), []
     for e in g.edges():
-        gap = g.weight(*e) + cert.lam[e] - (cert.y[e[0]] + cert.y[e[1]]) if mode == PERFECT \
-            else g.weight(*e) + cert.lam[e] + cert.y[e[0]] + cert.y[e[1]]
-        if gap > 0:
+        if _gap(mode, g.weight(*e) + cert.lam[e], cert.y, e) > 0:
             fixed_zero.add(e)
         elif cert.lam[e] > 0:
             fixed_one.add(e)

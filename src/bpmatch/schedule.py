@@ -17,13 +17,13 @@ exceeds a bound supplied by the LP certificate.
 from __future__ import annotations
 
 import random as _random
+from bisect import insort
 from dataclasses import dataclass
 from itertools import islice
 from math import floor
 
 from .graph import Graph, PERFECT, GraphError
-from .engine import (MessageInit, MessageState, StopPolicy, RunResult, _step,
-                     _run, _check_reduced)
+from .engine import MessageInit, StopPolicy, RunResult, _run, _check_input
 
 
 class ScheduleError(GraphError):
@@ -71,10 +71,6 @@ class Schedule:
         self._sets = None if sets is None else [frozenset(s) for s in sets]
         self._factory = factory
 
-    @property
-    def finite(self):
-        return self._sets is not None
-
     def __len__(self):
         if self._sets is None:
             raise ScheduleError(f"{self.kind} schedule is unbounded")
@@ -109,28 +105,14 @@ def _reupdatable(g: Graph):
         alive -= dead
 
 
-def _boundary_ok(feeders, prev_pos, next_seq):
-    # Two cycles, each a permutation of the same edge indices: prev_pos[e] is
-    # e's position in the previous one, feeders[e] the indices of e's feeding
-    # edges.  Each re-update of e in next_seq needs a feeder after e in the
-    # previous cycle or before e in next_seq.
-    seen = [False] * len(next_seq)
-    for e in next_seq:
-        p = prev_pos[e]
-        if not any(seen[f] or prev_pos[f] >= p for f in feeders[e]):
-            return False
-        seen[e] = True
-    return True
-
-
 def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
     """Build a schedule.
 
     sync: every directed edge at every step.
     roundrobin: single edges cycling in a fixed global order.
-    random: one seeded random single-edge permutation per cycle; cycle
-        boundaries are resampled (or the previous order reused) so the
-        result is redundancy-free by construction.
+    random: seeded random single edges; each later cycle is drawn one edge
+        at a time from the edges whose re-update is fed, so the result is
+        redundancy-free by construction.
     explicit: the given list of update sets, verbatim (untrusted).
     """
     dirs = g.directed_edges()
@@ -159,38 +141,44 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
             raise ScheduleError("random schedules need a seed")
         repeat = sorted(_reupdatable(g))
         once = [e for e in dirs if e not in set(repeat)]
-        # cycles shuffle indices into `repeat`: the same draws as shuffling
-        # the edges themselves, with position lookups by list index
+        # cycles are drawn as indices into `repeat`, so the ready list keeps
+        # `repeat` order; fed[e] lists the edges that e feeds
         index = {e: k for k, e in enumerate(repeat)}
         feeders = [[index[(l, i)] for l in g.neighbors(i) if l != j and (l, i) in index]
                    for (i, j) in repeat]
+        fed = [[index[(j, k)] for k in g.neighbors(j) if k != i and (j, k) in index]
+               for (i, j) in repeat]
         singles = [frozenset((e,)) for e in repeat]
 
         def factory():
             rng = _random.Random(seed)
             for e in sorted(once, key=lambda _: rng.random()):
                 yield frozenset((e,))
-            prev = None
-            while repeat:
-                if prev is None:
-                    cycle = list(range(len(repeat)))
-                    rng.shuffle(cycle)
-                else:
-                    prev_pos = [0] * len(prev)
-                    for p, e in enumerate(prev):
-                        prev_pos[e] = p
-                    cycle = None
-                    for _ in range(100):
-                        cand = list(range(len(repeat)))
-                        rng.shuffle(cand)
-                        if _boundary_ok(feeders, prev_pos, cand):
-                            cycle = cand
-                            break
-                    if cycle is None:
-                        cycle = prev[:]  # repeating the same order is always safe
+            if not repeat:
+                return
+            cycle = list(range(len(repeat)))
+            rng.shuffle(cycle)
+            while True:
                 for e in cycle:
                     yield singles[e]
-                prev = cycle
+                # An undrawn edge is ready once a feeder comes after it in the
+                # last cycle or is drawn in this one, so its re-update is fed.
+                # The undrawn edge that came first in the last cycle is always
+                # ready: its feeder in the set is either drawn or after it.
+                # So `ready` is empty only once every edge is drawn.
+                pos = [0] * len(cycle)
+                for p, e in enumerate(cycle):
+                    pos[e] = p
+                up = [any(pos[f] > pos[e] for f in fs) for e, fs in enumerate(feeders)]
+                ready = [e for e, ok in enumerate(up) if ok]
+                cycle = []
+                while ready:
+                    e = ready.pop(rng.randrange(len(ready)))
+                    cycle.append(e)
+                    for x in fed[e]:
+                        if not up[x]:
+                            up[x] = True
+                            insort(ready, x)
         return Schedule("random", factory=factory, seed=seed, trusted=True)
 
     if kind == "explicit":
@@ -283,20 +271,7 @@ def coverage(g: Graph, sched: Schedule, t: int) -> CoverageStats:
     return CoverageStats(t, counts, u)
 
 
-# -- asynchronous rounds ---------------------------------------------------------
-
-def async_round(g: Graph, s: MessageState, updates, mode: str = PERFECT) -> MessageState:
-    """Update only the given directed edges from the state at t-1; everything
-    else carries over unchanged."""
-    updates = frozenset(updates)
-    known = set(g.directed_edges())
-    foreign = [e for e in updates if e not in known]
-    if foreign:
-        raise ScheduleError(f"{foreign[0]} is not a directed edge of the graph")
-    if mode == PERFECT and updates:
-        _check_reduced(g)
-    return _step(g, s, mode, updates)
-
+# -- asynchronous runs -----------------------------------------------------------
 
 def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
               stop: StopPolicy | None = None, mode: str = PERFECT,
@@ -310,8 +285,7 @@ def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
     Raises ScheduleExhausted when a finite schedule ends before the stop
     condition is met.
     """
-    if mode == PERFECT and g.m > 0:
-        _check_reduced(g)
+    _check_input(g, mode)
     stop = stop or StopPolicy.coverage(0)
     tracker = _RedundancyTracker(g) if (check_redundancy and not sched.trusted) else None
     counts = {e: 0 for e in g.directed_edges()}

@@ -3,11 +3,29 @@ from itertools import combinations
 
 import pytest
 
-from bpmatch import Graph, PERFECT, parse_graph, fixture_path
+from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, parse_graph,
+                     fixture_path, make_schedule, run_async, run_sync)
 
 
 def load_fixture(name):
     return parse_graph(fixture_path(name).read_text())
+
+
+def sync_rounds(g, s, mode=PERFECT, rounds=1):
+    """The state `rounds` synchronous rounds after state `s`, read from the
+    trace of a run_sync started at `s`."""
+    run = run_sync(g, mode, MessageInit.explicit(s.m), StopPolicy.budget(rounds),
+                   keep_trace=True)
+    return run.trace[rounds]
+
+
+def async_step(g, s, updates, mode=PERFECT):
+    """The state one step after state `s` when exactly `updates` recompute,
+    read from the trace of a one-step run_async over an explicit schedule."""
+    sched = make_schedule(g, "explicit", sets=[updates])
+    run = run_async(g, sched, MessageInit.explicit(s.m), StopPolicy.budget(1), mode,
+                    keep_trace=True)
+    return run.trace[1]
 
 
 @pytest.fixture

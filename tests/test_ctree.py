@@ -8,9 +8,10 @@ from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, TreeSizeError,
                      DegenerateTreeError, build_tree, build_gct_branch,
                      build_gct, tree_bmatching_dp, tree_depth, tree_size,
                      dump_tree, make_schedule, coverage, run_sync,
-                     init_messages, sync_round_perfect)
+                     init_messages)
 from bpmatch.ctree import GCTBuilder
 from bpmatch.harness import tree_verify, random_instance
+from conftest import sync_rounds
 
 
 class TestBuildBalanced:
@@ -143,7 +144,7 @@ class TestTreeDP:
         tree = build_tree(c4, 1, 1)
         dp = tree_bmatching_dp(tree)
         assert dp.branches[2].n == -1
-        s1 = sync_round_perfect(c4, init_messages(c4))
+        s1 = sync_rounds(c4, init_messages(c4))
         assert s1.value(2, 1) == -1
 
     def test_zero_weights_tie_everywhere(self):

@@ -4,10 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from bpmatch import (Graph, PERFECT, NONPERFECT, MessageInit, StopPolicy,
-                     EngineError, init_messages, sync_round_perfect,
-                     sync_round_nonperfect, extract_estimate_perfect,
-                     extract_estimate_nonperfect, run_sync, TrivialVertexError,
-                     ValidationError)
+                     EngineError, init_messages, extract_estimate, run_sync,
+                     TrivialVertexError, ValidationError)
+from conftest import async_step, sync_rounds
 
 
 def messages(state, *pairs):
@@ -40,7 +39,7 @@ class TestInit:
 
 class TestPerfectRound:
     def test_c4_first_round_by_hand(self, c4):
-        s1 = sync_round_perfect(c4, init_messages(c4))
+        s1 = sync_rounds(c4, init_messages(c4))
         assert s1.t == 1
         assert s1.value(1, 2) == -2
         assert s1.value(3, 2) == 1
@@ -50,21 +49,18 @@ class TestPerfectRound:
         assert messages(s1, (2, 1), (4, 3), (1, 4)) == [-1, -2, 2]
 
     def test_c4_later_rounds_by_hand(self, c4):
-        s = init_messages(c4)
-        for _ in range(3):
-            s = sync_round_perfect(c4, s)
+        s = sync_rounds(c4, init_messages(c4), rounds=3)
         assert messages(s, (1, 2), (2, 3), (3, 4), (4, 1)) == [-3, 3, -3, 3]
         assert messages(s, (2, 1), (3, 2), (4, 3), (1, 4)) == [-3, 3, -3, 3]
 
     def test_zero_weights_stay_zero(self):
         g = Graph(4, [1] * 4, [(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 1, 0)])
-        s = init_messages(g)
-        for _ in range(5):
-            s = sync_round_perfect(g, s)
+        run = run_sync(g, PERFECT, stop=StopPolicy.budget(5), keep_trace=True)
+        for s in run.trace[1:]:
             assert all(v == 0 for v in s.m.values())
 
     def test_k4_first_round_by_hand(self, k4):
-        s1 = sync_round_perfect(k4, init_messages(k4))
+        s1 = sync_rounds(k4, init_messages(k4))
         assert s1.value(2, 4) == 0
         assert s1.value(1, 2) == -9 and s1.value(3, 4) == -9
         assert s1.value(2, 1) == 0 and s1.value(4, 3) == 0 and s1.value(4, 2) == 0
@@ -74,29 +70,33 @@ class TestPerfectRound:
     def test_trivial_vertex_rejected(self):
         g = Graph(2, [1, 1], [(1, 2, 1)])
         with pytest.raises(TrivialVertexError):
-            sync_round_perfect(g, init_messages(g))
+            sync_rounds(g, init_messages(g))
 
     def test_round_purity(self, c4):
         s = init_messages(c4)
-        first = sync_round_perfect(c4, s)
-        second = sync_round_perfect(c4, s)
-        assert first.m == second.m and s.t == 0
+        before = dict(s.m)
+        first = sync_rounds(c4, s)
+        second = sync_rounds(c4, s)
+        assert first.m == second.m and s.t == 0 and s.m == before
 
     def test_update_order_is_irrelevant(self, c4):
-        from bpmatch import async_round
+        # a step computes every new value from the state at t-1 before it
+        # writes any: all edges at once give the sync round, and all edges
+        # but one give the sync round with that one edge carried over
         rng = random.Random(6)
         s = init_messages(c4)
         for _ in range(4):
-            order = list(c4.directed_edges())
-            rng.shuffle(order)
-            shuffled = async_round(c4, s, order, PERFECT)
-            assert shuffled.m == sync_round_perfect(c4, s).m
-            s = shuffled
+            sync = sync_rounds(c4, s)
+            assert async_step(c4, s, c4.directed_edges()).m == sync.m
+            left = rng.choice(c4.directed_edges())
+            partial = async_step(c4, s, [e for e in c4.directed_edges() if e != left])
+            assert partial.m == {**sync.m, left: s.m[left]}
+            s = sync
 
     def test_capacity_two_uses_second_minimum(self):
         g = Graph(4, [2, 2, 2, 2],
                   [(1, 2, 1), (1, 3, 10), (1, 4, 10), (2, 3, 10), (2, 4, 1), (3, 4, 1)])
-        s1 = sync_round_perfect(g, init_messages(g))
+        s1 = sync_rounds(g, init_messages(g))
         # m(1->2) = w12 - 2nd-min(m(3->1), m(4->1)) = 1 - 10
         assert s1.value(1, 2) == -9
         # m(2->1) = w12 - 2nd-min(m(3->2)=10, m(4->2)=1) = 1 - 10
@@ -105,22 +105,20 @@ class TestPerfectRound:
 
 class TestNonperfectRound:
     def test_triangle_first_round_by_hand(self, tri_neg):
-        s1 = sync_round_nonperfect(tri_neg, init_messages(tri_neg))
+        s1 = sync_rounds(tri_neg, init_messages(tri_neg), NONPERFECT)
         assert s1.value(1, 2) == -1
         assert messages(s1, (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)) == [-2, 2, 1, 1, -1]
 
     def test_zero_weights_stay_zero(self):
         g = Graph(3, [1, 1, 1], [(1, 2, 0), (2, 3, 0), (1, 3, 0)])
-        s = init_messages(g)
-        for _ in range(4):
-            s = sync_round_nonperfect(g, s)
+        run = run_sync(g, NONPERFECT, stop=StopPolicy.budget(4), keep_trace=True)
+        for s in run.trace[1:]:
             assert all(v == 0 for v in s.m.values())
 
     def test_star_center_at_capacity_sends_raw_weights(self):
         g = Graph(4, [3, 1, 1, 1], [(1, 2, -1), (1, 3, -2), (1, 4, -3)])
-        s = init_messages(g)
-        for _ in range(4):
-            s = sync_round_nonperfect(g, s)
+        run = run_sync(g, NONPERFECT, stop=StopPolicy.budget(4), keep_trace=True)
+        for s in run.trace[1:]:
             for leaf in (2, 3, 4):
                 assert s.value(1, leaf) == g.weight(1, leaf)
                 assert s.value(leaf, 1) == g.weight(1, leaf)
@@ -128,35 +126,35 @@ class TestNonperfectRound:
 
 class TestExtract:
     def test_c4_selection_after_one_round(self, c4):
-        s1 = sync_round_perfect(c4, init_messages(c4))
-        est = extract_estimate_perfect(c4, s1)
+        s1 = sync_rounds(c4, init_messages(c4))
+        est = extract_estimate(c4, s1, PERFECT)
         assert est.selected[2] == (1,)
         assert est.edges == frozenset({(1, 2), (3, 4)})
         assert est.ties == frozenset()
 
     def test_all_equal_messages_tie_everywhere(self, c4):
         s = init_messages(c4, MessageInit.constant(7))
-        est = extract_estimate_perfect(c4, s)
+        est = extract_estimate(c4, s, PERFECT)
         assert est.ties == frozenset({1, 2, 3, 4})
         # smallest neighbor label wins
         assert est.selected == {1: (2,), 2: (1,), 3: (2,), 4: (1,)}
 
     def test_nonperfect_takes_most_negative_up_to_capacity(self, tri_neg):
         s = init_messages(tri_neg)  # all weights negative
-        est = extract_estimate_nonperfect(tri_neg, s)
+        est = extract_estimate(tri_neg, s, NONPERFECT)
         assert est.selected[1] == (2,)  # -3 beats -2, capacity 1
         assert est.edges == frozenset({(1, 2), (1, 3)})
 
     def test_nonperfect_positive_messages_empty(self):
         g = Graph(3, [1, 1, 1], [(1, 2, -1), (2, 3, -1), (1, 3, -1)])
         s = init_messages(g, MessageInit.constant(2))
-        est = extract_estimate_nonperfect(g, s)
+        est = extract_estimate(g, s, NONPERFECT)
         assert est.edges == frozenset()
 
     def test_nonperfect_zero_is_boundary_tie(self):
         g = Graph(3, [1, 1, 1], [(1, 2, -1), (2, 3, -1), (1, 3, -1)])
         s = init_messages(g, MessageInit.constant(0))
-        est = extract_estimate_nonperfect(g, s)
+        est = extract_estimate(g, s, NONPERFECT)
         assert est.edges == frozenset()
         assert est.ties == frozenset({1, 2, 3})
 
@@ -167,7 +165,7 @@ class TestExtract:
                                     (2, 3, -4), (2, 4, -19), (3, 4, -17)])
         m = {d: F(-1) for d in g.directed_edges()}
         m.update({(2, 4): F(-19), (1, 4): F(-15), (3, 4): F(0)})
-        est = extract_estimate_nonperfect(g, init_messages(g, MessageInit.explicit(m)))
+        est = extract_estimate(g, init_messages(g, MessageInit.explicit(m)), NONPERFECT)
         assert est.selected[4] == (2, 1)
         assert 4 not in est.ties
 

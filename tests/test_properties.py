@@ -25,7 +25,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: 
                      extract_estimate, brute_force, solve_relaxation, is_tight,
                      tightness_by_enumeration, InfeasibleError, parse_graph,
                      serialize_graph, parse_schedule, serialize_schedule,
-                     parse_certificate, serialize_certificate)
+                     parse_certificate, serialize_certificate, validate_schedule)
 from bpmatch.cli import main  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import detect_period  # noqa: E402
@@ -140,6 +140,7 @@ def test_engine_equals_tree_dp(g, t_max, kind, equal_weights, explicit_init, dat
         init = MessageInit.explicit({d: data.draw(values) for d in g.directed_edges()})
         init_map = init.build(g)
     sched = make_schedule(g, kind[0], seed=kind[1])
+    assert validate_schedule(g, sched, t_max) is None
     if sched.kind == "sync":
         run = run_sync(g, PERFECT, init, StopPolicy.budget(t_max), keep_trace=True)
     else:
@@ -269,6 +270,7 @@ def test_integer_run_equals_rational_stepper(instance, kind, stop, keep_trace, d
             assert getattr(run, name) == value, name
         assert run.estimate == extract_estimate(g, states[-1], mode)
     asyn = runs[0]
+    assert validate_schedule(g, sched, asyn.iterations) is None
     assert asyn.coverage == CoverageStats(asyn.iterations, counts, min(counts.values(), default=0))
     assert asyn.schedule_kind == sched.describe()
 

@@ -3,14 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy,
-                     MessageState, ScheduleError, RedundantScheduleError,
-                     ScheduleExhausted, make_schedule, parse_schedule,
-                     serialize_schedule, validate_schedule, coverage,
-                     async_round, run_async, run_sync, init_messages,
-                     sync_round_perfect, brute_force, solve_relaxation,
-                     coverage_threshold)
-from conftest import load_fixture, random_graph_any
+from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, GraphError,
+                     ValidationError, MessageState, ScheduleError,
+                     RedundantScheduleError, ScheduleExhausted, make_schedule,
+                     parse_schedule, serialize_schedule, validate_schedule,
+                     coverage, run_async, run_sync, init_messages, brute_force,
+                     solve_relaxation, coverage_threshold)
+from conftest import async_step, load_fixture, random_graph_any, sync_rounds
 
 
 class TestValidate:
@@ -57,9 +56,12 @@ class TestValidate:
 
 
 def _reference_random_prefix(g, seed, horizon):
-    """The random schedule as first specified: a shuffled cycle per round
-    over the re-updatable edges, resampled until every re-updated edge has
-    a feeding edge in the window since its previous update (set-based)."""
+    """The random schedule as specified, with set-based windows: the edges
+    that cannot be re-updated once, in shuffled order; one shuffled cycle
+    over the re-updatable edges; then cycles drawn one edge at a time,
+    uniformly from the ready edges in sorted order.  An undrawn edge is
+    ready when a feeding edge lies in its window: after it in the last
+    cycle, or drawn earlier in this one."""
     alive = set(g.directed_edges())
     while True:
         dead = {(i, j) for (i, j) in alive
@@ -70,33 +72,21 @@ def _reference_random_prefix(g, seed, horizon):
     repeat = sorted(alive)
     once = [e for e in g.directed_edges() if e not in alive]
 
-    def boundary_ok(prev_seq, next_seq):
-        prev_pos = {e: k for k, e in enumerate(prev_seq)}
-        for q, e in enumerate(next_seq):
-            i, j = e
-            feeders = {(l, i) for l in g.neighbors(i) if l != j}
-            window = set(prev_seq[prev_pos[e]:]) | set(next_seq[:q])
-            if not feeders & window:
-                return False
-        return True
+    def feeders(e):
+        i, j = e
+        return {(l, i) for l in g.neighbors(i) if l != j}
 
     rng = random.Random(seed)
     out = [frozenset((e,)) for e in sorted(once, key=lambda _: rng.random())]
-    prev = None
+    cycle = repeat[:]
+    rng.shuffle(cycle)
     while repeat and len(out) < horizon:
-        if prev is None:
-            cycle = repeat[:]
-            rng.shuffle(cycle)
-        else:
-            cycle = prev[:]
-            for _ in range(100):
-                cand = repeat[:]
-                rng.shuffle(cand)
-                if boundary_ok(prev, cand):
-                    cycle = cand
-                    break
         out += [frozenset((e,)) for e in cycle]
-        prev = cycle
+        prev, cycle = cycle, []
+        while len(cycle) < len(repeat):
+            ready = sorted(e for e in repeat if e not in cycle
+                           and feeders(e) & (set(prev[prev.index(e) + 1:]) | set(cycle)))
+            cycle.append(ready[rng.randrange(len(ready))])
     return out[:horizon]
 
 
@@ -107,6 +97,17 @@ def test_random_schedule_is_pinned(name, seed):
     horizon = 10 * len(g.directed_edges())  # at least ten cycles
     got = make_schedule(g, "random", seed=seed).prefix(horizon)
     assert got == _reference_random_prefix(g, seed, horizon)
+
+
+def test_random_cycles_rarely_repeat_the_previous_order(c4):
+    # every directed edge of c4 is re-updatable, so cycles start at step 1
+    size = len(c4.directed_edges())
+    repeats = 0
+    for seed in range(10):
+        steps = make_schedule(c4, "random", seed=seed).prefix(30 * size)
+        cycles = [steps[k:k + size] for k in range(0, len(steps), size)]
+        repeats += sum(a == b for a, b in zip(cycles, cycles[1:]))
+    assert repeats < 29  # of 290 boundaries
 
 
 class TestCoverage:
@@ -135,24 +136,24 @@ class TestAsyncRound:
         for _ in range(10):
             state = MessageState(0, {d: F(rng.randint(-20, 20), rng.randint(1, 4))
                                      for d in c4.directed_edges()})
-            full = async_round(c4, state, c4.directed_edges())
-            sync = sync_round_perfect(c4, state)
+            full = async_step(c4, state, c4.directed_edges())
+            sync = sync_rounds(c4, state)
             assert full.m == sync.m
 
     def test_empty_set_carries_over(self, c4):
         s0 = init_messages(c4)
-        s1 = async_round(c4, s0, [])
+        s1 = async_step(c4, s0, [])
         assert s1.t == 1 and s1.m == s0.m
 
     def test_single_edge_update(self, c4):
         s0 = init_messages(c4)
-        s1 = async_round(c4, s0, [(1, 2)])
+        s1 = async_step(c4, s0, [(1, 2)])
         assert s1.value(1, 2) == -2
         assert all(s1.value(*d) == s0.value(*d) for d in c4.directed_edges() if d != (1, 2))
 
     def test_foreign_update_rejected(self, c4):
         with pytest.raises(ScheduleError):
-            async_round(c4, init_messages(c4), [(1, 3)])
+            async_step(c4, init_messages(c4), [(1, 3)])
 
 
 class TestRunAsync:
@@ -197,6 +198,17 @@ class TestRunAsync:
             sched = make_schedule(k4, "random", seed=seed)
             res = run_async(k4, sched, stop=StopPolicy.coverage(thr))
             assert res.estimate.edges == opts[0], seed
+
+    def test_unknown_mode_rejected(self, c4):
+        with pytest.raises(GraphError, match="unknown mode"):
+            run_async(c4, make_schedule(c4, "roundrobin"), stop=StopPolicy.budget(8),
+                      mode="bogus")
+
+    def test_validation_enforced(self, c4):
+        # positive weights are invalid in non-perfect mode, as for run_sync
+        with pytest.raises(ValidationError):
+            run_async(c4, make_schedule(c4, "roundrobin"), stop=StopPolicy.budget(8),
+                      mode=NONPERFECT)
 
     def test_coverage_stop_on_edgeless_graph(self):
         g = Graph(0, (), ())
