@@ -145,14 +145,11 @@ def cmd_solve(args) -> int:
     init = _parse_init(args.init, g)
     stop_spec = _parse_stop(args.stop)
     kind, seed, sets = _parse_schedule_flag(args.schedule, g)
-    if kind == "random" and seed is None:
-        seed = args.seed
     cert_override = None
     if args.dual_file:
-        mode_work = args.mode
         # the override applies to the reduced graph the engine runs on
         work = reduce_trivial(g).graph if args.mode == PERFECT else g
-        cert_override = parse_certificate(_read(args.dual_file), work, mode_work)
+        cert_override = parse_certificate(_read(args.dual_file), work, args.mode)
 
     report = solve_pipeline(g, args.mode, instance_name=args.graph, init=init,
                             stop_spec=stop_spec, schedule_kind=kind,
@@ -255,14 +252,12 @@ def cmd_tree_verify(args) -> int:
     g = parse_graph(_read(args.graph))
     red = reduce_trivial(g)
     if red.infeasible:
-        print("infeasible instance")
+        _emit(args, {"instance": args.graph, "infeasible": True}, ["infeasible instance"])
         return EXIT_INFEASIBLE
     work = red.graph
     kind, seed, sets = _parse_schedule_flag(args.schedule, work)
     if kind == "explicit":
         raise ScheduleError("tree-verify supports generated schedules only")
-    if kind == "random" and seed is None:
-        seed = args.seed
     rows, ok, first = tree_verify(work, args.t_max, kind, seed)
     if args.dump_tree:
         builder = GCTBuilder(work, make_schedule(work, kind or "sync", seed=seed), args.t_max)
@@ -310,12 +305,7 @@ def cmd_schedule_validate(args) -> int:
     _at_least(args.horizon, 0, "--horizon")
     g = parse_graph(_read(args.graph))
     kind, seed, sets = _parse_schedule_flag(args.schedule, g)
-    if kind is None:
-        sched = make_schedule(g, "sync")
-    elif kind == "explicit":
-        sched = make_schedule(g, "explicit", sets=sets)
-    else:
-        sched = make_schedule(g, kind, seed=seed if seed is not None else args.seed)
+    sched = make_schedule(g, kind or "sync", seed=seed, sets=sets)
     violation = validate_schedule(g, sched, args.horizon)
     cov = coverage(g, sched, args.horizon)
     payload = {"instance": args.graph, "schedule": sched.describe(),
@@ -340,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         if mode:
             sp.add_argument("--mode", choices=[PERFECT, NONPERFECT], default=PERFECT)
         sp.add_argument("--json", action="store_true", help="machine-readable report")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("solve", help="run message passing on a graph file")
     sp.add_argument("graph")
@@ -375,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="random-instance sweep with oracle filtering")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--instances", type=int, default=200)
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--weight-lo", type=int, default=None)

@@ -175,7 +175,7 @@ def _relabel_init(init: MessageInit, reduction: Reduction) -> MessageInit:
                                  if i in inverse and j in inverse})
 
 
-def _resolve_stop(stop_spec, g: Graph, certification, mode, is_async, notes):
+def _resolve_stop(stop_spec, g: Graph, certification, mode, init, is_async, notes):
     """Map a CLI stop spec onto a concrete policy; returns (policy, certified)."""
     if stop_spec is None:
         stop_spec = ("window", None)
@@ -190,7 +190,8 @@ def _resolve_stop(stop_spec, g: Graph, certification, mode, is_async, notes):
                          "falling back to a stability window")
             return StopPolicy.window(None, limit=10 * max(g.n, 1)), False
         if is_async:
-            return StopPolicy.coverage(coverage_threshold(g, certification.cert, mode)), True
+            return StopPolicy.coverage(
+                coverage_threshold(g, certification.cert, mode, init)), True
         return StopPolicy.certified(certification.bound), True
     raise ValueError(f"unknown stop kind {kind!r}")
 
@@ -233,8 +234,11 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
                                     wall_time=time.monotonic() - t0,
                                     notes=["oracle found no feasible matching"])
 
-    is_async = schedule_kind is not None and schedule_kind != "sync"
-    stop, certified = _resolve_stop(stop_spec, work, certification, mode, is_async, notes)
+    if schedule_kind == "sync":
+        schedule_kind = None  # the all-edges schedule is the synchronous run
+    is_async = schedule_kind is not None
+    stop, certified = _resolve_stop(stop_spec, work, certification, mode, init, is_async,
+                                    notes)
     extrapolated = certified and is_async and mode == NONPERFECT
     if extrapolated:
         notes.append("asynchronous non-perfect certified stop is extrapolated")

@@ -6,12 +6,18 @@ slackness checking, a tightness decision (does the relaxation admit any
 fractional optimum?) made with at most one LP over the optimal face on top
 of the relaxation, and the certified iteration bound for the engine.
 
+The relaxation and the optimal-face LP of the tightness decision are one
+degree LP: the relaxation is the face LP with every edge free.
+
 The dual certificate carries the derived quantities the bound needs: the
 set S of edges whose weight differs from the sum of its endpoints' dual
 prices, the minimum such gap epsilon, and the largest price magnitude L.
-Certified stopping runs ceil(2nL/epsilon) rounds in perfect mode and
-ceil(4nL/epsilon) in non-perfect mode, or n+1 rounds when S is empty and
-epsilon is undefined.
+One horizon serves both certified stops: 2nL/epsilon in perfect mode and
+4nL/epsilon in non-perfect mode, with L grown by the largest initial
+message when the run does not start from the weights.  A synchronous run
+stops after its ceiling (n+1 rounds when S is empty and epsilon is
+undefined), an asynchronous run once every directed edge has been updated
+more than that many times (more than n times when S is empty).
 """
 
 from __future__ import annotations
@@ -185,46 +191,58 @@ def dual_objective(g: Graph, cert: DualCertificate) -> Fraction:
     return (total_y if cert.mode == PERFECT else -total_y) - total_l
 
 
-def _build_relaxation(g: Graph, mode: str):
-    """Rows: one per vertex then one per edge (the x <= 1 caps)."""
-    edges = g.edges()
-    m = len(edges)
-    n = g.n
-    idx = {e: k for k, e in enumerate(edges)}
-    ncols = 2 * m if mode == PERFECT else 2 * m + n
-    # columns: x_e (m), then [t_i (n) in non-perfect], then s_e (m)
-    slack0 = m if mode == PERFECT else m + n
-    A = []
-    b = []
+def _degree_lp(g: Graph, mode: str, cost, fixed_one=(), equality_vertices=()):
+    """The degree LP as (A, b, c, idx) for `solve_lp`: minimize cost.x over the
+    variable edges (the keys of `cost`; idx maps each to its column) with
+    0 <= x <= 1, each vertex's load on them being b_i less its fixed-one
+    edges, or at most that at a non-equality vertex of non-perfect mode.  The
+    relaxation has every edge variable, the weights as costs, nothing fixed.
+
+    Columns: x, the non-equality vertices' slacks, the x <= 1 slacks.  Rows:
+    one per vertex, dropped when empty with zero right-hand side (never
+    without fixed edges, capacities being positive), then the x <= 1 caps.
+    """
+    idx = {e: k for k, e in enumerate(cost)}
+    nvar = len(idx)
+    forced = dict.fromkeys(g.vertices(), 0)
+    for (i, j) in fixed_one:
+        forced[i] += 1
+        forced[j] += 1
+    ineq = [i for i in g.vertices() if i not in equality_vertices] if mode == NONPERFECT else []
+    slack_v = {i: k for k, i in enumerate(ineq)}
+    ncols = nvar + len(ineq) + nvar
+    A, b = [], []
     for i in g.vertices():
         row = [ZERO] * ncols
+        touched = False
         for j in g.neighbors(i):
-            row[idx[edge_key(i, j)]] = Fraction(1)
-        if mode == NONPERFECT:
-            row[m + i - 1] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(g.cap(i)))
-    for k in range(m):
+            e = edge_key(i, j)
+            if e in idx:
+                row[idx[e]] = Fraction(1)
+                touched = True
+        if i in slack_v:
+            row[nvar + slack_v[i]] = Fraction(1)
+            touched = True
+        rhs = Fraction(g.cap(i) - forced[i])
+        if rhs < 0:
+            raise OracleError("optimal face bookkeeping went negative")
+        if touched or rhs != 0:
+            A.append(row)
+            b.append(rhs)
+    for k in range(nvar):
         row = [ZERO] * ncols
         row[k] = Fraction(1)
-        row[slack0 + k] = Fraction(1)
+        row[nvar + len(ineq) + k] = Fraction(1)
         A.append(row)
         b.append(Fraction(1))
-    c = [g.weight(*e) for e in edges] + [ZERO] * (ncols - m)
+    c = list(cost.values()) + [ZERO] * (ncols - nvar)
     return A, b, c, idx
 
 
 def solve_relaxation(g: Graph, mode: str):
     """Optimal vertex of the relaxation plus the matching dual certificate."""
     _require_mode(mode)
-    edges = g.edges()
-    if not edges:
-        if mode == PERFECT and g.n > 0:
-            raise InfeasibleError("vertices with positive capacity but no edges")
-        sol = LPSolution(mode, {}, ZERO, True)
-        cert = build_certificate(g, {}, {}, mode)
-        return sol, cert
-    A, b, c, idx = _build_relaxation(g, mode)
+    A, b, c, idx = _degree_lp(g, mode, {e: g.weight(*e) for e in g.edges()})
     try:
         res = solve_lp(A, b, c)
     except LPInfeasible:
@@ -232,6 +250,7 @@ def solve_relaxation(g: Graph, mode: str):
     x = {e: res.x[k] for e, k in idx.items()}
     integral = all(v in (0, 1) for v in x.values())
     sol = LPSolution(mode, x, res.objective, integral)
+    # every vertex keeps its row: rows 0..n-1 are the vertices, then the caps
     n = g.n
     if mode == PERFECT:
         y = {i: res.dual[i - 1] for i in g.vertices()}
@@ -321,49 +340,6 @@ class TightnessReport:
     bf_count: int
 
 
-def _face_lp(g, mode, free, fixed_one, equality_vertices, cost):
-    """Minimize `cost` (a map from free edges to coefficients) over the
-    optimal face, whose only variables are the free edges."""
-    fidx = {e: k for k, e in enumerate(free)}
-    nfree = len(free)
-    forced = dict.fromkeys(g.vertices(), 0)
-    for (i, j) in fixed_one:
-        forced[i] += 1
-        forced[j] += 1
-    ineq = [i for i in g.vertices() if i not in equality_vertices] if mode == NONPERFECT else []
-    slack_v = {i: k for k, i in enumerate(ineq)}
-    ncols = nfree + len(ineq) + nfree  # x_free, vertex slacks, cap slacks
-    A, b = [], []
-    for i in g.vertices():
-        row = [ZERO] * ncols
-        touched = False
-        for j in g.neighbors(i):
-            e = edge_key(i, j)
-            if e in fidx:
-                row[fidx[e]] = Fraction(1)
-                touched = True
-        if i in slack_v:
-            row[nfree + slack_v[i]] = Fraction(1)
-            touched = True
-        rhs = Fraction(g.cap(i) - forced[i])
-        if rhs < 0:
-            raise OracleError("optimal face bookkeeping went negative")
-        if touched or rhs != 0:
-            A.append(row)
-            b.append(rhs)
-    for k in range(nfree):
-        row = [ZERO] * ncols
-        row[k] = Fraction(1)
-        row[nfree + len(ineq) + k] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
-    c = [ZERO] * ncols
-    for e, v in cost.items():
-        c[fidx[e]] = v
-    res = solve_lp(A, b, c)
-    return {e: res.x[fidx[e]] for e in free}
-
-
 def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessReport:
     """Decide whether every optimal point of the relaxation is integral.
 
@@ -405,10 +381,14 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
             fixed_one.add(e)
         else:
             free.append(e)
-    equality_vertices = {i for i in g.vertices() if cert.y[i] != 0} if mode == NONPERFECT else set(g.vertices())
     if free:
+        # maximize ||x - x*||_1 over the face; a non-perfect vertex with a
+        # positive price stays saturated there
         cost = {e: Fraction(1) if sol.x[e] == 1 else Fraction(-1) for e in free}
-        far = _face_lp(g, mode, free, fixed_one, equality_vertices, cost)
+        held = {i for i in g.vertices() if cert.y[i] != 0}
+        A, b, c, idx = _degree_lp(g, mode, cost, fixed_one, held)
+        x = solve_lp(A, b, c).x
+        far = {e: x[k] for e, k in idx.items()}
         if any(far[e] != sol.x[e] for e in free):
             witness = {e: (sol.x[e] + far[e]) / 2 for e in free}
             witness.update({e: ZERO for e in fixed_zero})
@@ -506,36 +486,36 @@ def _midpoint(points):
 
 # -- iteration bound --------------------------------------------------------------------
 
-def iteration_bound(g: Graph, cert: DualCertificate, init: MessageInit | None = None,
-                    mode: str | None = None) -> int:
-    """Certified number of rounds after which the estimate is the optimum.
-
-    ceil(2nL/eps) in perfect mode, ceil(4nL/eps) in non-perfect mode, where
-    L grows by the largest initial message magnitude when the run does not
-    start from the edge weights; n+1 when S is empty and eps is undefined.
-    Only meaningful on tight instances.
+def coverage_threshold(g: Graph, cert: DualCertificate, mode: str | None = None,
+                       init: MessageInit | None = None) -> Fraction:
+    """The certified horizon: 2nL/eps in perfect mode, 4nL/eps in non-perfect
+    mode, where L grows by the largest initial message magnitude when the run
+    does not start from the edge weights; n when S is empty and eps is
+    undefined.  An asynchronous certified run stops once u(t) exceeds it.
     """
     mode = mode or cert.mode
     if mode != cert.mode:
         raise OracleError(f"certificate is for {cert.mode} mode, not {mode}")
     n = g.n
     if cert.epsilon is None:
-        return n + 1
+        return Fraction(n)
     L = cert.L
     if init is not None and init.kind != "weights":
         L = L + init.max_abs(g)
     factor = 2 if mode == PERFECT else 4
-    return math.ceil(Fraction(factor * n) * L / cert.epsilon)
+    return Fraction(factor * n) * L / cert.epsilon
 
 
-def coverage_threshold(g: Graph, cert: DualCertificate, mode: str | None = None) -> Fraction:
-    """Asynchronous certified stop: run until u(t) exceeds this value."""
-    mode = mode or cert.mode
-    n = g.n
+def iteration_bound(g: Graph, cert: DualCertificate, init: MessageInit | None = None,
+                    mode: str | None = None) -> int:
+    """Certified number of synchronous rounds after which the estimate is the
+    optimum: the ceiling of `coverage_threshold`, or n+1 when S is empty.
+    Only meaningful on tight instances.
+    """
+    threshold = coverage_threshold(g, cert, mode, init)
     if cert.epsilon is None:
-        return Fraction(n)
-    factor = 2 if mode == PERFECT else 4
-    return Fraction(factor * n) * cert.L / cert.epsilon
+        return g.n + 1
+    return math.ceil(threshold)
 
 
 # -- certificate files --------------------------------------------------------------------

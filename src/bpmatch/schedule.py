@@ -114,15 +114,25 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         at a time from the edges whose re-update is fed, so the result is
         redundancy-free by construction.
     explicit: the given list of update sets, verbatim (untrusted).
+    On a graph with no directed edges every generated schedule is empty
+    steps forever.
     """
     dirs = g.directed_edges()
-    if kind == "sync":
-        full = frozenset(dirs)
+    if kind == "random" and seed is None:
+        raise ScheduleError("random schedules need a seed")
 
+    def every_step(updates):
         def factory():
             while True:
-                yield full
-        return Schedule("sync", factory=factory, trusted=True)
+                yield updates
+        return factory
+
+    if kind == "sync":
+        return Schedule("sync", factory=every_step(frozenset(dirs)), trusted=True)
+
+    if not dirs and kind in ("roundrobin", "random"):
+        # nothing to update: empty steps forever, as under the sync schedule
+        return Schedule(kind, factory=every_step(frozenset()), seed=seed, trusted=True)
 
     if kind == "roundrobin":
         repeat = sorted(_reupdatable(g))
@@ -137,8 +147,6 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         return Schedule("roundrobin", factory=factory, trusted=True)
 
     if kind == "random":
-        if seed is None:
-            raise ScheduleError("random schedules need a seed")
         repeat = sorted(_reupdatable(g))
         once = [e for e in dirs if e not in set(repeat)]
         # cycles are drawn as indices into `repeat`, so the ready list keeps

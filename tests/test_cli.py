@@ -131,6 +131,39 @@ class TestSolve:
         assert code == 0 and payload["match"] is True
         assert "initial messages relabeled onto the reduced instance" in payload["notes"]
 
+    @pytest.mark.parametrize("stop", ["budget=10", "window=3"])
+    @pytest.mark.parametrize("schedule", ["roundrobin", "random:3"])
+    def test_single_edge_schedule_on_a_reduced_away_instance(self, capsys, schedule, stop):
+        # p4 reduces to a graph with no directed edges: a generated schedule
+        # then takes empty steps, as the all-edges schedule does
+        argv = ("solve", fx("p4"), "--stop", stop, "--certify", "--json")
+        _, out, _ = run_cli(capsys, *argv, "--schedule", "sync")
+        sync = json.loads(out)
+        code, out, err = run_cli(capsys, *argv, "--schedule", schedule)
+        payload = json.loads(out)
+        assert code == 0 and err == ""
+        assert payload["bp"].pop("u") == 0
+        assert payload.pop("schedule") == ("roundrobin" if schedule == "roundrobin"
+                                           else "random(seed=3)")
+        sync.pop("schedule")
+        assert payload == sync
+
+    def test_async_certified_stop_grows_with_the_init(self, capsys, tmp_path):
+        # weights start L at 8; this init adds 197, and the coverage stop must
+        # grow with it as the synchronous bound does
+        graph = tmp_path / "k4.graph"
+        graph.write_text("4 6\n1 1 1 1\n1 2 16\n1 3 3\n1 4 24\n2 3 10\n2 4 11\n3 4 5\n")
+        init = tmp_path / "init.txt"
+        init.write_text("1 2 118\n1 3 -70\n1 4 179\n2 1 -17\n2 3 153\n2 4 178\n"
+                        "3 1 133\n3 2 71\n3 4 -186\n4 1 38\n4 2 197\n4 3 -73\n")
+        code, out, _ = run_cli(capsys, "solve", str(graph), "--schedule", "roundrobin",
+                               "--init", f"file={init}", "--stop", "certified",
+                               "--certify", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["match"] is True
+        # threshold 2*4*(8 + 197)/7 = 234.3, so u must reach 235
+        assert payload["bp"]["u"] == 235 and payload["certification"]["bound"] == 235
+
     def test_async_random_schedule_certified(self, capsys):
         code, out, _ = run_cli(capsys, "solve", fx("c4"), "--schedule", "random:7",
                                "--stop", "certified", "--certify", "--json")
@@ -243,6 +276,17 @@ class TestTreeVerify:
         code, out, _ = run_cli(capsys, "tree-verify", fx("c4"), "--t-max", "8",
                                "--schedule", "roundrobin")
         assert code == 0 and "checks passed" in out
+
+    def test_single_edge_schedule_on_a_reduced_away_instance(self, capsys):
+        code, out, err = run_cli(capsys, "tree-verify", fx("p4"), "--schedule", "roundrobin")
+        assert code == 0 and err == "" and "checks passed" in out
+
+    def test_infeasible_instance_json(self, capsys, tmp_path):
+        path = tmp_path / "p3.graph"
+        path.write_text("3 2\n1 1 1\n1 2 1\n2 3 1\n")
+        code, out, _ = run_cli(capsys, "tree-verify", str(path), "--json")
+        assert code == 3
+        assert json.loads(out) == {"instance": str(path), "infeasible": True}
 
     def test_dump_tree(self, capsys, tmp_path):
         dump = tmp_path / "trees.txt"

@@ -6,8 +6,8 @@ import pytest
 from bpmatch import (Graph, PERFECT, NONPERFECT, MessageInit, StopPolicy,
                      brute_force, solve_relaxation,
                      build_certificate, dual_objective, check_cs, is_tight,
-                     tightness_by_enumeration, iteration_bound,
-                     InfeasibleError, GuardExceeded, CertificateError,
+                     tightness_by_enumeration, iteration_bound, coverage_threshold,
+                     OracleError, InfeasibleError, GuardExceeded, CertificateError,
                      LPSolution, parse_certificate, serialize_certificate,
                      run_sync)
 from bpmatch import harness, oracle
@@ -247,6 +247,12 @@ class TestIterationBound:
         init = MessageInit.constant(9)
         # L grows to 1/2 + 9; ceil(2*4*(19/2)/9) = ceil(76/9) = 9
         assert iteration_bound(k4, cert, init) == 9
+
+    def test_threshold_rejects_a_certificate_of_the_other_mode(self, k4):
+        cert = build_certificate(k4, {i: F(1, 2) for i in k4.vertices()}, {}, PERFECT)
+        assert coverage_threshold(k4, cert, PERFECT, MessageInit.constant(9)) == F(76, 9)
+        with pytest.raises(OracleError):
+            coverage_threshold(k4, cert, NONPERFECT)
 
     def test_empty_gap_set_gives_n_plus_one(self):
         g = Graph(2, [1, 1], [(1, 2, 4)])

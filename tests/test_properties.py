@@ -4,11 +4,13 @@ the generalized trees of that schedule, and both agree with the tree
 dynamic program, also when one tree-DP memo is shared across a builder's
 trees.  The run loop's scaled-integer messages and incremental
 estimates agree with a plain rational stepper.  The LP tightness decision
-agrees with half-integral enumeration.  Graph, schedule and certificate
+agrees with half-integral enumeration, and the synchronous certified bound
+is the ceiling of the asynchronous certified threshold.  Graph, schedule and certificate
 files round-trip, and fuzzed input files give a clean CLI exit code."""
 
 import contextlib
 import io
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +25,8 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: 
                      run_sync, run_async, make_schedule, build_tree, build_gct,
                      dump_tree, tree_bmatching_dp, tree_size, tree_depth,
                      extract_estimate, brute_force, solve_relaxation, is_tight,
-                     tightness_by_enumeration, InfeasibleError, parse_graph,
+                     tightness_by_enumeration, iteration_bound, coverage_threshold,
+                     InfeasibleError, parse_graph,
                      serialize_graph, parse_schedule, serialize_schedule,
                      parse_certificate, serialize_certificate, validate_schedule)
 from bpmatch.cli import main  # noqa: E402
@@ -301,6 +304,24 @@ def test_lp_tightness_agrees_with_enumeration(instance):
         assert load == g.cap(i) if mode == PERFECT else load <= g.cap(i)
     assert sum(v * g.weight(*e) for e, v in w.items()) == rep.lp_objective
     assert any(v not in (0, 1) for v in w.values())
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_sync_bound_is_the_ceiling_of_the_coverage_threshold(instance, data):
+    mode, g = instance
+    try:
+        rep = is_tight(g, mode)
+    except InfeasibleError:
+        return
+    _, cert = solve_relaxation(g, mode)
+    if not rep.tight or cert.epsilon is None:
+        return
+    values = st.builds(Fraction, st.integers(-200, 200), st.sampled_from([1, 2, 3]))
+    init = MessageInit.explicit({d: data.draw(values) for d in g.directed_edges()})
+    threshold = coverage_threshold(g, cert, mode, init)
+    assert threshold >= coverage_threshold(g, cert, mode)
+    assert iteration_bound(g, cert, init, mode) == math.ceil(threshold)
 
 
 @SETTINGS

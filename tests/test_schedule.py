@@ -9,6 +9,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, GraphError,
                      parse_schedule, serialize_schedule, validate_schedule,
                      coverage, run_async, run_sync, init_messages, brute_force,
                      solve_relaxation, coverage_threshold)
+from bpmatch.harness import solve_pipeline
 from conftest import async_step, load_fixture, random_graph_any, sync_rounds
 
 
@@ -163,6 +164,18 @@ class TestRunAsync:
                          stop=StopPolicy.budget(6), keep_trace=True)
         for a, b in zip(sync.trace, asyn.trace):
             assert a.m == b.m
+
+    @pytest.mark.parametrize("mode", [PERFECT, NONPERFECT])
+    @pytest.mark.parametrize("name", ["c4", "k4-appendix", "tri-neg", "tri-half", "p4"])
+    def test_pipeline_sync_schedule_is_the_synchronous_run(self, name, mode):
+        g = load_fixture(name)
+
+        def report(kind):
+            try:
+                return solve_pipeline(g, mode, schedule_kind=kind, certify=True).to_dict()
+            except GraphError as exc:
+                return repr(exc)
+        assert report("sync") == report(None)
 
     def test_round_robin_certified_matches_optimum(self, c4):
         w, opts = brute_force(c4, PERFECT)

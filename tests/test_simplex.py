@@ -84,10 +84,10 @@ def test_redundant_row_drops_the_artificials_own_row():
     # Phase one leaves an artificial basic on a redundant row whose tableau
     # position differs from the original row it belongs to.
     from bpmatch import Graph, PERFECT
-    from bpmatch.oracle import _build_relaxation
+    from bpmatch.oracle import _degree_lp
     g = Graph(6, [1] * 6, [(1, 3, 28), (1, 4, 27), (1, 6, 16), (2, 3, 28), (2, 4, 3),
                            (2, 6, 19), (3, 5, 19), (4, 5, 5), (5, 6, 14)])
-    A, b, c, idx = _build_relaxation(g, PERFECT)
+    A, b, c, idx = _degree_lp(g, PERFECT, {e: g.weight(*e) for e in g.edges()})
     A, b = A + [list(c)], b + [38]
     optimum = {(1, 6), (2, 4), (3, 5)}
     for cost, objective in (([0] * len(c), 0), (c, 38)):
