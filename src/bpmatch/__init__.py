@@ -15,8 +15,8 @@ from .schedule import (Schedule, ScheduleViolation, CoverageStats, ScheduleError
                        parse_schedule, serialize_schedule, validate_schedule,
                        coverage, run_async)
 from .ctree import (LabeledTree, TreeNode, BranchValue, TreeDPResult, TreeError,
-                    TreeSizeError, DegenerateTreeError, build_tree, build_gct_branch,
-                    build_gct, tree_bmatching_dp, tree_depth, tree_size, dump_tree)
+                    TreeSizeError, DegenerateTreeError, GCTBuilder, build_tree,
+                    tree_bmatching_dp, tree_depth, tree_size, dump_tree)
 from .oracle import (LPSolution, DualCertificate, CSReport, TightnessReport,
                      OracleError, InfeasibleError, GuardExceeded, CertificateError,
                      brute_force, solve_relaxation,

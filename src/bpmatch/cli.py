@@ -250,6 +250,7 @@ def cmd_certify(args) -> int:
 def cmd_tree_verify(args) -> int:
     _at_least(args.t_max, 0, "--t-max")
     g = parse_graph(_read(args.graph))
+    require_valid(g, PERFECT)
     red = reduce_trivial(g)
     if red.infeasible:
         _emit(args, {"instance": args.graph, "infeasible": True}, ["infeasible instance"])

@@ -21,6 +21,7 @@ engine's per-vertex estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 from .graph import Graph, ZERO, GraphError, edge_key
 
@@ -60,9 +61,7 @@ class TreeNode:
 @dataclass(frozen=True)
 class LabeledTree:
     root: TreeNode
-    kind: str  # "balanced" | "generalized" | "branch"
     graph: Graph
-    t: int
 
 
 def tree_size(tree: LabeledTree) -> int:
@@ -95,88 +94,59 @@ def build_tree(g: Graph, root: int, t: int, node_cap: int = DEFAULT_NODE_CAP) ->
     earlier where the unrolling runs out of neighbors (acyclic regions).  It
     is the generalized tree of the all-edges schedule, built with shared
     subtrees; `node_cap` still bounds the unrolled size."""
-    if t < 0:
-        raise TreeError("t must be >= 0")
-    if not 1 <= root <= g.n:
-        raise TreeError(f"vertex {root} out of range")
-    branches = _BranchBuilder(g, [frozenset(g.directed_edges())] * t)
-    return _rooted(branches, root, t, node_cap, "balanced")
+    return GCTBuilder(g, repeat(frozenset(g.directed_edges())), t).gct(root, t, node_cap)
 
 
-class _BranchBuilder:
-    """Schedule-driven computation branches, built forward in time.
+class GCTBuilder:
+    """Schedule-driven computation trees, built forward in time; the one
+    tree builder, so many trees over one schedule share their branches.
 
-    at[t][(i, j)] is the branch of (i -> j) after step t: the node labeled i
-    hanging under a parent labeled j.  An edge updated at step t gets a new
-    node over the step t-1 branches feeding it; any other edge keeps the
-    same node, so branches share every subtree that did not change."""
+    `steps` is any iterable of update sets, such as a Schedule; one that
+    ends before `t_max` continues with empty steps.  _at[t][(i, j)] is the
+    branch of (i -> j) after step t: the node labeled i hanging under a
+    parent labeled j.  An edge updated at step t gets a new node over the
+    step t-1 branches feeding it; any other edge keeps the same node, so
+    branches share every subtree that did not change."""
 
-    def __init__(self, g: Graph, sets):
+    def __init__(self, g: Graph, steps, t_max: int):
+        if t_max < 0:
+            raise TreeError("t must be >= 0")
         self.g = g
+        self.t_max = t_max
         node = {(i, j): TreeNode(i, g.weight(i, j), ()) for (i, j) in g.directed_edges()}
-        self.at = [node]
-        for updates in sets:
+        self._at = [node]
+        for updates in islice(chain(steps, repeat(())), t_max):
             prev, node = node, dict(node)
             for (i, j) in updates:
                 kids = tuple(prev[(r, i)] for r in g.neighbors(i) if r != j)
                 node[(i, j)] = TreeNode(i, prev[(i, j)].edge_weight, kids)
-            self.at.append(node)
-
-
-def _schedule_prefix(sched, t):
-    sets = sched.prefix(t)
-    if len(sets) < t:
-        sets = sets + [frozenset()] * (t - len(sets))
-    return sets
-
-
-def build_gct_branch(g: Graph, sched, edge, t: int,
-                     node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
-    """Computation branch of the directed edge (i -> j) at time t: a tree
-    rooted at j whose single child is the branch node of i."""
-    i, j = edge
-    if edge_key(i, j) not in g.weights():
-        raise TreeError(f"({i},{j}) is not an edge of the graph")
-    if t < 0:
-        raise TreeError("t must be >= 0")
-    return _rooted(_BranchBuilder(g, _schedule_prefix(sched, t)), j, t, node_cap, "branch", (i,))
-
-
-def build_gct(g: Graph, sched, root: int, t: int,
-              node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
-    """Generalized computation tree at time t: the root's branches are the
-    computation branches of all its incoming directed edges."""
-    return GCTBuilder(g, sched, t).gct(root, t, node_cap=node_cap)
-
-
-class GCTBuilder:
-    """Builds many generalized trees over one schedule, sharing branch memos
-    across roots and times."""
-
-    def __init__(self, g: Graph, sched, t_max: int):
-        self.g = g
-        self._inner = _BranchBuilder(g, _schedule_prefix(sched, t_max))
-        self.t_max = t_max
+            self._at.append(node)
 
     def gct(self, root: int, t: int, node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
+        """Generalized computation tree at time t: the root's branches are the
+        computation branches of all its incoming directed edges."""
         if not (1 <= root <= self.g.n):
             raise TreeError(f"vertex {root} out of range")
+        return self._rooted(root, self.g.neighbors(root), t, node_cap)
+
+    def branch(self, edge, t: int, node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
+        """Computation branch of the directed edge (i -> j) at time t: a tree
+        rooted at j whose single child is the branch node of i."""
+        i, j = edge
+        if not self.g.has_edge(i, j):
+            raise TreeError(f"({i},{j}) is not an edge of the graph")
+        return self._rooted(j, (i,), t, node_cap)
+
+    def _rooted(self, root, sources, t, node_cap) -> LabeledTree:
+        # the root's children are the branches at time t of the edges into
+        # it from `sources`
         if not 0 <= t <= self.t_max:
             raise TreeError(f"t must be within 0..{self.t_max}")
-        return _rooted(self._inner, root, t, node_cap, "generalized")
-
-
-def _rooted(branches: _BranchBuilder, root: int, t: int, node_cap: int, kind: str,
-            sources=None) -> LabeledTree:
-    # the root's branches are the computation branches at time t of the
-    # edges into it from `sources`, by default all its neighbors
-    g = branches.g
-    at = branches.at[t]
-    kids = tuple(at[(r, root)] for r in (g.neighbors(root) if sources is None else sources))
-    tree = LabeledTree(TreeNode(root, None, kids), kind, g, t)
-    if tree_size(tree) > node_cap:
-        raise TreeSizeError(f"tree exceeds {node_cap} nodes")
-    return tree
+        at = self._at[t]
+        tree = LabeledTree(TreeNode(root, None, tuple(at[(r, root)] for r in sources)), self.g)
+        if tree_size(tree) > node_cap:
+            raise TreeSizeError(f"tree exceeds {node_cap} nodes")
+        return tree
 
 
 # -- tree dynamic program ------------------------------------------------------------

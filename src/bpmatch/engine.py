@@ -263,7 +263,7 @@ class StopPolicy:
         rounds (K defaults to the vertex count); give up after `limit` rounds.
     certified(T): run exactly T rounds, T being an externally computed
         certified iteration bound.
-    coverage(threshold, limit): asynchronous runs only; stop at the first step
+    coverage(threshold): asynchronous runs only; stop at the first step
         where every directed edge has been updated more than `threshold` times.
     """
     kind: str
@@ -285,8 +285,8 @@ class StopPolicy:
         return cls("certified", iterations=int(iterations))
 
     @classmethod
-    def coverage(cls, threshold, limit=None):
-        return cls("coverage", threshold=threshold, limit=limit)
+    def coverage(cls, threshold):
+        return cls("coverage", threshold=threshold)
 
 
 @dataclass

@@ -292,8 +292,7 @@ class WeightRangeError(ValueError):
 
 
 def random_instance(rng: random.Random, n_max=6, mode=PERFECT,
-                    weight_lo=None, weight_hi=None, distinct=False,
-                    allow_b2=True) -> Graph:
+                    weight_lo=None, weight_hi=None, distinct=False) -> Graph:
     """Random simple graph with capacities admissible for the mode: every
     vertex keeps degree strictly above (perfect) or at least (non-perfect)
     its capacity, so perfect instances need no reduction."""
@@ -324,7 +323,7 @@ def random_instance(rng: random.Random, n_max=6, mode=PERFECT,
                 ok = False
                 break
             b = 1
-            if allow_b2 and deg[i] >= 2 + head and rng.random() < 0.2:
+            if deg[i] >= 2 + head and rng.random() < 0.2:
                 b = 2
             caps.append(b)
         if not ok:
@@ -347,7 +346,7 @@ def random_instance(rng: random.Random, n_max=6, mode=PERFECT,
         return Graph(n, caps, [(i, j, w) for (i, j), w in zip(chosen, weights)])
 
 
-def analyze_instance(g: Graph, mode: str, check_enumeration=True):
+def analyze_instance(g: Graph, mode: str):
     """One sweep step: oracle, consistency cross-checks, certified run."""
     row = {"n": g.n, "m": g.m, "mode": mode}
     try:
@@ -359,7 +358,7 @@ def analyze_instance(g: Graph, mode: str, check_enumeration=True):
     row["strong_duality"] = oracle.dual_objective(g, c.cert) == c.lp.objective
     row["cs_ok"] = c.cs_ok
     row["tight"] = c.tight
-    if check_enumeration and g.m <= oracle.ENUMERATION_GUARD:
+    if g.m <= oracle.ENUMERATION_GUARD:
         enum_tight, _ = tightness_by_enumeration(g, mode, c.lp.objective)
         row["tight_enum"] = enum_tight
         row["tight_agree"] = enum_tight == c.tight
@@ -374,13 +373,13 @@ def analyze_instance(g: Graph, mode: str, check_enumeration=True):
 
 
 def sweep(mode: str, instances=200, n_max=6, seed=0, weight_lo=None, weight_hi=None,
-          distinct=False, check_enumeration=True):
+          distinct=False):
     """Generate, certify, and solve random instances; aggregate the outcome."""
     rng = random.Random(seed)
     rows = []
     for _ in range(instances):
         g = random_instance(rng, n_max, mode, weight_lo, weight_hi, distinct)
-        rows.append(analyze_instance(g, mode, check_enumeration))
+        rows.append(analyze_instance(g, mode))
     feasible = [r for r in rows if r.get("feasible")]
     tight = [r for r in feasible if r.get("tight")]
     matches = [r for r in tight if r.get("match")]
@@ -417,10 +416,7 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
     builder = GCTBuilder(g, sched, t_max)
     memo = {}  # one tree-DP memo for every tree of the builder and init map
-    if sched.kind == "sync":
-        run = run_sync(g, PERFECT, init, StopPolicy.budget(t_max), keep_trace=True)
-    else:
-        run = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
+    run = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
     # u(t) for every t <= t_max in one pass over the schedule prefix
     counts = dict.fromkeys(g.directed_edges(), 0)
     u = [0]

@@ -157,27 +157,26 @@ def _gap(mode: str, w, y, e) -> Fraction:
     return w - y[i] - y[j] if mode == PERFECT else w + y[i] + y[j]
 
 
-def build_certificate(g: Graph, y, lam, mode: str, check: bool = True) -> DualCertificate:
+def build_certificate(g: Graph, y, lam, mode: str) -> DualCertificate:
     """Derive S / epsilon / L from dual values, verifying dual feasibility."""
     _require_mode(mode)
     y = {i: Fraction(y.get(i, 0)) for i in g.vertices()}
     lam = {e: Fraction(lam.get(e, 0)) for e in g.edges()}
-    if check:
-        problems = []
-        for e, l in lam.items():
-            if l < 0:
-                problems.append(f"lambda{e} = {l} < 0")
-        if mode == NONPERFECT:
-            for i, v in y.items():
-                if v < 0:
-                    problems.append(f"y[{i}] = {v} < 0 in non-perfect mode")
-        for e in g.edges():
-            cost = g.weight(*e) + lam[e]
-            bound = cost - _gap(mode, cost, y, e)  # y_i + y_j, negated if non-perfect
-            if cost < bound:
-                problems.append(f"edge {e}: w + lambda = {cost} < {bound}")
-        if problems:
-            raise CertificateError("dual infeasible: " + "; ".join(problems))
+    problems = []
+    for e, l in lam.items():
+        if l < 0:
+            problems.append(f"lambda{e} = {l} < 0")
+    if mode == NONPERFECT:
+        for i, v in y.items():
+            if v < 0:
+                problems.append(f"y[{i}] = {v} < 0 in non-perfect mode")
+    for e in g.edges():
+        cost = g.weight(*e) + lam[e]
+        bound = cost - _gap(mode, cost, y, e)  # y_i + y_j, negated if non-perfect
+        if cost < bound:
+            problems.append(f"edge {e}: w + lambda = {cost} < {bound}")
+    if problems:
+        raise CertificateError("dual infeasible: " + "; ".join(problems))
     gaps = {e: _gap(mode, g.weight(*e), y, e) for e in g.edges()}
     S = frozenset(e for e, v in gaps.items() if v != 0)
     epsilon = min((abs(gaps[e]) for e in S), default=None)
@@ -548,7 +547,7 @@ def parse_certificate(text: str, g: Graph, mode: str) -> DualCertificate:
                 if i == j:
                     raise CertificateError(f"line {lineno}: self-loop at vertex {i}")
                 e = edge_key(i, j)
-                if e not in g.weights():
+                if not g.has_edge(i, j):
                     raise CertificateError(f"line {lineno}: edge {e} not in graph")
                 lam[e] = Fraction(tokens[3])
             else:

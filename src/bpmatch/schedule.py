@@ -58,18 +58,25 @@ class CoverageStats:
 class Schedule:
     """Sequence of directed-edge update sets, materialized or generated.
 
-    Generated kinds are infinite and redundancy-free by construction;
-    materialized kinds (files, explicit lists) are finite and untrusted.
+    Generated kinds are infinite and redundancy-free by construction, so
+    they are trusted; materialized kinds (files, explicit lists) are finite
+    and untrusted.  `once` lists the directed edges a generated schedule
+    updates once and never again, because they cannot be re-updated
+    without redundancy.
     """
 
-    def __init__(self, kind, *, sets=None, factory=None, seed=None, trusted=False):
+    def __init__(self, kind, *, sets=None, factory=None, seed=None, once=()):
         if (sets is None) == (factory is None):
             raise ScheduleError("exactly one of sets/factory required")
         self.kind = kind
         self.seed = seed
-        self.trusted = trusted
+        self.once = tuple(once)
         self._sets = None if sets is None else [frozenset(s) for s in sets]
         self._factory = factory
+
+    @property
+    def trusted(self):
+        return self._sets is None
 
     def __len__(self):
         if self._sets is None:
@@ -128,11 +135,11 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         return factory
 
     if kind == "sync":
-        return Schedule("sync", factory=every_step(frozenset(dirs)), trusted=True)
+        return Schedule("sync", factory=every_step(frozenset(dirs)))
 
     if not dirs and kind in ("roundrobin", "random"):
         # nothing to update: empty steps forever, as under the sync schedule
-        return Schedule(kind, factory=every_step(frozenset()), seed=seed, trusted=True)
+        return Schedule(kind, factory=every_step(frozenset()), seed=seed)
 
     if kind == "roundrobin":
         repeat = sorted(_reupdatable(g))
@@ -144,7 +151,7 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
             while repeat:
                 for e in repeat:
                     yield frozenset((e,))
-        return Schedule("roundrobin", factory=factory, trusted=True)
+        return Schedule("roundrobin", factory=factory, once=once)
 
     if kind == "random":
         repeat = sorted(_reupdatable(g))
@@ -187,7 +194,7 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
                         if not up[x]:
                             up[x] = True
                             insort(ready, x)
-        return Schedule("random", factory=factory, seed=seed, trusted=True)
+        return Schedule("random", factory=factory, seed=seed, once=once)
 
     if kind == "explicit":
         if sets is None:
@@ -200,7 +207,7 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
             if foreign:
                 raise ScheduleError(f"step {t}: {foreign[0]} is not a directed edge of the graph")
             out.append(s)
-        return Schedule("explicit", sets=out, trusted=False)
+        return Schedule("explicit", sets=out)
 
     raise ScheduleError(f"unknown schedule kind {kind!r}")
 
@@ -283,15 +290,16 @@ def coverage(g: Graph, sched: Schedule, t: int) -> CoverageStats:
 
 def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
               stop: StopPolicy | None = None, mode: str = PERFECT,
-              check_redundancy: bool = True, keep_trace: bool = False,
-              max_steps: int = 200_000) -> RunResult:
+              check_redundancy: bool = True, keep_trace: bool = False) -> RunResult:
     """Drive message passing along a schedule.
 
     Untrusted schedules are checked for redundancies as they are consumed
     unless check_redundancy is False (the run is then uncertified).  A
     coverage stop triggers at the first step t with u(t) > stop.threshold.
-    Raises ScheduleExhausted when a finite schedule ends before the stop
-    condition is met.
+    Raises ScheduleError before the first step when a coverage stop needs
+    two or more updates of an edge that the schedule updates only once, and
+    ScheduleExhausted when a finite schedule ends before the stop condition
+    is met.
     """
     _check_input(g, mode)
     stop = stop or StopPolicy.coverage(0)
@@ -300,6 +308,10 @@ def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
     # a coverage stop needs every count above the threshold, i.e. at least
     # `need`; `pending` counts the directed edges still short of it
     need = floor(stop.threshold) + 1 if stop.kind == "coverage" else 0
+    if need > 1 and sched.once:
+        raise ScheduleError(
+            f"coverage stop unreachable: the {sched.kind} schedule updates {sched.once[0]} "
+            f"only once, and the stop needs {need} updates of every directed edge")
     pending = len(counts) if need > 0 else 0
 
     def steps():
@@ -307,8 +319,6 @@ def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
         it = iter(sched)
         t = 0
         while True:
-            if t >= max_steps:
-                raise ScheduleExhausted(f"stop condition not met within {max_steps} steps")
             updates = next(it, None)
             if updates is None:
                 raise ScheduleExhausted(

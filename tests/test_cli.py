@@ -164,6 +164,17 @@ class TestSolve:
         # threshold 2*4*(8 + 197)/7 = 234.3, so u must reach 235
         assert payload["bp"]["u"] == 235 and payload["certification"]["bound"] == 235
 
+    @pytest.mark.parametrize("schedule", ["roundrobin", "random:3"])
+    def test_unreachable_async_certified_stop_exits_two(self, capsys, tmp_path, schedule):
+        # the leaf's edge (4 -> 3) has no feeder, so a single-edge schedule
+        # updates it once and the certified coverage stop can never trigger
+        graph = tmp_path / "leaf.graph"
+        graph.write_text("4 4\n1 1 1 1\n1 2 -3\n2 3 -2\n1 3 -1\n3 4 -5\n")
+        code, out, err = run_cli(capsys, "solve", str(graph), "--mode", "nonperfect",
+                                 "--schedule", schedule, "--stop", "certified")
+        assert code == 2 and out == ""
+        assert "coverage stop unreachable" in err and "(4, 3) only once" in err
+
     def test_async_random_schedule_certified(self, capsys):
         code, out, _ = run_cli(capsys, "solve", fx("c4"), "--schedule", "random:7",
                                "--stop", "certified", "--certify", "--json")
@@ -280,6 +291,17 @@ class TestTreeVerify:
     def test_single_edge_schedule_on_a_reduced_away_instance(self, capsys):
         code, out, err = run_cli(capsys, "tree-verify", fx("p4"), "--schedule", "roundrobin")
         assert code == 0 and err == "" and "checks passed" in out
+
+    def test_invalid_graph_is_a_validation_error(self, capsys, tmp_path):
+        # capacity 2 at a degree-1 vertex: exit 2 before the reduction, as
+        # solve and certify do
+        path = tmp_path / "cap.graph"
+        path.write_text("3 2\n2 1 1\n1 2 1\n2 3 1\n")
+        code, out, err = run_cli(capsys, "tree-verify", str(path))
+        assert code == 2 and out == ""
+        assert "capacity 2 exceeds degree 1" in err
+        for cmd in ("solve", "certify"):
+            assert run_cli(capsys, cmd, str(path))[0] == 2
 
     def test_infeasible_instance_json(self, capsys, tmp_path):
         path = tmp_path / "p3.graph"

@@ -4,12 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, TreeSizeError,
-                     DegenerateTreeError, build_tree, build_gct_branch,
-                     build_gct, tree_bmatching_dp, tree_depth, tree_size,
+from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, TreeError, TreeSizeError,
+                     DegenerateTreeError, GCTBuilder, build_tree,
+                     tree_bmatching_dp, tree_depth, tree_size,
                      dump_tree, make_schedule, coverage, run_sync,
                      init_messages)
-from bpmatch.ctree import GCTBuilder
 from bpmatch.harness import tree_verify, random_instance
 from conftest import sync_rounds
 
@@ -87,7 +86,7 @@ def _leaves(node):
 class TestBuildGct:
     def test_time_zero_branch_is_single_edge(self, c4):
         sched = make_schedule(c4, "roundrobin")
-        tree = build_gct_branch(c4, sched, (1, 2), 0)
+        tree = GCTBuilder(c4, sched, 0).branch((1, 2), 0)
         assert tree.root.label == 2
         assert [c.label for c in tree.root.children] == [1]
         assert tree.root.children[0].children == ()
@@ -96,7 +95,7 @@ class TestBuildGct:
     def test_full_sync_branch_equals_balanced_branch(self, c4):
         sched = make_schedule(c4, "sync")
         for t in range(4):
-            branch = build_gct_branch(c4, sched, (2, 1), t)
+            branch = GCTBuilder(c4, sched, t).branch((2, 1), t)
             balanced = build_tree(c4, 1, t)
             bal_branch = next(c for c in balanced.root.children if c.label == 2)
             assert _shape(branch.root.children[0]) == _shape(bal_branch)
@@ -104,24 +103,24 @@ class TestBuildGct:
     def test_never_updated_edge_stays_single(self, c4):
         sets = [{(3, 4)}] * 6
         sched = make_schedule(c4, "explicit", sets=sets)
-        tree = build_gct_branch(c4, sched, (1, 2), 6)
+        tree = GCTBuilder(c4, sched, 6).branch((1, 2), 6)
         assert tree_size(tree) == 2
 
     def test_empty_schedule_gct_is_star(self, c4):
         sched = make_schedule(c4, "explicit", sets=[set()] * 3)
-        tree = build_gct(c4, sched, 1, 3)
+        tree = GCTBuilder(c4, sched, 3).gct(1, 3)
         assert tree_depth(tree) == 1
         assert [c.label for c in tree.root.children] == [2, 4]
 
     def test_full_sync_gct_equals_balanced(self, c4):
         sched = make_schedule(c4, "sync")
         for t in range(4):
-            assert _shape(build_gct(c4, sched, 1, t).root) == _shape(build_tree(c4, 1, t).root)
+            assert _shape(GCTBuilder(c4, sched, t).gct(1, t).root) == _shape(build_tree(c4, 1, t).root)
 
     def test_round_robin_depth_grows_with_cycles(self, c4):
         sched = make_schedule(c4, "roundrobin")
         cycle = len(c4.directed_edges())
-        depths = [tree_depth(build_gct(c4, sched, 1, k * cycle)) for k in range(4)]
+        depths = [tree_depth(GCTBuilder(c4, sched, k * cycle).gct(1, k * cycle)) for k in range(4)]
         assert depths == sorted(depths)
         for k in range(4):
             u = coverage(c4, sched, k * cycle).u
@@ -135,7 +134,7 @@ def _shape(node):
 class TestTreeDP:
     def test_single_edge_branch_base_case(self, c4):
         sched = make_schedule(c4, "roundrobin")
-        tree = build_gct_branch(c4, sched, (1, 2), 0)
+        tree = GCTBuilder(c4, sched, 0).branch((1, 2), 0)
         dp = tree_bmatching_dp(tree)
         assert dp.branches[1].w_plus == 1 and dp.branches[1].w_minus == 0
         assert dp.branches[1].n == 1
@@ -172,7 +171,7 @@ class TestTreeDP:
         from bpmatch.ctree import TreeNode, LabeledTree
         leaf = TreeNode(3, F(1), ())
         inner = TreeNode(2, F(1), (leaf,))
-        tree = LabeledTree(TreeNode(1, None, (inner,)), "branch", g, 1)
+        tree = LabeledTree(TreeNode(1, None, (inner,)), g)
         with pytest.raises(DegenerateTreeError):
             tree_bmatching_dp(tree)
 
@@ -187,7 +186,7 @@ class TestEquivalence:
     def test_balanced_matches_engine_on_random_graphs(self):
         rng = random.Random(21)
         for _ in range(8):
-            g = random_instance(rng, n_max=6, mode=PERFECT, allow_b2=True)
+            g = random_instance(rng, n_max=6, mode=PERFECT)
             rows, ok, first = tree_verify(g, 4)
             assert ok, first
 
@@ -205,7 +204,7 @@ class TestEquivalence:
             for t in (0, 5, 9, 17, 24):
                 u = coverage(c4, sched, t).u
                 for (i, j) in c4.directed_edges():
-                    d = tree_depth(build_gct_branch(c4, sched, (i, j), t))
+                    d = tree_depth(GCTBuilder(c4, sched, t).branch((i, j), t))
                     assert d >= u
 
     def test_arbitrary_init_equals_dp_with_leaf_values(self, c4):
@@ -257,3 +256,35 @@ class TestWork:
         assert ok, first
         assert len(rows) == c4.n * (t_max + 1)
         assert 0 < len(built) <= nodes
+
+
+class TestBuilder:
+    def test_schedule_shorter_than_t_max_continues_with_empty_steps(self, c4):
+        sched = make_schedule(c4, "explicit", sets=[{(1, 2), (3, 4)}, {(2, 3)}])
+        builder = GCTBuilder(c4, sched, 5)
+        # step 2 grows (2 -> 3) over the (1 -> 2) that step 1 grew
+        assert tree_size(builder.branch((2, 3), 2)) == 4
+        for root in c4.vertices():
+            at_two = dump_tree(builder.gct(root, 2))
+            for t in range(3, 6):
+                assert dump_tree(builder.gct(root, t)) == at_two
+        for e in c4.directed_edges():
+            at_two = dump_tree(builder.branch(e, 2))
+            assert all(dump_tree(builder.branch(e, t)) == at_two for t in range(3, 6))
+
+    def test_out_of_range_requests_rejected(self, c4):
+        builder = GCTBuilder(c4, make_schedule(c4, "sync"), 3)
+        with pytest.raises(TreeError, match="vertex 5 out of range"):
+            builder.gct(5, 1)
+        with pytest.raises(TreeError, match="vertex 0 out of range"):
+            builder.gct(0, 1)
+        with pytest.raises(TreeError, match=r"within 0\.\.3"):
+            builder.gct(1, 4)
+        with pytest.raises(TreeError, match=r"within 0\.\.3"):
+            builder.branch((1, 2), 4)
+        with pytest.raises(TreeError, match=r"\(1,3\) is not an edge"):
+            builder.branch((1, 3), 1)
+        with pytest.raises(TreeError, match="t must be >= 0"):
+            build_tree(c4, 1, -1)
+        with pytest.raises(TreeError, match="t must be >= 0"):
+            GCTBuilder(c4, make_schedule(c4, "sync"), -1)

@@ -22,7 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: E402
                      MessageInit, MessageState, Estimate, CoverageStats,
-                     run_sync, run_async, make_schedule, build_tree, build_gct,
+                     run_sync, run_async, make_schedule, build_tree,
                      dump_tree, tree_bmatching_dp, tree_size, tree_depth,
                      extract_estimate, brute_force, solve_relaxation, is_tight,
                      tightness_by_enumeration, iteration_bound, coverage_threshold,
@@ -104,7 +104,7 @@ def _balanced_reference(g, root, t):
         kids = tuple(s for s in g.neighbors(label) if s != parent)
         return TreeNode(label, w, tuple(expand(s, label, depth + 1) for s in kids))
 
-    return LabeledTree(expand(root, None, 0), "balanced", g, t)
+    return LabeledTree(expand(root, None, 0), g)
 
 
 def _count(node):
@@ -122,7 +122,7 @@ def test_balanced_tree_is_the_sync_gct(g, t, data):
     tree = build_tree(g, root, t)
     ref = _balanced_reference(g, root, t)
     assert dump_tree(tree) == dump_tree(ref)
-    assert dump_tree(build_gct(g, make_schedule(g, "sync"), root, t)) == dump_tree(ref)
+    assert dump_tree(GCTBuilder(g, make_schedule(g, "sync"), t).gct(root, t)) == dump_tree(ref)
     assert tree_size(tree) == _count(ref.root)
     assert tree_depth(tree) == _min_depth(ref.root)
 
@@ -153,7 +153,8 @@ def test_engine_equals_tree_dp(g, t_max, kind, equal_weights, explicit_init, dat
     for t, state in enumerate(run.trace):
         est = extract_estimate(g, state, PERFECT)
         for root in g.vertices():
-            tree = build_tree(g, root, t) if sched.kind == "sync" else build_gct(g, sched, root, t)
+            tree = (build_tree(g, root, t) if sched.kind == "sync"
+                    else GCTBuilder(g, sched, t).gct(root, t))
             dp = tree_bmatching_dp(tree, init_map)
             for r in g.neighbors(root):
                 assert dp.branches[r].n == state.value(r, root)

@@ -8,7 +8,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, GraphError,
                      RedundantScheduleError, ScheduleExhausted, make_schedule,
                      parse_schedule, serialize_schedule, validate_schedule,
                      coverage, run_async, run_sync, init_messages, brute_force,
-                     solve_relaxation, coverage_threshold)
+                     solve_relaxation, coverage_threshold, MessageInit)
 from bpmatch.harness import solve_pipeline
 from conftest import async_step, load_fixture, random_graph_any, sync_rounds
 
@@ -227,6 +227,31 @@ class TestRunAsync:
         g = Graph(0, (), ())
         res = run_async(g, make_schedule(g, "sync"), stop=StopPolicy.coverage(5))
         assert res.iterations == 0 and res.converged
+
+    @pytest.mark.parametrize("kind,seed", [("roundrobin", None), ("random", 4)])
+    def test_unreachable_coverage_stop_rejected_before_the_first_step(self, kind, seed):
+        # vertex 4 is a leaf: (4 -> 3) has no feeder, so a single-edge
+        # schedule updates it once and u(t) never exceeds 1
+        g = Graph(4, [1] * 4, [(1, 2, -3), (2, 3, -2), (1, 3, -1), (3, 4, -5)])
+        sched = make_schedule(g, kind, seed=seed)
+        assert sched.once == ((4, 3),)
+        with pytest.raises(ScheduleError, match=r"\(4, 3\) only once"):
+            run_async(g, sched, stop=StopPolicy.coverage(1), mode=NONPERFECT)
+        # one update of every edge is within reach
+        res = run_async(g, sched, stop=StopPolicy.coverage(F(1, 2)), mode=NONPERFECT)
+        assert res.converged and res.coverage.u == 1
+
+    def test_coverage_stop_past_two_hundred_thousand_steps(self):
+        # a large init lifts the certified threshold to 80032/3, so the run
+        # needs 26 678 round-robin cycles of the 8 directed edges
+        g = load_fixture("c4")
+        init = MessageInit.constant(10000)
+        _, cert = solve_relaxation(g, PERFECT)
+        thr = coverage_threshold(g, cert, PERFECT, init)
+        assert thr == F(80032, 3)
+        res = run_async(g, make_schedule(g, "roundrobin"), init, StopPolicy.coverage(thr))
+        assert (res.iterations, res.coverage.u) == (213_424, 26_678)
+        assert res.converged and res.estimate.edges == frozenset({(1, 2), (3, 4)})
 
 
 class TestFiles:
