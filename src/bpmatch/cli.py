@@ -145,16 +145,12 @@ def cmd_solve(args) -> int:
     init = _parse_init(args.init, g)
     stop_spec = _parse_stop(args.stop)
     kind, seed, sets = _parse_schedule_flag(args.schedule, g)
-    cert_override = None
-    if args.dual_file:
-        # the override applies to the reduced graph the engine runs on
-        work = reduce_trivial(g).graph if args.mode == PERFECT else g
-        cert_override = parse_certificate(_read(args.dual_file), work, args.mode)
+    dual_text = _read(args.dual_file) if args.dual_file else None
 
     report = solve_pipeline(g, args.mode, instance_name=args.graph, init=init,
                             stop_spec=stop_spec, schedule_kind=kind,
                             schedule_seed=seed, schedule_sets=sets,
-                            certify=args.certify, cert_override=cert_override,
+                            certify=args.certify, dual_text=dual_text,
                             force_schedule=args.force, keep_trace=bool(args.trace))
     if args.trace and report.run is not None:
         _write_trace(args.trace, report.run.trace)

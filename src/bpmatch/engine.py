@@ -17,9 +17,13 @@ messages, ties broken by the smaller neighbor label (perfect), or those of
 them whose message is strictly negative (non-perfect); the global estimate
 is the union over vertices.
 
-Runs work on messages scaled to exact integers (see _Net) and recompute
-only the selections a step can change; every public value (MessageState,
-traces, estimates) is the same exact rational as the unscaled rule gives.
+A step of an asynchronous schedule recomputes only the directed edges in
+its update set, all from the state before the step; a synchronous round is
+the step that updates every directed edge, and the kernel has one step path
+for every update set.  Runs work on messages scaled to exact integers (see
+_Net) and recompute only the selections a step can change; every public
+value (MessageState, traces, estimates) is the same exact rational as the
+unscaled rule gives.
 """
 
 from __future__ import annotations
@@ -120,13 +124,14 @@ class _Net:
     """A graph compiled for the kernel.
 
     Directed edge k is g.directed_edges()[k], so the edges out of vertex i
-    hold the consecutive ids out[i], in neighbor order; rev[k] is the reverse
-    of edge k, inc[i] lists the edges into i in neighbor order and `linked`
-    the vertices with at least one edge, in order.  Weights and messages are
-    multiplied by `scale`, the least common denominator of the weights and
-    of the initial messages `values`.  The update rule only subtracts, takes
-    min(0, .) and compares, so every later message is an exact int too,
-    scale times its rational value, in the same order."""
+    hold the consecutive ids out[i], in neighbor order, and sorted ids come
+    grouped by tail vertex; rev[k] is the reverse of edge k, tail[k] and
+    head[k] its endpoints, and inc[i] lists the edges into i in neighbor
+    order.  Weights and messages are multiplied by `scale`, the least common
+    denominator of the weights and of the initial messages `values`.  The
+    update rule only subtracts, takes min(0, .) and compares, so every later
+    message is an exact int too, scale times its rational value, in the same
+    order."""
 
     def __init__(self, g: Graph, values):
         dirs = g.directed_edges()
@@ -144,7 +149,6 @@ class _Net:
             self.inc.append(tuple(ids[(l, i)] for l in g.neighbors(i)))
             first = ids[(i, g.neighbors(i)[0])] if g.degree(i) else 0
             self.out.append(range(first, first + g.degree(i)))
-        self.linked = [i for i in g.vertices() if g.degree(i)]
         self.cap = (0,) + g.capacities()
         self.w = [self.up(g.weight(i, j)) for (i, j) in dirs]
 
@@ -155,52 +159,36 @@ class _Net:
     def down(self, v) -> Fraction:
         return Fraction(v, self.scale)
 
-    def state(self, t, msgs) -> MessageState:
-        return MessageState(t, {e: self.down(v) for e, v in zip(self.dirs, msgs)})
 
-
-def _round(net: _Net, msgs: list, mode: str, updates=None) -> list:
-    """One step on scaled messages: recompute the edge ids in `updates`, or
-    every directed edge when it is None, from the values at t-1 in `msgs`.
-    A partial step computes all its new values before it writes any of them
-    into `msgs`, and returns `msgs`; an all-edges step returns a fresh list.
+def _round(net: _Net, msgs: list, mode: str, ids) -> None:
+    """One step on scaled messages, the same for every update set (all
+    edges, one edge or any subset): recompute the edge ids `ids`, in sorted
+    order, from the values at t-1 in `msgs`, computing every new value
+    before writing any.  Sorted ids come grouped by tail vertex, so each
+    tail sorts its incoming messages once per step.
 
     For an edge i -> j with lo and hi the b_i-th and (b_i+1)-th smallest
     messages into i, the b_i-th smallest with j's message excluded is hi when
     m(j -> i) <= lo and lo otherwise."""
     perfect = mode == PERFECT
-    w, cap, inc = net.w, net.cap, net.inc
-    if updates is None:
-        new = []
-        for i in net.linked:
-            out, b = net.out[i], cap[i]
-            if not perfect and len(out) <= b:
-                new.extend(w[k] for k in out)
-                continue
-            vals = [msgs[r] for r in inc[i]]
-            s = sorted(vals)
-            lo, hi = s[b - 1], s[b]
-            for k, x in zip(out, vals):
-                kth = hi if x <= lo else lo
-                new.append(w[k] - kth if perfect or kth < 0 else w[k])
-        return new
-    bounds = {}
-    writes = []
-    for k in updates:
-        i = net.tail[k]
-        b = cap[i]
-        if not perfect and len(net.out[i]) <= b:
-            writes.append((k, w[k]))
+    w, cap, inc, out, rev, tail = net.w, net.cap, net.inc, net.out, net.rev, net.tail
+    new = []
+    i = None
+    for k in ids:
+        if tail[k] != i:
+            i = tail[k]
+            b = cap[i]
+            free = not perfect and len(out[i]) <= b
+            if not free:
+                s = sorted([msgs[r] for r in inc[i]])
+                lo, hi = s[b - 1], s[b]
+        if free:
+            new.append(w[k])
             continue
-        if i not in bounds:
-            s = sorted([msgs[r] for r in inc[i]])
-            bounds[i] = s[b - 1], s[b]
-        lo, hi = bounds[i]
-        kth = hi if msgs[net.rev[k]] <= lo else lo
-        writes.append((k, w[k] - kth if perfect or kth < 0 else w[k]))
-    for k, v in writes:
+        kth = hi if msgs[rev[k]] <= lo else lo
+        new.append(w[k] - kth if perfect or kth < 0 else w[k])
+    for k, v in zip(ids, new):
         msgs[k] = v
-    return msgs
 
 
 # -- estimates ----------------------------------------------------------------
@@ -331,7 +319,10 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     start = (init or MessageInit.weights()).build(g)
     net = _Net(g, start.values())
     msgs = [net.up(start[e]) for e in net.dirs]
-    eid, head, inc = net.ids, net.head, net.inc
+    dirs, eid, head, inc = net.dirs, net.ids, net.head, net.inc
+    # update set -> its edge ids and its heads, both sorted: each distinct
+    # set is worked out once per run (a sync run has one)
+    plans = {}
     select = _select
     sel = [()] * (g.n + 1)
     tie = [False] * (g.n + 1)
@@ -378,22 +369,19 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             break
         updates = next(it)
         t += 1
-        if len(updates) == len(net.dirs):
-            msgs = _round(net, msgs, mode)
-            if keep_trace:
-                trace.append(net.state(t, msgs))
-            heads = net.linked
-        else:
-            ids = [eid[e] for e in updates]
-            _round(net, msgs, mode, ids)
-            if keep_trace:
-                m = dict(trace[-1].m)
-                for k in ids:
-                    m[net.dirs[k]] = net.down(msgs[k])
-                trace.append(MessageState(t, m))
-            # in vertex order, so an error names the vertex a full
+        plan = plans.get(updates)
+        if plan is None:
+            ids = sorted(eid[e] for e in updates)
+            # heads in vertex order, so an error names the vertex a full
             # extraction would
-            heads = sorted({head[k] for k in ids})
+            plan = plans[updates] = ids, sorted({head[k] for k in ids})
+        ids, heads = plan
+        _round(net, msgs, mode, ids)
+        if keep_trace:
+            m = dict(trace[-1].m)
+            for k in ids:
+                m[dirs[k]] = net.down(msgs[k])
+            trace.append(MessageState(t, m))
         if refresh(heads):
             now = frozenset(cur)
             if now != edges:

@@ -18,7 +18,7 @@ from .ctree import GCTBuilder, tree_bmatching_dp, tree_depth
 from . import oracle
 from .oracle import (brute_force, solve_relaxation, is_tight, check_cs,
                      iteration_bound, coverage_threshold,
-                     tightness_by_enumeration, InfeasibleError,
+                     tightness_by_enumeration, parse_certificate, InfeasibleError,
                      LPSolution, DualCertificate)
 
 
@@ -199,10 +199,12 @@ def _resolve_stop(stop_spec, g: Graph, certification, mode, init, is_async, note
 def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
                    init: MessageInit | None = None, stop_spec=None,
                    schedule_kind=None, schedule_seed=None, schedule_sets=None,
-                   certify=False, cert_override=None, force_schedule=False,
+                   certify=False, dual_text=None, force_schedule=False,
                    keep_trace=False) -> ExperimentReport:
     """Full solve: validate, reduce (perfect), run message passing, restore
-    forced edges, and optionally certify against the oracle."""
+    forced edges, and optionally certify against the oracle.  `dual_text`,
+    the text of a dual certificate file, is parsed against the reduced
+    instance once the reduction has found it feasible."""
     t0 = time.monotonic()
     notes = []
     require_valid(g, mode)
@@ -222,6 +224,10 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
         if init is not None and init.kind == "explicit" and not reduction.is_identity:
             init = _relabel_init(init, reduction)
             notes.append("initial messages relabeled onto the reduced instance")
+
+    cert_override = None
+    if dual_text is not None:
+        cert_override = parse_certificate(dual_text, work, mode)
 
     want_oracle = certify or (stop_spec is not None and stop_spec[0] == "certified")
     certification = None

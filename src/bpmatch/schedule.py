@@ -19,7 +19,7 @@ from __future__ import annotations
 import random as _random
 from bisect import insort
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat as forever
 from math import floor
 
 from .graph import Graph, PERFECT, GraphError
@@ -121,36 +121,31 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         at a time from the edges whose re-update is fed, so the result is
         redundancy-free by construction.
     explicit: the given list of update sets, verbatim (untrusted).
-    On a graph with no directed edges every generated schedule is empty
-    steps forever.
+    Generated schedules are infinite: on a graph where no directed edge can
+    be re-updated without redundancy (one with no directed edges included),
+    roundrobin and random take empty steps forever after their single
+    updates.
     """
     dirs = g.directed_edges()
     if kind == "random" and seed is None:
         raise ScheduleError("random schedules need a seed")
 
-    def every_step(updates):
-        def factory():
-            while True:
-                yield updates
-        return factory
-
     if kind == "sync":
-        return Schedule("sync", factory=every_step(frozenset(dirs)))
-
-    if not dirs and kind in ("roundrobin", "random"):
-        # nothing to update: empty steps forever, as under the sync schedule
-        return Schedule(kind, factory=every_step(frozenset()), seed=seed)
+        every = frozenset(dirs)
+        return Schedule("sync", factory=lambda: forever(every))
 
     if kind == "roundrobin":
         repeat = sorted(_reupdatable(g))
         once = [e for e in dirs if e not in set(repeat)]
+        singles = [frozenset((e,)) for e in repeat]
 
         def factory():
             for e in once:
                 yield frozenset((e,))
-            while repeat:
-                for e in repeat:
-                    yield frozenset((e,))
+            if not repeat:
+                yield from forever(frozenset())
+            while True:
+                yield from singles
         return Schedule("roundrobin", factory=factory, once=once)
 
     if kind == "random":
@@ -170,7 +165,7 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
             for e in sorted(once, key=lambda _: rng.random()):
                 yield frozenset((e,))
             if not repeat:
-                return
+                yield from forever(frozenset())
             cycle = list(range(len(repeat)))
             rng.shuffle(cycle)
             while True:

@@ -148,6 +148,25 @@ class TestSolve:
         sync.pop("schedule")
         assert payload == sync
 
+    @pytest.mark.parametrize("stop", ["budget=10", "window=3"])
+    @pytest.mark.parametrize("schedule", ["roundrobin", "random:3"])
+    def test_single_edge_schedule_where_no_edge_can_be_re_updated(self, capsys, tmp_path,
+                                                                 schedule, stop):
+        # no directed edge of a path has a feeder, so each is updated once;
+        # a generated schedule then takes empty steps, and the run stops as
+        # the all-edges one does
+        path = tmp_path / "path.graph"
+        path.write_text("3 2\n1 1 1\n1 2 -1\n2 3 -1\n")
+        argv = ("solve", str(path), "--mode", "nonperfect", "--stop", stop, "--json")
+        code, out, _ = run_cli(capsys, *argv, "--schedule", "sync")
+        assert code == 0
+        sync = json.loads(out)["estimate"]
+        code, out, err = run_cli(capsys, *argv, "--schedule", schedule)
+        payload = json.loads(out)
+        assert code == 0 and err == ""
+        assert payload["estimate"] == sync == [[1, 2]]
+        assert payload["bp"]["u"] == 1
+
     def test_async_certified_stop_grows_with_the_init(self, capsys, tmp_path):
         # weights start L at 8; this init adds 197, and the coverage stop must
         # grow with it as the synchronous bound does
@@ -224,6 +243,19 @@ class TestSolve:
             code, out, err = run_cli(capsys, *argv, "--dual-file", str(cert))
             assert code == 2 and out == ""
             assert err == "error: line 2: self-loop at vertex 2\n"
+
+    def test_dual_file_on_an_instance_the_reduction_proves_infeasible(self, capsys, tmp_path):
+        # the reduction finds the instance infeasible before the dual file,
+        # which names a vertex the reduced graph lacks, is read: exit 3, as
+        # certify gives
+        path = tmp_path / "p3.graph"
+        path.write_text("3 2\n1 1 1\n1 2 1\n2 3 1\n")
+        cert = tmp_path / "p3.cert"
+        cert.write_text("y 1 0\n")
+        for argv in (("certify", str(path)), ("solve", str(path), "--certify")):
+            code, out, err = run_cli(capsys, *argv, "--dual-file", str(cert), "--json")
+            assert code == 3 and err == ""
+            assert json.loads(out)["infeasible"] is True
 
     def test_suboptimal_dual_file_rejected(self, capsys, tmp_path):
         cert = tmp_path / "bad.cert"

@@ -233,6 +233,15 @@ class TestWork:
         assert res.iterations == steps
         assert len(calls) == c4.n + steps
 
+    def test_mixed_steps_recompute_each_distinct_head_once(self, c4, calls):
+        from bpmatch import make_schedule, run_async
+        # steps of several edges, listed out of order, some sharing a head
+        sets = [[(3, 2), (1, 2), (2, 3)], [(4, 1), (3, 4), (2, 1), (1, 4)],
+                [(4, 3), (1, 2), (2, 3)]]
+        run_async(c4, make_schedule(c4, "explicit", sets=sets), stop=StopPolicy.budget(3),
+                  check_redundancy=False)
+        assert calls == [1, 2, 3, 4] + [2, 3] + [1, 4] + [2, 3]
+
     def test_sync_rounds_recompute_every_vertex(self, c4, calls):
         rounds = 9
         run_sync(c4, PERFECT, stop=StopPolicy.budget(rounds))

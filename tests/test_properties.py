@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: E402
                      MessageInit, MessageState, Estimate, CoverageStats,
@@ -248,24 +248,48 @@ def _inits(g):
                   st.fixed_dictionaries({d: fractions for d in g.directed_edges()})))
 
 
+@st.composite
+def _mixed_steps(draw, g, length=128):
+    """Explicit update sets that are neither one edge nor all edges: a drawn
+    partition of the directed edges into parts of two or more and up to two
+    drawn subsets, each listed in drawn order, the parts in drawn order,
+    repeated to `length` steps, more than any stop of the tests needs.  The
+    result may be redundant.  A graph without edges gets empty steps."""
+    dirs = g.directed_edges()
+    if not dirs:
+        return [[]] * length
+    order = draw(st.permutations(dirs))
+    # len(dirs) is even and at least 6, so every part has two or more edges
+    cuts = draw(st.lists(st.sampled_from(range(2, len(dirs) - 1, 2)), min_size=1,
+                         unique=True))
+    bounds = [0] + sorted(cuts) + [len(dirs)]
+    parts = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    parts += draw(st.lists(st.lists(st.sampled_from(dirs), min_size=2,
+                                    max_size=len(dirs) - 1, unique=True), max_size=2))
+    parts = draw(st.permutations(parts))
+    return [parts[t % len(parts)] for t in range(length)]
+
+
 @SETTINGS
 @given(st.sampled_from([PERFECT, NONPERFECT]).flatmap(
            lambda mode: st.tuples(st.just(mode), graphs(mode, (1, 2, 3, 7)))),
-       st.sampled_from([("sync", None), ("roundrobin", None), ("random", 3), ("random", 11)]),
+       st.sampled_from([("sync", None), ("roundrobin", None), ("random", 3), ("random", 11),
+                        ("explicit", None)]),
        st.one_of(STOPS, st.builds(StopPolicy.coverage,
                                   st.sampled_from([0, 1, Fraction(5, 2), -1]))),
        st.booleans(), st.data())
 def test_integer_run_equals_rational_stepper(instance, kind, stop, keep_trace, data):
     mode, g = instance
-    # an edgeless graph has an empty single-edge schedule: only a coverage
-    # stop (met at once) ends such a run without exhausting it
-    assume(g.m or kind[0] == "sync" or stop.kind == "coverage")
     init = data.draw(_inits(g))
-    sched = make_schedule(g, kind[0], seed=kind[1])
-    runs = [run_async(g, sched, init, stop, mode, keep_trace=keep_trace)]
+    sets = data.draw(_mixed_steps(g)) if kind[0] == "explicit" else None
+    sched = make_schedule(g, kind[0], seed=kind[1], sets=sets)
+    # generated schedules are trusted; mixed steps may be redundant
+    runs = [run_async(g, sched, init, stop, mode, check_redundancy=False,
+                      keep_trace=keep_trace)]
     if sched.kind == "sync" and stop.kind != "coverage":
         runs.append(run_sync(g, mode, init, stop, keep_trace))
-    want, counts = _rational_run(g, mode, init, stop, make_schedule(g, kind[0], seed=kind[1]))
+    want, counts = _rational_run(g, mode, init, stop,
+                                 make_schedule(g, kind[0], seed=kind[1], sets=sets))
     states = want["trace"]
     if not keep_trace:
         want["trace"] = None
@@ -274,7 +298,8 @@ def test_integer_run_equals_rational_stepper(instance, kind, stop, keep_trace, d
             assert getattr(run, name) == value, name
         assert run.estimate == extract_estimate(g, states[-1], mode)
     asyn = runs[0]
-    assert validate_schedule(g, sched, asyn.iterations) is None
+    if sched.trusted:
+        assert validate_schedule(g, sched, asyn.iterations) is None
     assert asyn.coverage == CoverageStats(asyn.iterations, counts, min(counts.values(), default=0))
     assert asyn.schedule_kind == sched.describe()
 

@@ -62,7 +62,8 @@ def _reference_random_prefix(g, seed, horizon):
     over the re-updatable edges; then cycles drawn one edge at a time,
     uniformly from the ready edges in sorted order.  An undrawn edge is
     ready when a feeding edge lies in its window: after it in the last
-    cycle, or drawn earlier in this one."""
+    cycle, or drawn earlier in this one.  With no re-updatable edge, the
+    single updates are followed by empty steps."""
     alive = set(g.directed_edges())
     while True:
         dead = {(i, j) for (i, j) in alive
@@ -81,6 +82,8 @@ def _reference_random_prefix(g, seed, horizon):
     out = [frozenset((e,)) for e in sorted(once, key=lambda _: rng.random())]
     cycle = repeat[:]
     rng.shuffle(cycle)
+    if not repeat:
+        out += [frozenset()] * horizon
     while repeat and len(out) < horizon:
         out += [frozenset((e,)) for e in cycle]
         prev, cycle = cycle, []
