@@ -1,7 +1,7 @@
 """Min-sum message passing for minimum-weight b-matchings, with an exact
-verification stack: exhaustive search, rational-simplex LP relaxation and
-duals, complementary slackness, tightness detection, computation-tree
-reference semantics, and asynchronous schedules."""
+verification stack: exhaustive search, LP relaxation and duals from an exact
+integer simplex, complementary slackness, tightness detection,
+computation-tree reference semantics, and asynchronous schedules."""
 
 from .graph import (Graph, Matching, Reduction, Violation, GraphError,
                     GraphParseError, ValidationError, PERFECT, NONPERFECT,

@@ -128,7 +128,8 @@ class _Net:
     grouped by tail vertex; rev[k] is the reverse of edge k, tail[k] and
     head[k] its endpoints, and inc[i] lists the edges into i in neighbor
     order.  Weights and messages are multiplied by `scale`, the least common
-    denominator of the weights and of the initial messages `values`.  The
+    denominator of the weights and of the initial messages `values`, all of
+    them Fractions, as Graph and MessageInit.build make them.  The
     update rule only subtracts, takes min(0, .) and compares, so every later
     message is an exact int too, scale times its rational value, in the same
     order."""
@@ -138,8 +139,7 @@ class _Net:
         ids = {e: k for k, e in enumerate(dirs)}
         self.dirs = dirs
         self.ids = ids
-        self.scale = lcm(*(Fraction(v).denominator
-                           for v in chain(g.weights().values(), values)))
+        self.scale = lcm(*(v.denominator for v in chain(g.weights().values(), values)))
         self.rev = [ids[(j, i)] for (i, j) in dirs]
         self.head = [j for (_, j) in dirs]
         self.tail = [i for (i, _) in dirs]
@@ -153,7 +153,6 @@ class _Net:
         self.w = [self.up(g.weight(i, j)) for (i, j) in dirs]
 
     def up(self, v) -> int:
-        v = Fraction(v)
         return v.numerator * (self.scale // v.denominator)
 
     def down(self, v) -> Fraction:

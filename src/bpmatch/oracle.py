@@ -1,10 +1,11 @@
 """Ground truth for desk-scale instances.
 
 Everything here is exact: exhaustive enumeration of optimal matchings, the
-linear relaxation and its dual solved by rational simplex, complementary
-slackness checking, a tightness decision (does the relaxation admit any
-fractional optimum?) made with at most one LP over the optimal face on top
-of the relaxation, and the certified iteration bound for the engine.
+linear relaxation and its dual solved by the fraction-free integer simplex of
+`bpmatch.simplex`, complementary slackness checking, a tightness decision
+(does the relaxation admit any fractional optimum?) made with at most one LP
+over the optimal face on top of the relaxation, and the certified iteration
+bound for the engine.
 
 The relaxation and the optimal-face LP of the tightness decision are one
 degree LP: the relaxation is the face LP with every edge free.
@@ -47,10 +48,6 @@ class GuardExceeded(OracleError):
 
 
 class CertificateError(OracleError):
-    pass
-
-
-class NotTightError(OracleError):
     pass
 
 
@@ -200,6 +197,7 @@ def _degree_lp(g: Graph, mode: str, cost, fixed_one=(), equality_vertices=()):
     Columns: x, the non-equality vertices' slacks, the x <= 1 slacks.  Rows:
     one per vertex, dropped when empty with zero right-hand side (never
     without fixed edges, capacities being positive), then the x <= 1 caps.
+    A and b are ints, as `solve_lp` requires; the costs stay rational.
     """
     idx = {e: k for k, e in enumerate(cost)}
     nvar = len(idx)
@@ -212,28 +210,28 @@ def _degree_lp(g: Graph, mode: str, cost, fixed_one=(), equality_vertices=()):
     ncols = nvar + len(ineq) + nvar
     A, b = [], []
     for i in g.vertices():
-        row = [ZERO] * ncols
+        row = [0] * ncols
         touched = False
         for j in g.neighbors(i):
             e = edge_key(i, j)
             if e in idx:
-                row[idx[e]] = Fraction(1)
+                row[idx[e]] = 1
                 touched = True
         if i in slack_v:
-            row[nvar + slack_v[i]] = Fraction(1)
+            row[nvar + slack_v[i]] = 1
             touched = True
-        rhs = Fraction(g.cap(i) - forced[i])
+        rhs = g.cap(i) - forced[i]
         if rhs < 0:
             raise OracleError("optimal face bookkeeping went negative")
         if touched or rhs != 0:
             A.append(row)
             b.append(rhs)
     for k in range(nvar):
-        row = [ZERO] * ncols
-        row[k] = Fraction(1)
-        row[nvar + len(ineq) + k] = Fraction(1)
+        row = [0] * ncols
+        row[k] = 1
+        row[nvar + len(ineq) + k] = 1
         A.append(row)
-        b.append(Fraction(1))
+        b.append(1)
     c = list(cost.values()) + [ZERO] * (ncols - nvar)
     return A, b, c, idx
 

@@ -1,21 +1,34 @@
-"""Exact two-phase primal simplex over the rationals.
+"""Exact two-phase primal simplex on a fraction-free integer tableau.
 
 Solves  min c.x  subject to  A x = b, x >= 0  with Bland's smallest-index
-pivoting rule, which rules out cycling, so termination is guaranteed.  All
-arithmetic is Fraction arithmetic; there are no tolerances anywhere.
+pivoting rule, which rules out cycling, so termination is guaranteed.  A and
+b must be integral (ints, or values such as Fraction(1) equal to one); a
+non-integral entry raises LPError naming its row, never truncated.  c may be
+any rational.  There are no tolerances anywhere.
+
+The tableau is an integer matrix M, right-hand side last, over one positive
+common denominator d (tableau = M/d, from A with d = 1); the costs are scaled
+to ints by their least common denominator.  A pivot on (r, col) with
+p = M[r][col] keeps row r, turns every other row, the reduced-cost row too,
+into (row*p - row[col]*M[r]) // d and makes p the new denominator (Bareiss,
+Math. Comp. 1968).  The division is exact, the entries being minors of A.
+M is negated when p < 0, which only driving out artificials can cause, so d
+stays positive; the ratio test cross-multiplies.  Pivots, basis and values
+are those of the same simplex on fractions.
 
 Besides an optimal basic solution the solver returns exact dual prices, one
-per constraint row, recovered from the final basis (redundant rows detected
-during phase one get price zero).
+per constraint row, from fraction-free Gauss-Jordan elimination on the final
+basis (redundant rows detected during phase one get price zero).  Fractions
+appear only in the LPResult.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LPError(Exception):
@@ -38,118 +51,108 @@ class LPResult:
     basis: list
 
 
-def _pivot(T, rhs, basis, r, col):
-    piv = T[r][col]
-    if piv != ONE:
-        inv = ONE / piv
-        T[r] = [v * inv for v in T[r]]
-        rhs[r] *= inv
-    row_r = T[r]
-    for i in range(len(T)):
-        if i == r:
+def _pivot(M, d, r, col):
+    """Pivot M/d on (r, col); returns the new denominator."""
+    p = M[r][col]
+    pr = M[r]
+    # with p == d a row changes only where the pivot row is nonzero, and not
+    # at all when its own pivot-column entry is zero
+    nz = [(k, w) for k, w in enumerate(pr) if w] if p == d else None
+    for i, row in enumerate(M):
+        f = row[col]
+        if i == r or (nz and not f):
             continue
-        f = T[i][col]
-        if f != ZERO:
-            row_i = T[i]
-            T[i] = [a - f * br for a, br in zip(row_i, row_r)]
-            rhs[i] -= f * rhs[r]
-    basis[r] = col
+        if nz:
+            for k, w in nz:
+                row[k] -= f * w // d
+        elif f:
+            M[i] = [(v * p - f * w) // d for v, w in zip(row, pr)]
+        else:
+            M[i] = [v * p // d for v in row]
+    if p < 0:
+        M[:] = [[-v for v in row] for row in M]
+        p = -p
+    return p
 
 
-def _reduced_costs(T, basis, cost):
-    out = list(cost)
-    for i, bv in enumerate(basis):
+def _bland(M, d, basis, cost, allowed):
+    """Run Bland-rule pivots until optimal; returns the final denominator,
+    raises LPUnbounded.  `cost` is integral, with a 0 for the rhs column."""
+    # the reduced costs times d, pivoted as one more row of M
+    z = [d * cj for cj in cost]
+    for row, bv in zip(M, basis):
         cb = cost[bv]
-        if cb != ZERO:
-            row = T[i]
-            for j in range(len(out)):
-                if row[j] != ZERO:
-                    out[j] -= cb * row[j]
-    return out
-
-
-def _bland(T, rhs, basis, cost, allowed):
-    """Run Bland-rule pivots until optimal; raises LPUnbounded."""
-    reduced = _reduced_costs(T, basis, cost)
+        if cb:
+            z = [a - cb * v for a, v in zip(z, row)]
+    M.append(z)
+    m = len(M) - 1
     while True:
-        enter = None
-        for j in allowed:
-            if reduced[j] < ZERO:
-                enter = j
-                break
+        z = M[m]
+        enter = next((j for j in allowed if z[j] < 0), None)
         if enter is None:
-            return
+            M.pop()
+            return d
         leave = None
-        best = None
-        for i in range(len(T)):
-            a = T[i][enter]
-            if a > ZERO:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i in range(m):
+            a = M[i][enter]
+            if a > 0:
+                rhs = M[i][-1]
+                if leave is None or rhs * best_a < best_rhs * a or (
+                        rhs * best_a == best_rhs * a and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, rhs, a
         if leave is None:
             raise LPUnbounded("improving direction with no binding row")
-        _pivot(T, rhs, basis, leave, enter)
-        # the objective row pivots like any other row: exactly the reduced
-        # costs of the new basis, without rebuilding them
-        f = reduced[enter]
-        reduced = [r - f * t if t else r for r, t in zip(reduced, T[leave])]
+        d = _pivot(M, d, leave, enter)
+        basis[leave] = enter
+
+
+def _integral(values, i):
+    out = [int(v) for v in values]
+    if any(a != v for a, v in zip(out, values)):
+        raise LPError(f"row {i}: A and b must be integral")
+    return out
 
 
 def solve_lp(A, b, c) -> LPResult:
     """Exact optimum of min c.x s.t. A x = b, x >= 0."""
     m = len(A)
     n = len(c)
-    if m == 0:
-        if any(cj < ZERO for cj in c):
-            raise LPUnbounded("unconstrained variable with negative cost")
-        return LPResult([ZERO] * n, ZERO, [], [])
-
-    sign = [ONE] * m
-    T = []
-    rhs = []
+    sign = [1] * m
+    M = []
     for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        bi = Fraction(b[i])
-        if bi < ZERO:
+        row = _integral(list(A[i]) + [b[i]], i)
+        if row[-1] < 0:
             row = [-v for v in row]
-            bi = -bi
-            sign[i] = -ONE
-        T.append(row)
-        rhs.append(bi)
+            sign[i] = -1
+        M.append(row)
     cost = [Fraction(v) for v in c]
-    A0 = [row[:] for row in T]  # normalized original columns, for dual recovery
+    scale = lcm(*(v.denominator for v in cost))
+    cost = [v.numerator * (scale // v.denominator) for v in cost]
+    A0 = [row[:n] for row in M]  # normalized original columns, for dual recovery
 
     # Seed the basis with unit columns where they exist.
     basis = [-1] * m
     for j in range(n):
         hit = None
-        ok = True
         for i in range(m):
-            v = T[i][j]
-            if v == ZERO:
+            v = M[i][j]
+            if v == 0:
                 continue
-            if v != ONE or hit is not None:
-                ok = False
+            if v != 1 or hit is not None:
                 break
             hit = i
-        if ok and hit is not None and basis[hit] == -1 and rhs[hit] >= ZERO:
-            basis[hit] = j
+        else:
+            if hit is not None and basis[hit] == -1:
+                basis[hit] = j
 
+    d = 1
     art_rows = [i for i in range(m) if basis[i] == -1]
-    total = n + len(art_rows)
-    for k, i in enumerate(art_rows):
-        col = n + k
-        for r in range(m):
-            T[r].append(ONE if r == i else ZERO)
-        basis[i] = col
-
     if art_rows:
-        phase1 = [ZERO] * n + [ONE] * len(art_rows)
-        _bland(T, rhs, basis, phase1, range(total))
-        infeas = sum((rhs[i] for i in range(m) if basis[i] >= n), ZERO)
-        if infeas != ZERO:
+        for k, i in enumerate(art_rows):
+            basis[i] = n + k
+        M = [row[:n] + [int(r == i) for i in art_rows] + row[n:] for r, row in enumerate(M)]
+        d = _bland(M, d, basis, [0] * n + [1] * len(art_rows) + [0], range(n + len(art_rows)))
+        if sum(M[i][-1] for i in range(m) if basis[i] >= n) != 0:
             raise LPInfeasible("phase one optimum is positive")
         # Drive leftover zero-level artificials out, or drop redundant rows.
         # A tableau row with no original entry left is redundant; the
@@ -157,52 +160,47 @@ def solve_lp(A, b, c) -> LPResult:
         drop, redundant = set(), set()
         for i in range(m):
             if basis[i] >= n:
-                col = next((j for j in range(n) if T[i][j] != ZERO), None)
+                col = next((j for j in range(n) if M[i][j] != 0), None)
                 if col is None:
                     drop.add(i)
                     redundant.add(art_rows[basis[i] - n])
                 else:
-                    _pivot(T, rhs, basis, i, col)
+                    d = _pivot(M, d, i, col)
+                    basis[i] = col
         keep = [i for i in range(m) if i not in drop]
-        T = [T[i] for i in keep]
-        rhs = [rhs[i] for i in keep]
+        M = [M[i] for i in keep]
         basis = [basis[i] for i in keep]
         kept_rows = [i for i in range(m) if i not in redundant]
         A0 = [A0[i] for i in kept_rows]
         sign = [sign[i] for i in kept_rows]
-        for row in T:
-            del row[n:]
+        for row in M:
+            del row[n:-1]
     else:
         kept_rows = list(range(m))
 
-    _bland(T, rhs, basis, cost, range(n))
+    d = _bland(M, d, basis, cost + [0], range(n))
 
     x = [ZERO] * n
-    for i, bv in enumerate(basis):
-        x[bv] = rhs[i]
-    objective = sum((cost[j] * x[j] for j in range(n) if x[j] != ZERO), ZERO)
+    for row, bv in zip(M, basis):
+        x[bv] = Fraction(row[-1], d)
+    objective = Fraction(sum(cost[bv] * row[-1] for row, bv in zip(M, basis)), d * scale)
 
-    pi = _dual_from_basis(A0, basis, cost)
+    pi, det = _dual_from_basis(A0, basis, cost)
     dual = [ZERO] * m
     for pos, row in enumerate(kept_rows):
-        dual[row] = sign[pos] * pi[pos]
+        dual[row] = Fraction(sign[pos] * pi[pos], det * scale)
     return LPResult(x, objective, dual, list(basis))
 
 
 def _dual_from_basis(A0, basis, cost):
-    """Solve pi^T B = c_B exactly, B being the basis columns of A0."""
+    """Solve pi^T B = c_B, B being the basis columns of A0, by fraction-free
+    Gauss-Jordan elimination; returns (det * pi, det) with det != 0."""
     k = len(basis)
     # Build B^T augmented with c_B and eliminate.
-    M = [[A0[i][basis[col]] for i in range(k)] + [cost[basis[col]]] for col in range(k)]
+    M = [[A0[i][bv] for i in range(k)] + [cost[bv]] for bv in basis]
+    d = 1
     for col in range(k):
-        p = next(r for r in range(col, k) if M[r][col] != ZERO)
+        p = next(r for r in range(col, k) if M[r][col] != 0)
         M[col], M[p] = M[p], M[col]
-        piv = M[col][col]
-        if piv != ONE:
-            inv = ONE / piv
-            M[col] = [v * inv for v in M[col]]
-        for r in range(k):
-            if r != col and M[r][col] != ZERO:
-                f = M[r][col]
-                M[r] = [a - f * bcol for a, bcol in zip(M[r], M[col])]
-    return [M[r][k] for r in range(k)]
+        d = _pivot(M, d, col, col)
+    return [M[r][k] for r in range(k)], d

@@ -1,8 +1,17 @@
+import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bpmatch.simplex import solve_lp, LPInfeasible, LPUnbounded
+from bpmatch import NONPERFECT, PERFECT, InfeasibleError, is_tight, oracle, solve_relaxation
+from bpmatch.harness import random_instance
+from bpmatch.simplex import solve_lp, LPError, LPInfeasible, LPUnbounded
+
+import _fraction_simplex as reference
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def test_simple_bounded_minimum():
@@ -102,3 +111,85 @@ def test_redundant_row_drops_the_artificials_own_row():
         for j in range(len(cost)):
             assert cost[j] - sum(res.dual[i] * A[i][j] for i in range(len(A))) >= 0
     assert solve_lp(A, b, [0] * len(c)).dual == [0] * len(A)
+
+
+@pytest.mark.parametrize("A, b, row", [
+    ([[1, 1], [1, F(1, 2)]], [1, 1], 1),
+    ([[1, 1], [1, 0]], [F(3, 2), 1], 0),
+    ([[1, 0.5]], [1], 0),
+])
+def test_non_integral_a_or_b_is_rejected_naming_the_row(A, b, row):
+    with pytest.raises(LPError, match=f"row {row}:"):
+        solve_lp(A, b, [1, 1])
+
+
+def test_integral_fractions_in_a_and_b_and_rational_costs_are_accepted():
+    res = solve_lp([[F(1), F(2, 1)]], [F(4)], [F(1, 3), F(3, 4)])
+    assert res.x == [4, 0] and res.objective == F(4, 3) and res.dual == [F(1, 3)]
+
+
+def _outcome(solve, A, b, c):
+    """The result of `solve`, or the class of the LPError it raised."""
+    try:
+        return solve(A, b, c)
+    except LPError as exc:
+        return type(exc)
+
+
+def _same_as_reference(A, b, c):
+    """solve_lp's outcome, checked against the Fraction-tableau reference:
+    the same x, objective, dual and basis (types included), or the same
+    exception class."""
+    got = _outcome(solve_lp, A, b, c)
+    assert repr(got) == repr(_outcome(reference.solve_lp, A, b, c))
+    if isinstance(got, type):
+        raise got("as the reference")
+    return got
+
+
+@st.composite
+def small_lps(draw):
+    """Small integer LPs: A in -2..2, b in -3..3 (negative rows included),
+    rational costs, and up to two redundant rows, each the sum or difference
+    of two earlier rows (a zero row when a row meets its own negation).  No
+    rows at all is a case too.  Half the draws take b = A x0 for a 0/1 point
+    x0, so that feasible LPs are not rare."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    A = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+    else:
+        b = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2 if A else 0))):
+        i, j = draw(st.integers(0, len(A) - 1)), draw(st.integers(0, len(A) - 1))
+        s = draw(st.sampled_from([-1, 1]))
+        A.append([u + s * v for u, v in zip(A[i], A[j])])
+        b.append(b[i] + s * b[j])
+    c = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n))
+    return A, b, c
+
+
+@SETTINGS
+@given(small_lps())
+@example(([[1, 1]], [-1], [1, 1]))                             # infeasible
+@example(([[1, -1]], [0], [-1, -1]))                           # unbounded
+@example(([[1, 1, 0], [1, 1, 0], [0, 1, 1]], [2, 2, 1], [3, 1, 0]))  # redundant
+@example(([[2, 1], [-1, 1]], [-3, 2], [F(1, 2), F(-1, 3)]))    # negative row
+def test_integer_simplex_matches_the_fraction_simplex(lp):
+    try:
+        _same_as_reference(*lp)
+    except LPError:
+        pass
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([PERFECT, NONPERFECT]))
+def test_degree_lps_match_the_fraction_simplex(seed, mode):
+    # every relaxation and optimal-face LP the oracle solves on a draw
+    g = random_instance(random.Random(seed), n_max=6, mode=mode)
+    with mock.patch.object(oracle, "solve_lp", _same_as_reference):
+        try:
+            is_tight(g, mode, relaxation=solve_relaxation(g, mode))
+        except InfeasibleError:
+            pass
