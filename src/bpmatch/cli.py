@@ -16,15 +16,15 @@ import time
 from fractions import Fraction
 
 from .graph import (PERFECT, NONPERFECT, GraphError, GraphParseError,
-                    ValidationError, parse_graph, reduce_trivial, require_valid)
+                    ValidationError, parse_graph)
 from .engine import MessageInit
 from .schedule import (ScheduleError, make_schedule, parse_schedule,
                        validate_schedule, coverage)
 from .ctree import GCTBuilder, dump_tree, TreeError
-from .harness import (solve_pipeline, certify_instance, sweep, tree_verify,
-                      WeightRangeError, _fmt_edges)
+from .harness import (prepare_instance, solve_pipeline, certify_instance, sweep,
+                      tree_verify, WeightRangeError, _fmt_edges)
 from .oracle import (InfeasibleError, GuardExceeded, CertificateError,
-                     parse_certificate, serialize_certificate)
+                     serialize_certificate)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -188,20 +188,13 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     g = parse_graph(_read(args.graph))
-    require_valid(g, args.mode)
-    work = g
-    forced = None
-    if args.mode == PERFECT:
-        red = reduce_trivial(g)
-        if red.infeasible:
-            _emit(args, {"instance": args.graph, "infeasible": True},
-                  [f"instance: {args.graph}", "infeasible: trivial-vertex cascade failed"])
-            return EXIT_INFEASIBLE
-        work = red.graph
-        forced = red.forced
-    cert_override = None
-    if args.dual_file:
-        cert_override = parse_certificate(_read(args.dual_file), work, args.mode)
+    dual_text = _read(args.dual_file) if args.dual_file else None
+    work, reduction, cert_override = prepare_instance(g, args.mode, dual_text)
+    if work is None:
+        _emit(args, {"instance": args.graph, "infeasible": True},
+              [f"instance: {args.graph}", "infeasible: trivial-vertex cascade failed"])
+        return EXIT_INFEASIBLE
+    forced = reduction.forced if reduction is not None else None
     t0 = time.monotonic()
     try:
         c = certify_instance(work, args.mode, cert_override=cert_override)
@@ -246,12 +239,10 @@ def cmd_certify(args) -> int:
 def cmd_tree_verify(args) -> int:
     _at_least(args.t_max, 0, "--t-max")
     g = parse_graph(_read(args.graph))
-    require_valid(g, PERFECT)
-    red = reduce_trivial(g)
-    if red.infeasible:
+    work, _, _ = prepare_instance(g, PERFECT)
+    if work is None:
         _emit(args, {"instance": args.graph, "infeasible": True}, ["infeasible instance"])
         return EXIT_INFEASIBLE
-    work = red.graph
     kind, seed, sets = _parse_schedule_flag(args.schedule, work)
     if kind == "explicit":
         raise ScheduleError("tree-verify supports generated schedules only")

@@ -217,21 +217,24 @@ def _select(g: Graph, i, vals, mode: str):
     if mode == PERFECT:
         return tuple(nbrs[k] for k in order[:b]), boundary_tie
     chosen = tuple(nbrs[k] for k in order[:b] if vals[k] < 0)
-    for j in chosen:
-        if g.weight(i, j) > 0:
-            raise EngineError(f"selected positive-weight edge {edge_key(i, j)}; "
-                              "non-perfect estimates assume non-positive weights")
     if len(chosen) < b:
         return chosen, 0 in vals
     return chosen, boundary_tie
 
 
 def extract_estimate(g: Graph, s: MessageState, mode: str) -> Estimate:
+    """The estimate of state `s`.  Unlike a run, it accepts an unvalidated
+    graph, so a non-perfect selection of a positive-weight edge raises."""
     edges = set()
     selected = {}
     ties = set()
     for i in g.vertices():
         chosen, tie = _select(g, i, [s.m[(j, i)] for j in g.neighbors(i)], mode)
+        if mode != PERFECT:
+            for j in chosen:
+                if g.weight(i, j) > 0:
+                    raise EngineError(f"selected positive-weight edge {edge_key(i, j)}; "
+                                      "non-perfect estimates assume non-positive weights")
         selected[i] = chosen
         if tie:
             ties.add(i)
@@ -371,8 +374,6 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         plan = plans.get(updates)
         if plan is None:
             ids = sorted(eid[e] for e in updates)
-            # heads in vertex order, so an error names the vertex a full
-            # extraction would
             plan = plans[updates] = ids, sorted({head[k] for k in ids})
         ids, heads = plan
         _round(net, msgs, mode, ids)

@@ -196,38 +196,43 @@ def _resolve_stop(stop_spec, g: Graph, certification, mode, init, is_async, note
     raise ValueError(f"unknown stop kind {kind!r}")
 
 
+def prepare_instance(g: Graph, mode: str, dual_text=None):
+    """Validate `g` for `mode`, reduce its trivial vertices in perfect mode,
+    and parse `dual_text`, the text of a dual certificate file, against the
+    reduced instance.  Returns (work, reduction, cert_override): the instance
+    to solve, or None when the reduction proves it infeasible; the reduction,
+    None in non-perfect mode; the parsed certificate, None without text."""
+    require_valid(g, mode)
+    reduction = reduce_trivial(g) if mode == PERFECT else None
+    if reduction is not None and reduction.infeasible:
+        return None, reduction, None
+    work = reduction.graph if reduction is not None else g
+    cert_override = parse_certificate(dual_text, work, mode) if dual_text is not None else None
+    return work, reduction, cert_override
+
+
 def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
                    init: MessageInit | None = None, stop_spec=None,
                    schedule_kind=None, schedule_seed=None, schedule_sets=None,
                    certify=False, dual_text=None, force_schedule=False,
                    keep_trace=False) -> ExperimentReport:
-    """Full solve: validate, reduce (perfect), run message passing, restore
-    forced edges, and optionally certify against the oracle.  `dual_text`,
-    the text of a dual certificate file, is parsed against the reduced
-    instance once the reduction has found it feasible."""
+    """Full solve: validate, reduce (perfect) and parse `dual_text` through
+    `prepare_instance`, run message passing, restore forced edges, and
+    optionally certify against the oracle."""
     t0 = time.monotonic()
     notes = []
-    require_valid(g, mode)
-
-    reduction = None
-    work = g
-    if mode == PERFECT:
-        reduction = reduce_trivial(g)
-        if reduction.infeasible:
-            return ExperimentReport(instance_name, g.n, g.m, mode, None, None, True,
-                                    None, None, None, None, None, False,
-                                    wall_time=time.monotonic() - t0,
-                                    notes=["trivial-vertex cascade proves infeasibility"])
-        work = reduction.graph
+    work, reduction, cert_override = prepare_instance(g, mode, dual_text)
+    if work is None:
+        return ExperimentReport(instance_name, g.n, g.m, mode, None, None, True,
+                                None, None, None, None, None, False,
+                                wall_time=time.monotonic() - t0,
+                                notes=["trivial-vertex cascade proves infeasibility"])
+    if reduction is not None:
         if reduction.forced:
             notes.append(f"{len(reduction.forced)} forced edge(s) from trivial vertices")
         if init is not None and init.kind == "explicit" and not reduction.is_identity:
             init = _relabel_init(init, reduction)
             notes.append("initial messages relabeled onto the reduced instance")
-
-    cert_override = None
-    if dual_text is not None:
-        cert_override = parse_certificate(dual_text, work, mode)
 
     want_oracle = certify or (stop_spec is not None and stop_spec[0] == "certified")
     certification = None

@@ -4,9 +4,13 @@ Everything here is exact: exhaustive enumeration of optimal matchings, the
 linear relaxation and its dual solved by the fraction-free integer simplex of
 `bpmatch.simplex`, complementary slackness checking, a tightness decision
 (does the relaxation admit any fractional optimum?) made with at most one LP
-over the optimal face on top of the relaxation, and the certified iteration
-bound for the engine.
+over the optimal face on top of the relaxation, an independent tightness
+verdict by half-integral enumeration, and the certified iteration bound for
+the engine.
 
+One enumerator serves both exhaustive searches: a pruned depth-first search
+for minimum-weight points in scaled ints, over x in {0, 1}^E for the
+optimal matchings and over {0, 1/2, 1}^E for the half-integral cross-check.
 The relaxation and the optimal-face LP of the tightness decision are one
 degree LP: the relaxation is the face LP with every edge free.
 
@@ -58,8 +62,88 @@ def _require_mode(mode: str):
 
 # -- exhaustive optimization ----------------------------------------------------
 
+def _min_points(g: Graph, mode: str, edges, values, minimum=None):
+    """The minimum-weight points x of {v/2 : v in values}^edges, `values`
+    being (0, 2) or (0, 1, 2) in any order, whose vertex loads stay within
+    the capacities (and meet them in perfect mode): returns (their weight,
+    the points as tuples of half units in `edges` order), or (None, []) when
+    there are none.
+
+    A depth-first search over `values` in the order given, in ints: weights
+    times their least common denominator, x and capacities times two.  It
+    prunes a branch whose lower bound exceeds the best weight found so far,
+    and in perfect mode a branch that leaves a capacity out of reach.  A
+    known `minimum` stands in for the best weight from the start, and a point
+    below it raises OracleError; once the search has met a fractional point
+    or a second point at `minimum`, it looks only for points below it.
+    """
+    scale = math.lcm(*(g.weight(*e).denominator for e in edges))
+    w = [g.weight(*e).numerator * (scale // g.weight(*e).denominator) for e in edges]
+    best = None
+    if minimum is not None:
+        best = 2 * scale * Fraction(minimum)
+        if best.denominator != 1:
+            raise OracleError(f"{minimum} is not the weight of any half-integral point")
+        best = int(best)
+    limit = best
+    m = len(edges)
+    cap = [0] + [2 * g.cap(i) for i in g.vertices()]
+    # low[k]: the least weight edges k.. can add; left[k]: the load edges
+    # after k can still add at each end of edge k (x_e <= 1 is 2 half units)
+    low = [0] * (m + 1)
+    left = [None] * m
+    reach = [0] * len(cap)
+    for k in range(m - 1, -1, -1):
+        i, j = edges[k]
+        left[k] = reach[i], reach[j]
+        reach[i] += 2
+        reach[j] += 2
+        low[k] = low[k + 1] + min(0, 2 * w[k])
+    perfect = mode == PERFECT
+    load = [0] * len(cap)
+    x = [0] * m
+    points = []
+
+    def dfs(k, weight):
+        nonlocal best, limit
+        if limit is not None and weight + low[k] > limit:
+            return
+        if k == m:
+            if perfect and load != cap:
+                return
+            if best is None or weight < best:
+                if minimum is not None:
+                    raise OracleError(f"a half-integral point weighs less than {minimum}")
+                best = limit = weight
+                points.clear()
+            points.append(tuple(x))
+            if minimum is not None and (1 in x or len(points) > 1):
+                limit = best - 1
+            return
+        i, j = edges[k]
+        room = min(cap[i] - load[i], cap[j] - load[j])
+        left_i, left_j = left[k]
+        for d in values:
+            if d > room:
+                continue
+            if perfect and (load[i] + d + left_i < cap[i] or load[j] + d + left_j < cap[j]):
+                continue
+            x[k] = d
+            load[i] += d
+            load[j] += d
+            dfs(k + 1, weight + d * w[k])
+            load[i] -= d
+            load[j] -= d
+
+    dfs(0, 0)
+    if not points:
+        return None, []
+    return Fraction(best, 2 * scale), points
+
+
 def brute_force(g: Graph, mode: str, guard: int = BRUTE_FORCE_GUARD):
-    """All minimum-weight matchings by pruned exhaustive search.
+    """All minimum-weight matchings by exhaustive search over x in {0, 1}^E,
+    lightest edges first.
 
     Returns (optimal weight, sorted list of optimal edge sets).  Raises
     InfeasibleError when perfect mode has no feasible matching.
@@ -68,56 +152,11 @@ def brute_force(g: Graph, mode: str, guard: int = BRUTE_FORCE_GUARD):
     if g.m > guard:
         raise GuardExceeded(f"{g.m} edges exceeds the enumeration guard {guard}")
     edges = sorted(g.edges(), key=lambda e: (g.weight(*e), e))
-    m = len(edges)
-    caps = {i: g.cap(i) for i in g.vertices()}
-
-    # Suffix data for pruning: incident-edge counts and the best (most
-    # negative) achievable remaining weight.
-    rem = [dict.fromkeys(g.vertices(), 0) for _ in range(m + 1)]
-    neg_tail = [ZERO] * (m + 1)
-    for idx in range(m - 1, -1, -1):
-        rem[idx] = dict(rem[idx + 1])
-        i, j = edges[idx]
-        rem[idx][i] += 1
-        rem[idx][j] += 1
-        w = g.weight(i, j)
-        neg_tail[idx] = neg_tail[idx + 1] + (w if w < 0 else ZERO)
-
-    deg = dict.fromkeys(g.vertices(), 0)
-    best = [None]
-    optima = []
-    chosen = []
-
-    def dfs(idx, weight):
-        if best[0] is not None and weight + neg_tail[idx] > best[0]:
-            return
-        if idx == m:
-            if mode == PERFECT and any(deg[v] != caps[v] for v in caps):
-                return
-            if best[0] is None or weight < best[0]:
-                best[0] = weight
-                optima.clear()
-            if weight == best[0]:
-                optima.append(frozenset(chosen))
-            return
-        i, j = edges[idx]
-        if deg[i] < caps[i] and deg[j] < caps[j]:
-            deg[i] += 1
-            deg[j] += 1
-            chosen.append(edges[idx])
-            dfs(idx + 1, weight + g.weight(i, j))
-            chosen.pop()
-            deg[i] -= 1
-            deg[j] -= 1
-        if mode == PERFECT:
-            if deg[i] + rem[idx + 1][i] < caps[i] or deg[j] + rem[idx + 1][j] < caps[j]:
-                return
-        dfs(idx + 1, weight)
-
-    dfs(0, ZERO)
-    if not optima:
+    weight, points = _min_points(g, mode, edges, (2, 0))
+    if not points:
         raise InfeasibleError("no perfect matching exists")
-    return best[0], sorted(optima, key=sorted)
+    optima = [frozenset(e for e, d in zip(edges, x) if d) for x in points]
+    return weight, sorted(optima, key=sorted)
 
 
 # -- linear relaxation ------------------------------------------------------------
@@ -409,76 +448,23 @@ def tightness_by_enumeration(g: Graph, mode: str, lp_objective: Fraction,
     Every vertex of the relaxation polytope takes values in {0, 1/2, 1}, so
     enumerating such points at the optimal value decides tightness: tight
     means exactly one optimal point exists and it is integral.  Returns
-    (tight, fractional witness or None).
+    (tight, fractional witness or None).  Raises OracleError when
+    `lp_objective` is not the least weight of a half-integral point.
     """
     _require_mode(mode)
     if g.m > guard:
         raise GuardExceeded(f"{g.m} edges exceeds the enumeration guard {guard}")
-    edges = list(g.edges())
-    m = len(edges)
-    target = 2 * lp_objective
-    caps2 = {i: 2 * g.cap(i) for i in g.vertices()}
-    rem2 = [dict.fromkeys(g.vertices(), 0) for _ in range(m + 1)]
-    lo_tail = [ZERO] * (m + 1)
-    hi_tail = [ZERO] * (m + 1)
-    for idx in range(m - 1, -1, -1):
-        rem2[idx] = dict(rem2[idx + 1])
-        i, j = edges[idx]
-        rem2[idx][i] += 2
-        rem2[idx][j] += 2
-        w2 = 2 * g.weight(i, j)
-        lo_tail[idx] = lo_tail[idx + 1] + min(ZERO, w2)
-        hi_tail[idx] = hi_tail[idx + 1] + max(ZERO, w2)
-
-    load = dict.fromkeys(g.vertices(), 0)
-    assign = [0] * m
-    integral_hits = []
-    fractional = [None]
-
-    def dfs(idx, weight):
-        if fractional[0] is not None or len(integral_hits) > 1:
-            return
-        if weight + lo_tail[idx] > target or weight + hi_tail[idx] < target:
-            return
-        if idx == m:
-            if mode == PERFECT and any(load[v] != caps2[v] for v in caps2):
-                return
-            if any(d == 1 for d in assign):
-                fractional[0] = {e: Fraction(assign[k], 2) for k, e in enumerate(edges)}
-            else:
-                integral_hits.append({e: Fraction(assign[k], 2) for k, e in enumerate(edges)})
-            return
-        i, j = edges[idx]
-        room = min(caps2[i] - load[i], caps2[j] - load[j])
-        for d in (0, 1, 2):
-            if d > room:
-                break
-            if mode == PERFECT:
-                # Capacity not consumed here must stay reachable later.
-                if (load[i] + d + rem2[idx + 1][i] < caps2[i]
-                        or load[j] + d + rem2[idx + 1][j] < caps2[j]):
-                    continue
-            assign[idx] = d
-            load[i] += d
-            load[j] += d
-            dfs(idx + 1, weight + d * g.weight(i, j))
-            load[i] -= d
-            load[j] -= d
-            assign[idx] = 0
-
-    dfs(0, ZERO)
-    if fractional[0] is not None:
-        return False, fractional[0]
-    if len(integral_hits) > 1:
-        return False, _midpoint(integral_hits)
-    if not integral_hits:
+    edges = g.edges()
+    _, points = _min_points(g, mode, edges, (0, 1, 2), lp_objective)
+    if not points:
         raise OracleError("no optimal half-integral point found; wrong objective value?")
-    return True, None
-
-
-def _midpoint(points):
-    a, b = points[0], points[1]
-    return {e: (a[e] + b[e]) / 2 for e in a}
+    last = points[-1]
+    if 1 in last:
+        return False, {e: Fraction(d, 2) for e, d in zip(edges, last)}
+    if len(points) == 1:
+        return True, None
+    # two integral optima: their midpoint
+    return False, {e: Fraction(a + b, 4) for e, a, b in zip(edges, *points)}
 
 
 # -- iteration bound --------------------------------------------------------------------

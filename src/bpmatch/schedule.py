@@ -272,9 +272,7 @@ def validate_schedule(g: Graph, sched: Schedule, horizon: int):
 
 def coverage(g: Graph, sched: Schedule, t: int) -> CoverageStats:
     counts = {e: 0 for e in g.directed_edges()}
-    steps = 0
     for updates in sched.prefix(t):
-        steps += 1
         for e in updates:
             counts[e] += 1
     u = min(counts.values(), default=0)

@@ -169,6 +169,18 @@ class TestExtract:
         assert est.selected[4] == (2, 1)
         assert 4 not in est.ties
 
+    def test_nonperfect_selected_positive_weight_raises(self):
+        # a graph no run accepts in non-perfect mode: edge 1-2 weighs +3 but
+        # its messages are negative, so both ends select it
+        g = Graph(3, [1, 1, 1], [(1, 2, 3), (2, 3, -1), (1, 3, -2)])
+        m = {d: F(1) for d in g.directed_edges()}
+        m.update({(1, 2): F(-1), (2, 1): F(-1)})
+        with pytest.raises(EngineError, match=r"selected positive-weight edge \(1, 2\)"):
+            extract_estimate(g, init_messages(g, MessageInit.explicit(m)), NONPERFECT)
+        # perfect mode takes positive weights as they come
+        est = extract_estimate(g, init_messages(g, MessageInit.explicit(m)), PERFECT)
+        assert (1, 2) in est.edges
+
 
 class TestRunSync:
     def test_c4_stabilizes_to_optimum(self, c4):

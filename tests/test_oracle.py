@@ -201,6 +201,25 @@ class TestTightness:
                 checked += 1
         assert checked >= 30
 
+    def test_enumeration_rejects_an_objective_below_the_minimum(self, tri_neg, c4):
+        # the least half-integral weights are -3 (tri-neg) and 2 (c4)
+        with pytest.raises(OracleError, match="no optimal half-integral point"):
+            tightness_by_enumeration(tri_neg, NONPERFECT, F(-7, 2))
+        with pytest.raises(OracleError, match="no optimal half-integral point"):
+            tightness_by_enumeration(c4, PERFECT, F(1))
+
+    def test_enumeration_rejects_an_objective_above_the_minimum(self, tri_neg, c4):
+        # tri-neg has the integral point {1-3} and the fractional point
+        # (1/2, 1/2, 1/2) at -3 below -2: neither level is optimal
+        with pytest.raises(OracleError, match="weighs less than -2"):
+            tightness_by_enumeration(tri_neg, NONPERFECT, F(-2))
+        with pytest.raises(OracleError, match="weighs less than 5/2"):
+            tightness_by_enumeration(c4, PERFECT, F(5, 2))
+
+    def test_enumeration_rejects_an_objective_no_half_integral_point_has(self, c4):
+        with pytest.raises(OracleError, match="not the weight"):
+            tightness_by_enumeration(c4, PERFECT, F(7, 3))
+
 
 def _counting(monkeypatch, name, *modules):
     # count calls through every module that binds the function

@@ -4,7 +4,8 @@ the generalized trees of that schedule, and both agree with the tree
 dynamic program, also when one tree-DP memo is shared across a builder's
 trees.  The run loop's scaled-integer messages and incremental
 estimates agree with a plain rational stepper.  The LP tightness decision
-agrees with half-integral enumeration, and the synchronous certified bound
+agrees with half-integral enumeration, the exhaustive searches agree with
+plain enumeration of every point, and the synchronous certified bound
 is the ceiling of the asynchronous certified threshold.  Graph, schedule and certificate
 files round-trip, and fuzzed input files give a clean CLI exit code."""
 
@@ -13,6 +14,7 @@ import io
 import math
 import tempfile
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: 
 from bpmatch.cli import main  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import detect_period  # noqa: E402
+from conftest import naive_optima  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -330,6 +333,87 @@ def test_lp_tightness_agrees_with_enumeration(instance):
         assert load == g.cap(i) if mode == PERFECT else load <= g.cap(i)
     assert sum(v * g.weight(*e) for e, v in w.items()) == rep.lp_objective
     assert any(v not in (0, 1) for v in w.values())
+
+
+@st.composite
+def small_instances(draw, max_m):
+    """(mode, graph) with at most `max_m` edges on 3 to 6 vertices, any
+    capacities of 1 or 2 (so perfect mode is often infeasible) and weights
+    k/d for d in 1..3, non-positive in non-perfect mode."""
+    mode = draw(st.sampled_from([PERFECT, NONPERFECT]))
+    n = draw(st.integers(3, 6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k][:max_m]
+    caps = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    hi = 9 if mode == PERFECT else 0
+    weights = st.builds(Fraction, st.integers(-9, hi), st.integers(1, 3))
+    return mode, Graph(n, caps, [(i, j, draw(weights)) for (i, j) in edges])
+
+
+def half_integral_optima(g, mode):
+    """The least weight of x in {0, 1/2, 1}^E within the capacities (meeting
+    them in perfect mode) and every x at that weight, in g.edges() order,
+    found by trying every x; (None, []) when no x qualifies."""
+    edges = g.edges()
+    best, optimal = None, []
+    for x in product((Fraction(0), Fraction(1, 2), Fraction(1)), repeat=len(edges)):
+        load = [0] * (g.n + 1)
+        for (i, j), v in zip(edges, x):
+            load[i] += v
+            load[j] += v
+        if any(load[i] > g.cap(i) or (mode == PERFECT and load[i] < g.cap(i))
+               for i in g.vertices()):
+            continue
+        weight = sum(v * g.weight(*e) for e, v in zip(edges, x))
+        if best is None or weight < best:
+            best, optimal = weight, []
+        if weight == best:
+            optimal.append(x)
+    return best, optimal
+
+
+# a triangle of unit capacities has no perfect matching
+@SETTINGS
+@given(small_instances(10))
+@example((PERFECT, Graph(3, [1, 1, 1], [(1, 2, 1), (2, 3, 2), (1, 3, 3)])))
+def test_brute_force_is_the_all_subsets_optimum(instance):
+    mode, g = instance
+    want = naive_optima(g, mode)
+    if want[0] is None:
+        with pytest.raises(InfeasibleError):
+            brute_force(g, mode)
+    else:
+        assert brute_force(g, mode) == want
+
+
+# two integral optima, a fractional optimum (tri-half), no perfect point
+@SETTINGS
+@given(small_instances(8))
+@example((PERFECT, Graph(4, [1] * 4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)])))
+@example((NONPERFECT, Graph(3, [1, 1, 1], [(1, 2, -1), (2, 3, -1), (1, 3, -1)])))
+@example((PERFECT, Graph(3, [1, 1, 1], [(1, 2, 1), (2, 3, 1)])))
+def test_enumeration_verdict_is_that_of_every_half_integral_point(instance):
+    mode, g = instance
+    best, optimal = half_integral_optima(g, mode)
+    try:
+        sol, _ = solve_relaxation(g, mode)
+    except InfeasibleError:
+        assert best is None
+        return
+    # every vertex of the relaxation is half-integral
+    assert sol.objective == best
+    tight, witness = tightness_by_enumeration(g, mode, sol.objective)
+    assert tight == (len(optimal) == 1 and all(v in (0, 1) for v in optimal[0]))
+    if tight:
+        assert witness is None
+        return
+    assert list(witness) == list(g.edges()) and all(0 <= v <= 1 for v in witness.values())
+    for i in g.vertices():
+        load = sum(v for e, v in witness.items() if i in e)
+        assert load == g.cap(i) if mode == PERFECT else load <= g.cap(i)
+    assert sum(v * g.weight(*e) for e, v in witness.items()) == sol.objective
+    assert any(v not in (0, 1) for v in witness.values())
 
 
 @SETTINGS
