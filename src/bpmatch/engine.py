@@ -23,7 +23,11 @@ the step that updates every directed edge, and the kernel has one step path
 for every update set.  Runs work on messages scaled to exact integers (see
 _Net) and recompute only the selections a step can change; every public
 value (MessageState, traces, estimates) is the same exact rational as the
-unscaled rule gives.
+unscaled rule gives.  The update rule and the estimate read one order
+statistic of a vertex's incoming messages, so one ranking per vertex
+(_select) serves both: a run ranks a vertex's messages only after one of
+them is updated, and the next step reads the b_i-th and (b_i+1)-th smallest
+from that ranking.
 """
 
 from __future__ import annotations
@@ -123,16 +127,14 @@ def _check_input(g: Graph, mode: str):
 class _Net:
     """A graph compiled for the kernel.
 
-    Directed edge k is g.directed_edges()[k], so the edges out of vertex i
-    hold the consecutive ids out[i], in neighbor order, and sorted ids come
-    grouped by tail vertex; rev[k] is the reverse of edge k, tail[k] and
-    head[k] its endpoints, and inc[i] lists the edges into i in neighbor
-    order.  Weights and messages are multiplied by `scale`, the least common
-    denominator of the weights and of the initial messages `values`, all of
-    them Fractions, as Graph and MessageInit.build make them.  The
-    update rule only subtracts, takes min(0, .) and compares, so every later
-    message is an exact int too, scale times its rational value, in the same
-    order."""
+    Directed edge k is g.directed_edges()[k]; rev[k] is the reverse of edge
+    k, tail[k] and head[k] its endpoints, and inc[i] lists the edges into i
+    in neighbor order.  Weights and messages are multiplied by `scale`, the
+    least common denominator of the weights and of the initial messages
+    `values`, all of them Fractions, as Graph and MessageInit.build make
+    them.  The update rule only subtracts, takes min(0, .) and compares, so
+    every later message is an exact int too, scale times its rational value,
+    in the same order."""
 
     def __init__(self, g: Graph, values):
         dirs = g.directed_edges()
@@ -143,13 +145,7 @@ class _Net:
         self.rev = [ids[(j, i)] for (i, j) in dirs]
         self.head = [j for (_, j) in dirs]
         self.tail = [i for (i, _) in dirs]
-        self.inc = [()]
-        self.out = [range(0)]
-        for i in g.vertices():
-            self.inc.append(tuple(ids[(l, i)] for l in g.neighbors(i)))
-            first = ids[(i, g.neighbors(i)[0])] if g.degree(i) else 0
-            self.out.append(range(first, first + g.degree(i)))
-        self.cap = (0,) + g.capacities()
+        self.inc = [()] + [tuple(ids[(l, i)] for l in g.neighbors(i)) for i in g.vertices()]
         self.w = [self.up(g.weight(i, j)) for (i, j) in dirs]
 
     def up(self, v) -> int:
@@ -159,32 +155,25 @@ class _Net:
         return Fraction(v, self.scale)
 
 
-def _round(net: _Net, msgs: list, mode: str, ids) -> None:
+def _round(net: _Net, msgs: list, mode: str, ids, lo, hi, free) -> None:
     """One step on scaled messages, the same for every update set (all
-    edges, one edge or any subset): recompute the edge ids `ids`, in sorted
-    order, from the values at t-1 in `msgs`, computing every new value
-    before writing any.  Sorted ids come grouped by tail vertex, so each
-    tail sorts its incoming messages once per step.
+    edges, one edge or any subset): recompute the edge ids `ids` from the
+    values at t-1 in `msgs`, computing every new value before writing any.
 
-    For an edge i -> j with lo and hi the b_i-th and (b_i+1)-th smallest
-    messages into i, the b_i-th smallest with j's message excluded is hi when
-    m(j -> i) <= lo and lo otherwise."""
+    lo[i] and hi[i] are the b_i-th and (b_i+1)-th smallest messages into i
+    at t-1, as _select ranked them; for an edge i -> j, the b_i-th smallest
+    with j's message excluded is hi[i] when m(j -> i) <= lo[i] and lo[i]
+    otherwise.  free[i] marks the vertices whose outgoing messages are their
+    weights (non-perfect mode, degree <= b_i), which need no rank."""
     perfect = mode == PERFECT
-    w, cap, inc, out, rev, tail = net.w, net.cap, net.inc, net.out, net.rev, net.tail
+    w, rev, tail = net.w, net.rev, net.tail
     new = []
-    i = None
     for k in ids:
-        if tail[k] != i:
-            i = tail[k]
-            b = cap[i]
-            free = not perfect and len(out[i]) <= b
-            if not free:
-                s = sorted([msgs[r] for r in inc[i]])
-                lo, hi = s[b - 1], s[b]
-        if free:
+        i = tail[k]
+        if free[i]:
             new.append(w[k])
             continue
-        kth = hi if msgs[rev[k]] <= lo else lo
+        kth = hi[i] if msgs[rev[k]] <= lo[i] else lo[i]
         new.append(w[k] - kth if perfect or kth < 0 else w[k])
     for k, v in zip(ids, new):
         msgs[k] = v
@@ -202,8 +191,10 @@ class Estimate:
 
 
 def _select(g: Graph, i, vals, mode: str):
-    """Vertex i's selection and tie flag from its incoming messages `vals`,
-    listed in neighbor order (exact rationals or the kernel's scaled ints).
+    """Vertex i's selection, tie flag and ranks from its incoming messages
+    `vals`, listed in neighbor order (exact rationals or the kernel's scaled
+    ints); the ranks lo and hi are the b_i-th and (b_i+1)-th smallest
+    values, None where the vertex has fewer messages.
 
     Perfect mode takes the b_i neighbors with the smallest messages, ties
     broken by label.  Non-perfect mode keeps only the strictly negative ones
@@ -213,13 +204,15 @@ def _select(g: Graph, i, vals, mode: str):
     nbrs = g.neighbors(i)
     b = g.cap(i)
     order = sorted(range(len(vals)), key=vals.__getitem__)
-    boundary_tie = b < len(vals) and vals[order[b - 1]] == vals[order[b]]
+    lo = vals[order[b - 1]] if b <= len(vals) else None
+    hi = vals[order[b]] if b < len(vals) else None
+    boundary_tie = hi is not None and lo == hi
     if mode == PERFECT:
-        return tuple(nbrs[k] for k in order[:b]), boundary_tie
+        return tuple(nbrs[k] for k in order[:b]), boundary_tie, lo, hi
     chosen = tuple(nbrs[k] for k in order[:b] if vals[k] < 0)
     if len(chosen) < b:
-        return chosen, 0 in vals
-    return chosen, boundary_tie
+        return chosen, 0 in vals, lo, hi
+    return chosen, boundary_tie, lo, hi
 
 
 def extract_estimate(g: Graph, s: MessageState, mode: str) -> Estimate:
@@ -229,7 +222,7 @@ def extract_estimate(g: Graph, s: MessageState, mode: str) -> Estimate:
     selected = {}
     ties = set()
     for i in g.vertices():
-        chosen, tie = _select(g, i, [s.m[(j, i)] for j in g.neighbors(i)], mode)
+        chosen, tie, _, _ = _select(g, i, [s.m[(j, i)] for j in g.neighbors(i)], mode)
         if mode != PERFECT:
             for j in chosen:
                 if g.weight(i, j) > 0:
@@ -248,11 +241,10 @@ def extract_estimate(g: Graph, s: MessageState, mode: str) -> Estimate:
 class StopPolicy:
     """When to stop iterating.
 
-    budget(T): run exactly T rounds.
+    budget(T): run exactly T rounds (a certified run's T is its certified
+        iteration bound).
     window(K, limit): stop once the estimate is unchanged for K consecutive
         rounds (K defaults to the vertex count); give up after `limit` rounds.
-    certified(T): run exactly T rounds, T being an externally computed
-        certified iteration bound.
     coverage(threshold): asynchronous runs only; stop at the first step
         where every directed edge has been updated more than `threshold` times.
     """
@@ -269,10 +261,6 @@ class StopPolicy:
     @classmethod
     def window(cls, window_size=None, limit=None):
         return cls("window", window_size=window_size, limit=limit)
-
-    @classmethod
-    def certified(cls, iterations: int):
-        return cls("certified", iterations=int(iterations))
 
     @classmethod
     def coverage(cls, threshold):
@@ -315,26 +303,32 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     `covered()` after every step (and once before the first).
 
     Messages live in the integer kernel.  Only the heads of a step's updated
-    edges can change their selection, so only they are recomputed; an edge is
-    in the estimate while either endpoint selects it, and the estimate's edge
-    set is rebuilt only when an edge enters or leaves it."""
+    edges have new incoming messages, so only their selections and ranks
+    are recomputed, which keeps every vertex's ranks current for the next
+    step; an edge is in the estimate while either endpoint selects it, and
+    the estimate's edge set is rebuilt only when an edge enters or leaves
+    it."""
     start = (init or MessageInit.weights()).build(g)
     net = _Net(g, start.values())
     msgs = [net.up(start[e]) for e in net.dirs]
     dirs, eid, head, inc = net.dirs, net.ids, net.head, net.inc
-    # update set -> its edge ids and its heads, both sorted: each distinct
-    # set is worked out once per run (a sync run has one)
+    # update set -> its edge ids and its sorted heads: each distinct set is
+    # worked out once per run (a sync run has one)
     plans = {}
     select = _select
     sel = [()] * (g.n + 1)
     tie = [False] * (g.n + 1)
+    lo = [None] * (g.n + 1)
+    hi = [None] * (g.n + 1)
+    free = [False] + [mode != PERFECT and g.degree(i) <= g.cap(i) for i in g.vertices()]
     cur = set()
 
     def refresh(heads):
-        # recompute the selections at `heads`; True when `cur` changed
+        # recompute the selections and ranks at `heads`; True when `cur`
+        # changed
         touched = False
         for j in heads:
-            new, tie[j] = select(g, j, [msgs[k] for k in inc[j]], mode)
+            new, tie[j], lo[j], hi[j] = select(g, j, [msgs[k] for k in inc[j]], mode)
             old = sel[j]
             if new == old:
                 continue
@@ -365,7 +359,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     stop_met = stop.kind == "coverage" and covered()
     it = iter(steps)
     while not stop_met:
-        if stop.kind in ("budget", "certified") and t >= stop.iterations:
+        if stop.kind == "budget" and t >= stop.iterations:
             break
         if stop.kind == "window" and (t - last_change >= window_size or t >= limit):
             break
@@ -373,10 +367,10 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         t += 1
         plan = plans.get(updates)
         if plan is None:
-            ids = sorted(eid[e] for e in updates)
+            ids = [eid[e] for e in updates]
             plan = plans[updates] = ids, sorted({head[k] for k in ids})
         ids, heads = plan
-        _round(net, msgs, mode, ids)
+        _round(net, msgs, mode, ids, lo, hi, free)
         if keep_trace:
             m = dict(trace[-1].m)
             for k in ids:

@@ -302,6 +302,13 @@ class Reduction:
         mapped = {edge_key(self.vertex_map[i], self.vertex_map[j]) for (i, j) in reduced_edges}
         return frozenset(mapped | set(self.forced))
 
+    def to_reduced(self, mapping) -> dict:
+        """Map a dict keyed by original-label directed edges onto the reduced
+        labels, dropping the edges of removed vertices."""
+        inverse = {orig: red for red, orig in self.vertex_map.items()}
+        return {(inverse[i], inverse[j]): v for (i, j), v in mapping.items()
+                if i in inverse and j in inverse}
+
 
 def reduce_trivial(g: Graph) -> Reduction:
     """Iteratively remove trivial vertices until none remain.

@@ -9,8 +9,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import (Graph, PERFECT, NONPERFECT, ZERO, Matching, Reduction,
-                    require_valid, reduce_trivial)
+from .graph import (Graph, PERFECT, NONPERFECT, ZERO, Matching, require_valid,
+                    reduce_trivial)
 from .engine import (MessageInit, StopPolicy, RunResult, run_sync,
                      extract_estimate)
 from .schedule import make_schedule, run_async
@@ -155,26 +155,6 @@ class ExperimentReport:
         return out
 
 
-def _relabel_schedule(sets, reduction: Reduction):
-    """Map original-label update sets onto the reduced instance; updates of
-    removed vertices' edges are dropped (their messages no longer exist)."""
-    inverse = {orig: red for red, orig in reduction.vertex_map.items()}
-    out = []
-    for s in sets:
-        out.append({(inverse[i], inverse[j]) for (i, j) in s
-                    if i in inverse and j in inverse})
-    return out
-
-
-def _relabel_init(init: MessageInit, reduction: Reduction) -> MessageInit:
-    """Map original-label initial messages onto the reduced instance,
-    dropping those of removed vertices' edges, as for schedules."""
-    inverse = {orig: red for red, orig in reduction.vertex_map.items()}
-    return MessageInit.explicit({(inverse[i], inverse[j]): v
-                                 for (i, j), v in init.mapping.items()
-                                 if i in inverse and j in inverse})
-
-
 def _resolve_stop(stop_spec, g: Graph, certification, mode, init, is_async, notes):
     """Map a CLI stop spec onto a concrete policy; returns (policy, certified)."""
     if stop_spec is None:
@@ -192,7 +172,7 @@ def _resolve_stop(stop_spec, g: Graph, certification, mode, init, is_async, note
         if is_async:
             return StopPolicy.coverage(
                 coverage_threshold(g, certification.cert, mode, init)), True
-        return StopPolicy.certified(certification.bound), True
+        return StopPolicy.budget(certification.bound), True
     raise ValueError(f"unknown stop kind {kind!r}")
 
 
@@ -231,7 +211,7 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
         if reduction.forced:
             notes.append(f"{len(reduction.forced)} forced edge(s) from trivial vertices")
         if init is not None and init.kind == "explicit" and not reduction.is_identity:
-            init = _relabel_init(init, reduction)
+            init = MessageInit.explicit(reduction.to_reduced(init.mapping))
             notes.append("initial messages relabeled onto the reduced instance")
 
     want_oracle = certify or (stop_spec is not None and stop_spec[0] == "certified")
@@ -262,7 +242,7 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
         if schedule_kind == "explicit":
             sets = schedule_sets
             if reduction is not None and not reduction.is_identity:
-                sets = _relabel_schedule(schedule_sets, reduction)
+                sets = [set(reduction.to_reduced(dict.fromkeys(s))) for s in schedule_sets]
                 notes.append("schedule relabeled onto the reduced instance")
             sched = make_schedule(work, "explicit", sets=sets)
         else:
@@ -377,7 +357,7 @@ def analyze_instance(g: Graph, mode: str):
         row["match"] = None
         return row
     row["bound"] = c.bound
-    run = run_sync(g, mode, None, StopPolicy.certified(c.bound))
+    run = run_sync(g, mode, None, StopPolicy.budget(c.bound))
     row["stabilized_at"] = run.stabilized_at
     row["match"] = run.estimate.edges == c.bf_optima[0]
     return row

@@ -59,7 +59,7 @@ def test_counterexample_fixture_end_to_end():
 
     bound = iteration_bound(k4, cert)
     assert bound == 1
-    res = run_sync(k4, PERFECT, stop=StopPolicy.certified(bound))
+    res = run_sync(k4, PERFECT, stop=StopPolicy.budget(bound))
     assert res.estimate.edges == optima[0]
     assert not res.estimate.ties
 
@@ -179,7 +179,7 @@ def test_convergence_independent_of_initialization():
         init = MessageInit.explicit(
             {d: F(rng.randint(-10, 10)) for d in k4.directed_edges()})
         bound = iteration_bound(k4, cert, init)
-        res = run_sync(k4, PERFECT, init, StopPolicy.certified(bound))
+        res = run_sync(k4, PERFECT, init, StopPolicy.budget(bound))
         assert res.estimate.edges == optima[0], trial
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

@@ -181,6 +181,16 @@ class TestExtract:
         est = extract_estimate(g, init_messages(g, MessageInit.explicit(m)), PERFECT)
         assert (1, 2) in est.edges
 
+    @pytest.mark.parametrize("mode", [PERFECT, NONPERFECT])
+    def test_vertices_below_capacity_select_what_they_have(self, mode):
+        # an unvalidated graph: vertex 2 (b = 2) has one neighbor and vertex
+        # 3 none, so neither has a b_i-th smallest message
+        g = Graph(3, [1, 2, 1], [(1, 2, -1)])
+        est = extract_estimate(g, init_messages(g), mode)
+        assert est.selected == {1: (2,), 2: (1,), 3: ()}
+        assert est.edges == frozenset({(1, 2)})
+        assert est.ties == frozenset()
+
 
 class TestRunSync:
     def test_c4_stabilizes_to_optimum(self, c4):

@@ -340,7 +340,7 @@ class TestEndToEndCertified:
         rep = is_tight(g, PERFECT)
         assert rep.tight
         _, cert = solve_relaxation(g, PERFECT)
-        res = run_sync(g, PERFECT, stop=StopPolicy.certified(iteration_bound(g, cert)))
+        res = run_sync(g, PERFECT, stop=StopPolicy.budget(iteration_bound(g, cert)))
         assert res.estimate.edges == opts[0]
 
     def test_certified_runs_match_brute_force(self):
@@ -360,7 +360,7 @@ class TestEndToEndCertified:
             _, cert = solve_relaxation(g, PERFECT)
             w, opts = brute_force(g, PERFECT)
             bound = iteration_bound(g, cert)
-            res = run_sync(g, PERFECT, stop=StopPolicy.certified(bound))
+            res = run_sync(g, PERFECT, stop=StopPolicy.budget(bound))
             assert res.estimate.edges == opts[0]
             hits += 1
         assert hits >= 8

@@ -72,7 +72,6 @@ def instances(draw):
 
 STOPS = st.one_of(
     st.integers(0, 12).map(StopPolicy.budget),
-    st.integers(0, 12).map(StopPolicy.certified),
     st.builds(StopPolicy.window, st.one_of(st.none(), st.integers(1, 6)),
               st.one_of(st.none(), st.integers(0, 40))),
 )
@@ -84,7 +83,7 @@ FIELDS = ("estimate", "iterations", "stabilized_at", "stable_for", "converged",
 @SETTINGS
 @given(instances(), STOPS)
 @example((PERFECT, EMPTY), StopPolicy.budget(0))
-@example((NONPERFECT, EMPTY), StopPolicy.certified(3))
+@example((NONPERFECT, EMPTY), StopPolicy.budget(3))
 @example((PERFECT, EMPTY), StopPolicy.window())
 def test_sync_run_is_the_all_edges_schedule(instance, stop):
     mode, g = instance
@@ -219,7 +218,7 @@ def _rational_run(g, mode, init, stop, sets):
     met = stop.kind == "coverage" and covered()
     it = iter(sets)
     while not met:
-        if stop.kind in ("budget", "certified") and t >= stop.iterations:
+        if stop.kind == "budget" and t >= stop.iterations:
             break
         if stop.kind == "window" and (t - last >= window or t >= limit):
             break

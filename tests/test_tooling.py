@@ -1,9 +1,11 @@
 """Checks on the repository rather than on the algorithms: the benchmark in
 perfbench/ runs against the package, so a package change that breaks the
-benchmark's answer checkers must fail the tests, and the runtime package
-imports nothing outside the standard library."""
+benchmark's answer checkers must fail the tests, the runtime package
+imports nothing outside the standard library, and the README's library
+example runs against the current API."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,12 @@ def test_runtime_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "bpmatch", \
                     f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["bound"] == 9
