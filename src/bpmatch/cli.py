@@ -72,6 +72,8 @@ def _parse_init(spec, g) -> MessageInit:
         if edge not in known:
             raise GraphParseError(f"init file line {lineno}: {edge} is not a directed edge "
                                   "of the graph")
+        if edge in mapping:
+            raise GraphParseError(f"init file line {lineno}: duplicate directed edge {edge}")
         try:
             mapping[edge] = Fraction(body[2])
         except (ValueError, ZeroDivisionError):
@@ -267,6 +269,7 @@ def cmd_tree_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _at_least(args.instances, 0, "--instances")
     _at_least(args.n_max, 3, "--n-max")
     t0 = time.monotonic()
     result = sweep(args.mode, instances=args.instances, n_max=args.n_max,

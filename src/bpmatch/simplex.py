@@ -17,9 +17,11 @@ stays positive; the ratio test cross-multiplies.  Pivots, basis and values
 are those of the same simplex on fractions.
 
 Besides an optimal basic solution the solver returns exact dual prices, one
-per constraint row, from fraction-free Gauss-Jordan elimination on the final
-basis (redundant rows detected during phase one get price zero).  Fractions
-appear only in the LPResult.
+per constraint row, read off the final reduced-cost row: each row starts with
+a unit column (a seeded slack, or its phase-one artificial, kept through
+phase two at cost zero but never allowed to enter), whose reduced cost is its
+cost minus the row's price.  A redundant row dropped in phase one gets price
+zero.  Fractions appear only in the LPResult.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ def _pivot(M, d, r, col):
 
 
 def _bland(M, d, basis, cost, allowed):
-    """Run Bland-rule pivots until optimal; returns the final denominator,
-    raises LPUnbounded.  `cost` is integral, with a 0 for the rhs column."""
+    """Run Bland-rule pivots until optimal; returns the final denominator and
+    reduced-cost row (times it), raises LPUnbounded.  `cost` is integral, with
+    a 0 for the rhs column."""
     # the reduced costs times d, pivoted as one more row of M
     z = [d * cj for cj in cost]
     for row, bv in zip(M, basis):
@@ -90,8 +93,7 @@ def _bland(M, d, basis, cost, allowed):
         z = M[m]
         enter = next((j for j in allowed if z[j] < 0), None)
         if enter is None:
-            M.pop()
-            return d
+            return d, M.pop()
         leave = None
         for i in range(m):
             a = M[i][enter]
@@ -128,7 +130,6 @@ def solve_lp(A, b, c) -> LPResult:
     cost = [Fraction(v) for v in c]
     scale = lcm(*(v.denominator for v in cost))
     cost = [v.numerator * (scale // v.denominator) for v in cost]
-    A0 = [row[:n] for row in M]  # normalized original columns, for dual recovery
 
     # Seed the basis with unit columns where they exist.
     basis = [-1] * m
@@ -145,62 +146,35 @@ def solve_lp(A, b, c) -> LPResult:
             if hit is not None and basis[hit] == -1:
                 basis[hit] = j
 
-    d = 1
     art_rows = [i for i in range(m) if basis[i] == -1]
-    if art_rows:
-        for k, i in enumerate(art_rows):
-            basis[i] = n + k
-        M = [row[:n] + [int(r == i) for i in art_rows] + row[n:] for r, row in enumerate(M)]
-        d = _bland(M, d, basis, [0] * n + [1] * len(art_rows) + [0], range(n + len(art_rows)))
-        if sum(M[i][-1] for i in range(m) if basis[i] >= n) != 0:
-            raise LPInfeasible("phase one optimum is positive")
-        # Drive leftover zero-level artificials out, or drop redundant rows.
-        # A tableau row with no original entry left is redundant; the
-        # original row to drop is the one whose artificial is basic there.
-        drop, redundant = set(), set()
-        for i in range(m):
-            if basis[i] >= n:
-                col = next((j for j in range(n) if M[i][j] != 0), None)
-                if col is None:
-                    drop.add(i)
-                    redundant.add(art_rows[basis[i] - n])
-                else:
-                    d = _pivot(M, d, i, col)
-                    basis[i] = col
-        keep = [i for i in range(m) if i not in drop]
-        M = [M[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        kept_rows = [i for i in range(m) if i not in redundant]
-        A0 = [A0[i] for i in kept_rows]
-        sign = [sign[i] for i in kept_rows]
-        for row in M:
-            del row[n:-1]
-    else:
-        kept_rows = list(range(m))
+    for k, i in enumerate(art_rows):
+        basis[i] = n + k
+    unit = list(basis)  # each row's unit column, whose reduced cost prices it
+    cost += [0] * len(art_rows) + [0]
+    M = [row[:n] + [int(r == i) for i in art_rows] + row[n:] for r, row in enumerate(M)]
+    d, _ = _bland(M, 1, basis, [0] * n + [1] * len(art_rows) + [0], range(n + len(art_rows)))
+    if sum(M[i][-1] for i in range(m) if basis[i] >= n) != 0:
+        raise LPInfeasible("phase one optimum is positive")
+    # Drive leftover zero-level artificials out, or drop redundant rows:
+    # a tableau row with no original entry left.  The original row whose
+    # artificial is basic there keeps a zero column, so its price is zero.
+    drop = set()
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if M[i][j] != 0), None)
+            if col is None:
+                drop.add(i)
+            else:
+                d = _pivot(M, d, i, col)
+                basis[i] = col
+    M = [M[i] for i in range(m) if i not in drop]
+    basis = [basis[i] for i in range(m) if i not in drop]
 
-    d = _bland(M, d, basis, cost + [0], range(n))
+    d, z = _bland(M, d, basis, cost, range(n))
 
     x = [ZERO] * n
     for row, bv in zip(M, basis):
         x[bv] = Fraction(row[-1], d)
     objective = Fraction(sum(cost[bv] * row[-1] for row, bv in zip(M, basis)), d * scale)
-
-    pi, det = _dual_from_basis(A0, basis, cost)
-    dual = [ZERO] * m
-    for pos, row in enumerate(kept_rows):
-        dual[row] = Fraction(sign[pos] * pi[pos], det * scale)
+    dual = [Fraction(sign[i] * (cost[u] * d - z[u]), d * scale) for i, u in enumerate(unit)]
     return LPResult(x, objective, dual, list(basis))
-
-
-def _dual_from_basis(A0, basis, cost):
-    """Solve pi^T B = c_B, B being the basis columns of A0, by fraction-free
-    Gauss-Jordan elimination; returns (det * pi, det) with det != 0."""
-    k = len(basis)
-    # Build B^T augmented with c_B and eliminate.
-    M = [[A0[i][bv] for i in range(k)] + [cost[bv]] for bv in basis]
-    d = 1
-    for col in range(k):
-        p = next(r for r in range(col, k) if M[r][col] != 0)
-        M[col], M[p] = M[p], M[col]
-        d = _pivot(M, d, col, col)
-    return [M[r][k] for r in range(k)], d

@@ -2,8 +2,10 @@
 
 The same two-phase Bland simplex on a tableau of `Fraction`s: the same
 seeding, artificials, ratio test and redundant-row dropping, every value an
-exact rational.  Tests compare `bpmatch.simplex.solve_lp` with
-`solve_lp` here, result for result and exception for exception.
+exact rational.  Its dual prices come another way: from solving
+pi^T B = c_B on the optimal basis, not from the final reduced costs.  Tests
+compare `bpmatch.simplex.solve_lp` with `solve_lp` here, result for result
+and exception for exception.
 """
 
 from __future__ import annotations

@@ -117,6 +117,11 @@ class TestSolve:
             assert code == 2 and out == ""
             assert err == f"error: init file line 4: {pair} is not a directed edge of the graph\n"
 
+    def test_init_file_duplicate_directed_edge(self, capsys, tmp_path):
+        code, out, err = self._bad_init(capsys, tmp_path, "1 2 5")
+        assert code == 2 and out == ""
+        assert err == "error: init file line 4: duplicate directed edge (1, 2)\n"
+
     def test_init_file_missing_a_directed_edge(self, capsys, tmp_path):
         code, _, err = self._bad_init(capsys, tmp_path, "# no line for 2 1")
         assert code == 2 and err == "error: init file: no value for directed edge (2, 1)\n"
@@ -243,6 +248,16 @@ class TestSolve:
             code, out, err = run_cli(capsys, *argv, "--dual-file", str(cert))
             assert code == 2 and out == ""
             assert err == "error: line 2: self-loop at vertex 2\n"
+
+    def test_dual_file_duplicate_entry_is_a_parse_error(self, capsys, tmp_path):
+        cert = tmp_path / "dup.cert"
+        for text, msg in (("y 1 1/2\ny 2 1/2\ny 1 0\n", "line 3: duplicate y 1"),
+                          ("lambda 1 2 0\nlambda 2 1 1\n", "line 2: duplicate lambda (1, 2)")):
+            cert.write_text(text)
+            for argv in (("certify", fx("c4")), ("solve", fx("c4"), "--certify")):
+                code, out, err = run_cli(capsys, *argv, "--dual-file", str(cert))
+                assert code == 2 and out == ""
+                assert err == f"error: {msg}\n"
 
     def test_dual_file_on_an_instance_the_reduction_proves_infeasible(self, capsys, tmp_path):
         # the reduction finds the instance infeasible before the dual file,
@@ -396,6 +411,7 @@ class TestSweepAndScheduleValidate:
     ("schedule-validate", "C4", "--schedule", "roundrobin", "--horizon", "-1"),
     ("sweep", "--n-max", "2"),
     ("sweep", "--mode", "nonperfect", "--weight-lo", "5"),
+    ("sweep", "--instances", "-3"),
 ])
 def test_malformed_flag_value_is_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *(fx("c4") if a == "C4" else a for a in argv))

@@ -153,7 +153,7 @@ class TestCheckCS:
         cert = build_certificate(tri_neg, {1: F(3), 2: F(0), 3: F(1)},
                                  {(1, 2): F(0), (2, 3): F(0), (1, 3): F(0)}, NONPERFECT)
         report = check_cs(tri_neg, primal, cert)
-        assert any(c.name == "unsaturated_price_zero" and not c.ok for c in report.checks)
+        assert any(c.name == "vertex_slack_product" and not c.ok for c in report.checks)
 
 
 class TestTightness:

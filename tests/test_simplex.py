@@ -176,6 +176,8 @@ def small_lps(draw):
 @example(([[1, -1]], [0], [-1, -1]))                           # unbounded
 @example(([[1, 1, 0], [1, 1, 0], [0, 1, 1]], [2, 2, 1], [3, 1, 0]))  # redundant
 @example(([[2, 1], [-1, 1]], [-3, 2], [F(1, 2), F(-1, 3)]))    # negative row
+@example(([[-1]], [0], [-2]))                                  # zero-level artificial driven out
+@example(([[1, 2]], [1], [2, -2]))                             # seeded slack leaves, priced
 def test_integer_simplex_matches_the_fraction_simplex(lp):
     try:
         _same_as_reference(*lp)

@@ -1,8 +1,9 @@
 """Checks on the repository rather than on the algorithms: the benchmark in
 perfbench/ runs against the package, so a package change that breaks the
 benchmark's answer checkers must fail the tests, the runtime package
-imports nothing outside the standard library, and the README's library
-example runs against the current API."""
+imports nothing outside the standard library, the README's module table
+names each module once, and the README's library example runs against the
+current API."""
 
 import ast
 import re
@@ -34,6 +35,14 @@ def test_runtime_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "bpmatch", \
                     f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_readme_module_table_has_one_row_per_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What's in the box", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `bpmatch\.(\w+)` \|", section, re.M)
+    modules = [p.stem for p in (ROOT / "src" / "bpmatch").glob("*.py") if p.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)
 
 
 def test_readme_library_example_runs():
