@@ -173,7 +173,9 @@ def cmd_solve(args) -> int:
         r = report.run
         lines.append(f"iterations: {r.iterations}, stabilized at {r.stabilized_at} "
                      f"(stable for {r.stable_for}), converged: {r.converged}")
-        if r.period is not None:
+        if r.period == 1:
+            lines.append("estimate unchanged, but the stability window was not reached")
+        elif r.period is not None:
             lines.append(f"estimate oscillates with period {r.period}")
         if r.estimate.ties:
             lines.append(f"selection ties at vertices {sorted(r.estimate.ties)}")

@@ -15,15 +15,19 @@ node labeled i has tree-degree exactly b_i (leaves are unconstrained).  For
 a branch hanging off a node, W+ / W- denote the minimum matching weight with
 the branch's top edge forced in / out; their difference reproduces the
 engine's messages exactly, and the root's optimal selection reproduces the
-engine's per-vertex estimates.
+engine's per-vertex estimates.  The DP computes, as the engine does, on ints
+scaled by one least common denominator (of the weights and the initial
+values); only its public results are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, islice, repeat
+from math import lcm
 
-from .graph import Graph, ZERO, GraphError, edge_key
+from .graph import Graph, GraphError, edge_key
 
 DEFAULT_NODE_CAP = 200_000
 
@@ -162,6 +166,7 @@ class BranchValue:
 
 
 _NO_TIES = frozenset()
+_SCALE = object()  # the memo key of the scale its values are multiplied by
 
 
 @dataclass(frozen=True)
@@ -174,26 +179,24 @@ class TreeDPResult:
     ties: frozenset       # labels whose selection threshold was non-strict
 
 
-def tree_bmatching_dp(tree: LabeledTree, init=None, memo=None) -> TreeDPResult:
-    """Bottom-up exact optimum over the tree.
+def _solve(g: Graph, root: TreeNode, init, memo) -> int:
+    """Solve in scaled ints every branch node under `root` that `memo` lacks;
+    returns the memo's scale.
 
-    At every internal node the children are ranked by W+ - W-; forcing the
-    top edge in keeps the cheapest b-1 child inclusions, forcing it out
-    keeps the cheapest b.  A leaf branch contributes W+ = its edge weight
-    and W- = 0; when `init` maps (leaf_label, parent_label) to a value, that
-    value replaces the leaf edge weight, which reproduces runs started from
-    arbitrary initial messages.
-
-    `memo` maps each solved branch node to its BranchValue and the labels
-    with a non-strict selection threshold in its subtree.  A branch's value
-    depends only on the node and `init`, so one dict passed to every call
-    over the trees of one builder and one `init` solves each shared branch
-    once; by default every call starts a fresh memo.
-    """
-    g = tree.graph
-    if memo is None:
-        memo = {}
-    root = tree.root
+    memo[node] is (n, w_minus, ties) for the branch hanging at `node`:
+    W+ - W- and W-, both times the scale, and the labels with a non-strict
+    selection threshold in its subtree.  The scale is the least common
+    denominator of the graph's weights and of the `init` values, worked out
+    on the memo's first call.  A leaf has n = its edge weight (or init
+    value) and W- = 0.  An internal node labeled i with edge weight w
+    includes its b_i cheapest children (by n) in W- and b_i - 1 of them in
+    W+, so n = w - (b_i-th smallest child n), the engine's update rule.
+    The DP only adds, subtracts and compares, so every value is an exact
+    int."""
+    scale = memo.get(_SCALE)
+    if scale is None:
+        values = chain(g.weights().values(), init.values() if init is not None else ())
+        scale = memo[_SCALE] = lcm(*(v.denominator for v in values))
     # post-order over distinct unsolved nodes: a node is solved when it is
     # back on top of the stack with all its children solved
     stack = [(c, root.label) for c in reversed(root.children)]
@@ -207,38 +210,70 @@ def tree_bmatching_dp(tree: LabeledTree, init=None, memo=None) -> TreeDPResult:
             stack.extend(reversed(pending))
             continue
         stack.pop()
+        w = node.edge_weight
         if not node.children:
-            w = node.edge_weight
             if init is not None:
                 w = init.get((node.label, parent_label), w)
-            memo[node] = (BranchValue(w, ZERO), _NO_TIES)
+            memo[node] = (_up(w, scale), 0, _NO_TIES)
             continue
         a = g.cap(node.label)
         solved = [memo[c] for c in node.children]
         if len(solved) < a:
             raise DegenerateTreeError(
                 f"node labeled {node.label} has {len(solved)} children but capacity {a}")
-        diffs = sorted(v.n for v, _ in solved)
-        base = sum((v.w_minus for v, _ in solved), ZERO)
-        w_plus = node.edge_weight + base + sum(diffs[:a - 1], ZERO)
-        w_minus = base + sum(diffs[:a], ZERO)
-        ties = _NO_TIES.union(*(t for _, t in solved))
+        diffs = sorted(n for n, _, _ in solved)
+        ties = _NO_TIES.union(*(t for _, _, t in solved))
         if len(diffs) > a and diffs[a - 1] == diffs[a]:
             ties |= {node.label}
-        memo[node] = (BranchValue(w_plus, w_minus), ties)
+        memo[node] = (_up(w, scale) - diffs[a - 1],
+                      sum(m for _, m, _ in solved) + sum(diffs[:a]), ties)
+    return scale
 
-    child_vals = [(c.label, memo[c][0]) for c in root.children]
-    ties = set().union(*(memo[c][1] for c in root.children))
-    branches = dict(child_vals)
+
+def _up(v, scale) -> int:
+    # v times the scale, which only the graph's weights and init values fit
+    x, r = divmod(v.numerator * scale, v.denominator)
+    if r:
+        raise TreeError(f"edge value {v} is neither a graph weight nor an init value")
+    return x
+
+
+def tree_bmatching_dp(tree: LabeledTree, init=None, memo=None) -> TreeDPResult:
+    """Bottom-up exact optimum over the tree.
+
+    At every internal node the children are ranked by W+ - W-; forcing the
+    top edge in keeps the cheapest b-1 child inclusions, forcing it out
+    keeps the cheapest b.  A leaf branch contributes W+ = its edge weight
+    and W- = 0; when `init` maps (leaf_label, parent_label) to a value, that
+    value replaces the leaf edge weight, which reproduces runs started from
+    arbitrary initial messages.
+
+    The DP runs on ints scaled by one least common denominator of the
+    graph's weights and the `init` values; only the root's BranchValues and
+    the total are Fractions.  `memo` holds that scale and, for each solved
+    branch node, its scaled values and the labels with a non-strict
+    selection threshold in its subtree.  A branch's value depends only
+    on the node and `init`, so one dict passed to every call over the trees
+    of one builder and one `init` solves each shared branch once; by
+    default every call starts a fresh memo.
+    """
+    g = tree.graph
+    if memo is None:
+        memo = {}
+    root = tree.root
+    scale = _solve(g, root, init, memo)
+    kids = [(c.label, memo[c]) for c in root.children]
+    branches = {label: BranchValue(Fraction(n + m, scale), Fraction(m, scale))
+                for label, (n, m, _) in kids}
+    ties = set().union(*(t for _, (_, _, t) in kids))
     b_root = g.cap(root.label)
     selection = selected = total = None
-    if len(child_vals) >= b_root:
-        ranked = sorted(child_vals, key=lambda lv: (lv[1].n, lv[0]))
+    if len(kids) >= b_root:
+        ranked = sorted((n, label) for label, (n, _, _) in kids)
         chosen = ranked[:b_root]
-        if 0 < b_root < len(ranked) and ranked[b_root - 1][1].n == ranked[b_root][1].n:
+        if 0 < b_root < len(ranked) and ranked[b_root - 1][0] == ranked[b_root][0]:
             ties.add(root.label)
-        selected = tuple(sorted(label for label, _ in chosen))
+        selected = tuple(sorted(label for _, label in chosen))
         selection = frozenset(edge_key(root.label, label) for label in selected)
-        total = (sum((v.w_minus for _, v in child_vals), ZERO)
-                 + sum((v.n for _, v in chosen), ZERO))
+        total = Fraction(sum(m for _, (_, m, _) in kids) + sum(n for n, _ in chosen), scale)
     return TreeDPResult(root.label, branches, selection, selected, total, frozenset(ties))

@@ -11,10 +11,9 @@ from fractions import Fraction
 
 from .graph import (Graph, PERFECT, NONPERFECT, ZERO, Matching, require_valid,
                     reduce_trivial)
-from .engine import (MessageInit, StopPolicy, RunResult, run_sync,
-                     extract_estimate)
+from .engine import MessageInit, StopPolicy, RunResult, run_sync, _select
 from .schedule import make_schedule, run_async
-from .ctree import GCTBuilder, tree_bmatching_dp, tree_depth
+from .ctree import GCTBuilder, _solve, tree_depth
 from . import oracle
 from .oracle import (brute_force, solve_relaxation, is_tight, check_cs,
                      iteration_bound, coverage_threshold,
@@ -400,7 +399,12 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     """Compare engine messages/estimates against tree optimization for every
     root and every t <= t_max, and check that every generalized tree is at
     least u(t) deep; returns (rows, ok, first_mismatch).  A missing schedule
-    kind means the all-edges schedule, whose trees are the balanced ones."""
+    kind means the all-edges schedule, whose trees are the balanced ones.
+
+    The checks run on the tree DP's scaled ints: each engine message times
+    the DP's scale is compared with the DP's value, and both sides rank a
+    root's incoming values, the engine's by _select, as its estimate does,
+    the DP's by (value, label)."""
     rows = []
     first = None
     init_map = init.build(g) if init is not None and init.kind != "weights" else None
@@ -416,13 +420,18 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
             counts[e] += 1
         u.append(min(counts.values(), default=0))
     for t in range(t_max + 1):
-        state = run.trace[t]
-        est = extract_estimate(g, state, PERFECT)
+        m = run.trace[t].m
         for root in g.vertices():
             tree = builder.gct(root, t)
-            dp = tree_bmatching_dp(tree, init_map, memo)
-            msgs_ok = all(dp.branches[r].n == state.m[(r, root)] for r in g.neighbors(root))
-            sel_ok = frozenset(dp.selected_labels) == frozenset(est.selected[root])
+            scale = _solve(g, tree.root, init_map, memo)
+            # the root's children are its neighbors' branches, in order
+            nbrs = g.neighbors(root)
+            want = [memo[c][0] for c in tree.root.children]
+            got = [_scaled(m[(r, root)], scale) for r in nbrs]
+            msgs_ok = want == got
+            chosen = sorted(zip(want, nbrs))[:g.cap(root)]
+            sel_ok = (sorted(label for _, label in chosen)
+                      == sorted(_select(g, root, got, PERFECT)[0]))
             depth_ok = tree_depth(tree) >= u[t]
             ok = msgs_ok and sel_ok and depth_ok
             rows.append({"root": root, "t": t, "messages": msgs_ok,
@@ -430,3 +439,10 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
             if not ok and first is None:
                 first = rows[-1]
     return rows, first is None, first
+
+
+def _scaled(v: Fraction, scale: int):
+    # v * scale exactly: an int when v's denominator divides the scale, as
+    # every message of a correct run does, else a Fraction no int equals
+    x, r = divmod(v.numerator * scale, v.denominator)
+    return Fraction(v.numerator * scale, v.denominator) if r else x

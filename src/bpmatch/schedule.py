@@ -208,8 +208,9 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
 
 
 def parse_schedule(text: str, g: Graph) -> Schedule:
-    """One line per step: whitespace-separated tokens "i>j"; an empty line is
-    an empty update set; lines starting with '#' are skipped."""
+    """One line per step: whitespace-separated tokens "i>j", each directed
+    edge at most once per line; an empty line is an empty update set; lines
+    starting with '#' are skipped."""
     sets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -227,6 +228,8 @@ def parse_schedule(text: str, g: Graph) -> Schedule:
                 e = (int(a), int(b))
             except ValueError:
                 raise ScheduleError(f"line {lineno}: bad directed edge {tok!r}") from None
+            if e in step:
+                raise ScheduleError(f"line {lineno}: duplicate directed edge {e}")
             step.add(e)
         sets.append(frozenset(step))
     return make_schedule(g, "explicit", sets=sets)

@@ -43,6 +43,15 @@ class TestSolve:
         assert "tight: False" in out
         assert "oscillates with period 2" in out
 
+    def test_constant_estimate_short_of_the_window_is_no_oscillation(self, capsys):
+        # one round of c4 never changes the estimate; period 1 in --json
+        code, out, _ = run_cli(capsys, "solve", fx("c4"), "--stop", "budget=1")
+        assert code == 4
+        assert "estimate unchanged, but the stability window was not reached" in out
+        assert "oscillates" not in out
+        code, out, _ = run_cli(capsys, "solve", fx("c4"), "--stop", "budget=1", "--json")
+        assert code == 4 and json.loads(out)["bp"]["period"] == 1
+
     def test_p4_forced_edges_restored(self, capsys):
         code, out, _ = run_cli(capsys, "solve", fx("p4"), "--certify", "--stop", "certified")
         assert code == 0
@@ -397,6 +406,14 @@ class TestSweepAndScheduleValidate:
         code, out, _ = run_cli(capsys, "schedule-validate", fx("c4"),
                                "--schedule", f"file={path}", "--horizon", "2")
         assert code == 2 and "re-updated" in out
+
+    def test_schedule_validate_edge_named_twice_on_one_line(self, capsys, tmp_path):
+        path = tmp_path / "twice.sched"
+        path.write_text("1>2 1>2\n")
+        code, out, err = run_cli(capsys, "schedule-validate", fx("c4"),
+                                 "--schedule", f"file={path}", "--horizon", "1")
+        assert code == 2 and out == ""
+        assert err == "error: line 1: duplicate directed edge (1, 2)\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -175,6 +175,15 @@ class TestTreeDP:
         with pytest.raises(DegenerateTreeError):
             tree_bmatching_dp(tree)
 
+    def test_edge_value_off_the_scale_rejected(self, c4):
+        # the DP's scale covers the graph's weights and the init values only
+        from bpmatch.ctree import TreeNode, LabeledTree
+        leaves = (TreeNode(2, F(1, 3), ()), TreeNode(4, F(3), ()))
+        tree = LabeledTree(TreeNode(1, None, leaves), c4)
+        with pytest.raises(TreeError, match="1/3 is neither a graph weight nor an init value"):
+            tree_bmatching_dp(tree)
+        assert tree_bmatching_dp(tree, {(2, 1): F(1), (4, 1): F(1, 3)}).total == F(1, 3)
+
     def test_dump_format(self, c4):
         text = dump_tree(build_tree(c4, 1, 0))
         lines = text.strip().splitlines()
@@ -229,33 +238,81 @@ class TestEquivalence:
         assert plain.branches[4].n == bent.branches[4].n
 
 
+class TestVerifyFails:
+    """tree_verify reports the first (root, t) where the engine and the tree
+    DP disagree: one corrupted message, or one corrupted root selection,
+    fails exactly that row."""
+
+    @pytest.mark.parametrize("delta", [F(1), F(1, 7)])
+    def test_a_wrong_message_fails_its_row(self, c4, monkeypatch, delta):
+        # F(1, 7) leaves a denominator the DP's scale does not fit
+        from bpmatch import harness
+        from bpmatch.engine import MessageState
+        real = harness.run_async
+
+        def corrupted(*args, **kwargs):
+            run = real(*args, **kwargs)
+            m = dict(run.trace[3].m)
+            m[(4, 1)] += delta
+            run.trace[3] = MessageState(3, m)
+            return run
+
+        monkeypatch.setattr(harness, "run_async", corrupted)
+        rows, ok, first = tree_verify(c4, 5, "roundrobin")
+        assert not ok
+        assert (first["root"], first["t"], first["messages"]) == (1, 3, False)
+        assert [(r["root"], r["t"]) for r in rows if not r["messages"]] == [(1, 3)]
+
+    def test_a_wrong_selection_fails_its_row(self, c4, monkeypatch):
+        # tree_verify asks _select once per (root, t), t in order: the
+        # fourth call at root 2 is t = 3, where it now picks the other edge
+        from bpmatch import harness
+        real, calls = harness._select, []
+
+        def corrupted(g, i, vals, mode):
+            chosen, *rest = real(g, i, vals, mode)
+            if i == 2:
+                calls.append(i)
+                if len(calls) == 4:
+                    chosen = tuple(j for j in g.neighbors(i) if j not in chosen)
+            return (chosen, *rest)
+
+        monkeypatch.setattr(harness, "_select", corrupted)
+        rows, ok, first = tree_verify(c4, 5, "roundrobin")
+        assert not ok
+        assert first == {"root": 2, "t": 3, "messages": True, "selection": False,
+                         "depth": True}
+        assert [(r["root"], r["t"]) for r in rows if not r["selection"]] == [(2, 3)]
+
+
 class TestWork:
     """tree_verify solves each distinct branch node once, however many
     (root, t) trees share it.  A builder makes 2m leaf nodes and one node
-    per update of each step.  Counts values, times nothing."""
+    per update of each step.  Counts the integer pass's node solves, each of
+    which scales its node's edge value once; times nothing."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
+    def solves(self, monkeypatch):
         from bpmatch import ctree
         seen = []
+        real = ctree._up
 
-        class Counting(ctree.BranchValue):
-            def __init__(self, *args):
-                seen.append(args)
-                super().__init__(*args)
+        def counting(v, scale):
+            seen.append(v)
+            return real(v, scale)
 
-        monkeypatch.setattr(ctree, "BranchValue", Counting)
+        monkeypatch.setattr(ctree, "_up", counting)
         return seen
 
     @pytest.mark.parametrize("kind", ["sync", "roundrobin"])
-    def test_one_value_per_distinct_branch_node(self, c4, built, kind):
+    def test_one_value_per_distinct_branch_node(self, c4, solves, kind):
         t_max = 100
         nodes = 2 * c4.m + sum(len(s) for s in make_schedule(c4, kind).prefix(t_max))
         assert nodes <= 2 * c4.m * (t_max + 1)
         rows, ok, first = tree_verify(c4, t_max, kind)
         assert ok, first
         assert len(rows) == c4.n * (t_max + 1)
-        assert 0 < len(built) <= nodes
+        assert 0 < len(solves) <= nodes
 
 
 class TestBuilder:

@@ -2,8 +2,9 @@
 synchronous runs are runs under the all-edges schedule, balanced trees are
 the generalized trees of that schedule, and both agree with the tree
 dynamic program, also when one tree-DP memo is shared across a builder's
-trees.  The run loop's scaled-integer messages and incremental
-estimates agree with a plain rational stepper.  The LP tightness decision
+trees; the integer tree DP agrees with its Fraction reference.  The run
+loop's scaled-integer messages and incremental estimates agree with a
+plain rational stepper.  The LP tightness decision
 agrees with half-integral enumeration, the exhaustive searches agree with
 plain enumeration of every point, and the synchronous certified bound
 is the ceiling of the asynchronous certified threshold.  Graph, schedule and certificate
@@ -35,6 +36,7 @@ from bpmatch.cli import main  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import detect_period  # noqa: E402
 from conftest import naive_optima  # noqa: E402
+import _fraction_tree_dp as fraction_tree_dp  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -164,6 +166,36 @@ def test_engine_equals_tree_dp(g, t_max, kind, equal_weights, explicit_init, dat
             shared = tree_bmatching_dp(builder.gct(root, t), init_map, memo)
             for name in ("branches", "selection", "selected_labels", "total", "ties"):
                 assert getattr(shared, name) == getattr(dp, name), name
+
+
+@SETTINGS
+@given(graphs(PERFECT, denominators=(3,)).filter(lambda g: g.n > 0), st.integers(0, 4),
+       st.sampled_from([("sync", None), ("roundrobin", None), ("random", 5)]),
+       st.booleans(), st.data())
+def test_integer_tree_dp_matches_the_fraction_dp(g, t_max, kind, explicit_init, data):
+    # weights in thirds and inits in halves: a scale that leaves out either
+    # side's denominators cannot give these values; every gct and branch
+    # tree of one builder, with a fresh memo per call and with one memo
+    # shared over the builder
+    init_map = None
+    if explicit_init:
+        halves = st.integers(-7, 7).map(lambda k: Fraction(k, 2))
+        init_map = {d: data.draw(halves) for d in g.directed_edges()}
+    builder = GCTBuilder(g, make_schedule(g, kind[0], seed=kind[1]), t_max)
+    memo = {}
+    for t in range(t_max + 1):
+        trees = ([builder.gct(root, t) for root in g.vertices()]
+                 + [builder.branch(e, t) for e in g.directed_edges()])
+        for tree in trees:
+            want = fraction_tree_dp.tree_bmatching_dp(tree, init_map)
+            for got in (tree_bmatching_dp(tree, init_map),
+                        tree_bmatching_dp(tree, init_map, memo)):
+                for name in ("branches", "selection", "selected_labels", "total", "ties"):
+                    assert getattr(got, name) == getattr(want, name), name
+                out = [got.total] if got.total is not None else []
+                for v in got.branches.values():
+                    out += [v.w_plus, v.w_minus]
+                assert all(type(x) is Fraction for x in out)
 
 
 def _rational_step(g, m, updates, mode):

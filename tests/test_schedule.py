@@ -268,6 +268,10 @@ class TestFiles:
         with pytest.raises(ScheduleError):
             parse_schedule("1-2\n", c4)
 
+    def test_edge_named_twice_on_one_line(self, c4):
+        with pytest.raises(ScheduleError, match=r"^line 2: duplicate directed edge \(1, 2\)$"):
+            parse_schedule("2>1\n1>2 3>4 1>2\n", c4)
+
     def test_unknown_edge(self, c4):
         with pytest.raises(ScheduleError):
             parse_schedule("1>3\n", c4)
