@@ -13,10 +13,9 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .graph import (PERFECT, NONPERFECT, GraphError, GraphParseError,
-                    ValidationError, parse_graph)
+                    ValidationError, parse_graph, parse_rational)
 from .engine import MessageInit
 from .schedule import (ScheduleError, make_schedule, parse_schedule,
                        validate_schedule, coverage)
@@ -75,7 +74,7 @@ def _parse_init(spec, g) -> MessageInit:
         if edge in mapping:
             raise GraphParseError(f"init file line {lineno}: duplicate directed edge {edge}")
         try:
-            mapping[edge] = Fraction(body[2])
+            mapping[edge] = parse_rational(body[2])
         except (ValueError, ZeroDivisionError):
             raise GraphParseError(f"init file line {lineno}: bad value {body[2]!r}") from None
     missing = [d for d in g.directed_edges() if d not in mapping]

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
+from operator import itemgetter
+from typing import NamedTuple
 
 from .graph import Graph, PERFECT, ZERO, GraphError, edge_key, require_valid
 
@@ -73,7 +75,8 @@ class MessageInit:
     def build(self, g: Graph) -> dict:
         dirs = g.directed_edges()
         if self.kind == "weights":
-            return {(i, j): g.weight(i, j) for (i, j) in dirs}
+            w = g.weights()
+            return {(i, j): w[(i, j) if i < j else (j, i)] for (i, j) in dirs}
         if self.kind == "constant":
             v = Fraction(self.value)
             return {d: v for d in dirs}
@@ -128,53 +131,78 @@ class _Net:
     """A graph compiled for the kernel.
 
     Directed edge k is g.directed_edges()[k]; rev[k] is the reverse of edge
-    k, tail[k] and head[k] its endpoints, and inc[i] lists the edges into i
-    in neighbor order.  Weights and messages are multiplied by `scale`, the
-    least common denominator of the weights and of the initial messages
-    `values`, all of them Fractions, as Graph and MessageInit.build make
-    them.  The update rule only subtracts, takes min(0, .) and compares, so
-    every later message is an exact int too, scale times its rational value,
-    in the same order."""
+    k, tail[k] and head[k] its endpoints, and gin[i] reads the messages on
+    the edges into i, in neighbor order, in one call (_gather).  Weights and
+    messages are multiplied by `scale`, the least common denominator of the
+    weights and of the initial messages `values`, all of them Fractions, as
+    Graph and MessageInit.build make them; up() scales a sequence of them,
+    and w holds the scaled weights, read off the weight table once per
+    directed edge.  The update rule only subtracts, takes min(0, .) and
+    compares, so every later message is an exact int too, scale times its
+    rational value, in the same order."""
 
     def __init__(self, g: Graph, values):
         dirs = g.directed_edges()
         ids = {e: k for k, e in enumerate(dirs)}
+        weights = g.weights()
         self.dirs = dirs
         self.ids = ids
-        self.scale = lcm(*(v.denominator for v in chain(g.weights().values(), values)))
+        self.scale = lcm(*(v.denominator for v in chain(weights.values(), values)))
         self.rev = [ids[(j, i)] for (i, j) in dirs]
         self.head = [j for (_, j) in dirs]
         self.tail = [i for (i, _) in dirs]
-        self.inc = [()] + [tuple(ids[(l, i)] for l in g.neighbors(i)) for i in g.vertices()]
-        self.w = [self.up(g.weight(i, j)) for (i, j) in dirs]
+        self.gin = [None] + [_gather([ids[(l, i)] for l in g.neighbors(i)]) for i in g.vertices()]
+        self.w = self.up(weights[(i, j) if i < j else (j, i)] for (i, j) in dirs)
 
-    def up(self, v) -> int:
-        return v.numerator * (self.scale // v.denominator)
+    def up(self, values) -> list:
+        scale = self.scale
+        return [v.numerator * (scale // v.denominator) for v in values]
 
     def down(self, v) -> Fraction:
         return Fraction(v, self.scale)
 
 
-def _round(net: _Net, msgs: list, mode: str, ids, lo, hi, free) -> None:
+def _gather(ids):
+    """A C-level read of msgs[k] for the k in `ids`, in order, always as a
+    sequence: itemgetter of one index would give the bare value, and of
+    none it cannot be built, so those read a slice of the list."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    if ids:
+        return itemgetter(slice(ids[0], ids[0] + 1))
+    return itemgetter(slice(0, 0))
+
+
+class _Plan(NamedTuple):
+    """An update set compiled for _round: its edge ids, their tails and
+    scaled weights, a gather of their reverse messages, and its sorted
+    heads."""
+    ids: list
+    tails: list
+    w: list
+    rev_of: itemgetter
+    heads: list
+
+
+def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> None:
     """One step on scaled messages, the same for every update set (all
-    edges, one edge or any subset): recompute the edge ids `ids` from the
+    edges, one edge or any subset): recompute the edges of `plan` from the
     values at t-1 in `msgs`, computing every new value before writing any.
 
-    lo[i] and hi[i] are the b_i-th and (b_i+1)-th smallest messages into i
-    at t-1, as _select ranked them; for an edge i -> j, the b_i-th smallest
-    with j's message excluded is hi[i] when m(j -> i) <= lo[i] and lo[i]
-    otherwise.  free[i] marks the vertices whose outgoing messages are their
-    weights (non-perfect mode, degree <= b_i), which need no rank."""
-    perfect = mode == PERFECT
-    w, rev, tail = net.w, net.rev, net.tail
-    new = []
-    for k in ids:
-        i = tail[k]
-        if free[i]:
-            new.append(w[k])
-            continue
-        kth = hi[i] if msgs[rev[k]] <= lo[i] else lo[i]
-        new.append(w[k] - kth if perfect or kth < 0 else w[k])
+    `plan` holds the step's edge ids, their tails and scaled weights, and a
+    gather of their reverse messages, all worked out once per run.  lo[i]
+    and hi[i] are the b_i-th and (b_i+1)-th smallest messages into i at t-1,
+    as _select ranked them; for an edge i -> j, the b_i-th smallest with j's
+    message excluded is hi[i] when m(j -> i) <= lo[i] and lo[i] otherwise.
+    free[i] marks the vertices whose outgoing messages are their weights
+    (non-perfect mode, degree <= b_i), which need no rank."""
+    ids, tails, ws, rev_of, _ = plan
+    if mode == PERFECT:
+        new = [w - (hi[i] if r <= lo[i] else lo[i])
+               for i, w, r in zip(tails, ws, rev_of(msgs))]
+    else:
+        new = [w if free[i] or (kth := hi[i] if r <= lo[i] else lo[i]) >= 0 else w - kth
+               for i, w, r in zip(tails, ws, rev_of(msgs))]
     for k, v in zip(ids, new):
         msgs[k] = v
 
@@ -203,13 +231,24 @@ def _select(g: Graph, i, vals, mode: str):
     b_i selections); past b_i negative selections it is not a candidate."""
     nbrs = g.neighbors(i)
     b = g.cap(i)
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    lo = vals[order[b - 1]] if b <= len(vals) else None
-    hi = vals[order[b]] if b < len(vals) else None
+    ranked = sorted(vals)
+    lo = ranked[b - 1] if b <= len(vals) else None
+    hi = ranked[b] if b < len(vals) else None
     boundary_tie = hi is not None and lo == hi
+    # the neighbors of the b smallest values in rank order: each value's
+    # first position, after the one an equal value before it took, so ties
+    # go to the smaller label
+    picks = []
+    k = prev = None
+    for v in ranked[:b]:
+        if mode != PERFECT and v >= 0:
+            break
+        k = vals.index(v, k + 1 if v == prev else 0)
+        picks.append(nbrs[k])
+        prev = v
+    chosen = tuple(picks)
     if mode == PERFECT:
-        return tuple(nbrs[k] for k in order[:b]), boundary_tie, lo, hi
-    chosen = tuple(nbrs[k] for k in order[:b] if vals[k] < 0)
+        return chosen, boundary_tie, lo, hi
     if len(chosen) < b:
         return chosen, 0 in vals, lo, hi
     return chosen, boundary_tie, lo, hi
@@ -302,18 +341,20 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     update sets drawn from `steps` until `stop` holds.  A coverage stop asks
     `covered()` after every step (and once before the first).
 
-    Messages live in the integer kernel.  Only the heads of a step's updated
+    Messages live in the integer kernel.  Each distinct update set is
+    compiled once per run (a sync run has one) into a _Plan: its edge ids,
+    their tails and scaled weights, a gather of their reverse messages
+    (_gather), and its sorted heads.  Only the heads of a step's updated
     edges have new incoming messages, so only their selections and ranks
-    are recomputed, which keeps every vertex's ranks current for the next
-    step; an edge is in the estimate while either endpoint selects it, and
-    the estimate's edge set is rebuilt only when an edge enters or leaves
-    it."""
+    are recomputed, each from the gather net.gin of its incoming messages,
+    which keeps every vertex's ranks current for the next step; an edge is
+    in the estimate while either endpoint selects it, and the estimate's
+    edge set is rebuilt only when an edge enters or leaves it."""
     start = (init or MessageInit.weights()).build(g)
     net = _Net(g, start.values())
-    msgs = [net.up(start[e]) for e in net.dirs]
-    dirs, eid, head, inc = net.dirs, net.ids, net.head, net.inc
-    # update set -> its edge ids and its sorted heads: each distinct set is
-    # worked out once per run (a sync run has one)
+    msgs = net.up(map(start.__getitem__, net.dirs))
+    dirs, eid, head, tail, rev, w, gin = (net.dirs, net.ids, net.head, net.tail, net.rev,
+                                          net.w, net.gin)
     plans = {}
     select = _select
     sel = [()] * (g.n + 1)
@@ -328,7 +369,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         # changed
         touched = False
         for j in heads:
-            new, tie[j], lo[j], hi[j] = select(g, j, [msgs[k] for k in inc[j]], mode)
+            new, tie[j], lo[j], hi[j] = select(g, j, gin[j](msgs), mode)
             old = sel[j]
             if new == old:
                 continue
@@ -368,15 +409,16 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         plan = plans.get(updates)
         if plan is None:
             ids = [eid[e] for e in updates]
-            plan = plans[updates] = ids, sorted({head[k] for k in ids})
-        ids, heads = plan
-        _round(net, msgs, mode, ids, lo, hi, free)
+            plan = plans[updates] = _Plan(ids, [tail[k] for k in ids], [w[k] for k in ids],
+                                          _gather([rev[k] for k in ids]),
+                                          sorted({head[k] for k in ids}))
+        _round(msgs, mode, plan, lo, hi, free)
         if keep_trace:
             m = dict(trace[-1].m)
-            for k in ids:
+            for k in plan.ids:
                 m[dirs[k]] = net.down(msgs[k])
             trace.append(MessageState(t, m))
-        if refresh(heads):
+        if refresh(plan.heads):
             now = frozenset(cur)
             if now != edges:
                 edges = now

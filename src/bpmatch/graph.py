@@ -44,6 +44,26 @@ class ValidationError(GraphError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
+def parse_rational(token: str) -> Fraction:
+    """The exact rational a file token names, accepting exactly the tokens
+    ``Fraction(token)`` accepts and raising what it raises (ValueError or
+    ZeroDivisionError).  A plain ASCII integer, the common case, is read by
+    ``int``; every other token goes to ``Fraction``."""
+    digits = token[1:] if token[:1] in "+-" else token
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(token))
+    return Fraction(token)
+
+
+def _exact(w, e) -> Fraction:
+    """Weight `w` of edge `e` as a Fraction; a float or bool is refused,
+    since its binary expansion or truth value is no exact weight."""
+    if isinstance(w, (float, bool)):
+        raise GraphError(f"edge {e}: weight {w!r} is a {type(w).__name__}; "
+                         "use an int, Fraction, Decimal or rational string")
+    return Fraction(w)
+
+
 def edge_key(i: int, j: int) -> tuple[int, int]:
     """Canonical (small, large) form of an undirected edge; self-loops rejected."""
     if i == j:
@@ -77,7 +97,7 @@ class Graph:
             e = edge_key(i, j)
             if e in weights:
                 raise GraphError(f"duplicate edge {e}")
-            weights[e] = Fraction(w)
+            weights[e] = w if type(w) is Fraction else _exact(w, e)
         self.n = n
         self._b = capacities
         self._w = weights
@@ -87,7 +107,7 @@ class Graph:
             adj[j].append(i)
         self._adj = {i: tuple(sorted(nbrs)) for i, nbrs in adj.items()}
         self._edges = tuple(sorted(weights))
-        self._directed = tuple(sorted((i, j) for (a, b) in self._edges for (i, j) in ((a, b), (b, a))))
+        self._directed = tuple(sorted([*self._edges, *[(j, i) for (i, j) in self._edges]]))
 
     # -- basic accessors -------------------------------------------------
 
@@ -140,7 +160,8 @@ def parse_graph(text: str) -> Graph:
     """Parse the plain-text graph format.
 
     Line 1: "n m".  Line 2: n capacities (omitted when n = 0).  Then m lines
-    "i j w" with 1-based vertex ids; w is a decimal or "p/q" rational.
+    "i j w" with 1-based vertex ids; w is any token ``Fraction`` reads (an
+    integer, a decimal or a "p/q" rational), read by ``parse_rational``.
     Anything after '#' on a line is a comment; blank lines are skipped.
     """
     rows = []
@@ -201,7 +222,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(f"duplicate edge {e}", lineno)
         seen.add(e)
         try:
-            w = Fraction(tokens[2])
+            w = parse_rational(tokens[2])
         except (ValueError, ZeroDivisionError):
             raise GraphParseError(f"bad weight {tokens[2]!r}", lineno, 3) from None
         edges.append((i, j, w))
@@ -224,15 +245,16 @@ def validate(g: Graph, mode: str) -> list[Violation]:
     if mode not in MODES:
         raise GraphError(f"unknown mode {mode!r}")
     out = []
-    for i in g.vertices():
-        if g.cap(i) > g.degree(i):
+    for i, b in enumerate(g.capacities(), start=1):
+        if b > g.degree(i):
             out.append(Violation("capacity_exceeds_degree", (i,),
-                                 f"vertex {i}: capacity {g.cap(i)} exceeds degree {g.degree(i)}"))
+                                 f"vertex {i}: capacity {b} exceeds degree {g.degree(i)}"))
     if mode == NONPERFECT:
-        for (i, j) in g.edges():
-            if g.weight(i, j) > 0:
-                out.append(Violation("positive_weight", (i, j),
-                                     f"edge {(i, j)}: positive weight {g.weight(i, j)} in non-perfect mode"))
+        weights = g.weights()
+        for e in g.edges():
+            if weights[e].numerator > 0:  # a Fraction has the sign of its numerator
+                out.append(Violation("positive_weight", e,
+                                     f"edge {e}: positive weight {weights[e]} in non-perfect mode"))
     return out
 
 
@@ -317,7 +339,8 @@ def reduce_trivial(g: Graph) -> Reduction:
     neighbors are decremented and the cascade repeats: vertices whose
     capacity reaches zero are deleted along with their remaining edges.
     Any vertex ending with fewer edges than capacity, or negative capacity,
-    proves the perfect matching infeasible.
+    proves the perfect matching infeasible.  When nothing is forced or
+    removed, the reduction's graph is `g` itself.
     """
     alive = set(g.vertices())
     b = {i: g.cap(i) for i in alive}
@@ -355,6 +378,10 @@ def reduce_trivial(g: Graph) -> Reduction:
 
     if infeasible:
         return Reduction(Graph(0, (), ()), frozenset(forced), {}, True, g.n)
+    if not forced:
+        # a vertex is removed only once forcing used up its capacity, so
+        # nothing was removed: the graph is its own reduction
+        return Reduction(g, frozenset(), {i: i for i in g.vertices()}, False, g.n)
 
     remaining = sorted(alive)
     relabel = {orig: k for k, orig in enumerate(remaining, start=1)}

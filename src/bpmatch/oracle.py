@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError, edge_key
+from .graph import (Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError, edge_key,
+                    parse_rational)
 from .engine import MessageInit
 from .simplex import solve_lp, LPInfeasible
 
@@ -510,7 +511,7 @@ def parse_certificate(text: str, g: Graph, mode: str) -> DualCertificate:
                     raise CertificateError(f"line {lineno}: vertex {i} out of range")
                 if i in y:
                     raise CertificateError(f"line {lineno}: duplicate y {i}")
-                y[i] = Fraction(tokens[2])
+                y[i] = parse_rational(tokens[2])
             elif tokens[0] == "lambda" and len(tokens) == 4:
                 i, j = int(tokens[1]), int(tokens[2])
                 if i == j:
@@ -520,7 +521,7 @@ def parse_certificate(text: str, g: Graph, mode: str) -> DualCertificate:
                     raise CertificateError(f"line {lineno}: edge {e} not in graph")
                 if e in lam:
                     raise CertificateError(f"line {lineno}: duplicate lambda {e}")
-                lam[e] = Fraction(tokens[3])
+                lam[e] = parse_rational(tokens[3])
             else:
                 raise CertificateError(f"line {lineno}: expected 'y i v' or 'lambda i j v'")
         except (ValueError, ZeroDivisionError):

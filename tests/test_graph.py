@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from bpmatch import (Graph, Matching, PERFECT, NONPERFECT, GraphError,
                      GraphParseError, parse_graph, serialize_graph,
                      validate, reduce_trivial, brute_force, InfeasibleError)
+from bpmatch.graph import parse_rational
 from conftest import random_graph_any
 
 
@@ -56,6 +58,40 @@ class TestParse:
         g = Graph(0, (), ())
         assert parse_graph(serialize_graph(g)) == g
 
+    @pytest.mark.parametrize("token, value", [
+        ("1_000", 1000), ("+5", 5), ("-0", 0), ("\u0663", 3), ("007", 7),
+        ("-2.5", Fraction(-5, 2)), ("3/6", Fraction(1, 2)), ("1e3", 1000)])
+    def test_rational_token_accepted(self, token, value):
+        got = parse_rational(token)
+        assert type(got) is Fraction and got == value == Fraction(token)
+
+    @pytest.mark.parametrize("token", ["\u00b2", "0x10", "-3/-4", "1__0", "+-1", "1/0"])
+    def test_rational_token_rejected(self, token):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            Fraction(token)
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_rational(token)
+        with pytest.raises(GraphParseError, match="bad weight"):
+            parse_graph(f"2 1\n1 1\n1 2 {token}\n")
+
+
+class TestWeights:
+    @pytest.mark.parametrize("w", [0.1, 2.0, True, False])
+    def test_float_and_bool_weights_rejected(self, w):
+        with pytest.raises(GraphError, match=r"edge \(1, 2\)"):
+            Graph(3, [1, 1, 1], [(2, 3, 1), (2, 1, w)])
+
+    @pytest.mark.parametrize("w, value", [
+        (3, 3), (Fraction(1, 3), Fraction(1, 3)), (Decimal("0.1"), Fraction(1, 10)),
+        ("-7/4", Fraction(-7, 4)), ("0.1", Fraction(1, 10))])
+    def test_exact_weights_accepted(self, w, value):
+        got = Graph(2, [1, 1], [(1, 2, w)]).weight(1, 2)
+        assert type(got) is Fraction and got == value
+
+    def test_fraction_weight_kept(self):
+        w = Fraction(5, 6)
+        assert Graph(2, [1, 1], [(1, 2, w)]).weight(1, 2) is w
+
 
 class TestValidate:
     def test_capacity_over_degree(self):
@@ -101,7 +137,27 @@ class TestReduce:
 
     def test_c4_identity(self, c4):
         red = reduce_trivial(c4)
-        assert red.is_identity and red.graph == c4
+        assert red.is_identity and red.graph is c4
+        assert red.vertex_map == {i: i for i in c4.vertices()}
+        some = [(1, 2), (4, 3)]
+        assert red.to_original(some) == {(1, 2), (3, 4)}
+        init = {d: Fraction(k, 3) for k, d in enumerate(c4.directed_edges())}
+        assert red.to_reduced(init) == init
+
+    def test_one_trivial_vertex(self):
+        # vertex 2 has degree = capacity 1: its edge is forced, vertex 3's
+        # capacity drops to 1, and vertices 1, 3, 4, 5 become 1, 2, 3, 4
+        g = Graph(5, [1, 1, 2, 1, 1], [(1, 3, 4), (1, 4, Fraction(1, 2)), (1, 5, -1),
+                                       (2, 3, 9), (3, 4, 2), (3, 5, 3), (4, 5, 7)])
+        red = reduce_trivial(g)
+        assert not red.infeasible and not red.is_identity
+        assert red.forced == {(2, 3)}
+        assert red.vertex_map == {1: 1, 2: 3, 3: 4, 4: 5}
+        assert red.graph == Graph(4, [1, 1, 1, 1], [(1, 2, 4), (1, 3, Fraction(1, 2)),
+                                                    (1, 4, -1), (2, 3, 2), (2, 4, 3),
+                                                    (3, 4, 7)])
+        assert red.to_original([(1, 3), (2, 4)]) == {(1, 4), (3, 5), (2, 3)}
+        assert red.to_reduced({(1, 3): 5, (2, 3): 6, (3, 2): 7}) == {(1, 2): 5}
 
     def test_p3_infeasible(self):
         g = Graph(3, [1, 1, 1], [(1, 2, 1), (2, 3, 1)])

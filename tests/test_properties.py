@@ -8,7 +8,8 @@ plain rational stepper.  The LP tightness decision
 agrees with half-integral enumeration, the exhaustive searches agree with
 plain enumeration of every point, and the synchronous certified bound
 is the ceiling of the asynchronous certified threshold.  Graph, schedule and certificate
-files round-trip, and fuzzed input files give a clean CLI exit code."""
+files round-trip, every file reader reads a rational token exactly as Fraction does,
+and fuzzed input files give a clean CLI exit code."""
 
 import contextlib
 import io
@@ -32,7 +33,9 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: 
                      InfeasibleError, parse_graph,
                      serialize_graph, parse_schedule, serialize_schedule,
                      parse_certificate, serialize_certificate, validate_schedule)
-from bpmatch.cli import main  # noqa: E402
+from bpmatch.cli import _parse_init, main  # noqa: E402
+from bpmatch.graph import GraphParseError  # noqa: E402
+from bpmatch.oracle import CertificateError  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import detect_period  # noqa: E402
 from conftest import naive_optima  # noqa: E402
@@ -304,6 +307,23 @@ def _mixed_steps(draw, g, length=128):
     return [parts[t % len(parts)] for t in range(length)]
 
 
+class _Draws:
+    """Stands in for st.data() in an @example: hands out fixed values, in
+    the order the test draws them."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy):
+        return next(self._values)
+
+
+K4 = Graph(4, [1, 1, 1, 1], [(1, 2, Fraction(2, 3)), (1, 3, 1), (1, 4, 2), (2, 3, 3),
+                             (2, 4, Fraction(-1, 3)), (3, 4, 5)])
+# an empty step, a one-edge step and an all-edges step listed out of order
+K4_STEPS = [[(3, 1)], [], sorted(K4.directed_edges(), key=lambda d: (d[1], -d[0]))]
+
+
 @SETTINGS
 @given(st.sampled_from([PERFECT, NONPERFECT]).flatmap(
            lambda mode: st.tuples(st.just(mode), graphs(mode, (1, 2, 3, 7)))),
@@ -312,6 +332,14 @@ def _mixed_steps(draw, g, length=128):
        st.one_of(STOPS, st.builds(StopPolicy.coverage,
                                   st.sampled_from([0, 1, Fraction(5, 2), -1]))),
        st.booleans(), st.data())
+# vertex 4 has one edge and b = 1: a free vertex whose incoming gather reads
+# one message, and a roundrobin schedule of one-edge steps
+@example((NONPERFECT, Graph(4, [2, 1, 1, 1], [(1, 2, Fraction(-3, 2)), (1, 3, -2),
+                                              (1, 4, -5), (2, 3, Fraction(-1, 7))])),
+         ("roundrobin", None), StopPolicy.window(4), True, _Draws(None))
+@example((PERFECT, K4), ("explicit", None), StopPolicy.budget(9), True,
+         _Draws(MessageInit.constant(Fraction(1, 5)),
+                [K4_STEPS[t % 3] for t in range(128)]))
 def test_integer_run_equals_rational_stepper(instance, kind, stop, keep_trace, data):
     mode, g = instance
     init = data.draw(_inits(g))
@@ -478,6 +506,59 @@ def test_files_round_trip(instance, data):
     except InfeasibleError:
         return
     assert parse_certificate(serialize_certificate(cert), g, mode) == cert
+
+
+# tokens over ASCII and Unicode digits, the characters of signs, digit
+# groups, decimals, exponents and ratios, and a superscript two (a digit to
+# str.isdigit, not to Fraction)
+TOKENS = st.text(alphabet="0123456789\u0663\u0966\uff15+-_.e/\u00b2", min_size=1,
+                 max_size=6)
+
+
+@SETTINGS
+@given(TOKENS)
+@example("1_000")
+@example("+5")
+@example("-0")
+@example("\u0663")
+@example("\u00b2")
+@example("0x10")
+@example("-3/-4")
+def test_every_reader_reads_a_rational_token_as_fraction_does(token):
+    # the graph, init-file and certificate readers each give Fraction(token),
+    # or their clean parse error exactly when Fraction(token) raises
+    try:
+        want = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    text = f"2 1\n1 1\n1 2 {token}\n"
+    if want is None:
+        with pytest.raises(GraphParseError, match="bad weight"):
+            parse_graph(text)
+    else:
+        assert parse_graph(text).weight(1, 2) == want
+    g = Graph(2, [1, 1], [(1, 2, want if want is not None else 0)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "init")
+        path.write_text(f"1 2 {token}\n2 1 0\n", encoding="utf-8")
+        if want is None:
+            with pytest.raises(GraphParseError, match="bad value"):
+                _parse_init(f"file={path}", g)
+        else:
+            assert _parse_init(f"file={path}", g).build(g)[(1, 2)] == want
+    # y_1 = w_12 with y_2 = 0 is a feasible perfect-mode dual
+    if want is None:
+        with pytest.raises(CertificateError, match="bad number"):
+            parse_certificate(f"y 1 {token}\n", g, PERFECT)
+        with pytest.raises(CertificateError, match="bad number"):
+            parse_certificate(f"lambda 1 2 {token}\n", g, PERFECT)
+    else:
+        assert parse_certificate(f"y 1 {token}\n", g, PERFECT).y[1] == want
+        if want >= 0:
+            assert parse_certificate(f"lambda 1 2 {token}\n", g, PERFECT).lam[(1, 2)] == want
+        else:
+            with pytest.raises(CertificateError, match="dual infeasible"):
+                parse_certificate(f"lambda 1 2 {token}\n", g, PERFECT)
 
 
 # Fuzzed input files: a valid file for BASE with a few lines dropped,
