@@ -10,6 +10,7 @@ selection boundary at a certified stop.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -337,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", default=None, help="write 't i j value' message trace")
     sp.add_argument("--emit-cert", default=None)
     sp.add_argument("--dual-file", default=None)
-    sp.set_defaults(func=cmd_solve)
+    sp.set_defaults(cmd="solve")
 
     sp = sub.add_parser("certify", help="oracle analysis and dual certificate")
     sp.add_argument("graph")
     common(sp)
     sp.add_argument("--emit-cert", default=None)
     sp.add_argument("--dual-file", default=None)
-    sp.set_defaults(func=cmd_certify)
+    sp.set_defaults(cmd="certify")
 
     sp = sub.add_parser("tree-verify", help="check the engine against tree optimization")
     sp.add_argument("graph")
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=int, default=4)
     sp.add_argument("--schedule", default=None, help="sync | roundrobin | random:SEED")
     sp.add_argument("--dump-tree", default=None, help="write indented tree dumps")
-    sp.set_defaults(func=cmd_tree_verify)
+    sp.set_defaults(cmd="tree_verify")
 
     sp = sub.add_parser("sweep", help="random-instance sweep with oracle filtering")
     common(sp)
@@ -362,21 +363,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weight-lo", type=int, default=None)
     sp.add_argument("--weight-hi", type=int, default=None)
     sp.add_argument("--distinct", action="store_true", help="distinct weights")
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(cmd="sweep")
 
     sp = sub.add_parser("schedule-validate", help="check a schedule for redundancies")
     sp.add_argument("graph")
     common(sp, mode=False)
     sp.add_argument("--schedule", required=True)
     sp.add_argument("--horizon", type=int, default=100)
-    sp.set_defaults(func=cmd_schedule_validate)
+    sp.set_defaults(cmd="schedule_validate")
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so the command run is the module's current
+        # cmd_* function
+        return globals()["cmd_" + args.cmd](args)
     except (GraphParseError, ValidationError, CertificateError, ScheduleError,
             UsageError, WeightRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

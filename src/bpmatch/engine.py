@@ -32,6 +32,7 @@ from that ranking.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -136,23 +137,31 @@ class _Net:
     messages are multiplied by `scale`, the least common denominator of the
     weights and of the initial messages `values`, all of them Fractions, as
     Graph and MessageInit.build make them; up() scales a sequence of them,
-    and w holds the scaled weights, read off the weight table once per
-    directed edge.  The update rule only subtracts, takes min(0, .) and
-    compares, so every later message is an exact int too, scale times its
-    rational value, in the same order."""
+    and w holds the scaled weights, each weight read and scaled once.  A
+    weights init passes no `values`: its messages are w itself.  The update
+    rule only subtracts, takes min(0, .) and compares, so every later
+    message is an exact int too, scale times its rational value, in the same
+    order."""
 
-    def __init__(self, g: Graph, values):
+    def __init__(self, g: Graph, values=()):
         dirs = g.directed_edges()
         ids = {e: k for k, e in enumerate(dirs)}
         weights = g.weights()
         self.dirs = dirs
         self.ids = ids
-        self.scale = lcm(*(v.denominator for v in chain(weights.values(), values)))
-        self.rev = [ids[(j, i)] for (i, j) in dirs]
-        self.head = [j for (_, j) in dirs]
-        self.tail = [i for (i, _) in dirs]
-        self.gin = [None] + [_gather([ids[(l, i)] for l in g.neighbors(i)]) for i in g.vertices()]
-        self.w = self.up(weights[(i, j) if i < j else (j, i)] for (i, j) in dirs)
+        self.scale = lcm(*{v.denominator for v in chain(weights.values(), values)})
+        self.head = head = [j for (_, j) in dirs]
+        self.tail = tail = [i for (i, _) in dirs]
+        self.rev = rev = list(map(ids.__getitem__, zip(head, tail)))
+        # the edges out of i are contiguous in `dirs`, in neighbor order, so
+        # their reverses are the edges into i in that order
+        self.gin = gin = [None]
+        end = 0
+        for i in g.vertices():
+            start, end = end, end + g.degree(i)
+            gin.append(_gather(rev[start:end]))
+        scaled = dict(zip(weights, self.up(weights.values())))
+        self.w = [scaled[(i, j) if i < j else (j, i)] for (i, j) in dirs]
 
     def up(self, values) -> list:
         scale = self.scale
@@ -174,9 +183,9 @@ def _gather(ids):
 
 
 class _Plan(NamedTuple):
-    """An update set compiled for _round: its edge ids, their tails and
-    scaled weights, a gather of their reverse messages, and its sorted
-    heads."""
+    """An update set compiled for _round: its sorted edge ids, their tails
+    and scaled weights, a gather of their reverse messages, and the ranking
+    records of its heads, in label order."""
     ids: list
     tails: list
     w: list
@@ -189,11 +198,12 @@ def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> None:
     edges, one edge or any subset): recompute the edges of `plan` from the
     values at t-1 in `msgs`, computing every new value before writing any.
 
-    `plan` holds the step's edge ids, their tails and scaled weights, and a
-    gather of their reverse messages, all worked out once per run.  lo[i]
-    and hi[i] are the b_i-th and (b_i+1)-th smallest messages into i at t-1,
-    as _select ranked them; for an edge i -> j, the b_i-th smallest with j's
-    message excluded is hi[i] when m(j -> i) <= lo[i] and lo[i] otherwise.
+    `plan` holds the step's sorted edge ids, their tails and scaled
+    weights, and a gather of their reverse messages, all worked out once
+    per run.  lo[i] and hi[i] are the b_i-th and (b_i+1)-th smallest
+    messages into i at t-1, as _select ranked them; for an edge i -> j, the
+    b_i-th smallest with j's message excluded is hi[i] when m(j -> i) <=
+    lo[i] and lo[i] otherwise.
     free[i] marks the vertices whose outgoing messages are their weights
     (non-perfect mode, degree <= b_i), which need no rank."""
     ids, tails, ws, rev_of, _ = plan
@@ -203,8 +213,11 @@ def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> None:
     else:
         new = [w if free[i] or (kth := hi[i] if r <= lo[i] else lo[i]) >= 0 else w - kth
                for i, w, r in zip(tails, ws, rev_of(msgs))]
-    for k, v in zip(ids, new):
-        msgs[k] = v
+    if len(new) == len(msgs):
+        msgs[:] = new  # every edge, so ids is 0, 1, ..., in order
+    else:
+        for k, v in zip(ids, new):
+            msgs[k] = v
 
 
 # -- estimates ----------------------------------------------------------------
@@ -218,40 +231,42 @@ class Estimate:
     ties: frozenset
 
 
-def _select(g: Graph, i, vals, mode: str):
-    """Vertex i's selection, tie flag and ranks from its incoming messages
-    `vals`, listed in neighbor order (exact rationals or the kernel's scaled
-    ints); the ranks lo and hi are the b_i-th and (b_i+1)-th smallest
-    values, None where the vertex has fewer messages.
+def _select(nbrs, b, vals, mode: str):
+    """The selection, tie flag and ranks of a vertex with neighbors `nbrs`
+    and capacity b, from its incoming messages `vals`, listed in neighbor
+    order (exact rationals or the kernel's scaled ints); the ranks lo and hi
+    are the b-th and (b+1)-th smallest values, None where the vertex has
+    fewer messages.
 
-    Perfect mode takes the b_i neighbors with the smallest messages, ties
+    Perfect mode takes the b neighbors with the smallest messages, ties
     broken by label.  Non-perfect mode keeps only the strictly negative ones
     among them: selecting an edge only pays off while capacity remains.  A
     zero message is a boundary tie only while capacity remains (fewer than
-    b_i selections); past b_i negative selections it is not a candidate."""
-    nbrs = g.neighbors(i)
-    b = g.cap(i)
+    b selections); past b negative selections it is not a candidate."""
     ranked = sorted(vals)
-    lo = ranked[b - 1] if b <= len(vals) else None
-    hi = ranked[b] if b < len(vals) else None
-    boundary_tie = hi is not None and lo == hi
-    # the neighbors of the b smallest values in rank order: each value's
-    # first position, after the one an equal value before it took, so ties
-    # go to the smaller label
-    picks = []
-    k = prev = None
-    for v in ranked[:b]:
-        if mode != PERFECT and v >= 0:
-            break
-        k = vals.index(v, k + 1 if v == prev else 0)
-        picks.append(nbrs[k])
-        prev = v
-    chosen = tuple(picks)
-    if mode == PERFECT:
-        return chosen, boundary_tie, lo, hi
-    if len(chosen) < b:
+    d = len(ranked)
+    lo = ranked[b - 1] if b <= d else None
+    hi = ranked[b] if b < d else None
+    # the number of picks: the b smallest values, or the negative ones
+    # among them
+    picks = b if b <= d else d
+    if mode != PERFECT:
+        picks = bisect_left(ranked, 0, 0, picks)
+    if picks == 1:
+        chosen = (nbrs[vals.index(ranked[0])],)
+    else:
+        # each value's first position after the one an equal value before
+        # it took, so ties go to the smaller label
+        chosen = []
+        k = prev = None
+        for v in ranked[:picks]:
+            k = vals.index(v, k + 1 if v == prev else 0)
+            chosen.append(nbrs[k])
+            prev = v
+        chosen = tuple(chosen)
+    if picks < b and mode != PERFECT:
         return chosen, 0 in vals, lo, hi
-    return chosen, boundary_tie, lo, hi
+    return chosen, hi is not None and lo == hi, lo, hi
 
 
 def extract_estimate(g: Graph, s: MessageState, mode: str) -> Estimate:
@@ -261,7 +276,8 @@ def extract_estimate(g: Graph, s: MessageState, mode: str) -> Estimate:
     selected = {}
     ties = set()
     for i in g.vertices():
-        chosen, tie, _, _ = _select(g, i, [s.m[(j, i)] for j in g.neighbors(i)], mode)
+        nbrs = g.neighbors(i)
+        chosen, tie, _, _ = _select(nbrs, g.cap(i), [s.m[(j, i)] for j in nbrs], mode)
         if mode != PERFECT:
             for j in chosen:
                 if g.weight(i, j) > 0:
@@ -341,35 +357,45 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     update sets drawn from `steps` until `stop` holds.  A coverage stop asks
     `covered()` after every step (and once before the first).
 
-    Messages live in the integer kernel.  Each distinct update set is
-    compiled once per run (a sync run has one) into a _Plan: its edge ids,
-    their tails and scaled weights, a gather of their reverse messages
-    (_gather), and its sorted heads.  Only the heads of a step's updated
-    edges have new incoming messages, so only their selections and ranks
-    are recomputed, each from the gather net.gin of its incoming messages,
-    which keeps every vertex's ranks current for the next step; an edge is
-    in the estimate while either endpoint selects it, and the estimate's
-    edge set is rebuilt only when an edge enters or leaves it."""
-    start = (init or MessageInit.weights()).build(g)
-    net = _Net(g, start.values())
-    msgs = net.up(map(start.__getitem__, net.dirs))
+    Messages live in the integer kernel.  Each vertex is compiled once per
+    run into a ranking record: its label, neighbors, capacity and the
+    gather net.gin of its incoming messages, the arguments of _select.
+    Each distinct update set is compiled once per run (a sync run has one)
+    into a _Plan: its sorted edge ids, their tails and scaled weights, a
+    gather of their reverse messages (_gather), and the records of its
+    heads.  Only the heads of a step's updated edges have new incoming
+    messages, so only their selections and ranks are recomputed, which
+    keeps every vertex's ranks current for the next step; an edge is in the
+    estimate while either endpoint selects it, and the estimate's edge set
+    is rebuilt only when an edge enters or leaves it."""
+    init = init or MessageInit.weights()
+    # a weights init starts from the scaled weights themselves; its message
+    # map is built only for a trace to start from
+    start = init.build(g) if keep_trace or init.kind != "weights" else None
+    if init.kind == "weights":
+        net = _Net(g)
+        msgs = list(net.w)
+    else:
+        net = _Net(g, start.values())
+        msgs = net.up(map(start.__getitem__, net.dirs))
     dirs, eid, head, tail, rev, w, gin = (net.dirs, net.ids, net.head, net.tail, net.rev,
                                           net.w, net.gin)
     plans = {}
     select = _select
+    rank = [None] + [(i, g.neighbors(i), g.cap(i), gin[i]) for i in g.vertices()]
     sel = [()] * (g.n + 1)
     tie = [False] * (g.n + 1)
     lo = [None] * (g.n + 1)
     hi = [None] * (g.n + 1)
-    free = [False] + [mode != PERFECT and g.degree(i) <= g.cap(i) for i in g.vertices()]
+    free = [False] + [mode != PERFECT and len(nb) <= b for _, nb, b, _ in rank[1:]]
     cur = set()
 
     def refresh(heads):
-        # recompute the selections and ranks at `heads`; True when `cur`
-        # changed
+        # recompute the selections and ranks at the vertices of the ranking
+        # records `heads`; True when `cur` changed
         touched = False
-        for j in heads:
-            new, tie[j], lo[j], hi[j] = select(g, j, gin[j](msgs), mode)
+        for j, nb, b, read in heads:
+            new, tie[j], lo[j], hi[j] = select(nb, b, read(msgs), mode)
             old = sel[j]
             if new == old:
                 continue
@@ -385,7 +411,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                     touched = True
         return touched
 
-    refresh(g.vertices())
+    refresh(rank[1:])
     edges = frozenset(cur)
     history = [edges]
     trace = [MessageState(0, start)] if keep_trace else None
@@ -408,10 +434,10 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         t += 1
         plan = plans.get(updates)
         if plan is None:
-            ids = [eid[e] for e in updates]
+            ids = sorted([eid[e] for e in updates])
             plan = plans[updates] = _Plan(ids, [tail[k] for k in ids], [w[k] for k in ids],
                                           _gather([rev[k] for k in ids]),
-                                          sorted({head[k] for k in ids}))
+                                          [rank[j] for j in sorted({head[k] for k in ids})])
         _round(msgs, mode, plan, lo, hi, free)
         if keep_trace:
             m = dict(trace[-1].m)

@@ -79,7 +79,10 @@ class Violation:
 
 
 class Graph:
-    """Immutable simple undirected graph with edge weights and vertex capacities."""
+    """Immutable simple undirected graph with edge weights and vertex capacities.
+
+    A graph remembers the modes it has passed `require_valid` in, so a
+    second check of the same graph and mode is a set lookup."""
 
     def __init__(self, n, capacities, edges):
         if n < 0:
@@ -98,16 +101,32 @@ class Graph:
             if e in weights:
                 raise GraphError(f"duplicate edge {e}")
             weights[e] = w if type(w) is Fraction else _exact(w, e)
+        self._build(n, capacities, weights)
+
+    @classmethod
+    def _checked(cls, n: int, capacities: tuple, weights: dict) -> "Graph":
+        """A graph from parts that already passed __init__'s checks: a tuple
+        of n positive int capacities and a map from (i, j), 1 <= i < j <= n,
+        to a Fraction weight."""
+        g = cls.__new__(cls)
+        g._build(n, capacities, weights)
+        return g
+
+    def _build(self, n, capacities, weights):
         self.n = n
         self._b = capacities
         self._w = weights
+        self._valid = set()
+        self._edges = tuple(sorted(weights))
+        # in the sorted edge order, i's smaller neighbors k come first, from
+        # the edges (k, i), each in increasing order: every list comes out
+        # sorted, and so do the directed edges read off them
         adj = {i: [] for i in range(1, n + 1)}
-        for (i, j) in weights:
+        for (i, j) in self._edges:
             adj[i].append(j)
             adj[j].append(i)
-        self._adj = {i: tuple(sorted(nbrs)) for i, nbrs in adj.items()}
-        self._edges = tuple(sorted(weights))
-        self._directed = tuple(sorted([*self._edges, *[(j, i) for (i, j) in self._edges]]))
+        self._adj = {i: tuple(nbrs) for i, nbrs in adj.items()}
+        self._directed = tuple([(i, j) for i, nbrs in adj.items() for j in nbrs])
 
     # -- basic accessors -------------------------------------------------
 
@@ -156,6 +175,13 @@ class Graph:
 
 # -- text format ----------------------------------------------------------
 
+def _int(tok, lineno, fieldno, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise GraphParseError(f"expected integer {what}, got {tok!r}", lineno, fieldno) from None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the plain-text graph format.
 
@@ -163,21 +189,18 @@ def parse_graph(text: str) -> Graph:
     "i j w" with 1-based vertex ids; w is any token ``Fraction`` reads (an
     integer, a decimal or a "p/q" rational), read by ``parse_rational``.
     Anything after '#' on a line is a comment; blank lines are skipped.
+
+    Each fact is checked once, here, where the error can name its line and
+    field; the graph is built from the checked parts without checking them
+    again.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
+        tokens = raw.split("#", 1)[0].split()
         if tokens:
             rows.append((lineno, tokens))
     if not rows:
         raise GraphParseError("empty graph file")
-
-    def _int(tok, lineno, fieldno, what):
-        try:
-            return int(tok)
-        except ValueError:
-            raise GraphParseError(f"expected integer {what}, got {tok!r}", lineno, fieldno) from None
 
     lineno, header = rows[0]
     if len(header) != 2:
@@ -188,45 +211,53 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError("n and m must be non-negative", lineno)
 
     cursor = 1
-    caps = []
+    caps = ()
     if n > 0:
         if len(rows) < 2:
             raise GraphParseError("missing capacity line", lineno)
         lineno, tokens = rows[1]
         if len(tokens) != n:
             raise GraphParseError(f"capacity line has {len(tokens)} entries, expected {n}", lineno)
-        for k, tok in enumerate(tokens, start=1):
-            b = _int(tok, lineno, k, "capacity")
-            if b < 1:
-                raise GraphParseError(f"capacity must be positive, got {b}", lineno, k)
-            caps.append(b)
+        try:
+            caps = tuple(map(int, tokens))
+        except ValueError:
+            caps = None
+        if caps is None or min(caps) < 1:
+            # find the first bad field, reading them in order
+            for k, tok in enumerate(tokens, start=1):
+                b = _int(tok, lineno, k, "capacity")
+                if b < 1:
+                    raise GraphParseError(f"capacity must be positive, got {b}", lineno, k)
         cursor = 2
 
     edge_rows = rows[cursor:]
     if len(edge_rows) != m:
         raise GraphParseError(f"expected {m} edge lines, found {len(edge_rows)}",
                               edge_rows[m][0] if len(edge_rows) > m else None)
-    edges = []
-    seen = set()
+    weights = {}
     for lineno, tokens in edge_rows:
         if len(tokens) != 3:
             raise GraphParseError("edge line must be 'i j w'", lineno)
-        i = _int(tokens[0], lineno, 1, "vertex id")
-        j = _int(tokens[1], lineno, 2, "vertex id")
-        if not (1 <= i <= n and 1 <= j <= n):
+        si, sj, sw = tokens
+        try:
+            i = int(si)
+            j = int(sj)
+        except ValueError:
+            # one of the two raises, naming its field
+            _int(si, lineno, 1, "vertex id")
+            _int(sj, lineno, 2, "vertex id")
+        if not (0 < i <= n and 0 < j <= n):
             raise GraphParseError(f"vertex id out of range 1..{n}", lineno)
         if i == j:
             raise GraphParseError(f"self-loop at vertex {i}", lineno)
-        e = edge_key(i, j)
-        if e in seen:
+        e = (i, j) if i < j else (j, i)
+        if e in weights:
             raise GraphParseError(f"duplicate edge {e}", lineno)
-        seen.add(e)
         try:
-            w = parse_rational(tokens[2])
+            weights[e] = parse_rational(sw)
         except (ValueError, ZeroDivisionError):
-            raise GraphParseError(f"bad weight {tokens[2]!r}", lineno, 3) from None
-        edges.append((i, j, w))
-    return Graph(n, caps, edges)
+            raise GraphParseError(f"bad weight {sw!r}", lineno, 3) from None
+    return Graph._checked(n, caps, weights)
 
 
 def serialize_graph(g: Graph) -> str:
@@ -259,9 +290,14 @@ def validate(g: Graph, mode: str) -> list[Violation]:
 
 
 def require_valid(g: Graph, mode: str) -> None:
+    """Raise ValidationError unless `g` is valid in `mode`; the graph keeps
+    a pass, so it is checked once per mode."""
+    if mode in g._valid:
+        return
     violations = validate(g, mode)
     if violations:
         raise ValidationError(violations)
+    g._valid.add(mode)
 
 
 # -- matchings ------------------------------------------------------------

@@ -431,7 +431,7 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
             msgs_ok = want == got
             chosen = sorted(zip(want, nbrs))[:g.cap(root)]
             sel_ok = (sorted(label for _, label in chosen)
-                      == sorted(_select(g, root, got, PERFECT)[0]))
+                      == sorted(_select(nbrs, g.cap(root), got, PERFECT)[0]))
             depth_ok = tree_depth(tree) >= u[t]
             ok = msgs_ok and sel_ok and depth_ok
             rows.append({"root": root, "t": t, "messages": msgs_ok,

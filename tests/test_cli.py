@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from bpmatch import fixture_path, parse_certificate, parse_graph
+from bpmatch import PERFECT, fixture_path, parse_certificate, parse_graph
+from bpmatch import cli
 from bpmatch.cli import main
 
 
@@ -414,6 +415,71 @@ class TestSweepAndScheduleValidate:
                                  "--schedule", f"file={path}", "--horizon", "1")
         assert code == 2 and out == ""
         assert err == "error: line 1: duplicate directed edge (1, 2)\n"
+
+
+def run_cli_or_exit(capsys, *argv):
+    """run_cli, also for argparse's errors, which exit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneParser:
+    """main builds its parser once per process and reuses it."""
+
+    SEQUENCE = [("solve", "C4", "--json"), ("certify", "C4", "--json"),
+                ("solve", "C4", "--bogus"), ("solve", "C4", "--json")]
+
+    def calls(self, capsys, fresh):
+        out = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                cli._parser.cache_clear()
+            out.append(run_cli_or_exit(capsys, *(fx("c4") if a == "C4" else a for a in argv)))
+        return out
+
+    def test_built_once(self, capsys, monkeypatch):
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        self.calls(capsys, fresh=False)
+        assert len(builds) == 1
+
+    def test_a_sequence_prints_what_calls_made_alone_print(self, capsys):
+        alone = self.calls(capsys, fresh=True)
+        together = self.calls(capsys, fresh=False)
+        assert together == alone
+        assert [code for code, _, _ in alone] == [0, 0, 2, 0]
+        assert alone[2][1] == "" and "unrecognized arguments: --bogus" in alone[2][2]
+        assert alone[3] == alone[0]
+
+    def test_the_module_command_is_the_one_run(self, capsys, monkeypatch):
+        seen = []
+        main(["solve", fx("c4")])  # the parser exists before the patch
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.graph) or 7)
+        assert main(["solve", fx("c4")]) == 7 and seen == [fx("c4")]
+
+
+class TestWork:
+    """Counts calls, times nothing."""
+
+    @pytest.mark.parametrize("schedule", ["sync", "roundrobin"])
+    def test_a_solve_scans_its_graph_once(self, capsys, monkeypatch, schedule):
+        from bpmatch import graph
+        modes = []
+        real = graph.validate
+
+        def counting(g, mode):
+            modes.append(mode)
+            return real(g, mode)
+
+        monkeypatch.setattr(graph, "validate", counting)
+        code, _, _ = run_cli(capsys, "solve", fx("c4"), "--schedule", schedule, "--json")
+        assert code == 0 and modes == [PERFECT]
 
 
 @pytest.mark.parametrize("argv", [

@@ -269,12 +269,12 @@ class TestVerifyFails:
         from bpmatch import harness
         real, calls = harness._select, []
 
-        def corrupted(g, i, vals, mode):
-            chosen, *rest = real(g, i, vals, mode)
-            if i == 2:
-                calls.append(i)
+        def corrupted(nbrs, b, vals, mode):
+            chosen, *rest = real(nbrs, b, vals, mode)
+            if nbrs is c4.neighbors(2):  # root 2, by its own neighbor tuple
+                calls.append(2)
                 if len(calls) == 4:
-                    chosen = tuple(j for j in g.neighbors(i) if j not in chosen)
+                    chosen = tuple(j for j in nbrs if j not in chosen)
             return (chosen, *rest)
 
         monkeypatch.setattr(harness, "_select", corrupted)

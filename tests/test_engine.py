@@ -5,8 +5,10 @@ import pytest
 
 from bpmatch import (Graph, PERFECT, NONPERFECT, MessageInit, StopPolicy,
                      EngineError, init_messages, extract_estimate, run_sync,
-                     TrivialVertexError, ValidationError)
-from conftest import async_step, sync_rounds
+                     TrivialVertexError, ValidationError, make_schedule, run_async,
+                     validate)
+from bpmatch.harness import prepare_instance
+from conftest import async_step, load_fixture, sync_rounds
 
 
 def messages(state, *pairs):
@@ -229,6 +231,46 @@ class TestRunSync:
         res = run_sync(g, PERFECT)
         assert res.estimate.edges == frozenset() and res.converged
 
+    def test_a_graph_that_failed_is_checked_again(self):
+        g = Graph(3, [1, 1, 1], [(1, 2, 1), (2, 3, -1), (1, 3, -2)])
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                run_sync(g, NONPERFECT)
+        run_sync(g, PERFECT, stop=StopPolicy.budget(1))  # valid in perfect mode
+        with pytest.raises(ValidationError):
+            run_sync(g, NONPERFECT)
+
+
+def _instances():
+    # (fixture, mode) for every fixture valid in the mode: the non-perfect
+    # runs need non-positive weights
+    names = ["c4", "k4-appendix", "p4", "tri-half", "tri-neg"]
+    return [(name, mode) for name in names for mode in (PERFECT, NONPERFECT)
+            if not validate(load_fixture(name), mode)]
+
+
+class TestDefaultInit:
+    """A weights init starts from the scaled weights with no message map;
+    it must give what the same messages as an explicit map give."""
+
+    @pytest.mark.parametrize("name, mode", _instances())
+    @pytest.mark.parametrize("kind, seed", [("sync", None), ("roundrobin", None),
+                                            ("random", 3)])
+    @pytest.mark.parametrize("stop", [StopPolicy.budget(12), StopPolicy.window(3)])
+    def test_weights_init_is_the_explicit_weight_map(self, name, mode, kind, seed, stop):
+        work, _, _ = prepare_instance(load_fixture(name), mode)
+        weight_map = {(i, j): work.weight(i, j) for (i, j) in work.directed_edges()}
+        for keep_trace in (False, True):
+            runs = []
+            for init in (None, MessageInit.weights(), MessageInit.explicit(weight_map)):
+                if kind == "sync":
+                    runs.append(run_sync(work, mode, init, stop, keep_trace))
+                else:
+                    runs.append(run_async(work, make_schedule(work, kind, seed=seed), init,
+                                          stop, mode, keep_trace=keep_trace))
+            assert runs[0] == runs[1] == runs[2]
+            assert (runs[0].trace is None) == (not keep_trace)
+
 
 class TestWork:
     """The run loop recomputes a vertex's selection only when one of its
@@ -236,14 +278,16 @@ class TestWork:
     then once per head of an updated edge.  Counts calls, times nothing."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, monkeypatch, c4):
         from bpmatch import engine
         seen = []
         real = engine._select
+        # a run passes each vertex's own neighbor tuple, which names it
+        label = {id(c4.neighbors(i)): i for i in c4.vertices()}
 
-        def counting(g, i, vals, mode):
-            seen.append(i)
-            return real(g, i, vals, mode)
+        def counting(nbrs, b, vals, mode):
+            seen.append(label[id(nbrs)])
+            return real(nbrs, b, vals, mode)
 
         monkeypatch.setattr(engine, "_select", counting)
         return seen

@@ -54,6 +54,24 @@ class TestParse:
             g = random_graph_any(rng, n_max=7)
             assert parse_graph(serialize_graph(g)) == g
 
+    def test_adjacency_is_sorted_whatever_the_edge_order(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            g = random_graph_any(rng, n_max=8)
+            edges = [(j, i, w) if rng.random() < 0.5 else (i, j, w)
+                     for (i, j), w in g.weights().items()]
+            rng.shuffle(edges)
+            text = "\n".join([f"{g.n} {len(edges)}", " ".join(map(str, g.capacities()))]
+                             + [f"{i} {j} {w}" for i, j, w in edges])
+            for h in (Graph(g.n, g.capacities(), edges), parse_graph(text)):
+                assert h == g
+                assert h.edges() == tuple(sorted(g.weights()))
+                assert h.directed_edges() == tuple(sorted(
+                    [*h.edges(), *[(j, i) for (i, j) in h.edges()]]))
+                for i in h.vertices():
+                    assert h.neighbors(i) == tuple(sorted(
+                        j for e in h.edges() if i in e for j in e if j != i))
+
     def test_empty_graph_roundtrip(self):
         g = Graph(0, (), ())
         assert parse_graph(serialize_graph(g)) == g
@@ -73,6 +91,42 @@ class TestParse:
             parse_rational(token)
         with pytest.raises(GraphParseError, match="bad weight"):
             parse_graph(f"2 1\n1 1\n1 2 {token}\n")
+
+
+# (file text, str(error), .line, .field) for every error parse_graph raises;
+# where a line has two faults, the first check in reading order names it
+READER_ERRORS = [
+    ("", "empty graph file", None, None),
+    ("# only a comment\n\n", "empty graph file", None, None),
+    ("2 1 0\n", "line 1: header must be 'n m'", 1, None),
+    ("two 1\n", "line 1, field 1: expected integer vertex count, got 'two'", 1, 1),
+    ("2 1.0\n", "line 1, field 2: expected integer edge count, got '1.0'", 1, 2),
+    ("2 -1\n", "line 1: n and m must be non-negative", 1, None),
+    ("2 1\n", "line 1: missing capacity line", 1, None),
+    ("3 1\n1 1\n1 2 3\n", "line 2: capacity line has 2 entries, expected 3", 2, None),
+    ("2 1\n1 b\n1 2 3\n", "line 2, field 2: expected integer capacity, got 'b'", 2, 2),
+    ("2 1\n1 -2\n1 2 3\n", "line 2, field 2: capacity must be positive, got -2", 2, 2),
+    ("2 1\n0 b\n1 2 3\n", "line 2, field 1: capacity must be positive, got 0", 2, 1),
+    ("2 1\n1 1\n1 2\n", "line 3: edge line must be 'i j w'", 3, None),
+    ("2 1\n1 1\nx 2 w\n", "line 3, field 1: expected integer vertex id, got 'x'", 3, 1),
+    ("2 1\n1 1\n1 2.0 3\n", "line 3, field 2: expected integer vertex id, got '2.0'", 3, 2),
+    ("2 1\n1 1\n0 2 3\n", "line 3: vertex id out of range 1..2", 3, None),
+    ("2 1\n1 1\n1 3 3\n", "line 3: vertex id out of range 1..2", 3, None),
+    ("2 1\n1 1\n2 2 w\n", "line 3: self-loop at vertex 2", 3, None),
+    ("2 2\n1 1\n1 2 3\n2 1 w\n", "line 4: duplicate edge (1, 2)", 4, None),
+    ("2 1\n1 1\n1 2 w\n", "line 3, field 3: bad weight 'w'", 3, 3),
+    ("2 1\n1 1\n1 2 1/0\n", "line 3, field 3: bad weight '1/0'", 3, 3),
+    ("3 2\n1 1 1\n1 2 3\n", "expected 2 edge lines, found 1", None, None),
+    ("3 1\n1 1 1\n1 2 3\n2 3 4\n", "line 4: expected 1 edge lines, found 2", 4, None),
+    ("# c\n2 1\n\n1 1 # caps\n1 1 3  # x\n", "line 5: self-loop at vertex 1", 5, None),
+]
+
+
+@pytest.mark.parametrize("text, message, line, field", READER_ERRORS)
+def test_every_reader_error(text, message, line, field):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(text)
+    assert (str(err.value), err.value.line, err.value.field) == (message, line, field)
 
 
 class TestWeights:

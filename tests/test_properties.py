@@ -37,7 +37,7 @@ from bpmatch.cli import _parse_init, main  # noqa: E402
 from bpmatch.graph import GraphParseError  # noqa: E402
 from bpmatch.oracle import CertificateError  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
-from bpmatch.engine import detect_period  # noqa: E402
+from bpmatch.engine import _select, detect_period  # noqa: E402
 from conftest import naive_optima  # noqa: E402
 import _fraction_tree_dp as fraction_tree_dp  # noqa: E402
 
@@ -316,6 +316,41 @@ class _Draws:
 
     def draw(self, strategy):
         return next(self._values)
+
+
+def _naive_select(nbrs, b, vals, mode):
+    # _select by its definition: rank (value, label) pairs, take the first
+    # b, in non-perfect mode only while the value is negative
+    ranked = sorted(zip(vals, nbrs))
+    lo = ranked[b - 1][0] if b <= len(ranked) else None
+    hi = ranked[b][0] if b < len(ranked) else None
+    chosen = []
+    for v, j in ranked[:b]:
+        if mode != PERFECT and v >= 0:
+            break
+        chosen.append(j)
+    if mode != PERFECT and len(chosen) < b:
+        return tuple(chosen), 0 in vals, lo, hi
+    return tuple(chosen), hi is not None and lo == hi, lo, hi
+
+
+@settings(SETTINGS, max_examples=400)
+@given(st.sampled_from([PERFECT, NONPERFECT]), st.lists(st.integers(-2, 2), max_size=9),
+       st.sampled_from([1, 3]), st.data())
+@example(PERFECT, [], 1, _Draws(1, ()))
+@example(NONPERFECT, [0, -1, -1, 0], 1, _Draws(5, (2, 3, 5, 8)))
+def test_select_ranks_by_value_then_label(mode, ints, den, data):
+    # few distinct values, so ties at and below the b-th rank are common
+    b = data.draw(st.integers(1, len(ints) + 1))
+    nbrs = tuple(sorted(data.draw(st.sets(st.integers(1, 30), min_size=len(ints),
+                                          max_size=len(ints)))))
+    vals = [Fraction(v, den) for v in ints]
+    want = _naive_select(nbrs, b, vals, mode)
+    assert _select(nbrs, b, vals, mode) == want
+    # the same values as the kernel's scaled ints, read as a tuple by its
+    # gathers
+    scaled = tuple(ints)
+    assert _select(nbrs, b, scaled, mode) == _naive_select(nbrs, b, scaled, mode)
 
 
 K4 = Graph(4, [1, 1, 1, 1], [(1, 2, Fraction(2, 3)), (1, 3, 1), (1, 4, 2), (2, 3, 3),
