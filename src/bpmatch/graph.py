@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 PERFECT = "perfect"
 NONPERFECT = "nonperfect"
@@ -164,6 +165,13 @@ class Graph:
     def weights(self) -> dict:
         return dict(self._w)
 
+    def total_weight(self, edges) -> Fraction:
+        """The exact weight of `edges`, keys (i, j) with i < j: the
+        numerators summed over one least common denominator."""
+        ws = [self._w[e] for e in edges]
+        den = lcm(*{w.denominator for w in ws})
+        return Fraction(sum(w.numerator * (den // w.denominator) for w in ws), den)
+
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -314,8 +322,7 @@ class Matching:
         for e in keys:
             if not g.has_edge(*e):
                 raise GraphError(f"matching edge {e} not in graph")
-        total = sum((g.weight(*e) for e in keys), ZERO)
-        return cls(keys, mode, total)
+        return cls(keys, mode, g.total_weight(keys))
 
     def degree_violations(self, g: Graph) -> list[str]:
         deg = {i: 0 for i in g.vertices()}

@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import (Graph, PERFECT, NONPERFECT, ZERO, Matching, require_valid,
+from .graph import (Graph, PERFECT, NONPERFECT, Matching, require_valid,
                     reduce_trivial)
 from .engine import MessageInit, StopPolicy, RunResult, run_sync, _select
 from .schedule import make_schedule, run_async
@@ -260,7 +260,7 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
         final = reduction.to_original(run.estimate.edges)
     else:
         final = run.estimate.edges
-    weight = sum((g.weight(*e) for e in final), ZERO)
+    weight = g.total_weight(final)
     matching = Matching(final, mode, weight)
     matching_ok = matching.is_valid(g)
 

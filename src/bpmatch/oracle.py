@@ -17,6 +17,8 @@ degree LP: the relaxation is the face LP with every edge free.
 The dual certificate carries the derived quantities the bound needs: the
 set S of edges whose weight differs from the sum of its endpoints' dual
 prices, the minimum such gap epsilon, and the largest price magnitude L.
+The certificate checks run on ints, the weights, y and lambda times one
+least common denominator, and build Fractions only for their results.
 One horizon serves both certified stops: 2nL/epsilon in perfect mode and
 4nL/epsilon in non-perfect mode, with L grown by the largest initial
 message when the run does not start from the weights.  A synchronous run
@@ -78,8 +80,8 @@ def _min_points(g: Graph, mode: str, edges, values, minimum=None):
     below it raises OracleError; once the search has met a fractional point
     or a second point at `minimum`, it looks only for points below it.
     """
-    scale = math.lcm(*(g.weight(*e).denominator for e in edges))
-    w = [g.weight(*e).numerator * (scale // g.weight(*e).denominator) for e in edges]
+    scale, w = _scaled(g.weights())
+    w = [w[e] for e in edges]
     best = None
     if minimum is not None:
         best = 2 * scale * Fraction(minimum)
@@ -173,8 +175,7 @@ class LPSolution:
     def from_matching(cls, g: Graph, edges, mode: str) -> "LPSolution":
         keys = frozenset(edge_key(i, j) for (i, j) in edges)
         x = {e: Fraction(1) if e in keys else ZERO for e in g.edges()}
-        obj = sum((g.weight(*e) for e in keys), ZERO)
-        return cls(mode, x, obj, True)
+        return cls(mode, x, g.total_weight(keys), True)
 
 
 @dataclass(frozen=True)
@@ -187,44 +188,63 @@ class DualCertificate:
     L: Fraction
 
 
-def _gap(mode: str, w, y, e) -> Fraction:
-    """The dual gap of edge e = (i, j) at cost w (its weight, or weight plus
-    lambda): w - (y_i + y_j) in perfect mode, w + (y_i + y_j) in non-perfect."""
-    i, j = e
-    return w - y[i] - y[j] if mode == PERFECT else w + y[i] + y[j]
+def _scaled(*maps):
+    """The least common denominator D of the values of `maps`, dicts of
+    Fractions (or ints), and each map with its values times D, as ints."""
+    D = math.lcm(*{v.denominator for m in maps for v in m.values()})
+    return (D, *({k: v.numerator * (D // v.denominator) for k, v in m.items()} for m in maps))
+
+
+def _duals(g: Graph, mode: str, y, lam):
+    """(D, Y, Lm, gap): D the least common denominator of g's weights, y and
+    lambda, Y and Lm their values times D, and each edge's dual gap times D,
+    w - (y_i + y_j) in perfect mode, w + y_i + y_j in non-perfect mode."""
+    D, W, Y, Lm = _scaled(g.weights(), y, lam)
+    sign = 1 if mode == PERFECT else -1
+    return D, Y, Lm, {(i, j): W[i, j] - sign * (Y[i] + Y[j]) for (i, j) in g.edges()}
+
+
+def _entries(given, keys, label: str, what: str) -> dict:
+    """`given` over `keys`, zero where absent, as Fractions, a Fraction kept as
+    it is; a key outside `keys` or a float or bool value is refused."""
+    out = dict.fromkeys(keys, ZERO)
+    for k, v in given.items():
+        if k not in out:
+            raise CertificateError(f"{label.format(k)}: not {what} of the graph")
+        if isinstance(v, (float, bool)):
+            raise CertificateError(f"{label.format(k)}: value {v!r} is a {type(v).__name__}; "
+                                   "use an int, Fraction, Decimal or rational string")
+        out[k] = v if type(v) is Fraction else Fraction(v)
+    return out
 
 
 def build_certificate(g: Graph, y, lam, mode: str) -> DualCertificate:
-    """Derive S / epsilon / L from dual values, verifying dual feasibility."""
+    """Derive S / epsilon / L from dual values, verifying dual feasibility:
+    `y` maps vertices and `lam` edges (i, j), i < j, to exact values, zero
+    where absent.  The checks run on ints, Fractions only name problems."""
     _require_mode(mode)
-    y = {i: Fraction(y.get(i, 0)) for i in g.vertices()}
-    lam = {e: Fraction(lam.get(e, 0)) for e in g.edges()}
-    problems = []
-    for e, l in lam.items():
-        if l < 0:
-            problems.append(f"lambda{e} = {l} < 0")
+    y = _entries(y, g.vertices(), "y[{!r}]", "a vertex")
+    lam = _entries(lam, g.edges(), "lambda{!r}", "an edge (i, j), i < j,")
+    D, Y, Lm, gap = _duals(g, mode, y, lam)
+    problems = [f"lambda{e} = {lam[e]} < 0" for e, v in Lm.items() if v < 0]
     if mode == NONPERFECT:
-        for i, v in y.items():
-            if v < 0:
-                problems.append(f"y[{i}] = {v} < 0 in non-perfect mode")
-    for e in g.edges():
-        cost = g.weight(*e) + lam[e]
-        bound = cost - _gap(mode, cost, y, e)  # y_i + y_j, negated if non-perfect
-        if cost < bound:
-            problems.append(f"edge {e}: w + lambda = {cost} < {bound}")
+        problems += [f"y[{i}] = {y[i]} < 0 in non-perfect mode" for i, v in Y.items() if v < 0]
+    for e, v in gap.items():
+        if v + Lm[e] < 0:
+            w = g.weight(*e)
+            problems.append(f"edge {e}: w + lambda = {w + lam[e]} < {w - Fraction(v, D)}")
     if problems:
         raise CertificateError("dual infeasible: " + "; ".join(problems))
-    gaps = {e: _gap(mode, g.weight(*e), y, e) for e in g.edges()}
-    S = frozenset(e for e, v in gaps.items() if v != 0)
-    epsilon = min((abs(gaps[e]) for e in S), default=None)
-    L = max((abs(v) for v in y.values()), default=ZERO)
+    S = frozenset(e for e, v in gap.items() if v)
+    epsilon = Fraction(min(abs(gap[e]) for e in S), D) if S else None
+    L = Fraction(max(map(abs, Y.values()), default=0), D)
     return DualCertificate(mode, y, lam, S, epsilon, L)
 
 
 def dual_objective(g: Graph, cert: DualCertificate) -> Fraction:
-    total_y = sum((Fraction(g.cap(i)) * cert.y[i] for i in g.vertices()), ZERO)
-    total_l = sum(cert.lam.values(), ZERO)
-    return (total_y if cert.mode == PERFECT else -total_y) - total_l
+    D, Y, Lm = _scaled(cert.y, cert.lam)
+    total_y = sum(g.cap(i) * Y[i] for i in g.vertices())
+    return Fraction((total_y if cert.mode == PERFECT else -total_y) - sum(Lm.values()), D)
 
 
 def _degree_lp(g: Graph, mode: str, cost, fixed_one=(), equality_vertices=()):
@@ -285,15 +305,12 @@ def solve_relaxation(g: Graph, mode: str):
     except LPInfeasible:
         raise InfeasibleError("relaxation infeasible") from None
     x = {e: res.x[k] for e, k in idx.items()}
-    integral = all(v in (0, 1) for v in x.values())
-    sol = LPSolution(mode, x, res.objective, integral)
+    sol = LPSolution(mode, x, res.objective, all(v in (0, 1) for v in x.values()))
     # every vertex keeps its row: rows 0..n-1 are the vertices, then the caps
-    n = g.n
-    if mode == PERFECT:
-        y = {i: res.dual[i - 1] for i in g.vertices()}
-    else:
-        y = {i: -res.dual[i - 1] for i in g.vertices()}
-    lam = {e: -res.dual[n + k] for e, k in idx.items()}
+    den, prices = res.scaled_dual
+    sign = 1 if mode == PERFECT else -1
+    y = {i: Fraction(sign * prices[i - 1], den) for i in g.vertices()}
+    lam = {e: Fraction(-prices[g.n + k], den) for e, k in idx.items()}
     cert = build_certificate(g, y, lam, mode)
     if dual_objective(g, cert) != sol.objective:
         raise OracleError("strong duality violated; simplex produced a bad dual")
@@ -331,21 +348,18 @@ def check_cs(g: Graph, primal: LPSolution, dual: DualCertificate) -> CSReport:
     """
     if primal.mode != dual.mode:
         raise OracleError("primal/dual mode mismatch")
-    mode = primal.mode
-    checks = []
-    y, lam = dual.y, dual.lam
-    for e in g.edges():
-        xe = primal.x.get(e, ZERO)
-        v1 = xe * _gap(mode, g.weight(*e) + lam[e], y, e)
-        checks.append(CSCheck("edge_slack_product", e, v1, v1 == 0))
-        v2 = (xe - 1) * lam[e]
-        checks.append(CSCheck("upper_bound_product", e, v2, v2 == 0))
-    if mode == NONPERFECT:
+    D, Y, Lm, gap = _duals(g, primal.mode, dual.y, dual.lam)
+    X, x = _scaled({e: primal.x.get(e, ZERO) for e in g.edges()})
+    products = []  # (name, subject, the product times X * D)
+    for e, v in gap.items():
+        products.append(("edge_slack_product", e, x[e] * (v + Lm[e])))
+        products.append(("upper_bound_product", e, (x[e] - X) * Lm[e]))
+    if primal.mode == NONPERFECT:
         for i in g.vertices():
-            load = sum((primal.x.get(edge_key(i, j), ZERO) for j in g.neighbors(i)), ZERO)
-            v = (load - g.cap(i)) * y[i]
-            checks.append(CSCheck("vertex_slack_product", (i,), v, v == 0))
-    return CSReport(checks)
+            load = sum(x[edge_key(i, j)] for j in g.neighbors(i))
+            products.append(("vertex_slack_product", (i,), (load - g.cap(i) * X) * Y[i]))
+    return CSReport([CSCheck(name, subject, Fraction(v, X * D) if v else ZERO, not v)
+                     for name, subject, v in products])
 
 
 # -- tightness ------------------------------------------------------------------------
@@ -382,8 +396,7 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
         return TightnessReport(False, dict(sol.x), "fractional_point_beats_integral",
                                sol.objective, bf_weight, len(bf_all))
     if len(bf_all) > 1:
-        a, b_ = bf_all[0], bf_all[1]
-        witness = {e: (Fraction(int(e in a)) + Fraction(int(e in b_))) / 2 for e in g.edges()}
+        witness = {e: Fraction(int(e in bf_all[0]) + int(e in bf_all[1]), 2) for e in g.edges()}
         return TightnessReport(False, witness, "multiple_integral_optima",
                                sol.objective, bf_weight, len(bf_all))
     if not sol.integral:
@@ -393,19 +406,15 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
 
     # Complementary slackness pins edges with a positive dual slack to 0 and
     # edges with positive lambda to 1; the rest span the optimal face.
-    fixed_zero, fixed_one, free = set(), set(), []
-    for e in g.edges():
-        if _gap(mode, g.weight(*e) + cert.lam[e], cert.y, e) > 0:
-            fixed_zero.add(e)
-        elif cert.lam[e] > 0:
-            fixed_one.add(e)
-        else:
-            free.append(e)
+    _, Y, Lm, gap = _duals(g, mode, cert.y, cert.lam)
+    fixed_zero = {e for e, v in gap.items() if v + Lm[e] > 0}
+    fixed_one = {e for e, v in Lm.items() if v > 0 and e not in fixed_zero}
+    free = [e for e in g.edges() if e not in fixed_zero and e not in fixed_one]
     if free:
         # maximize ||x - x*||_1 over the face; a non-perfect vertex with a
         # positive price stays saturated there
         cost = {e: Fraction(1) if sol.x[e] == 1 else Fraction(-1) for e in free}
-        held = {i for i in g.vertices() if cert.y[i] != 0}
+        held = {i for i, v in Y.items() if v}
         A, b, c, idx = _degree_lp(g, mode, cost, fixed_one, held)
         x = solve_lp(A, b, c).x
         far = {e: x[k] for e, k in idx.items()}
@@ -416,10 +425,8 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
             return TightnessReport(False, witness, "optimal_face_has_positive_dimension",
                                    sol.objective, bf_weight, 1)
     optimum = bf_all[0]
-    point = dict.fromkeys(fixed_zero, ZERO)
-    point.update(dict.fromkeys(fixed_one, Fraction(1)))
-    point.update({e: sol.x[e] for e in free})
-    if point != {e: Fraction(int(e in optimum)) for e in g.edges()}:
+    if (optimum & fixed_zero or not fixed_one <= optimum
+            or any(sol.x[e] != int(e in optimum) for e in free)):
         raise OracleError("zero-dimensional optimal face disagrees with the exhaustive optimum")
     return TightnessReport(True, None, "unique_integral_optimum",
                            sol.objective, bf_weight, 1)
@@ -442,9 +449,8 @@ def tightness_by_enumeration(g: Graph, mode: str, lp_objective: Fraction,
     _, points = _min_points(g, mode, edges, (0, 1, 2), lp_objective)
     if not points:
         raise OracleError("no optimal half-integral point found; wrong objective value?")
-    last = points[-1]
-    if 1 in last:
-        return False, {e: Fraction(d, 2) for e, d in zip(edges, last)}
+    if 1 in points[-1]:
+        return False, {e: Fraction(d, 2) for e, d in zip(edges, points[-1])}
     if len(points) == 1:
         return True, None
     # two integral optima: their midpoint
@@ -463,14 +469,11 @@ def coverage_threshold(g: Graph, cert: DualCertificate, mode: str | None = None,
     mode = mode or cert.mode
     if mode != cert.mode:
         raise OracleError(f"certificate is for {cert.mode} mode, not {mode}")
-    n = g.n
     if cert.epsilon is None:
-        return Fraction(n)
-    L = cert.L
-    if init is not None and init.kind != "weights":
-        L = L + init.max_abs(g)
+        return Fraction(g.n)
+    L = cert.L if init is None or init.kind == "weights" else cert.L + init.max_abs(g)
     factor = 2 if mode == PERFECT else 4
-    return Fraction(factor * n) * L / cert.epsilon
+    return Fraction(factor * g.n) * L / cert.epsilon
 
 
 def iteration_bound(g: Graph, cert: DualCertificate, init: MessageInit | None = None,
@@ -488,11 +491,8 @@ def iteration_bound(g: Graph, cert: DualCertificate, init: MessageInit | None = 
 # -- certificate files --------------------------------------------------------------------
 
 def serialize_certificate(cert: DualCertificate) -> str:
-    lines = []
-    for i in sorted(cert.y):
-        lines.append(f"y {i} {cert.y[i]}")
-    for (i, j) in sorted(cert.lam):
-        lines.append(f"lambda {i} {j} {cert.lam[(i, j)]}")
+    lines = [f"y {i} {cert.y[i]}" for i in sorted(cert.y)]
+    lines += [f"lambda {i} {j} {cert.lam[(i, j)]}" for (i, j) in sorted(cert.lam)]
     return "\n".join(lines) + "\n"
 
 

@@ -21,12 +21,13 @@ per constraint row, read off the final reduced-cost row: each row starts with
 a unit column (a seeded slack, or its phase-one artificial, kept through
 phase two at cost zero but never allowed to enter), whose reduced cost is its
 cost minus the row's price.  A redundant row dropped in phase one gets price
-zero.  Fractions appear only in the LPResult.
+zero.  Fractions appear only in the LPResult, which also carries the prices
+as ints over one common denominator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -51,6 +52,8 @@ class LPResult:
     objective: Fraction
     dual: list          # one price per original row
     basis: list
+    # the prices as (d, [price * d]) over one positive common denominator d
+    scaled_dual: tuple = field(default=None, compare=False, repr=False)
 
 
 def _pivot(M, d, r, col):
@@ -127,8 +130,8 @@ def solve_lp(A, b, c) -> LPResult:
             row = [-v for v in row]
             sign[i] = -1
         M.append(row)
-    cost = [Fraction(v) for v in c]
-    scale = lcm(*(v.denominator for v in cost))
+    cost = [v if type(v) is Fraction else Fraction(v) for v in c]
+    scale = lcm(*{v.denominator for v in cost})
     cost = [v.numerator * (scale // v.denominator) for v in cost]
 
     # Seed the basis with unit columns where they exist.
@@ -176,5 +179,6 @@ def solve_lp(A, b, c) -> LPResult:
     for row, bv in zip(M, basis):
         x[bv] = Fraction(row[-1], d)
     objective = Fraction(sum(cost[bv] * row[-1] for row, bv in zip(M, basis)), d * scale)
-    dual = [Fraction(sign[i] * (cost[u] * d - z[u]), d * scale) for i, u in enumerate(unit)]
-    return LPResult(x, objective, dual, list(basis))
+    prices = [sign[i] * (cost[u] * d - z[u]) for i, u in enumerate(unit)]
+    dual = [Fraction(p, d * scale) for p in prices]
+    return LPResult(x, objective, dual, list(basis), (d * scale, prices))

@@ -1,0 +1,86 @@
+"""Golden command-line outputs: stdout, stderr and the exit code of
+`certify --json` (with the file `--emit-cert` writes) and of
+`solve --json --certify --stop certified` under the sync, round-robin and
+random:3 schedules, on every shipped fixture in both modes, compared byte
+for byte with the files under tests/data/golden/.
+
+The commands run from the repository root on relative fixture paths, so
+the outputs name the same paths wherever the repository lives.  To record
+the files again, run `PYTHONPATH=src python tests/test_golden_cli.py`.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from bpmatch.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+FIXTURES = ("c4", "k4-appendix", "p4", "tri-half", "tri-neg")
+MODES = ("perfect", "nonperfect")
+SCHEDULES = ("sync", "roundrobin", "random:3")
+
+
+def cases():
+    """(name, argv, whether the command writes a certificate file)."""
+    out = []
+    for fixture in FIXTURES:
+        graph = f"src/bpmatch/fixtures/{fixture}.graph"
+        for mode in MODES:
+            out.append((f"certify-{fixture}-{mode}",
+                        ["certify", graph, "--mode", mode, "--json"], True))
+            for schedule in SCHEDULES:
+                out.append((f"solve-{schedule.replace(':', '')}-{fixture}-{mode}",
+                             ["solve", graph, "--mode", mode, "--json", "--certify",
+                              "--stop", "certified", "--schedule", schedule], False))
+    return out
+
+
+def run(argv, emit):
+    """(exit code, stdout, stderr, certificate file text or None) of one
+    command, run from the repository root."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = Path(tmp) / "cert.txt"
+        try:
+            os.chdir(ROOT)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + (["--emit-cert", str(cert)] if emit else []))
+        finally:
+            os.chdir(cwd)
+        text = cert.read_text(encoding="utf-8") if cert.exists() else None
+    return code, out.getvalue(), err.getvalue(), text
+
+
+def record():
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    index = {}
+    for name, argv, emit in cases():
+        code, stdout, stderr, cert = run(argv, emit)
+        (GOLDEN / f"{name}.out").write_text(stdout, encoding="utf-8")
+        if cert is not None:
+            (GOLDEN / f"{name}.cert").write_text(cert, encoding="utf-8")
+        index[name] = {"argv": argv, "exit": code, "stderr": stderr}
+    (GOLDEN / "cases.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv, emit", cases(), ids=[c[0] for c in cases()])
+def test_cli_output_is_the_golden_file(name, argv, emit):
+    want = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))[name]
+    code, stdout, stderr, cert = run(argv, emit)
+    assert want["argv"] == argv
+    assert (code, stderr) == (want["exit"], want["stderr"])
+    assert stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    cert_file = GOLDEN / f"{name}.cert"
+    assert cert == (cert_file.read_text(encoding="utf-8") if cert_file.exists() else None)
+
+
+if __name__ == "__main__":
+    record()

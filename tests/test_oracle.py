@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from bpmatch import (Graph, PERFECT, NONPERFECT, MessageInit, StopPolicy,
-                     brute_force, solve_relaxation,
+                     fixture_path, parse_graph, brute_force, solve_relaxation,
                      build_certificate, dual_objective, check_cs, is_tight,
                      tightness_by_enumeration, iteration_bound, coverage_threshold,
                      OracleError, InfeasibleError, GuardExceeded, CertificateError,
                      LPSolution, parse_certificate, serialize_certificate,
                      run_sync)
 from bpmatch import harness, oracle
+from bpmatch.cli import main
 from bpmatch.harness import certify_instance
 from conftest import naive_optima, random_graph_any
 
@@ -132,6 +133,59 @@ class TestDual:
             parse_certificate("y 9 1/2\n", k4, PERFECT)
         with pytest.raises(CertificateError):
             parse_certificate("lambda 1 3 x\n", k4, PERFECT)
+
+
+# (fixture, mode, y, lam, str(error), dual file text or None, the certify
+# command's error line for that file).  Entries are checked in order, y
+# first, before dual feasibility; feasibility problems are listed in the
+# order negative lambda, negative y (non-perfect mode), infeasible edges.
+# A float or bool has no dual-file form: a file token is read exactly.
+INFEASIBLE = "dual infeasible: "
+CERTIFICATE_ERRORS = [
+    ("c4", PERFECT, {}, {(1, 2): F(-1)}, INFEASIBLE + "lambda(1, 2) = -1 < 0",
+     "lambda 1 2 -1\n", None),
+    ("tri-neg", NONPERFECT, {1: F(3), 2: F(3), 3: F(-1, 2)}, {},
+     INFEASIBLE + "y[3] = -1/2 < 0 in non-perfect mode", "y 1 3\ny 2 3\ny 3 -1/2\n", None),
+    ("c4", PERFECT, {1: F(2)}, {}, INFEASIBLE + "edge (1, 2): w + lambda = 1 < 2",
+     "y 1 2\n", None),
+    ("tri-neg", NONPERFECT, {2: F(-3)}, {(1, 2): F(-1)},
+     INFEASIBLE + "lambda(1, 2) = -1 < 0; y[2] = -3 < 0 in non-perfect mode; "
+     "edge (1, 2): w + lambda = -4 < 3; edge (1, 3): w + lambda = -2 < 0; "
+     "edge (2, 3): w + lambda = -1 < 3", "lambda 1 2 -1\ny 2 -3\n", None),
+    ("c4", PERFECT, {1: F(1, 2), 9: F(7)}, {(2, 1): F(-5)}, "y[9]: not a vertex of the graph",
+     "y 1 1/2\ny 9 7\n", "line 2: vertex 9 out of range"),
+    ("c4", PERFECT, {}, {(2, 1): F(-5)}, "lambda(2, 1): not an edge (i, j), i < j, of the graph",
+     "lambda 2 1 -5\n", INFEASIBLE + "lambda(1, 2) = -5 < 0; edge (1, 2): w + lambda = -4 < 0"),
+    ("c4", PERFECT, {}, {(1, 3): 0}, "lambda(1, 3): not an edge (i, j), i < j, of the graph",
+     "lambda 1 3 0\n", "line 1: edge (1, 3) not in graph"),
+    ("c4", PERFECT, {1: 0.1}, {},
+     "y[1]: value 0.1 is a float; use an int, Fraction, Decimal or rational string", None, None),
+    ("c4", PERFECT, {}, {(1, 2): True},
+     "lambda(1, 2): value True is a bool; use an int, Fraction, Decimal or rational string",
+     None, None),
+    ("tri-neg", NONPERFECT, {3: False}, {},
+     "y[3]: value False is a bool; use an int, Fraction, Decimal or rational string", None, None),
+]
+
+
+@pytest.mark.parametrize("fixture, mode, y, lam, message, text, file_message",
+                         CERTIFICATE_ERRORS,
+                         ids=["negative-lambda", "negative-y-nonperfect", "infeasible-edge",
+                              "several", "stray-vertex", "reversed-edge-key", "non-edge-key",
+                              "float", "bool-lambda", "bool-y"])
+def test_every_certificate_error(capsys, tmp_path, fixture, mode, y, lam, message, text,
+                                 file_message):
+    g = parse_graph(fixture_path(fixture).read_text())
+    with pytest.raises(CertificateError) as err:
+        build_certificate(g, y, lam, mode)
+    assert str(err.value) == message
+    if text is None:
+        return
+    path = tmp_path / "dual.txt"
+    path.write_text(text)
+    code = main(["certify", str(fixture_path(fixture)), "--mode", mode, "--dual-file", str(path)])
+    out, errors = capsys.readouterr()
+    assert (code, out, errors) == (2, "", f"error: {file_message or message}\n")
 
 
 class TestCheckCS:

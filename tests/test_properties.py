@@ -14,6 +14,7 @@ and fuzzed input files give a clean CLI exit code."""
 import contextlib
 import io
 import math
+import random
 import tempfile
 from fractions import Fraction
 from itertools import product
@@ -35,10 +36,14 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: 
                      parse_certificate, serialize_certificate, validate_schedule)
 from bpmatch.cli import _parse_init, main  # noqa: E402
 from bpmatch.graph import GraphParseError  # noqa: E402
-from bpmatch.oracle import CertificateError  # noqa: E402
+from bpmatch.oracle import (CertificateError, LPSolution, OracleError,  # noqa: E402
+                            build_certificate, check_cs, dual_objective)
+from bpmatch.simplex import LPError  # noqa: E402
+from bpmatch.harness import random_instance  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import _select, detect_period  # noqa: E402
 from conftest import naive_optima  # noqa: E402
+import _fraction_certificate as fraction_certificate  # noqa: E402
 import _fraction_tree_dp as fraction_tree_dp  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -541,6 +546,92 @@ def test_files_round_trip(instance, data):
     except InfeasibleError:
         return
     assert parse_certificate(serialize_certificate(cert), g, mode) == cert
+
+
+def _outcome(f, *args, **kwargs):
+    """repr of f's result, or of the oracle or LP error it raised: the same
+    text on both sides means the same values, types, order and message."""
+    try:
+        return repr(f(*args, **kwargs))
+    except (OracleError, LPError) as exc:
+        return repr(exc)
+
+
+@st.composite
+def certificate_draws(draw):
+    """(mode, graph, y, lam, x): a random_instance graph in either mode with
+    weights of magnitude up to 2 (many ties) or 30, each divided by 1, 2, 3
+    or 6; y and lambda over some vertices and edges with values k/d for d in
+    1, 2, 3, 6, negative ones too, drawn freely (often infeasible) or made
+    feasible by raising each lambda to its edge's bound; x in {0, 1/2, 1} or
+    any rationals."""
+    mode = draw(st.sampled_from([PERFECT, NONPERFECT]))
+    top = draw(st.sampled_from([2, 30]))
+    lo, hi = (1, top) if mode == PERFECT else (-top, -1)
+    g = random_instance(random.Random(draw(st.integers(0, 2**32 - 1))), 6, mode, lo, hi)
+    dens = st.sampled_from([1, 2, 3, 6])
+    g = Graph(g.n, g.capacities(), [(i, j, w / draw(dens)) for (i, j), w in g.weights().items()])
+    values = st.builds(Fraction, st.integers(-12, 12), dens)
+    y = draw(st.dictionaries(st.sampled_from(list(g.vertices())), values))
+    lam = draw(st.dictionaries(st.sampled_from(g.edges()), values))
+    if draw(st.booleans()):
+        # feasible: y >= 0 in non-perfect mode, w + lambda >= each bound
+        if mode == NONPERFECT:
+            y = {i: abs(v) for i, v in y.items()}
+        for (i, j) in g.edges():
+            bound = y.get(i, 0) + y.get(j, 0)
+            bound = bound if mode == PERFECT else -bound
+            lam[(i, j)] = abs(lam.get((i, j), 0)) + max(0, bound - g.weight(i, j))
+    if draw(st.booleans()):
+        xs = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+    else:
+        xs = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7))
+    x = {e: draw(xs) for e in g.edges()}
+    return mode, g, y, lam, x
+
+
+@SETTINGS
+@given(certificate_draws())
+def test_integer_certificate_checks_match_the_fraction_reference(case):
+    # every certificate fact of the int path against the Fraction reference:
+    # the drawn dual, then the solver's own, then each as the relaxation's
+    # dual in the tightness split, where the drawn one may fail that split
+    mode, g, y, lam, x = case
+    ref = fraction_certificate
+    want = _outcome(ref.build_certificate, g, y, lam, mode)
+    assert _outcome(build_certificate, g, y, lam, mode) == want
+    primal = LPSolution(mode, x, Fraction(0), False)
+    try:
+        cert = ref.build_certificate(g, y, lam, mode)
+    except CertificateError:
+        cert = None
+    else:
+        assert build_certificate(g, y, lam, mode) == cert
+        assert _outcome(dual_objective, g, cert) == _outcome(ref.dual_objective, g, cert)
+        assert _outcome(check_cs, g, primal, cert) == _outcome(ref.check_cs, g, primal, cert)
+    want = _outcome(ref.solve_relaxation, g, mode)
+    assert _outcome(solve_relaxation, g, mode) == want
+    try:
+        sol, own = solve_relaxation(g, mode)
+    except InfeasibleError:
+        return
+    assert _outcome(check_cs, g, primal, own) == _outcome(ref.check_cs, g, primal, own)
+    for dual in (own, cert) if cert is not None else (own,):
+        assert _outcome(check_cs, g, sol, dual) == _outcome(ref.check_cs, g, sol, dual)
+        assert (_outcome(is_tight, g, mode, relaxation=(sol, dual))
+                == _outcome(ref.is_tight, g, mode, relaxation=(sol, dual)))
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_total_weight_is_the_fraction_sum(instance, data):
+    _, g = instance
+    dens = st.sampled_from([1, 3, 7])
+    weights = [(i, j, w / data.draw(dens)) for (i, j), w in g.weights().items()]
+    g = Graph(g.n, g.capacities(), weights)
+    edges = data.draw(st.sets(st.sampled_from(g.edges()))) if g.m else set()
+    got = g.total_weight(edges)
+    assert type(got) is Fraction and got == sum((g.weight(*e) for e in edges), Fraction(0))
 
 
 # tokens over ASCII and Unicode digits, the characters of signs, digit
