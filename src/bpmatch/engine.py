@@ -28,6 +28,18 @@ statistic of a vertex's incoming messages, so one ranking per vertex
 (_select) serves both: a run ranks a vertex's messages only after one of
 them is updated, and the next step reads the b_i-th and (b_i+1)-th smallest
 from that ranking.
+
+A synchronous round is a function of the scaled messages alone: the ranks,
+selections and estimate after it are recomputed from them, and the update
+set never changes.  So once a sync run's messages equal those of an earlier
+round, the run repeats that stretch for ever, every estimate included.  In
+non-perfect mode min(0, .) keeps every message from round 2 on between the
+least weight and the greatest weight minus the least, a finite set of
+exact ints, so every non-perfect run reaches such a cycle; perfect-mode
+messages mostly drift.  A sync run without a trace looks for the cycle by
+Brent's method (BIT 1980) and skips whole periods of it up to where its
+stop could next hold (see _run).  An asynchronous schedule need not repeat
+its steps, and a trace records every state, so those runs step every round.
 """
 
 from __future__ import annotations
@@ -336,6 +348,10 @@ class RunResult:
     trace: list | None = None
     coverage: object = None
     schedule_kind: str | None = None
+    # (mark_t, p): the messages after round mark_t + p equal those after
+    # round mark_t, as a synchronous run without a trace found them; None
+    # when no such cycle was found or sought
+    cycle: tuple | None = None
 
 
 def detect_period(history, max_period):
@@ -351,8 +367,37 @@ def detect_period(history, max_period):
     return None
 
 
+def _periods(stop: StopPolicy, t: int, p: int, history: list, last_change: int,
+             window_size: int, limit) -> int:
+    """How many whole periods a run can skip at round t, its state having
+    repeated with period p, before `stop` could hold: the largest k such
+    that the stop check fails at every round from t to t + k*p - 1.
+
+    A budget stop holds from its iteration count on.  Over a cycle whose
+    estimate is constant, last_change stays where it is, so a window stop
+    holds from min(limit, last_change + window) on.  When the estimate
+    changes inside the cycle, every gap between its changes recurs for
+    ever: with each gap, the cyclic one included, at most the window, the
+    estimate is never stable for a whole window and only `limit` stops the
+    run; a longer gap lets the window hold within the next period, and the
+    run steps there."""
+    if stop.kind == "budget":
+        end = stop.iterations
+    else:
+        tail = history[-p - 1:]
+        changes = [r for r in range(1, p + 1) if tail[r] != tail[r - 1]]
+        if not changes:
+            end = min(limit, last_change + window_size)
+        elif all(b - a <= window_size
+                 for a, b in zip(changes, changes[1:] + [changes[0] + p])):
+            end = limit
+        else:
+            return 0
+    return max(end - t, 0) // p
+
+
 def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
-         keep_trace: bool, covered=None) -> RunResult:
+         keep_trace: bool, covered=None, fixed_step: bool = False) -> RunResult:
     """The run loop shared by synchronous and asynchronous runs: apply the
     update sets drawn from `steps` until `stop` holds.  A coverage stop asks
     `covered()` after every step (and once before the first).
@@ -367,7 +412,25 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     messages, so only their selections and ranks are recomputed, which
     keeps every vertex's ranks current for the next step; an edge is in the
     estimate while either endpoint selects it, and the estimate's edge set
-    is rebuilt only when an edge enters or leaves it."""
+    is rebuilt only when an edge enters or leaves it.
+
+    `fixed_step` says that every step updates the same set (run_sync's
+    all-edges step).  The state after a step (lo, hi, sel, tie and the
+    estimate) is then a function of the messages alone, so once the
+    messages equal an earlier snapshot the run is periodic from there on.
+    Without a trace, the run keeps a snapshot of the messages at rounds 1,
+    2, 4, ... (Brent's cycle finding: one list copy per power of two and
+    one list compare per round), and at the first round t whose messages
+    equal the snapshot of round mark_t, with p = t - mark_t, it skips as
+    many whole periods as the stop cannot hold in (_periods): a budget stop
+    to just short of its count, a window stop over a constant estimate to
+    min(limit, last_change + window), and one whose estimate changes inside
+    the cycle to its limit, or not at all when a gap between changes is
+    longer than the window.  The history repeats its last p entries, and last_change
+    moves by the skipped rounds when it lies inside the cycle.  The run
+    steps the rounds that remain.  The steps of an asynchronous run need
+    not repeat, and a trace records every state, so those runs step every
+    round."""
     init = init or MessageInit.weights()
     # a weights init starts from the scaled weights themselves; its message
     # map is built only for a trace to start from
@@ -420,8 +483,12 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         window_size = stop.window_size if stop.window_size else max(g.n, 1)
         limit = stop.limit if stop.limit is not None else max(100, 20 * window_size)
     else:
-        window_size = g.n
+        window_size, limit = g.n, None
 
+    # Brent's cycle finding: `mark` holds the messages of round mark_t, a
+    # power of two; `seek` ends at the first repeat
+    seek = fixed_step and not keep_trace
+    mark, mark_t, cycle = None, 0, None
     t = 0
     stop_met = stop.kind == "coverage" and covered()
     it = iter(steps)
@@ -450,6 +517,18 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                 edges = now
                 last_change = t
         history.append(edges)
+        if seek:
+            if msgs == mark:
+                seek = False
+                p = t - mark_t
+                cycle = (mark_t, p)
+                k = _periods(stop, t, p, history, last_change, window_size, limit)
+                history.extend(history[-p:] * k)
+                if last_change > t - p:
+                    last_change += k * p
+                t += k * p
+            elif not t & (t - 1):
+                mark, mark_t = msgs[:], t
         if stop.kind == "coverage":
             stop_met = covered()
 
@@ -462,7 +541,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         period = detect_period(history, max(window_size, 2))
     return RunResult(mode=mode, estimate=est, iterations=t, stabilized_at=last_change,
                      stable_for=stable_for, converged=converged, period=period,
-                     history=history, stop=stop, trace=trace)
+                     history=history, stop=stop, trace=trace, cycle=cycle)
 
 
 def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,
@@ -473,4 +552,5 @@ def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,
     stop = stop or StopPolicy.window()
     if stop.kind == "coverage":
         raise EngineError("coverage stopping applies to asynchronous runs only")
-    return _run(g, mode, init, stop, repeat(frozenset(g.directed_edges())), keep_trace)
+    return _run(g, mode, init, stop, repeat(frozenset(g.directed_edges())), keep_trace,
+                fixed_step=True)

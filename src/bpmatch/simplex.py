@@ -21,13 +21,13 @@ per constraint row, read off the final reduced-cost row: each row starts with
 a unit column (a seeded slack, or its phase-one artificial, kept through
 phase two at cost zero but never allowed to enter), whose reduced cost is its
 cost minus the row's price.  A redundant row dropped in phase one gets price
-zero.  Fractions appear only in the LPResult, which also carries the prices
-as ints over one common denominator.
+zero.  Fractions appear only in the LPResult: x, the objective, and the
+prices as `dual`, built on first read from the ints over one common
+denominator that it carries as `scaled_dual`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -46,14 +46,37 @@ class LPUnbounded(LPError):
     pass
 
 
-@dataclass
 class LPResult:
-    x: list
-    objective: Fraction
-    dual: list          # one price per original row
-    basis: list
-    # the prices as (d, [price * d]) over one positive common denominator d
-    scaled_dual: tuple = field(default=None, compare=False, repr=False)
+    """An optimal basic solution x, its objective and basis, and one dual
+    price per original row.  solve_lp gives the prices as scaled_dual, (d,
+    [price * d]) over one positive common denominator d, and `dual` lists
+    them as Fractions, built from scaled_dual on first read when no list
+    was given."""
+
+    def __init__(self, x, objective, dual, basis, scaled_dual=None):
+        self.x = x
+        self.objective = objective
+        self._dual = dual
+        self.basis = basis
+        self.scaled_dual = scaled_dual
+
+    @property
+    def dual(self) -> list:
+        if self._dual is None:
+            d, prices = self.scaled_dual
+            self._dual = [Fraction(p, d) for p in prices]
+        return self._dual
+
+    def _key(self):
+        return self.x, self.objective, self.dual, self.basis
+
+    def __eq__(self, other):
+        if type(other) is not LPResult:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "LPResult(x={!r}, objective={!r}, dual={!r}, basis={!r})".format(*self._key())
 
 
 def _pivot(M, d, r, col):
@@ -112,6 +135,10 @@ def _bland(M, d, basis, cost, allowed):
 
 
 def _integral(values, i):
+    # the ints of oracle._degree_lp pass as they are; bools and integral
+    # Fractions are converted, any other value must equal its int
+    if set(map(type, values)) == {int}:
+        return values
     out = [int(v) for v in values]
     if any(a != v for a, v in zip(out, values)):
         raise LPError(f"row {i}: A and b must be integral")
@@ -180,5 +207,4 @@ def solve_lp(A, b, c) -> LPResult:
         x[bv] = Fraction(row[-1], d)
     objective = Fraction(sum(cost[bv] * row[-1] for row, bv in zip(M, basis)), d * scale)
     prices = [sign[i] * (cost[u] * d - z[u]) for i, u in enumerate(unit)]
-    dual = [Fraction(p, d * scale) for p in prices]
-    return LPResult(x, objective, dual, list(basis), (d * scale, prices))
+    return LPResult(x, objective, None, list(basis), (d * scale, prices))

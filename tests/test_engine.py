@@ -312,3 +312,71 @@ class TestWork:
         rounds = 9
         run_sync(c4, PERFECT, stop=StopPolicy.budget(rounds))
         assert len(calls) == c4.n * (rounds + 1)
+
+
+# messages reach a fixed point: the messages after round 3 equal those after
+# round 2
+FIXED = Graph(3, [1, 2, 1], [(1, 2, -3), (1, 3, -21), (2, 3, -22)])
+# the messages cycle with period 2 from round 8 on, under a constant estimate
+STEADY = Graph(6, [1, 2, 1, 1, 1, 1],
+               [(1, 2, -10), (1, 3, -4), (1, 4, -21), (1, 5, -29), (1, 6, -19), (2, 3, -18),
+                (2, 4, -27), (2, 5, -15), (2, 6, -15), (3, 4, -1), (3, 5, -24), (3, 6, -24),
+                (4, 5, -26), (4, 6, -22), (5, 6, -7)])
+# perfect mode, messages cycling with period 4 from round 4 on; the estimate
+# changes at rounds 5, 6, 9, 10, ...: cyclic gaps of 1 and 3 rounds
+GAPS = Graph(4, [1, 1, 1, 1], [(1, 2, 16), (1, 3, 4), (1, 4, 9), (2, 3, 14), (2, 4, 30),
+                               (3, 4, 7)])
+
+
+class TestCycleJump:
+    """A synchronous run without a trace skips whole periods of an exact
+    message cycle; it must give what stepping every round gives.  Each case
+    pins the run's stop values, the cycle found and the rounds computed."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        from bpmatch import engine
+        seen = []
+        real = engine._round
+
+        def counting(*args):
+            seen.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_round", counting)
+        return seen
+
+    @pytest.mark.parametrize("g, mode, stop, want", [
+        # (iterations, stabilized_at, converged, period, cycle, rounds computed)
+        (FIXED, NONPERFECT, StopPolicy.window(), (4, 1, True, None, (2, 1), 3)),
+        (FIXED, NONPERFECT, StopPolicy.window(None, 3), (3, 1, False, 1, (2, 1), 3)),
+        (FIXED, NONPERFECT, StopPolicy.budget(9), (9, 1, True, None, (2, 1), 3)),
+        # constant estimate over the cycle: one period skipped, one round left
+        (STEADY, NONPERFECT, StopPolicy.window(), (13, 7, True, None, (8, 2), 11)),
+        # the estimate alternates every round: only the limit stops the run
+        ("tri-half", NONPERFECT, StopPolicy.window(), (100, 100, False, 2, (2, 2), 4)),
+        ("tri-half", NONPERFECT, StopPolicy.window(None, 9), (9, 9, False, 2, (2, 2), 5)),
+        ("tri-half", NONPERFECT, StopPolicy.budget(7), (7, 7, False, 2, (2, 2), 5)),
+        # the longest gap equals the window: the window never holds
+        (GAPS, PERFECT, StopPolicy.window(3, 60), (60, 58, False, 1, (4, 4), 8)),
+        (GAPS, PERFECT, StopPolicy.window(), (100, 98, False, 1, (4, 4), 8)),
+        # the longest gap exceeds the window: no jump
+        (GAPS, PERFECT, StopPolicy.window(2, 60), (8, 6, True, None, (4, 4), 8)),
+    ])
+    def test_jump_equals_stepping(self, g, mode, stop, want, rounds):
+        if isinstance(g, str):
+            g = load_fixture(g)
+        sync = run_sync(g, mode, None, stop)
+        computed = len(rounds)
+        asyn = run_async(g, make_schedule(g, "sync"), None, stop, mode)
+        for name in ("estimate", "iterations", "stabilized_at", "stable_for", "converged",
+                     "period", "history"):
+            assert getattr(sync, name) == getattr(asyn, name), name
+        assert (sync.iterations, sync.stabilized_at, sync.converged, sync.period, sync.cycle,
+                computed) == want
+        assert asyn.cycle is None
+
+    def test_a_trace_steps_every_round(self, rounds):
+        g = load_fixture("tri-half")
+        res = run_sync(g, NONPERFECT, stop=StopPolicy.budget(30), keep_trace=True)
+        assert res.cycle is None and len(rounds) == 30 == len(res.trace) - 1

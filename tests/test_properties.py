@@ -4,7 +4,9 @@ the generalized trees of that schedule, and both agree with the tree
 dynamic program, also when one tree-DP memo is shared across a builder's
 trees; the integer tree DP agrees with its Fraction reference.  The run
 loop's scaled-integer messages and incremental estimates agree with a
-plain rational stepper.  The LP tightness decision
+plain rational stepper, and a synchronous run that skips whole periods of
+its message cycle agrees with the run that steps every round.  The LP
+tightness decision
 agrees with half-integral enumeration, the exhaustive searches agree with
 plain enumeration of every point, and the synchronous certified bound
 is the ceiling of the asynchronous certified threshold.  Graph, schedule and certificate
@@ -12,6 +14,7 @@ files round-trip, every file reader reads a rational token exactly as Fraction d
 and fuzzed input files give a clean CLI exit code."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import random
@@ -26,7 +29,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: E402
-                     MessageInit, MessageState, Estimate, CoverageStats,
+                     MessageInit, MessageState, Estimate, CoverageStats, RunResult,
                      run_sync, run_async, make_schedule, build_tree,
                      dump_tree, tree_bmatching_dp, tree_size, tree_depth,
                      extract_estimate, brute_force, solve_relaxation, is_tight,
@@ -404,6 +407,47 @@ def test_integer_run_equals_rational_stepper(instance, kind, stop, keep_trace, d
         assert validate_schedule(g, sched, asyn.iterations) is None
     assert asyn.coverage == CoverageStats(asyn.iterations, counts, min(counts.values(), default=0))
     assert asyn.schedule_kind == sched.describe()
+
+
+# budgets past the first cycles, which most runs find by round 21; the
+# default window; and short windows with small limits
+JUMP_STOPS = st.one_of(
+    st.integers(0, 160).map(StopPolicy.budget),
+    st.just(StopPolicy.window()),
+    st.builds(StopPolicy.window, st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 30)),
+)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.sampled_from([PERFECT, NONPERFECT]).flatmap(
+           lambda mode: st.tuples(st.just(mode), graphs(mode, (1, 2, 3, 7)))),
+       JUMP_STOPS, st.data())
+# a budget that ends inside the period-2 cycle found at round 4
+@example((NONPERFECT, parse_graph("3 3\n1 1 1\n1 2 -1\n2 3 -1\n1 3 -1\n")),
+         StopPolicy.budget(7), _Draws(None))
+# an alternating estimate over a period-2 message cycle under a short window
+@example((NONPERFECT, parse_graph("3 3\n1 1 1\n1 2 -1/2\n2 3 -1/2\n1 3 -1/2\n")),
+         StopPolicy.window(1, 11), _Draws(MessageInit.constant(0)))
+# estimate changes with cyclic gaps of 1 and 3 rounds, longer than the window
+@example((PERFECT, parse_graph("4 6\n1 1 1 1\n1 2 16\n1 3 4\n1 4 9\n2 3 14\n2 4 30\n"
+                               "3 4 7\n")), StopPolicy.window(2, 60), _Draws(None))
+def test_cycle_jump_equals_the_step_by_step_run(instance, stop, data):
+    # run_async never skips a round, even under the all-edges schedule
+    mode, g = instance
+    init = data.draw(_inits(g))
+    sync = run_sync(g, mode, init, stop)
+    asyn = run_async(g, make_schedule(g, "sync"), init, stop, mode)
+    for f in dataclasses.fields(RunResult):
+        if f.name not in ("coverage", "schedule_kind", "cycle"):
+            assert getattr(sync, f.name) == getattr(asyn, f.name), f.name
+    assert asyn.cycle is None
+    if sync.cycle is not None:
+        # the messages after round mark_t + p are those after round mark_t
+        # for the first time since, and mark_t is a power of two
+        mark_t, p = sync.cycle
+        trace = run_sync(g, mode, init, StopPolicy.budget(mark_t + p), keep_trace=True).trace
+        assert mark_t & (mark_t - 1) == 0 and mark_t + p <= sync.iterations
+        assert [q for q in range(1, p + 1) if trace[mark_t + q].m == trace[mark_t].m] == [p]
 
 
 # an integral relaxation vertex on a face with a fractional point (tri-neg),
