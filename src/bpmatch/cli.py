@@ -198,7 +198,7 @@ def cmd_certify(args) -> int:
         _emit(args, {"instance": args.graph, "infeasible": True},
               [f"instance: {args.graph}", "infeasible: trivial-vertex cascade failed"])
         return EXIT_INFEASIBLE
-    forced = reduction.forced if reduction is not None else None
+    forced = reduction.forced
     t0 = time.monotonic()
     try:
         c = certify_instance(work, args.mode, cert_override=cert_override)
@@ -210,7 +210,7 @@ def cmd_certify(args) -> int:
         _write(args.emit_cert, serialize_certificate(c.cert))
     payload = {"instance": args.graph, "mode": args.mode,
                "reduced_n": work.n, "reduced_m": work.m,
-               "forced": _fmt_edges(forced) if forced else [],
+               "forced": _fmt_edges(forced),
                "certification": c.summary()}
     eps = c.cert.epsilon
     lines = [f"instance: {args.graph} (mode={args.mode})"]

@@ -358,6 +358,11 @@ class Reduction:
     infeasible: bool
     original_n: int
 
+    @classmethod
+    def identity(cls, g: Graph) -> "Reduction":
+        """The reduction that forces and removes nothing: `g` as it is."""
+        return cls(g, frozenset(), {i: i for i in g.vertices()}, False, g.n)
+
     @property
     def is_identity(self) -> bool:
         return not self.forced and not self.infeasible and self.graph.n == self.original_n
@@ -424,7 +429,7 @@ def reduce_trivial(g: Graph) -> Reduction:
     if not forced:
         # a vertex is removed only once forcing used up its capacity, so
         # nothing was removed: the graph is its own reduction
-        return Reduction(g, frozenset(), {i: i for i in g.vertices()}, False, g.n)
+        return Reduction.identity(g)
 
     remaining = sorted(alive)
     relabel = {orig: k for k, orig in enumerate(remaining, start=1)}

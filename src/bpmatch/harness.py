@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import (Graph, PERFECT, NONPERFECT, Matching, require_valid,
+from .graph import (Graph, PERFECT, NONPERFECT, Matching, Reduction, require_valid,
                     reduce_trivial)
 from .engine import MessageInit, StopPolicy, RunResult, run_sync, _select
 from .schedule import make_schedule, run_async
@@ -180,12 +180,13 @@ def prepare_instance(g: Graph, mode: str, dual_text=None):
     and parse `dual_text`, the text of a dual certificate file, against the
     reduced instance.  Returns (work, reduction, cert_override): the instance
     to solve, or None when the reduction proves it infeasible; the reduction,
-    None in non-perfect mode; the parsed certificate, None without text."""
+    the identity in non-perfect mode; the parsed certificate, None without
+    text."""
     require_valid(g, mode)
-    reduction = reduce_trivial(g) if mode == PERFECT else None
-    if reduction is not None and reduction.infeasible:
+    reduction = reduce_trivial(g) if mode == PERFECT else Reduction.identity(g)
+    if reduction.infeasible:
         return None, reduction, None
-    work = reduction.graph if reduction is not None else g
+    work = reduction.graph
     cert_override = parse_certificate(dual_text, work, mode) if dual_text is not None else None
     return work, reduction, cert_override
 
@@ -206,12 +207,11 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
                                 None, None, None, None, None, False,
                                 wall_time=time.monotonic() - t0,
                                 notes=["trivial-vertex cascade proves infeasibility"])
-    if reduction is not None:
-        if reduction.forced:
-            notes.append(f"{len(reduction.forced)} forced edge(s) from trivial vertices")
-        if init is not None and init.kind == "explicit" and not reduction.is_identity:
-            init = MessageInit.explicit(reduction.to_reduced(init.mapping))
-            notes.append("initial messages relabeled onto the reduced instance")
+    if reduction.forced:
+        notes.append(f"{len(reduction.forced)} forced edge(s) from trivial vertices")
+    if init is not None and init.kind == "explicit" and not reduction.is_identity:
+        init = MessageInit.explicit(reduction.to_reduced(init.mapping))
+        notes.append("initial messages relabeled onto the reduced instance")
 
     want_oracle = certify or (stop_spec is not None and stop_spec[0] == "certified")
     certification = None
@@ -240,7 +240,7 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
     else:
         if schedule_kind == "explicit":
             sets = schedule_sets
-            if reduction is not None and not reduction.is_identity:
+            if not reduction.is_identity:
                 sets = [set(reduction.to_reduced(dict.fromkeys(s))) for s in schedule_sets]
                 notes.append("schedule relabeled onto the reduced instance")
             sched = make_schedule(work, "explicit", sets=sets)
@@ -256,19 +256,14 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
             certified = False
             notes.append("schedule validation waived; result uncertified")
 
-    if reduction is not None:
-        final = reduction.to_original(run.estimate.edges)
-    else:
-        final = run.estimate.edges
+    final = reduction.to_original(run.estimate.edges)
     weight = g.total_weight(final)
     matching = Matching(final, mode, weight)
     matching_ok = matching.is_valid(g)
 
     match = None
     if certification is not None:
-        best = certification.bf_optima[0]
-        target = reduction.to_original(best) if reduction is not None else best
-        match = final == target
+        match = final == reduction.to_original(certification.bf_optima[0])
 
     return ExperimentReport(instance_name, g.n, g.m, mode, sched_name, certification,
                             False, run, final, weight, matching_ok, match,

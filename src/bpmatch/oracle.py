@@ -3,16 +3,14 @@
 Everything here is exact: exhaustive enumeration of optimal matchings, the
 linear relaxation and its dual solved by the fraction-free integer simplex of
 `bpmatch.simplex`, complementary slackness checking, a tightness decision
-(does the relaxation admit any fractional optimum?) made with at most one LP
-over the optimal face on top of the relaxation, an independent tightness
-verdict by half-integral enumeration, and the certified iteration bound for
-the engine.
+(does the relaxation admit any fractional optimum?) made with no LP beyond
+the relaxation, by a cycle search on the double cover of the edges its dual
+leaves free, an independent tightness verdict by half-integral enumeration,
+and the certified iteration bound for the engine.
 
 One enumerator serves both exhaustive searches: a pruned depth-first search
 for minimum-weight points in scaled ints, over x in {0, 1}^E for the
 optimal matchings and over {0, 1/2, 1}^E for the half-integral cross-check.
-The relaxation and the optimal-face LP of the tightness decision are one
-degree LP: the relaxation is the face LP with every edge free.
 
 The dual certificate carries the derived quantities the bound needs: the
 set S of edges whose weight differs from the sum of its endpoints' dual
@@ -30,6 +28,7 @@ more than that many times (more than n times when S is empty).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -247,49 +246,32 @@ def dual_objective(g: Graph, cert: DualCertificate) -> Fraction:
     return Fraction((total_y if cert.mode == PERFECT else -total_y) - sum(Lm.values()), D)
 
 
-def _degree_lp(g: Graph, mode: str, cost, fixed_one=(), equality_vertices=()):
-    """The degree LP as (A, b, c, idx) for `solve_lp`: minimize cost.x over the
-    variable edges (the keys of `cost`; idx maps each to its column) with
-    0 <= x <= 1, each vertex's load on them being b_i less its fixed-one
-    edges, or at most that at a non-equality vertex of non-perfect mode.  The
-    relaxation has every edge variable, the weights as costs, nothing fixed.
+def _degree_lp(g: Graph, mode: str, cost):
+    """The degree LP as (A, b, c, idx) for `solve_lp`: minimize cost.x over
+    the edges (the keys of `cost`, in the order idx gives their columns) with
+    0 <= x <= 1 and each vertex's load b_i, or at most b_i in non-perfect
+    mode.
 
-    Columns: x, the non-equality vertices' slacks, the x <= 1 slacks.  Rows:
-    one per vertex, dropped when empty with zero right-hand side (never
-    without fixed edges, capacities being positive), then the x <= 1 caps.
-    A and b are ints, as `solve_lp` requires; the costs stay rational.
+    Columns: x, the vertex slacks in non-perfect mode, the x <= 1 slacks.
+    Rows: one per vertex, then the x <= 1 caps.  A and b are ints, as
+    `solve_lp` requires; the costs stay rational.
     """
     idx = {e: k for k, e in enumerate(cost)}
     nvar = len(idx)
-    forced = dict.fromkeys(g.vertices(), 0)
-    for (i, j) in fixed_one:
-        forced[i] += 1
-        forced[j] += 1
-    ineq = [i for i in g.vertices() if i not in equality_vertices] if mode == NONPERFECT else []
-    slack_v = {i: k for k, i in enumerate(ineq)}
-    ncols = nvar + len(ineq) + nvar
+    nslack = g.n if mode == NONPERFECT else 0
+    ncols = 2 * nvar + nslack
     A, b = [], []
     for i in g.vertices():
         row = [0] * ncols
-        touched = False
         for j in g.neighbors(i):
-            e = edge_key(i, j)
-            if e in idx:
-                row[idx[e]] = 1
-                touched = True
-        if i in slack_v:
-            row[nvar + slack_v[i]] = 1
-            touched = True
-        rhs = g.cap(i) - forced[i]
-        if rhs < 0:
-            raise OracleError("optimal face bookkeeping went negative")
-        if touched or rhs != 0:
-            A.append(row)
-            b.append(rhs)
+            row[idx[edge_key(i, j)]] = 1
+        if nslack:
+            row[nvar + i - 1] = 1
+        A.append(row)
+        b.append(g.cap(i))
     for k in range(nvar):
         row = [0] * ncols
-        row[k] = 1
-        row[nvar + len(ineq) + k] = 1
+        row[k] = row[nvar + nslack + k] = 1
         A.append(row)
         b.append(1)
     c = list(cost.values()) + [ZERO] * (ncols - nvar)
@@ -335,9 +317,6 @@ class CSReport:
     def ok(self):
         return all(c.ok for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
-
 
 def check_cs(g: Graph, primal: LPSolution, dual: DualCertificate) -> CSReport:
     """Evaluate every complementary-slackness product exactly.
@@ -381,11 +360,11 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
     its `solve_relaxation(g, mode)` result; either is computed here when
     omitted.  The relaxation value must equal the exhaustive optimum, the
     exhaustive optimum must be unique, and the relaxation vertex x* must be
-    integral.  Complementary slackness with the relaxation's dual then fixes
-    some edges to 0 or 1 and leaves the rest free; one LP maximizes
-    ||x - x*||_1 over the optimal face (linear, because x* is 0/1), and the
-    instance is tight iff that maximum is zero.  A fractional optimal point
-    is returned as the witness whenever the answer is no.
+    integral.  The relaxation's dual then decides the rest with no further
+    LP: complementary slackness pins the edges of S and those with positive
+    lambda to x*, and the optimal face holds a point besides x* exactly when
+    the bipartite double cover of the free edges has a cycle.  A fractional
+    optimal point is returned as the witness whenever the answer is no.
     """
     _require_mode(mode)
     bf_weight, bf_all = optima if optima is not None else brute_force(g, mode)
@@ -404,31 +383,48 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
         return TightnessReport(False, dict(sol.x), "optimal_face_has_positive_dimension",
                                sol.objective, bf_weight, 1)
 
-    # Complementary slackness pins edges with a positive dual slack to 0 and
-    # edges with positive lambda to 1; the rest span the optimal face.
+    # A move from x* = M in the optimal face shifts free edges (zero gap and
+    # lambda), down on M, up off it, keeping each load but where a zero
+    # price lets it fall (or rise too, at a vertex M leaves unsaturated).
+    # One exists iff this double cover has a cycle: nodes p_i = i, q_i = n + i
+    # (q_i = i at a non-perfect vertex M leaves unsaturated); arcs p_i -> q_j,
+    # p_j -> q_i per free edge of M, q_j -> p_i, q_i -> p_j per free edge off
+    # M, and q_i -> p_i at a saturated non-perfect vertex with zero price.
     _, Y, Lm, gap = _duals(g, mode, cert.y, cert.lam)
-    fixed_zero = {e for e, v in gap.items() if v + Lm[e] > 0}
-    fixed_one = {e for e, v in Lm.items() if v > 0 and e not in fixed_zero}
-    free = [e for e in g.edges() if e not in fixed_zero and e not in fixed_one]
-    if free:
-        # maximize ||x - x*||_1 over the face; a non-perfect vertex with a
-        # positive price stays saturated there
-        cost = {e: Fraction(1) if sol.x[e] == 1 else Fraction(-1) for e in free}
-        held = {i for i, v in Y.items() if v}
-        A, b, c, idx = _degree_lp(g, mode, cost, fixed_one, held)
-        x = solve_lp(A, b, c).x
-        far = {e: x[k] for e, k in idx.items()}
-        if any(far[e] != sol.x[e] for e in free):
-            witness = {e: (sol.x[e] + far[e]) / 2 for e in free}
-            witness.update({e: ZERO for e in fixed_zero})
-            witness.update({e: Fraction(1) for e in fixed_one})
-            return TightnessReport(False, witness, "optimal_face_has_positive_dimension",
-                                   sol.objective, bf_weight, 1)
-    optimum = bf_all[0]
-    if (optimum & fixed_zero or not fixed_one <= optimum
-            or any(sol.x[e] != int(e in optimum) for e in free)):
-        raise OracleError("zero-dimensional optimal face disagrees with the exhaustive optimum")
-    return TightnessReport(True, None, "unique_integral_optimum",
+    M = frozenset(e for e, v in sol.x.items() if v)
+    load = Counter(i for e in M for i in e)
+    loose = {i for i in g.vertices() if mode == NONPERFECT and load[i] < g.cap(i)}
+    if (M != bf_all[0] or any(Y[i] for i in loose)
+            or any(gap[e] + Lm[e] if e in M else Lm[e] for e in g.edges())):
+        raise OracleError("the integral relaxation optimum disagrees with the exhaustive "
+                          "optimum or fails complementary slackness with its dual")
+    q = {i: i if i in loose else g.n + i for i in g.vertices()}
+    arcs = {v: [] for v in range(1, 2 * g.n + 1)}  # node: [(head, edge or None)]
+    for e, v in gap.items():
+        if not v and not Lm[e]:
+            for i, j in (e, e[::-1]):
+                tail, head = (i, q[j]) if e in M else (q[j], i)
+                arcs[tail].append((head, e))
+    for i in g.vertices():
+        if mode == NONPERFECT and i not in loose and not Y[i]:
+            arcs[q[i]].append((i, None))
+    # peel the nodes with no arc into the rest; each node left has one, so
+    # a walk from the smallest closes a cycle
+    alive = set(arcs)
+    while dead := {v for v in alive if all(h not in alive for h, _ in arcs[v])}:
+        alive -= dead
+    if not alive:
+        return TightnessReport(True, None, "unique_integral_optimum",
+                               sol.objective, bf_weight, 1)
+    v, seen, walk = min(alive), {}, []
+    while v not in seen:
+        seen[v] = len(walk)
+        v, e = next(a for a in arcs[v] if a[0] in alive)
+        walk.append(e)
+    # x* + d/4, d_e counting -1 per arc of e on the cycle if e is in M, else +1
+    d = Counter(walk[seen[v]:])
+    witness = {e: x + (1 - 2 * x) * Fraction(d[e], 4) for e, x in sol.x.items()}
+    return TightnessReport(False, witness, "optimal_face_has_positive_dimension",
                            sol.objective, bf_weight, 1)
 
 

@@ -3,11 +3,13 @@
 The same dual-certificate facts on `Fraction`s: dual feasibility with its
 error text, the gap set S, epsilon and L, the dual objective, every
 complementary-slackness product, the relaxation's hand-off of the simplex
-duals, and the fixed-zero / fixed-one / free split of the tightness
-decision, every value an exact rational with no common denominator.  Tests
-compare `build_certificate`, `dual_objective`, `solve_relaxation`,
-`check_cs` and `is_tight` of `bpmatch.oracle` with the functions here,
-result for result and error text for error text.
+duals, and the tightness decision by the fixed-zero / fixed-one / free
+split and one LP over the optimal face, every value an exact rational with
+no common denominator.  Tests compare `build_certificate`,
+`dual_objective`, `solve_relaxation`, `check_cs` and `is_tight` of
+`bpmatch.oracle` with the functions here, result for result and error text
+for error text; `is_tight` decides the face by a cycle search instead, so
+its witness of a positive-dimensional face may be another optimal point.
 
 Unlike `bpmatch.oracle.build_certificate`, `build_certificate` here takes
 keys and values as given: it drops entries whose key names no vertex or
@@ -21,7 +23,7 @@ from fractions import Fraction
 from bpmatch.graph import NONPERFECT, PERFECT, ZERO, edge_key
 from bpmatch.oracle import (CertificateError, CSCheck, CSReport, DualCertificate,
                             InfeasibleError, LPSolution, OracleError, TightnessReport,
-                            _degree_lp, _require_mode, brute_force)
+                            _require_mode, brute_force)
 from bpmatch.simplex import LPInfeasible, solve_lp
 
 
@@ -63,6 +65,54 @@ def dual_objective(g, cert: DualCertificate) -> Fraction:
     total_y = sum((Fraction(g.cap(i)) * cert.y[i] for i in g.vertices()), ZERO)
     total_l = sum(cert.lam.values(), ZERO)
     return (total_y if cert.mode == PERFECT else -total_y) - total_l
+
+
+def _degree_lp(g, mode: str, cost, fixed_one=(), equality_vertices=()):
+    """The degree LP as (A, b, c, idx) for `solve_lp`: minimize cost.x over the
+    variable edges (the keys of `cost`; idx maps each to its column) with
+    0 <= x <= 1, each vertex's load on them being b_i less its fixed-one
+    edges, or at most that at a non-equality vertex of non-perfect mode.  The
+    relaxation has every edge variable, the weights as costs, nothing fixed.
+
+    Columns: x, the non-equality vertices' slacks, the x <= 1 slacks.  Rows:
+    one per vertex, dropped when empty with zero right-hand side (never
+    without fixed edges, capacities being positive), then the x <= 1 caps.
+    """
+    idx = {e: k for k, e in enumerate(cost)}
+    nvar = len(idx)
+    forced = dict.fromkeys(g.vertices(), 0)
+    for (i, j) in fixed_one:
+        forced[i] += 1
+        forced[j] += 1
+    ineq = [i for i in g.vertices() if i not in equality_vertices] if mode == NONPERFECT else []
+    slack_v = {i: k for k, i in enumerate(ineq)}
+    ncols = nvar + len(ineq) + nvar
+    A, b = [], []
+    for i in g.vertices():
+        row = [0] * ncols
+        touched = False
+        for j in g.neighbors(i):
+            e = edge_key(i, j)
+            if e in idx:
+                row[idx[e]] = 1
+                touched = True
+        if i in slack_v:
+            row[nvar + slack_v[i]] = 1
+            touched = True
+        rhs = g.cap(i) - forced[i]
+        if rhs < 0:
+            raise OracleError("optimal face bookkeeping went negative")
+        if touched or rhs != 0:
+            A.append(row)
+            b.append(rhs)
+    for k in range(nvar):
+        row = [0] * ncols
+        row[k] = 1
+        row[nvar + len(ineq) + k] = 1
+        A.append(row)
+        b.append(1)
+    c = list(cost.values()) + [ZERO] * (ncols - nvar)
+    return A, b, c, idx
 
 
 def solve_relaxation(g, mode: str):
@@ -138,6 +188,13 @@ def is_tight(g, mode: str, *, optima=None, relaxation=None) -> TightnessReport:
             fixed_one.add(e)
         else:
             free.append(e)
+    # x* must be the exhaustive optimum and meet complementary slackness
+    # with the dual
+    optimum = bf_all[0]
+    if (sol.x != {e: Fraction(int(e in optimum)) for e in g.edges()}
+            or not check_cs(g, sol, cert).ok):
+        raise OracleError("the integral relaxation optimum disagrees with the exhaustive "
+                          "optimum or fails complementary slackness with its dual")
     if free:
         cost = {e: Fraction(1) if sol.x[e] == 1 else Fraction(-1) for e in free}
         held = {i for i in g.vertices() if cert.y[i] != 0}
@@ -150,11 +207,5 @@ def is_tight(g, mode: str, *, optima=None, relaxation=None) -> TightnessReport:
             witness.update({e: Fraction(1) for e in fixed_one})
             return TightnessReport(False, witness, "optimal_face_has_positive_dimension",
                                    sol.objective, bf_weight, 1)
-    optimum = bf_all[0]
-    point = dict.fromkeys(fixed_zero, ZERO)
-    point.update(dict.fromkeys(fixed_one, Fraction(1)))
-    point.update({e: sol.x[e] for e in free})
-    if point != {e: Fraction(int(e in optimum)) for e in g.edges()}:
-        raise OracleError("zero-dimensional optimal face disagrees with the exhaustive optimum")
     return TightnessReport(True, None, "unique_integral_optimum",
                            sol.objective, bf_weight, 1)

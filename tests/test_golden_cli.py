@@ -1,8 +1,11 @@
 """Golden command-line outputs: stdout, stderr and the exit code of
 `certify --json` (with the file `--emit-cert` writes) and of
 `solve --json --certify --stop certified` under the sync, round-robin and
-random:3 schedules, on every shipped fixture in both modes, compared byte
-for byte with the files under tests/data/golden/.
+random:3 schedules, on every shipped fixture in both modes, and of
+`sweep --json` at seeds 1 and 7 in both modes (200 random instances each:
+the tight counts, the agreement with the enumeration cross-check and the
+largest bound), compared byte for byte with the files under
+tests/data/golden/.
 
 The commands run from the repository root on relative fixture paths, so
 the outputs name the same paths wherever the repository lives.  To record
@@ -25,6 +28,7 @@ GOLDEN = ROOT / "tests" / "data" / "golden"
 FIXTURES = ("c4", "k4-appendix", "p4", "tri-half", "tri-neg")
 MODES = ("perfect", "nonperfect")
 SCHEDULES = ("sync", "roundrobin", "random:3")
+SWEEP_SEEDS = (1, 7)
 
 
 def cases():
@@ -39,6 +43,10 @@ def cases():
                 out.append((f"solve-{schedule.replace(':', '')}-{fixture}-{mode}",
                              ["solve", graph, "--mode", mode, "--json", "--certify",
                               "--stop", "certified", "--schedule", schedule], False))
+    for seed in SWEEP_SEEDS:
+        for mode in MODES:
+            out.append((f"sweep-seed{seed}-{mode}",
+                        ["sweep", "--mode", mode, "--seed", str(seed), "--json"], False))
     return out
 
 

@@ -238,6 +238,45 @@ class TestTightness:
         value = sum(w[e] * tri_neg.weight(*e) for e in tri_neg.edges())
         assert value == -3
 
+    @pytest.mark.parametrize("mode, g, witness", [
+        # tri-neg: the cycle p1 -> q2 -> p3 -> p1 runs through vertex 3,
+        # which M = {1-2} leaves unsaturated (q3 = p3)
+        (NONPERFECT, parse_graph(fixture_path("tri-neg").read_text()),
+         {(1, 2): F(3, 4), (1, 3): F(1, 4), (2, 3): F(1, 4)}),
+        # a 5-cycle through vertex 5, which M = {1-2, 3-4} leaves unsaturated
+        (NONPERFECT, Graph(5, [1] * 5, [(1, 2, -3), (3, 4, -3), (2, 3, -2), (4, 5, -2),
+                                        (1, 5, -2)]),
+         {(1, 2): F(3, 4), (1, 5): F(1, 4), (2, 3): F(1, 4), (3, 4): F(3, 4),
+          (4, 5): F(1, 4)}),
+        # M = {1-2, 3-4} saturates vertex 1 at price zero: the cycle sheds
+        # both units of 1-2 at vertex 1 through the arc q1 -> p1
+        (NONPERFECT, Graph(4, [1] * 4, [(1, 2, -1), (2, 3, -3), (2, 4, -3), (3, 4, -4)]),
+         {(1, 2): F(1, 2), (2, 3): F(1, 4), (2, 4): F(1, 4), (3, 4): F(3, 4)}),
+        # two unit triangles joined by 3-4: the cycle runs 3-4 both ways
+        (PERFECT, Graph(6, [1] * 6, [(1, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1),
+                                     (4, 5, 1), (4, 6, 1), (5, 6, 1)]),
+         {(1, 2): F(3, 4), (1, 3): F(1, 4), (2, 3): F(1, 4), (3, 4): F(1, 2),
+          (4, 5): F(1, 4), (4, 6): F(1, 4), (5, 6): F(3, 4)}),
+    ], ids=["tri-neg", "unsaturated-vertex", "zero-price-vertex", "edge-twice"])
+    def test_face_cycle_witness(self, mode, g, witness):
+        sol, _ = solve_relaxation(g, mode)
+        assert sol.integral
+        rep = is_tight(g, mode)
+        assert (rep.tight, rep.reason, rep.bf_count) == (
+            False, "optimal_face_has_positive_dimension", 1)
+        assert rep.witness == witness
+        assert sum(v * g.weight(*e) for e, v in witness.items()) == sol.objective
+
+    @pytest.mark.parametrize("mode, g", [
+        # y = (2, 0, 0): perfect mode has no vertex arc at 2 or 3
+        (PERFECT, Graph(3, [1, 2, 1], [(1, 2, 2), (2, 3, 0)])),
+        # y = (4, 0, 0) and M = {1-2}: an arc q2 -> p2, none at vertex 1
+        (NONPERFECT, Graph(3, [1, 1, 2], [(1, 2, -4)])),
+    ], ids=["perfect", "positive-price"])
+    def test_no_face_cycle_without_a_vertex_arc(self, mode, g):
+        rep = is_tight(g, mode)
+        assert rep.tight and rep.reason == "unique_integral_optimum"
+
     def test_enumeration_agrees_with_probing(self):
         rng = random.Random(14)
         checked = 0
@@ -304,6 +343,21 @@ class TestTightnessWork:
         rep = is_tight(tri_neg, NONPERFECT)
         assert rep.reason == "optimal_face_has_positive_dimension"
         assert len(lps) <= 2
+
+    @pytest.mark.parametrize("fixture, mode", [("tri-neg", NONPERFECT), ("k4-appendix", PERFECT)])
+    def test_is_tight_solves_no_lp_past_the_relaxation(self, monkeypatch, fixture, mode):
+        g = parse_graph(fixture_path(fixture).read_text())
+        optima, relaxation = brute_force(g, mode), solve_relaxation(g, mode)
+        lps = _counting(monkeypatch, "solve_lp", oracle)
+        is_tight(g, mode, optima=optima, relaxation=relaxation)
+        assert lps == []
+
+    def test_certify_instance_solves_one_lp(self, monkeypatch, tri_neg, k4):
+        lps = _counting(monkeypatch, "solve_lp", oracle)
+        certify_instance(tri_neg, NONPERFECT)
+        assert len(lps) == 1
+        certify_instance(k4, PERFECT)
+        assert len(lps) == 2
 
 
 class TestIterationBound:

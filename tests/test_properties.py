@@ -5,9 +5,10 @@ dynamic program, also when one tree-DP memo is shared across a builder's
 trees; the integer tree DP agrees with its Fraction reference.  The run
 loop's scaled-integer messages and incremental estimates agree with a
 plain rational stepper, and a synchronous run that skips whole periods of
-its message cycle agrees with the run that steps every round.  The LP
-tightness decision
-agrees with half-integral enumeration, the exhaustive searches agree with
+its message cycle agrees with the run that steps every round.  The
+tightness decision agrees with half-integral enumeration, and its cycle
+search with the Fraction reference's LP over the optimal face, up to
+which optimal fractional point it names; the exhaustive searches agree with
 plain enumeration of every point, and the synchronous certified bound
 is the ceiling of the asynchronous certified threshold.  Graph, schedule and certificate
 files round-trip, every file reader reads a rational token exactly as Fraction does,
@@ -40,12 +41,12 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: 
 from bpmatch.cli import _parse_init, main  # noqa: E402
 from bpmatch.graph import GraphParseError  # noqa: E402
 from bpmatch.oracle import (CertificateError, LPSolution, OracleError,  # noqa: E402
-                            build_certificate, check_cs, dual_objective)
+                            ENUMERATION_GUARD, build_certificate, check_cs, dual_objective)
 from bpmatch.simplex import LPError  # noqa: E402
 from bpmatch.harness import random_instance  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import _select, detect_period  # noqa: E402
-from conftest import naive_optima  # noqa: E402
+from conftest import naive_optima, random_graph_any  # noqa: E402
 import _fraction_certificate as fraction_certificate  # noqa: E402
 import _fraction_tree_dp as fraction_tree_dp  # noqa: E402
 
@@ -662,8 +663,71 @@ def test_integer_certificate_checks_match_the_fraction_reference(case):
     assert _outcome(check_cs, g, primal, own) == _outcome(ref.check_cs, g, primal, own)
     for dual in (own, cert) if cert is not None else (own,):
         assert _outcome(check_cs, g, sol, dual) == _outcome(ref.check_cs, g, sol, dual)
-        assert (_outcome(is_tight, g, mode, relaxation=(sol, dual))
-                == _outcome(ref.is_tight, g, mode, relaxation=(sol, dual)))
+        if (_outcome(is_tight, g, mode, relaxation=(sol, dual))
+                != _outcome(ref.is_tight, g, mode, relaxation=(sol, dual))):
+            # the one difference allowed: another witness of the face
+            rep = is_tight(g, mode, relaxation=(sol, dual))
+            want = ref.is_tight(g, mode, relaxation=(sol, dual))
+            assert dataclasses.replace(rep, witness=None) == dataclasses.replace(want, witness=None)
+            _assert_face_witness(g, mode, rep, sol)
+
+
+def _assert_face_witness(g, mode, rep, sol):
+    """rep's witness is an optimal fractional point; on the positive-
+    dimensional face of an integral x*, each entry is x*_e or moves away
+    from it by 1/4 or 1/2."""
+    w = rep.witness
+    assert set(w) == set(g.edges()) and all(0 <= v <= 1 for v in w.values())
+    for i in g.vertices():
+        load = sum(v for e, v in w.items() if i in e)
+        assert load == g.cap(i) if mode == PERFECT else load <= g.cap(i)
+    assert sum(v * g.weight(*e) for e, v in w.items()) == rep.lp_objective
+    assert any(v not in (0, 1) for v in w.values())
+    if rep.reason == "optimal_face_has_positive_dimension" and sol.integral:
+        for e, v in w.items():
+            assert (v - sol.x[e]) * (1 - 2 * sol.x[e]) in (0, Fraction(1, 4), Fraction(1, 2))
+    else:
+        assert rep.reason != "optimal_face_has_positive_dimension" or w == sol.x
+
+
+@st.composite
+def tightness_draws(draw):
+    """(mode, graph): a random_instance draw with the default weights or the
+    narrow ones (1..3 perfect, -3..-1 non-perfect), or a random_graph_any
+    draw (degree down to the capacity, weights non-positive in non-perfect
+    mode) with its weights divided by 1, 2, 3 or 6."""
+    mode = draw(st.sampled_from([PERFECT, NONPERFECT]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["default", "narrow", "any"]))
+    if kind != "any":
+        lo, hi = (None, None) if kind == "default" else (1, 3) if mode == PERFECT else (-3, -1)
+        return mode, random_instance(rng, 6, mode, lo, hi)
+    g = random_graph_any(rng, n_max=6, weight_hi=9 if mode == PERFECT else 0)
+    d = draw(st.sampled_from([1, 2, 3, 6]))
+    return mode, Graph(g.n, g.capacities(), [(i, j, w / d) for (i, j), w in g.weights().items()])
+
+
+# a perfect cycle that runs one edge both ways: two unit triangles joined by 3-4
+@SETTINGS
+@given(tightness_draws())
+@example((PERFECT, Graph(6, [1] * 6, [(1, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1),
+                                      (4, 5, 1), (4, 6, 1), (5, 6, 1)])))
+def test_cycle_search_verdict_is_the_face_lp_verdict(instance):
+    mode, g = instance
+    try:
+        optima = brute_force(g, mode)
+    except InfeasibleError:
+        return
+    sol, cert = solve_relaxation(g, mode)
+    rep = is_tight(g, mode, optima=optima, relaxation=(sol, cert))
+    want = fraction_certificate.is_tight(g, mode, optima=optima, relaxation=(sol, cert))
+    assert dataclasses.replace(rep, witness=None) == dataclasses.replace(want, witness=None)
+    if g.m <= ENUMERATION_GUARD:
+        assert rep.tight == tightness_by_enumeration(g, mode, rep.lp_objective)[0]
+    if rep.witness != want.witness:
+        assert rep.reason == "optimal_face_has_positive_dimension" and sol.integral
+    if not rep.tight:
+        _assert_face_witness(g, mode, rep, sol)
 
 
 @SETTINGS
