@@ -48,7 +48,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
+from math import floor, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -334,6 +334,14 @@ class StopPolicy:
         return cls("coverage", threshold=threshold)
 
 
+@dataclass(frozen=True)
+class CoverageStats:
+    """Each directed edge's updates through step t, and u, the least of them."""
+    t: int
+    counts: dict
+    u: int
+
+
 @dataclass
 class RunResult:
     mode: str
@@ -346,7 +354,7 @@ class RunResult:
     history: list
     stop: StopPolicy
     trace: list | None = None
-    coverage: object = None
+    coverage: CoverageStats | None = None
     schedule_kind: str | None = None
     # (mark_t, p): the messages after round mark_t + p equal those after
     # round mark_t, as a synchronous run without a trace found them; None
@@ -397,10 +405,11 @@ def _periods(stop: StopPolicy, t: int, p: int, history: list, last_change: int,
 
 
 def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
-         keep_trace: bool, covered=None, fixed_step: bool = False) -> RunResult:
+         keep_trace: bool, fixed_step: bool = False) -> RunResult:
     """The run loop shared by synchronous and asynchronous runs: apply the
-    update sets drawn from `steps` until `stop` holds.  A coverage stop asks
-    `covered()` after every step (and once before the first).
+    update sets drawn from `steps` until `stop` holds.  Unless `fixed_step`,
+    the loop counts each directed edge's updates into RunResult.coverage and
+    decides a coverage stop on them, before the first step and after each.
 
     Messages live in the integer kernel.  Each vertex is compiled once per
     run into a ranking record: its label, neighbors, capacity and the
@@ -489,8 +498,13 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     # power of two; `seek` ends at the first repeat
     seek = fixed_step and not keep_trace
     mark, mark_t, cycle = None, 0, None
+    # a coverage stop needs every count above the threshold, i.e. at least
+    # `need`; `pending` counts the directed edges still short of it
+    counts = None if fixed_step else [0] * len(dirs)
+    need = floor(stop.threshold) + 1 if stop.kind == "coverage" else 0
+    pending = len(dirs) if need > 0 else 0
     t = 0
-    stop_met = stop.kind == "coverage" and covered()
+    stop_met = stop.kind == "coverage" and not pending
     it = iter(steps)
     while not stop_met:
         if stop.kind == "budget" and t >= stop.iterations:
@@ -506,6 +520,11 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                                           _gather([rev[k] for k in ids]),
                                           [rank[j] for j in sorted({head[k] for k in ids})])
         _round(msgs, mode, plan, lo, hi, free)
+        if counts is not None:
+            for k in plan.ids:
+                counts[k] += 1
+                if counts[k] == need:
+                    pending -= 1
         if keep_trace:
             m = dict(trace[-1].m)
             for k in plan.ids:
@@ -530,7 +549,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             elif not t & (t - 1):
                 mark, mark_t = msgs[:], t
         if stop.kind == "coverage":
-            stop_met = covered()
+            stop_met = not pending
 
     est = Estimate(edges, {i: sel[i] for i in g.vertices()},
                    frozenset(i for i in g.vertices() if tie[i]))
@@ -539,9 +558,11 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     period = None
     if not converged:
         period = detect_period(history, max(window_size, 2))
+    cov = None if counts is None else CoverageStats(t, dict(zip(dirs, counts)),
+                                                   min(counts, default=0))
     return RunResult(mode=mode, estimate=est, iterations=t, stabilized_at=last_change,
                      stable_for=stable_for, converged=converged, period=period,
-                     history=history, stop=stop, trace=trace, cycle=cycle)
+                     history=history, stop=stop, trace=trace, coverage=cov, cycle=cycle)
 
 
 def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,

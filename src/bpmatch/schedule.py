@@ -11,7 +11,8 @@ step as the re-update are not).
 
 u(t) is the minimum, over directed edges, of how many updates the edge
 received through step t; certified asynchronous stopping triggers once u(t)
-exceeds a bound supplied by the LP certificate.
+exceeds a bound supplied by the LP certificate.  The run loop (engine._run)
+counts the updates and decides that stop.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import islice, repeat as forever
 from math import floor
 
 from .graph import Graph, PERFECT, GraphError
-from .engine import MessageInit, StopPolicy, RunResult, _run, _check_input
+from .engine import CoverageStats, MessageInit, StopPolicy, RunResult, _run, _check_input
 
 
 class ScheduleError(GraphError):
@@ -46,13 +47,6 @@ class ScheduleViolation:
     edge: tuple
     t_prev: int
     t: int
-
-
-@dataclass(frozen=True)
-class CoverageStats:
-    t: int
-    counts: dict
-    u: int
 
 
 class Schedule:
@@ -121,8 +115,9 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         at a time from the edges whose re-update is fed, so the result is
         redundancy-free by construction.
     explicit: the given list of update sets, verbatim (untrusted).
-    Generated schedules are infinite: on a graph where no directed edge can
-    be re-updated without redundancy (one with no directed edges included),
+    Generated schedules are infinite and trusted, so run_async feeds them
+    to the run loop unchecked: on a graph where no directed edge can be
+    re-updated without redundancy (one with no directed edges included),
     roundrobin and random take empty steps forever after their single
     updates.
     """
@@ -154,8 +149,6 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         # cycles are drawn as indices into `repeat`, so the ready list keeps
         # `repeat` order; fed[e] lists the edges that e feeds
         index = {e: k for k, e in enumerate(repeat)}
-        feeders = [[index[(l, i)] for l in g.neighbors(i) if l != j and (l, i) in index]
-                   for (i, j) in repeat]
         fed = [[index[(j, k)] for k in g.neighbors(j) if k != i and (j, k) in index]
                for (i, j) in repeat]
         singles = [frozenset((e,)) for e in repeat]
@@ -168,18 +161,18 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
                 yield from forever(frozenset())
             cycle = list(range(len(repeat)))
             rng.shuffle(cycle)
+            up = [False] * len(repeat)  # a feeder of x was yielded after x
             while True:
                 for e in cycle:
                     yield singles[e]
+                    up[e] = False
+                    for x in fed[e]:
+                        up[x] = True
                 # An undrawn edge is ready once a feeder comes after it in the
                 # last cycle or is drawn in this one, so its re-update is fed.
                 # The undrawn edge that came first in the last cycle is always
                 # ready: its feeder in the set is either drawn or after it.
                 # So `ready` is empty only once every edge is drawn.
-                pos = [0] * len(cycle)
-                for p, e in enumerate(cycle):
-                    pos[e] = p
-                up = [any(pos[f] > pos[e] for f in fs) for e, fs in enumerate(feeders)]
                 ready = [e for e, ok in enumerate(up) if ok]
                 cycle = []
                 while ready:
@@ -289,52 +282,37 @@ def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
               check_redundancy: bool = True, keep_trace: bool = False) -> RunResult:
     """Drive message passing along a schedule.
 
-    Untrusted schedules are checked for redundancies as they are consumed
-    unless check_redundancy is False (the run is then uncertified).  A
-    coverage stop triggers at the first step t with u(t) > stop.threshold.
-    Raises ScheduleError before the first step when a coverage stop needs
-    two or more updates of an edge that the schedule updates only once, and
-    ScheduleExhausted when a finite schedule ends before the stop condition
-    is met.
+    The run loop draws a generated (trusted, infinite) schedule's steps
+    directly; a materialized one's are checked for redundancies unless
+    check_redundancy is False (the run is then uncertified), and
+    ScheduleExhausted is raised when they end before the stop condition is
+    met.  A coverage stop triggers at the first step t with u(t) >
+    stop.threshold.  Raises ScheduleError before the first step when a
+    coverage stop needs two or more updates of an edge that the schedule
+    updates only once.
     """
     _check_input(g, mode)
     stop = stop or StopPolicy.coverage(0)
-    tracker = _RedundancyTracker(g) if (check_redundancy and not sched.trusted) else None
-    counts = {e: 0 for e in g.directed_edges()}
-    # a coverage stop needs every count above the threshold, i.e. at least
-    # `need`; `pending` counts the directed edges still short of it
-    need = floor(stop.threshold) + 1 if stop.kind == "coverage" else 0
-    if need > 1 and sched.once:
+    if stop.kind == "coverage" and stop.threshold >= 1 and sched.once:
         raise ScheduleError(
             f"coverage stop unreachable: the {sched.kind} schedule updates {sched.once[0]} "
-            f"only once, and the stop needs {need} updates of every directed edge")
-    pending = len(counts) if need > 0 else 0
-
-    def steps():
-        nonlocal pending
-        it = iter(sched)
-        t = 0
-        while True:
-            updates = next(it, None)
-            if updates is None:
-                raise ScheduleExhausted(
-                    f"schedule ended after {t} steps before the stop condition was met")
-            t += 1
-            if tracker is not None:
-                violation = tracker.step(t, updates)
-                if violation is not None:
-                    raise RedundantScheduleError(violation)
-            for e in updates:
-                counts[e] += 1
-                if counts[e] == need:
-                    pending -= 1
-            yield updates
-
-    def covered():
-        # a graph with no directed edges is vacuously covered
-        return not pending
-
-    run = _run(g, mode, init, stop, steps(), keep_trace, covered)
-    run.coverage = CoverageStats(run.iterations, counts, min(counts.values(), default=0))
+            f"only once, and the stop needs {floor(stop.threshold) + 1} updates of every "
+            "directed edge")
+    steps = iter(sched) if sched.trusted else _checked(g, sched, check_redundancy)
+    run = _run(g, mode, init, stop, steps, keep_trace)
     run.schedule_kind = sched.describe()
     return run
+
+
+def _checked(g: Graph, sched: Schedule, check_redundancy: bool):
+    """The steps of a materialized schedule, checked for redundancies unless
+    check_redundancy is False; past its end, ScheduleExhausted."""
+    tracker = _RedundancyTracker(g) if check_redundancy else None
+    t = 0
+    for t, updates in enumerate(sched, start=1):
+        if tracker is not None:
+            violation = tracker.step(t, updates)
+            if violation is not None:
+                raise RedundantScheduleError(violation)
+        yield updates
+    raise ScheduleExhausted(f"schedule ended after {t} steps before the stop condition was met")

@@ -335,14 +335,13 @@ class TestTightnessWork:
         lps = _counting(monkeypatch, "solve_lp", oracle)
         c = certify_instance(k4, PERFECT)
         assert c.tight
-        assert len(bf) == 1 and len(relax) == 1 and len(lps) <= 2
+        assert len(bf) == 1 and len(relax) == 1 and len(lps) == 1
 
-    def test_positive_dimensional_face_needs_one_lp_past_the_relaxation(self, monkeypatch,
-                                                                        tri_neg):
+    def test_is_tight_alone_solves_one_lp(self, monkeypatch, tri_neg):
         lps = _counting(monkeypatch, "solve_lp", oracle)
         rep = is_tight(tri_neg, NONPERFECT)
         assert rep.reason == "optimal_face_has_positive_dimension"
-        assert len(lps) <= 2
+        assert len(lps) == 1
 
     @pytest.mark.parametrize("fixture, mode", [("tri-neg", NONPERFECT), ("k4-appendix", PERFECT)])
     def test_is_tight_solves_no_lp_past_the_relaxation(self, monkeypatch, fixture, mode):

@@ -9,7 +9,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, GraphError,
                      parse_schedule, serialize_schedule, validate_schedule,
                      coverage, run_async, run_sync, init_messages, brute_force,
                      solve_relaxation, coverage_threshold, MessageInit)
-from bpmatch.harness import solve_pipeline
+from bpmatch.harness import random_instance, solve_pipeline
 from conftest import async_step, load_fixture, random_graph_any, sync_rounds
 
 
@@ -94,10 +94,23 @@ def _reference_random_prefix(g, seed, horizon):
     return out[:horizon]
 
 
-@pytest.mark.parametrize("name", ["c4", "k4-appendix", "tri-neg", "tri-half", "p4"])
+def _pinned_graphs():
+    """The fixtures, and six random_instance draws per mode: several have
+    vertices of capacity 2, and in non-perfect mode one has an edge that
+    is updated only once beside 19 re-updatable ones, and one has six such
+    edges and no re-updatable edge."""
+    out = [pytest.param(load_fixture(name), id=name)
+           for name in ["c4", "k4-appendix", "tri-neg", "tri-half", "p4"]]
+    for mode in (PERFECT, NONPERFECT):
+        rng = random.Random(0)
+        out += [pytest.param(random_instance(rng, 7, mode), id=f"{mode}-{k}")
+                for k in range(6)]
+    return out
+
+
+@pytest.mark.parametrize("g", _pinned_graphs())
 @pytest.mark.parametrize("seed", [0, 3, 7])
-def test_random_schedule_is_pinned(name, seed):
-    g = load_fixture(name)
+def test_random_schedule_is_pinned(g, seed):
     horizon = 10 * len(g.directed_edges())  # at least ten cycles
     got = make_schedule(g, "random", seed=seed).prefix(horizon)
     assert got == _reference_random_prefix(g, seed, horizon)

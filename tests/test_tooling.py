@@ -1,7 +1,7 @@
 """Checks on the repository rather than on the algorithms: the benchmark in
 perfbench/ runs against the package, so a package change that breaks the
-benchmark's answer checkers must fail the tests, the runtime package
-imports nothing outside the standard library, the README's module table
+benchmark's answer checkers or its tracer must fail the tests, the runtime
+package imports nothing outside the standard library, the README's module table
 names each module once, and the README's library example runs against the
 current API."""
 
@@ -16,6 +16,40 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_perfbench_selftest_passes():
     proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+# the package's layers as the benchmark loads them, then its tracer: every
+# name the tracer wraps exists, install() wraps each, and uninstall() puts
+# every attribute of every bpmatch module back
+SPANS_CHECK = """
+import sys
+sys.path[:0] = ["src", "perfbench"]
+import bpmatch, bpmatch.harness, bpmatch.cli
+import spans
+
+for _, module, attr in spans.FUNCTIONS:
+    assert hasattr(sys.modules[module], attr), (module, attr)
+for _, module, cls, meth in spans.METHODS:
+    assert meth in vars(getattr(sys.modules[module], cls)), (module, cls, meth)
+mods = {k: m for k, m in sys.modules.items() if k == "bpmatch" or k.startswith("bpmatch.")}
+before = {k: dict(vars(m)) for k, m in mods.items()}
+tracer = spans.Tracer()
+tracer.install()
+for _, module, attr in spans.FUNCTIONS:
+    assert hasattr(getattr(sys.modules[module], attr), "__wrapped__"), (module, attr)
+tracer.uninstall()
+for k, m in mods.items():
+    after = vars(m)
+    assert after.keys() == before[k].keys(), k
+    changed = [a for a, v in before[k].items() if after[a] is not v]
+    assert not changed, (k, changed)
+"""
+
+
+def test_perfbench_tracer_wraps_and_restores_the_package():
+    proc = subprocess.run([sys.executable, "-c", SPANS_CHECK], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
