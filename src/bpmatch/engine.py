@@ -35,21 +35,30 @@ set never changes.  So once a sync run's messages equal those of an earlier
 round, the run repeats that stretch for ever, every estimate included.  In
 non-perfect mode min(0, .) keeps every message from round 2 on between the
 least weight and the greatest weight minus the least, a finite set of
-exact ints, so every non-perfect run reaches such a cycle; perfect-mode
-messages mostly drift.  A sync run without a trace looks for the cycle by
-Brent's method (BIT 1980) and skips whole periods of it up to where its
-stop could next hold (see _run).  An asynchronous schedule need not repeat
-its steps, and a trace records every state, so those runs step every round.
+exact ints, so every non-perfect run reaches such a cycle.  Perfect-mode
+messages mostly drift instead, by a translation: from some round on,
+m(t + p) = m(t) + d_(t mod p) for p fixed int vectors d_j, the eventual
+periodicity of min-plus maps (Cohen, Dubois, Quadrat and Viot, 1985).  While every vertex
+ranks its incoming messages (and, in non-perfect mode, sees their signs)
+as it did one period before, each round is one affine map, so the
+translation and every estimate repeat until one of those comparisons,
+each linear in the number of periods, flips.  A sync run without a trace
+looks for both kinds of cycle by Brent's method (BIT 1980), proves a
+translation's extent in ints (_lasting) and skips whole periods up to
+where its stop could next hold (see _run).  An asynchronous schedule need
+not repeat its steps, and a trace records every state, so those runs step
+every round.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import floor, lcm
-from operator import itemgetter
+from operator import eq, itemgetter, sub
 from typing import NamedTuple
 
 from .graph import Graph, PERFECT, ZERO, GraphError, edge_key, require_valid
@@ -205,10 +214,12 @@ class _Plan(NamedTuple):
     heads: list
 
 
-def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> None:
+def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> list:
     """One step on scaled messages, the same for every update set (all
     edges, one edge or any subset): recompute the edges of `plan` from the
-    values at t-1 in `msgs`, computing every new value before writing any.
+    values at t-1 in `msgs`, computing every new value before writing any,
+    and return the messages at t: a new list when every edge updates, which
+    leaves `msgs` as it was, and `msgs` itself, updated, otherwise.
 
     `plan` holds the step's sorted edge ids, their tails and scaled
     weights, and a gather of their reverse messages, all worked out once
@@ -226,10 +237,10 @@ def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> None:
         new = [w if free[i] or (kth := hi[i] if r <= lo[i] else lo[i]) >= 0 else w - kth
                for i, w, r in zip(tails, ws, rev_of(msgs))]
     if len(new) == len(msgs):
-        msgs[:] = new  # every edge, so ids is 0, 1, ..., in order
-    else:
-        for k, v in zip(ids, new):
-            msgs[k] = v
+        return new  # every edge, so ids is 0, 1, ..., in order
+    for k, v in zip(ids, new):
+        msgs[k] = v
+    return msgs
 
 
 # -- estimates ----------------------------------------------------------------
@@ -356,10 +367,15 @@ class RunResult:
     trace: list | None = None
     coverage: CoverageStats | None = None
     schedule_kind: str | None = None
-    # (mark_t, p): the messages after round mark_t + p equal those after
-    # round mark_t, as a synchronous run without a trace found them; None
-    # when no such cycle was found or sought
+    # (mark_t, p): the last cycle of its messages that a synchronous run
+    # without a trace found, and proved to hold through round mark_t + p,
+    # or mark_t + 2p for a translation: the messages after round mark_t + p
+    # equal those after round mark_t, or differ from them as those after
+    # round mark_t + 2p differ from those after mark_t + p (a translation,
+    # see _lasting); None when no cycle was found or sought
     cycle: tuple | None = None
+    # the rounds the kernel stepped: iterations less the rounds jumped
+    computed: int = 0
 
 
 def detect_period(history, max_period):
@@ -377,9 +393,10 @@ def detect_period(history, max_period):
 
 def _periods(stop: StopPolicy, t: int, p: int, history: list, last_change: int,
              window_size: int, limit) -> int:
-    """How many whole periods a run can skip at round t, its state having
-    repeated with period p, before `stop` could hold: the largest k such
-    that the stop check fails at every round from t to t + k*p - 1.
+    """How many whole periods a run can skip at round t, its estimate
+    repeating with period p (an exact cycle or a translation of the
+    messages), before `stop` could hold: the largest k such that the stop
+    check fails at every round from t to t + k*p - 1.
 
     A budget stop holds from its iteration count on.  Over a cycle whose
     estimate is constant, last_change stays where it is, so a window stop
@@ -404,6 +421,50 @@ def _periods(stop: StopPolicy, t: int, p: int, history: list, last_change: int,
     return max(end - t, 0) // p
 
 
+# the longest period of a translation that a sync run looks for (proving
+# one holds the messages of two periods), and how many of its messages it
+# probes each round to find one
+_SPAN = 64
+_PROBES = 16
+
+
+def _lasting(snaps, p, rank, mode):
+    """How many periods a translation lasts.  `snaps` holds the scaled
+    messages of rounds T .. T + 2p of a sync run, whose second period moved
+    them as the first did: m(T + 2p) - m(T + p) = m(T + p) - m(T).  With
+    a_j = m(T + j) and d_j = m(T + p + j) - a_j, let K be the largest k such
+    that, for every k' <= k and phase j < p, a_j + k'*d_j ranks the incoming
+    messages of each vertex of `rank` as a_j does (by value, ties to the
+    smaller label, as _select ranks them) and, in non-perfect mode, keeps
+    each message on its side of 0 (negative or not).  The result is K - 2,
+    the periods past the two seen; None when no k ends the orders, and a
+    negative number, found early, when K < 2.
+
+    Each comparison is linear in k, so it flips at most once, at a k found
+    in ints.  While the orders hold, each round of the period is one affine
+    map of the messages (_round reads fixed ranks and signs), which took a_j
+    to a_(j+1) and a_j + d_j to a_(j+1) + d_(j+1), with d_p = d_0; so
+    m(T + k*p + j) = a_j + k*d_j for every k <= K, and each of those rounds
+    selects as its phase did at T."""
+    # 0 ranks as the message of a label 0, before a message equal to it
+    zero = [(0, 0, 0)] if mode != PERFECT else []
+    last = None
+    for j in range(p):
+        a = snaps[j]
+        d = list(map(sub, snaps[j + p], a))
+        for _, nbrs, _, read in rank:
+            ranked = sorted(chain(zip(read(a), nbrs, read(d)), zero))
+            for (x, lx, dx), (y, ly, dy) in zip(ranked, ranked[1:]):
+                # x stays first while k*(dx - dy) < y - x, or equals it with lx < ly
+                if dx > dy:
+                    k = (y - x - (lx > ly)) // (dx - dy) - 2
+                    if k < 0:
+                        return k
+                    if last is None or k < last:
+                        last = k
+    return last
+
+
 def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
          keep_trace: bool, fixed_step: bool = False) -> RunResult:
     """The run loop shared by synchronous and asynchronous runs: apply the
@@ -425,21 +486,32 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
 
     `fixed_step` says that every step updates the same set (run_sync's
     all-edges step).  The state after a step (lo, hi, sel, tie and the
-    estimate) is then a function of the messages alone, so once the
-    messages equal an earlier snapshot the run is periodic from there on.
-    Without a trace, the run keeps a snapshot of the messages at rounds 1,
-    2, 4, ... (Brent's cycle finding: one list copy per power of two and
-    one list compare per round), and at the first round t whose messages
-    equal the snapshot of round mark_t, with p = t - mark_t, it skips as
-    many whole periods as the stop cannot hold in (_periods): a budget stop
-    to just short of its count, a window stop over a constant estimate to
-    min(limit, last_change + window), and one whose estimate changes inside
-    the cycle to its limit, or not at all when a gap between changes is
-    longer than the window.  The history repeats its last p entries, and last_change
-    moves by the skipped rounds when it lies inside the cycle.  The run
-    steps the rounds that remain.  The steps of an asynchronous run need
-    not repeat, and a trace records every state, so those runs step every
-    round."""
+    estimate) is then a function of the messages alone, and a run without
+    a trace skips the cycles of its messages.  As Brent's cycle finding
+    does, it marks the messages of the rounds 1, 2, 4, ... after `base` (at
+    first round 0), and it keeps _PROBES of the messages (`probe`) of its
+    last 2*_SPAN + 1 rounds: a round costs one list compare and, up to
+    _SPAN rounds after a mark, one compare of probes.
+    - An exact cycle: at the first round t whose messages equal the mark's,
+      the run is periodic from mark_t on, with p = t - mark_t.
+    - A translation, m(t + p) = m(t) + d_(t mod p): at a round whose probes
+      moved alike in the last two periods of p = t - mark_t rounds, the run
+      records all its messages over the next two periods.  If the second
+      period moved them as the first did, _lasting proves how many more
+      periods the translation lasts.  Either way the run then looks for
+      the next cycle, with this round as `base`.
+    The run skips as many whole periods as the cycle lasts and the stop
+    cannot hold in (_periods): a budget stop to just short of its count, a
+    window stop over a constant estimate to min(limit, last_change +
+    window), and one whose estimate changes inside the cycle to its limit,
+    or not at all when a gap between changes is longer than the window.
+    The history repeats its last p entries, last_change moves by the
+    skipped rounds when it lies inside the cycle, and a translation adds k
+    times its shift to the messages and ranks them again.  An exact cycle
+    lasts for ever, so the run then steps the rounds that remain and seeks
+    no further.  The steps of an asynchronous run need not repeat, and a
+    trace records every state, so those runs step every round.
+    RunResult.computed counts the rounds stepped."""
     init = init or MessageInit.weights()
     # a weights init starts from the scaled weights themselves; its message
     # map is built only for a trace to start from
@@ -494,10 +566,16 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     else:
         window_size, limit = g.n, None
 
-    # Brent's cycle finding: `mark` holds the messages of round mark_t, a
-    # power of two; `seek` ends at the first repeat
+    # cycle finding: `mark` holds the messages of round mark_t, a power of
+    # two past `base`; `probes` the probed messages of the last rounds; and
+    # `record` the messages of the rounds since one whose probes moved alike
+    # over its last two periods of q rounds; `seek` ends at the first exact
+    # cycle
     seek = fixed_step and not keep_trace
-    mark, mark_t, cycle = None, 0, None
+    base, mark, mark_t, record, cycle, skipped = 0, None, 0, None, None, 0
+    if seek:
+        probe = _gather(range(0, len(dirs), max(1, -(-len(dirs) // _PROBES))))
+        probes = deque([probe(msgs)], maxlen=2 * _SPAN + 1)
     # a coverage stop needs every count above the threshold, i.e. at least
     # `need`; `pending` counts the directed edges still short of it
     counts = None if fixed_step else [0] * len(dirs)
@@ -519,7 +597,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             plan = plans[updates] = _Plan(ids, [tail[k] for k in ids], [w[k] for k in ids],
                                           _gather([rev[k] for k in ids]),
                                           [rank[j] for j in sorted({head[k] for k in ids})])
-        _round(msgs, mode, plan, lo, hi, free)
+        msgs = _round(msgs, mode, plan, lo, hi, free)
         if counts is not None:
             for k in plan.ids:
                 counts[k] += 1
@@ -537,17 +615,51 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                 last_change = t
         history.append(edges)
         if seek:
+            p = t - mark_t
+            found = lasting = past = None
+            probes.append(probe(msgs))
             if msgs == mark:
-                seek = False
-                p = t - mark_t
-                cycle = (mark_t, p)
+                # an exact cycle, the translation by 0: no order can flip
+                found, seek = (mark_t, p), False
+            elif record:
+                record.append(msgs)
+                if len(record) > 2 * q:
+                    # two periods recorded: a translation if the second
+                    # moved the messages as the first did, for as long as
+                    # the orders of their rounds hold
+                    past = record[q]
+                    if all(map(eq, map(sub, msgs, past), map(sub, past, record[0]))):
+                        found, p = (t - 2 * q, q), q
+                        lasting = _lasting(record, q, rank[1:], mode)
+            elif (mark is not None and 2 * p < len(probes)
+                  and all(map(eq, map(sub, probes[-1], probes[-1 - p]),
+                              map(sub, probes[-1 - p], probes[-1 - 2 * p])))):
+                # the probed messages moved alike in the last two periods:
+                # record the next two
+                record, q = [msgs], p
+            if found and (lasting is None or lasting >= 0):
+                cycle = found
                 k = _periods(stop, t, p, history, last_change, window_size, limit)
+                if lasting is not None:
+                    k = min(k, lasting)
                 history.extend(history[-p:] * k)
                 if last_change > t - p:
                     last_change += k * p
                 t += k * p
-            elif not t & (t - 1):
-                mark, mark_t = msgs[:], t
+                skipped += k * p
+                if k and past is not None:
+                    # a translation moves the messages k periods on: shift
+                    # them there and rank them again
+                    msgs = [v + k * (v - u) for v, u in zip(msgs, past)]
+                    refresh(rank[1:])
+                    probes.clear()
+                    probes.append(probe(msgs))
+            if past is not None:
+                # after two recorded periods, a translation or not, look for
+                # the next cycle from this round on
+                base, mark, record = t, None, None
+            elif seek and t > base and not (t - base) & (t - base - 1):
+                mark, mark_t = msgs, t
         if stop.kind == "coverage":
             stop_met = not pending
 
@@ -562,7 +674,8 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                                                    min(counts, default=0))
     return RunResult(mode=mode, estimate=est, iterations=t, stabilized_at=last_change,
                      stable_for=stable_for, converged=converged, period=period,
-                     history=history, stop=stop, trace=trace, coverage=cov, cycle=cycle)
+                     history=history, stop=stop, trace=trace, coverage=cov, cycle=cycle,
+                     computed=t - skipped)
 
 
 def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,

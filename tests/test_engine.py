@@ -327,11 +327,35 @@ STEADY = Graph(6, [1, 2, 1, 1, 1, 1],
 GAPS = Graph(4, [1, 1, 1, 1], [(1, 2, 16), (1, 3, 4), (1, 4, 9), (2, 3, 14), (2, 4, 30),
                                (3, 4, 7)])
 
+# Translations, m(t + 4) = m(t) + d_(t mod 4), found at round T and ended
+# by a flip in period k after T.  On a 4-cycle with b = 1 each message is
+# its weight less the one other message into its tail, so the messages
+# drift for ever and only the rankings, and so the estimate, flip.  TWICE:
+# from T = 8 vertex 2 ranks m(3 -> 2) = -8 + k before m(1 -> 2) = 1 - k at
+# phase 3, until k = 5; a second translation follows from round 32
+TWICE = (Graph(4, [1, 1, 1, 1], [(1, 2, 0), (1, 4, 0), (2, 3, -1), (3, 4, -2)]),
+         MessageInit.explicit({(1, 2): -11, (1, 4): 3, (2, 1): 11, (2, 3): -5, (3, 2): 9,
+                               (3, 4): -1, (4, 1): -12, (4, 3): -11}))
+# from T = 8 vertex 3 ranks m(4 -> 3) = -8 + k before m(2 -> 3) = -k at
+# phase 3; they tie at k = 4, where the smaller label 2 goes first
+TIE = (Graph(4, [1, 1, 1, 1], [(1, 2, -1), (1, 4, -1), (2, 3, 0), (3, 4, 1)]),
+       MessageInit.explicit({(1, 2): -12, (1, 4): -12, (2, 1): -10, (2, 3): 9, (3, 2): 11,
+                             (3, 4): -2, (4, 1): 5, (4, 3): -9}))
+# the chord 1-3 makes d differ from phase to phase
+CHORD = (Graph(4, [1, 1, 1, 1], [(1, 2, -1), (1, 3, 2), (1, 4, -3), (2, 3, 1), (3, 4, 1)]),
+         MessageInit.explicit({(1, 2): 17, (1, 3): -11, (1, 4): 7, (2, 1): 20, (2, 3): -22,
+                               (3, 1): 20, (3, 2): 21, (3, 4): -20, (4, 1): -9, (4, 3): 10}))
+# non-perfect: from T = 12, m(4 -> 1) = -7 + k at phase 2, negative until
+# k = 7; the messages then reach a fixed point
+RISE = (Graph(4, [1, 2, 1, 2], [(1, 2, -11), (1, 3, -3), (1, 4, -11), (2, 3, -26), (2, 4, -18),
+                                (3, 4, -27)]), None)
 
 class TestCycleJump:
     """A synchronous run without a trace skips whole periods of an exact
-    message cycle; it must give what stepping every round gives.  Each case
-    pins the run's stop values, the cycle found and the rounds computed."""
+    message cycle or of a translation; it must give what stepping every
+    round gives.  Each case pins the run's stop values, the cycle found and
+    the rounds computed, which RunResult.computed reports and the `rounds`
+    fixture counts as a cross-check."""
 
     @pytest.fixture
     def rounds(self, monkeypatch):
@@ -364,19 +388,116 @@ class TestCycleJump:
         (GAPS, PERFECT, StopPolicy.window(2, 60), (8, 6, True, None, (4, 4), 8)),
     ])
     def test_jump_equals_stepping(self, g, mode, stop, want, rounds):
+        self._check(g, None, mode, stop, want, rounds)
+
+    # (graph, init), mode, stop and (iterations, stabilized_at, converged,
+    # period, cycle, rounds computed)
+    DRIFTS = [
+        # a translation from round 8 that holds to the budget
+        (("c4", None), PERFECT, StopPolicy.budget(400), (400, 0, True, None, (8, 4), 16)),
+        (("k4-appendix", None), PERFECT, StopPolicy.budget(100),
+         (100, 1, True, None, (8, 4), 16)),
+        # a translation ended by a flip, then another
+        (TWICE, PERFECT, StopPolicy.budget(45), (45, 45, False, 4, (32, 4), 33)),
+        # messages of different slopes tie, and the label decides
+        (TIE, PERFECT, StopPolicy.budget(25), (25, 25, False, 4, (8, 4), 21)),
+        (CHORD, PERFECT, StopPolicy.budget(112), (112, 40, True, None, (52, 4), 56)),
+        # a message crossing 0 ends it, and an exact cycle follows
+        (RISE, NONPERFECT, StopPolicy.budget(280), (280, 2, True, None, (53, 1), 38)),
+    ]
+
+    @pytest.mark.parametrize("start, mode, stop, want", DRIFTS)
+    def test_translation_jump_equals_stepping(self, start, mode, stop, want, rounds):
+        self._check(*start, mode, stop, want, rounds)
+
+    @pytest.mark.parametrize("start, mode, stop, want", DRIFTS)
+    def test_a_translation_lasts_as_the_stepped_orders(self, start, mode, stop, want,
+                                                        monkeypatch):
+        # _lasting, on each translation the run finds, against the orders of
+        # the stepped run: the last period in which every round ranks each
+        # vertex's incoming messages (and, in non-perfect mode, sees their
+        # signs) as its phase did in the first
+        from bpmatch import engine
+        g, init = start
         if isinstance(g, str):
             g = load_fixture(g)
-        sync = run_sync(g, mode, None, stop)
-        computed = len(rounds)
-        asyn = run_async(g, make_schedule(g, "sync"), None, stop, mode)
+        found = []
+        real = engine._lasting
+
+        def spy(snaps, p, rank, mode):
+            found.append((snaps[0], p, real(snaps, p, rank, mode)))
+            return found[-1][2]
+
+        monkeypatch.setattr(engine, "_lasting", spy)
+        run_sync(g, mode, init, stop)
+        assert found
+        net = engine._Net(g, (init or MessageInit.weights()).build(g).values())
+        # stepped past the stop, so that the flips just beyond it show
+        trace = run_sync(g, mode, init, StopPolicy.budget(stop.iterations + 40),
+                         keep_trace=True).trace
+        msgs = [net.up([s.m[d] for d in net.dirs]) for s in trace]
+
+        def orders(m):
+            # each vertex's neighbors by (incoming message, label), and in
+            # non-perfect mode which of those messages are negative
+            return [([j for _, j in sorted(zip(net.gin[i](m), g.neighbors(i)))],
+                     mode != PERFECT and [v < 0 for v in net.gin[i](m)])
+                    for i in g.vertices()]
+
+        for first, p, lasting in found:
+            seen = [orders(m) for m in msgs[msgs.index(first):]]
+            flip = next((r for r in range(p, len(seen)) if seen[r] != seen[r % p]), None)
+            if flip is None:
+                assert lasting is None
+            elif flip >= 3 * p:
+                # the orders hold through period flip // p - 1, two of them seen
+                assert lasting == flip // p - 3
+            else:
+                assert lasting < 0
+
+    @staticmethod
+    def _check(g, init, mode, stop, want, rounds):
+        if isinstance(g, str):
+            g = load_fixture(g)
+        sync = run_sync(g, mode, init, stop)
+        assert sync.computed == len(rounds)
+        asyn = run_async(g, make_schedule(g, "sync"), init, stop, mode)
         for name in ("estimate", "iterations", "stabilized_at", "stable_for", "converged",
                      "period", "history"):
             assert getattr(sync, name) == getattr(asyn, name), name
         assert (sync.iterations, sync.stabilized_at, sync.converged, sync.period, sync.cycle,
-                computed) == want
-        assert asyn.cycle is None
+                sync.computed) == want
+        assert asyn.cycle is None and asyn.computed == asyn.iterations
+
+    @pytest.mark.parametrize("mode, seed, want", [
+        # (runs, iterations, rounds computed, runs ending on a translation)
+        (PERFECT, 101, (210, 12997, 5197, 120)),
+        (NONPERFECT, 202, (140, 19287, 1695, 0)),
+    ])
+    def test_the_certified_runs_of_a_sweep_compute(self, mode, seed, want, monkeypatch):
+        # the work of the acceptance sweeps' certified runs: stepping every
+        # round they compute the iterations, and jumping exact cycles alone
+        # 12 997 and 1 910 rounds
+        from bpmatch import harness
+        runs = []
+
+        def recording(g, mode, init=None, stop=None, keep_trace=False):
+            runs.append((g, init, run_sync(g, mode, init, stop, keep_trace)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(harness, "run_sync", recording)
+        harness.sweep(mode, instances=220, n_max=6, seed=seed)
+        translations = 0
+        for g, init, res in runs:
+            if res.cycle is not None and res.computed < res.iterations:
+                mark_t, p = res.cycle
+                trace = run_sync(g, mode, init, StopPolicy.budget(mark_t + p),
+                                 keep_trace=True).trace
+                translations += trace[mark_t + p].m != trace[mark_t].m
+        assert (len(runs), sum(res.iterations for _, _, res in runs),
+                sum(res.computed for _, _, res in runs), translations) == want
 
     def test_a_trace_steps_every_round(self, rounds):
         g = load_fixture("tri-half")
         res = run_sync(g, NONPERFECT, stop=StopPolicy.budget(30), keep_trace=True)
-        assert res.cycle is None and len(rounds) == 30 == len(res.trace) - 1
+        assert res.cycle is None and len(rounds) == 30 == res.computed == len(res.trace) - 1

@@ -410,10 +410,16 @@ def test_integer_run_equals_rational_stepper(instance, kind, stop, keep_trace, d
     assert asyn.schedule_kind == sched.describe()
 
 
-# budgets past the first cycles, which most runs find by round 21; the
-# default window; and short windows with small limits
+# a perfect-mode 4-cycle whose messages drift from round 8 on
+TWICE = (parse_graph("4 4\n1 1 1 1\n1 2 0\n1 4 0\n2 3 -1\n3 4 -2\n"),
+         MessageInit.explicit({(1, 2): -11, (1, 4): 3, (2, 1): 11, (2, 3): -5, (3, 2): 9,
+                               (3, 4): -1, (4, 1): -12, (4, 3): -11}))
+
+# budgets past the first cycles, which most runs find by round 21, and
+# past the flips that end perfect-mode translations; the default window;
+# and short windows with small limits
 JUMP_STOPS = st.one_of(
-    st.integers(0, 160).map(StopPolicy.budget),
+    st.integers(0, 400).map(StopPolicy.budget),
     st.just(StopPolicy.window()),
     st.builds(StopPolicy.window, st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 30)),
 )
@@ -432,6 +438,13 @@ JUMP_STOPS = st.one_of(
 # estimate changes with cyclic gaps of 1 and 3 rounds, longer than the window
 @example((PERFECT, parse_graph("4 6\n1 1 1 1\n1 2 16\n1 3 4\n1 4 9\n2 3 14\n2 4 30\n"
                                "3 4 7\n")), StopPolicy.window(2, 60), _Draws(None))
+# a translation ended by a flip of the ranking at vertex 2, then another,
+# under a budget and under a window that the changing estimate never meets
+@example((PERFECT, TWICE[0]), StopPolicy.budget(400), _Draws(TWICE[1]))
+@example((PERFECT, TWICE[0]), StopPolicy.window(3, 200), _Draws(TWICE[1]))
+# a non-perfect translation ended by a message reaching 0
+@example((NONPERFECT, parse_graph("4 6\n1 2 1 2\n1 2 -11\n1 3 -3\n1 4 -11\n2 3 -26\n"
+                                  "2 4 -18\n3 4 -27\n")), StopPolicy.budget(60), _Draws(None))
 def test_cycle_jump_equals_the_step_by_step_run(instance, stop, data):
     # run_async never skips a round, even under the all-edges schedule
     mode, g = instance
@@ -439,16 +452,21 @@ def test_cycle_jump_equals_the_step_by_step_run(instance, stop, data):
     sync = run_sync(g, mode, init, stop)
     asyn = run_async(g, make_schedule(g, "sync"), init, stop, mode)
     for f in dataclasses.fields(RunResult):
-        if f.name not in ("coverage", "schedule_kind", "cycle"):
+        if f.name not in ("coverage", "schedule_kind", "cycle", "computed"):
             assert getattr(sync, f.name) == getattr(asyn, f.name), f.name
-    assert asyn.cycle is None
+    assert asyn.cycle is None and asyn.computed == asyn.iterations
+    assert sync.computed <= sync.iterations
     if sync.cycle is not None:
-        # the messages after round mark_t + p are those after round mark_t
-        # for the first time since, and mark_t is a power of two
+        # the messages after round mark_t + p equal those after round mark_t,
+        # or differ from them as those after round mark_t + 2p differ from
+        # those after round mark_t + p, a translation found two periods on
         mark_t, p = sync.cycle
-        trace = run_sync(g, mode, init, StopPolicy.budget(mark_t + p), keep_trace=True).trace
-        assert mark_t & (mark_t - 1) == 0 and mark_t + p <= sync.iterations
-        assert [q for q in range(1, p + 1) if trace[mark_t + q].m == trace[mark_t].m] == [p]
+        trace = run_sync(g, mode, init, StopPolicy.budget(mark_t + 2 * p), keep_trace=True).trace
+        m0, m1, m2 = ([s.m[d] for d in g.directed_edges()] for s in trace[mark_t::p])
+        assert [b - a for a, b in zip(m1, m2)] == [b - a for a, b in zip(m0, m1)]
+        assert mark_t + (p if m1 == m0 else 2 * p) <= sync.iterations
+    else:
+        assert sync.computed == sync.iterations
 
 
 # an integral relaxation vertex on a face with a fractional point (tri-neg),
