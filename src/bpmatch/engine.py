@@ -42,12 +42,16 @@ periodicity of min-plus maps (Cohen, Dubois, Quadrat and Viot, 1985).  While eve
 ranks its incoming messages (and, in non-perfect mode, sees their signs)
 as it did one period before, each round is one affine map, so the
 translation and every estimate repeat until one of those comparisons,
-each linear in the number of periods, flips.  A sync run without a trace
-looks for both kinds of cycle by Brent's method (BIT 1980), proves a
+each linear in the number of periods, flips.  The same holds for any
+schedule whose steps repeat every L steps after a prefix of s steps, over
+whole schedule periods: the all-edges schedule is L = 1, s = 0, and a
+round-robin one repeats its re-updatable edges after the ones it updates
+once.  A run without a trace under such a schedule looks for both kinds
+of cycle by Brent's method (BIT 1980) at period boundaries, proves a
 translation's extent in ints (_lasting) and skips whole periods up to
-where its stop could next hold (see _run).  An asynchronous schedule need
-not repeat its steps, and a trace records every state, so those runs step
-every round.
+where its stop could next hold (see _run).  A random or explicit schedule
+need not repeat its steps, and a trace records every state, so those runs
+step every update.
 """
 
 from __future__ import annotations
@@ -205,13 +209,15 @@ def _gather(ids):
 
 class _Plan(NamedTuple):
     """An update set compiled for _round: its sorted edge ids, their tails
-    and scaled weights, a gather of their reverse messages, and the ranking
-    records of its heads, in label order."""
+    and scaled weights, a gather of their reverse messages, the ranking
+    records of its heads, in label order, and a gather of its own messages
+    (what a step of it wrote, for a run recording a cycle)."""
     ids: list
     tails: list
     w: list
     rev_of: itemgetter
     heads: list
+    own: itemgetter
 
 
 def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> list:
@@ -229,7 +235,7 @@ def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> list:
     lo[i] and lo[i] otherwise.
     free[i] marks the vertices whose outgoing messages are their weights
     (non-perfect mode, degree <= b_i), which need no rank."""
-    ids, tails, ws, rev_of, _ = plan
+    ids, tails, ws, rev_of, _, _ = plan
     if mode == PERFECT:
         new = [w - (hi[i] if r <= lo[i] else lo[i])
                for i, w, r in zip(tails, ws, rev_of(msgs))]
@@ -367,14 +373,15 @@ class RunResult:
     trace: list | None = None
     coverage: CoverageStats | None = None
     schedule_kind: str | None = None
-    # (mark_t, p): the last cycle of its messages that a synchronous run
-    # without a trace found, and proved to hold through round mark_t + p,
-    # or mark_t + 2p for a translation: the messages after round mark_t + p
-    # equal those after round mark_t, or differ from them as those after
-    # round mark_t + 2p differ from those after mark_t + p (a translation,
-    # see _lasting); None when no cycle was found or sought
+    # (mark_t, p), in steps: the last cycle of its messages that a run
+    # without a trace under a repeating schedule found, and proved to hold
+    # through step mark_t + p, or mark_t + 2p for a translation: the
+    # messages after step mark_t + p equal those after step mark_t, or
+    # differ from them as those after step mark_t + 2p differ from those
+    # after mark_t + p (a translation, see _lasting); p is a whole number of
+    # schedule periods; None when no cycle was found or sought
     cycle: tuple | None = None
-    # the rounds the kernel stepped: iterations less the rounds jumped
+    # the steps the kernel computed: iterations less the steps jumped
     computed: int = 0
 
 
@@ -392,20 +399,29 @@ def detect_period(history, max_period):
 
 
 def _periods(stop: StopPolicy, t: int, p: int, history: list, last_change: int,
-             window_size: int, limit) -> int:
-    """How many whole periods a run can skip at round t, its estimate
+             window_size: int, limit, counts=None, grown=None, need=0) -> int:
+    """How many whole periods a run can skip at step t, its estimate
     repeating with period p (an exact cycle or a translation of the
     messages), before `stop` could hold: the largest k such that the stop
-    check fails at every round from t to t + k*p - 1.
+    check fails at every step from t to t + k*p - 1.
 
-    A budget stop holds from its iteration count on.  Over a cycle whose
-    estimate is constant, last_change stays where it is, so a window stop
-    holds from min(limit, last_change + window) on.  When the estimate
+    A coverage stop holds once every directed edge's count, counts[e] now
+    and counts[e] + k*grown[e] after k more periods, reaches `need`.  The
+    counts only grow, so the result is the largest k after which some edge
+    is still short of it, and the run steps to the exact stop from there;
+    an edge that no longer grows bounds nothing (short of `need`, it keeps
+    the stop from ever holding).  A budget stop holds from its iteration
+    count on.  Over a cycle whose estimate is constant, last_change stays
+    where it is, so a window stop holds from min(limit, last_change +
+    window) on.  When the estimate
     changes inside the cycle, every gap between its changes recurs for
     ever: with each gap, the cyclic one included, at most the window, the
     estimate is never stable for a whole window and only `limit` stops the
     run; a longer gap lets the window hold within the next period, and the
     run steps there."""
+    if stop.kind == "coverage":
+        return max(((need - 1 - c) // d for c, d in zip(counts, grown) if c < need and d),
+                   default=0)
     if stop.kind == "budget":
         end = stop.iterations
     else:
@@ -421,38 +437,45 @@ def _periods(stop: StopPolicy, t: int, p: int, history: list, last_change: int,
     return max(end - t, 0) // p
 
 
-# the longest period of a translation that a sync run looks for (proving
-# one holds the messages of two periods), and how many of its messages it
-# probes each round to find one
+# the longest period, in schedule periods, of a translation that a run
+# looks for (proving one holds the steps of two periods), and how many of
+# its messages it probes at each period boundary to find one
 _SPAN = 64
 _PROBES = 16
 
 
-def _lasting(snaps, p, rank, mode):
-    """How many periods a translation lasts.  `snaps` holds the scaled
-    messages of rounds T .. T + 2p of a sync run, whose second period moved
-    them as the first did: m(T + 2p) - m(T + p) = m(T + p) - m(T).  With
-    a_j = m(T + j) and d_j = m(T + p + j) - a_j, let K be the largest k such
-    that, for every k' <= k and phase j < p, a_j + k'*d_j ranks the incoming
-    messages of each vertex of `rank` as a_j does (by value, ties to the
-    smaller label, as _select ranks them) and, in non-perfect mode, keeps
-    each message on its side of 0 (negative or not).  The result is K - 2,
-    the periods past the two seen; None when no k ends the orders, and a
-    negative number, found early, when K < 2.
+def _lasting(start, mid, steps, rank, mode):
+    """How many periods a translation lasts.  `start` and `mid` hold the
+    scaled messages after steps T and T + p of a run whose schedule repeats
+    with period p from T on, and `steps` the plan of each step T + 1 ..
+    T + 2p with the values it wrote; the second period moved the messages
+    as the first did: m(T + 2p) - m(T + p) = mid - start.  With a_j =
+    m(T + j) and d_j = m(T + p + j) - a_j, let K be the largest k such
+    that, for every k' <= k and phase j < p, a_j + k'*d_j ranks the
+    incoming messages of each vertex of `rank` as a_j does (by value, ties
+    to the smaller label, as _select ranks them) and, in non-perfect mode,
+    keeps each message on its side of 0 (negative or not).  The result is
+    K - 2, the periods past the two seen; None when no k ends the orders,
+    and a negative number, found early, when K < 2.
 
     Each comparison is linear in k, so it flips at most once, at a k found
-    in ints.  While the orders hold, each round of the period is one affine
-    map of the messages (_round reads fixed ranks and signs), which took a_j
-    to a_(j+1) and a_j + d_j to a_(j+1) + d_(j+1), with d_p = d_0; so
-    m(T + k*p + j) = a_j + k*d_j for every k <= K, and each of those rounds
-    selects as its phase did at T."""
+    in ints.  While the orders hold, each step of the period is one affine
+    map of the messages (_round reads fixed ranks and signs), which took
+    a_j to a_(j+1) and a_j + d_j to a_(j+1) + d_(j+1), with d_p = d_0; so
+    m(T + k*p + j) = a_j + k*d_j for every k <= K, and each of those steps
+    selects as its phase did at T.  Step j changes a and d only on the
+    edges of its plan, so phase 0 checks every vertex and phase j + 1 only
+    the heads of step j, whose incoming messages it wrote; a sync step's
+    heads are every vertex."""
     # 0 ranks as the message of a label 0, before a message equal to it
     zero = [(0, 0, 0)] if mode != PERFECT else []
+    p = len(steps) // 2
+    a = list(start)
+    d = list(map(sub, mid, start))
+    heads = rank
     last = None
-    for j in range(p):
-        a = snaps[j]
-        d = list(map(sub, snaps[j + p], a))
-        for _, nbrs, _, read in rank:
+    for (plan, once), (_, twice) in zip(steps, steps[p:]):
+        for _, nbrs, _, read in heads:
             ranked = sorted(chain(zip(read(a), nbrs, read(d)), zero))
             for (x, lx, dx), (y, ly, dy) in zip(ranked, ranked[1:]):
                 # x stays first while k*(dx - dy) < y - x, or equals it with lx < ly
@@ -462,14 +485,18 @@ def _lasting(snaps, p, rank, mode):
                         return k
                     if last is None or k < last:
                         last = k
+        for e, u, v in zip(plan.ids, once, twice):
+            a[e] = u
+            d[e] = v - u
+        heads = plan.heads
     return last
 
 
 def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
-         keep_trace: bool, fixed_step: bool = False) -> RunResult:
+         keep_trace: bool, repeats: tuple | None = None, count: bool = True) -> RunResult:
     """The run loop shared by synchronous and asynchronous runs: apply the
-    update sets drawn from `steps` until `stop` holds.  Unless `fixed_step`,
-    the loop counts each directed edge's updates into RunResult.coverage and
+    update sets drawn from `steps` until `stop` holds.  With `count`, the
+    loop counts each directed edge's updates into RunResult.coverage and
     decides a coverage stop on them, before the first step and after each.
 
     Messages live in the integer kernel.  Each vertex is compiled once per
@@ -477,41 +504,49 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     gather net.gin of its incoming messages, the arguments of _select.
     Each distinct update set is compiled once per run (a sync run has one)
     into a _Plan: its sorted edge ids, their tails and scaled weights, a
-    gather of their reverse messages (_gather), and the records of its
-    heads.  Only the heads of a step's updated edges have new incoming
-    messages, so only their selections and ranks are recomputed, which
-    keeps every vertex's ranks current for the next step; an edge is in the
-    estimate while either endpoint selects it, and the estimate's edge set
-    is rebuilt only when an edge enters or leaves it.
+    gather of their reverse messages (_gather), the records of its heads
+    and a gather of its own messages.  Only the heads of a step's updated
+    edges have new incoming messages, so only their selections and ranks
+    are recomputed, which keeps every vertex's ranks current for the next
+    step; an edge is in the estimate while either endpoint selects it, and
+    the estimate's edge set is rebuilt only when an edge enters or leaves
+    it.
 
-    `fixed_step` says that every step updates the same set (run_sync's
-    all-edges step).  The state after a step (lo, hi, sel, tie and the
-    estimate) is then a function of the messages alone, and a run without
-    a trace skips the cycles of its messages.  As Brent's cycle finding
-    does, it marks the messages of the rounds 1, 2, 4, ... after `base` (at
-    first round 0), and it keeps _PROBES of the messages (`probe`) of its
-    last 2*_SPAN + 1 rounds: a round costs one list compare and, up to
-    _SPAN rounds after a mark, one compare of probes.
-    - An exact cycle: at the first round t whose messages equal the mark's,
-      the run is periodic from mark_t on, with p = t - mark_t.
-    - A translation, m(t + p) = m(t) + d_(t mod p): at a round whose probes
-      moved alike in the last two periods of p = t - mark_t rounds, the run
-      records all its messages over the next two periods.  If the second
-      period moved them as the first did, _lasting proves how many more
-      periods the translation lasts.  Either way the run then looks for
-      the next cycle, with this round as `base`.
+    `repeats` is (s, L) when the steps repeat every L steps after the
+    first s (Schedule.repeats; run_sync's all-edges step is (0, 1)).  The
+    steps t and t + p then update the same sets whenever t >= s and p is a
+    multiple of L, so the state after a period boundary, a step t with
+    t >= s and (t - s) % L == 0, is a function of the messages there, and
+    a run without a trace skips the cycles of its messages, which it seeks
+    at period boundaries only.  As Brent's cycle finding does, it marks a
+    copy of the messages at the boundaries 1, 2, 4, ... periods after
+    `base` (at first step s), and it keeps _PROBES of the messages
+    (`probe`) of its last 2*_SPAN + 1 boundaries: a period costs one list
+    compare and, up to _SPAN periods after a mark, one compare of probes.
+    - An exact cycle: at the first boundary t whose messages equal the
+      mark's, the run is periodic from mark_t on, with p = t - mark_t.
+    - A translation, m(t + p) = m(t) + d_(t mod p): at a boundary whose
+      probes moved alike in the last two periods of p = t - mark_t steps,
+      the run records the messages there and one period on, and what each
+      step writes, over the next two periods.  If the second period moved
+      the messages as the first did, _lasting proves how many more periods
+      the translation lasts.  Either way the run then looks for the next
+      cycle, with this boundary as `base`.
     The run skips as many whole periods as the cycle lasts and the stop
     cannot hold in (_periods): a budget stop to just short of its count, a
+    coverage stop to just short of its last edge reaching the count, a
     window stop over a constant estimate to min(limit, last_change +
     window), and one whose estimate changes inside the cycle to its limit,
     or not at all when a gap between changes is longer than the window.
     The history repeats its last p entries, last_change moves by the
-    skipped rounds when it lies inside the cycle, and a translation adds k
-    times its shift to the messages and ranks them again.  An exact cycle
-    lasts for ever, so the run then steps the rounds that remain and seeks
-    no further.  The steps of an asynchronous run need not repeat, and a
-    trace records every state, so those runs step every round.
-    RunResult.computed counts the rounds stepped."""
+    skipped steps when it lies inside the cycle, each count grows by k
+    times its growth over the cycle, and a translation adds k times its
+    shift to the messages and ranks them again.  The step iterator needs no
+    advancing: k whole periods bring the schedule back to the same phase.
+    An exact cycle lasts for ever, so the run then steps the updates that
+    remain and seeks no further.  A schedule that does not repeat, and a
+    trace, which records every state, make the run step every update.
+    RunResult.computed counts the steps computed."""
     init = init or MessageInit.weights()
     # a weights init starts from the scaled weights themselves; its message
     # map is built only for a trace to start from
@@ -566,21 +601,28 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     else:
         window_size, limit = g.n, None
 
-    # cycle finding: `mark` holds the messages of round mark_t, a power of
-    # two past `base`; `probes` the probed messages of the last rounds; and
-    # `record` the messages of the rounds since one whose probes moved alike
-    # over its last two periods of q rounds; `seek` ends at the first exact
-    # cycle
-    seek = fixed_step and not keep_trace
-    base, mark, mark_t, record, cycle, skipped = 0, None, 0, None, None, 0
-    if seek:
-        probe = _gather(range(0, len(dirs), max(1, -(-len(dirs) // _PROBES))))
-        probes = deque([probe(msgs)], maxlen=2 * _SPAN + 1)
     # a coverage stop needs every count above the threshold, i.e. at least
     # `need`; `pending` counts the directed edges still short of it
-    counts = None if fixed_step else [0] * len(dirs)
+    counts = [0] * len(dirs) if count else None
     need = floor(stop.threshold) + 1 if stop.kind == "coverage" else 0
     pending = len(dirs) if need > 0 else 0
+    # cycle finding at the period boundaries `nxt`: `mark` holds a copy of
+    # the messages at step mark_t, a power of two periods past `base`, and
+    # `held` the counts there; `probes` the probed messages of the last
+    # boundaries; and `record` the plan and written values of each step
+    # since `first`, the messages at a boundary whose probes moved alike
+    # over its last two periods of q steps (`middle` one period on, with
+    # the counts there); `seek` ends at the first exact cycle
+    seek = repeats is not None and not keep_trace
+    mark, mark_t, record, cycle, skipped = None, 0, None, None, 0
+    if seek:
+        base, length = repeats
+        probe = _gather(range(0, len(dirs), max(1, -(-len(dirs) // _PROBES))))
+        probes = deque(maxlen=2 * _SPAN + 1)
+        nxt = base
+        if not base:
+            probes.append(probe(msgs))
+            nxt = length
     t = 0
     stop_met = stop.kind == "coverage" and not pending
     it = iter(steps)
@@ -596,7 +638,8 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             ids = sorted([eid[e] for e in updates])
             plan = plans[updates] = _Plan(ids, [tail[k] for k in ids], [w[k] for k in ids],
                                           _gather([rev[k] for k in ids]),
-                                          [rank[j] for j in sorted({head[k] for k in ids})])
+                                          [rank[j] for j in sorted({head[k] for k in ids})],
+                                          _gather(ids))
         msgs = _round(msgs, mode, plan, lo, hi, free)
         if counts is not None:
             for k in plan.ids:
@@ -614,39 +657,49 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                 edges = now
                 last_change = t
         history.append(edges)
-        if seek:
+        if seek and record is not None:
+            record.append((plan, plan.own(msgs)))
+        if seek and t == nxt:
+            nxt += length
             p = t - mark_t
             found = lasting = past = None
             probes.append(probe(msgs))
             if msgs == mark:
                 # an exact cycle, the translation by 0: no order can flip
-                found, seek = (mark_t, p), False
-            elif record:
-                record.append(msgs)
-                if len(record) > 2 * q:
+                found, seek, since = (mark_t, p), False, held
+            elif record is not None:
+                if len(record) == q:
+                    middle, kept = list(msgs), counts and list(counts)
+                elif len(record) == 2 * q:
                     # two periods recorded: a translation if the second
                     # moved the messages as the first did, for as long as
-                    # the orders of their rounds hold
-                    past = record[q]
-                    if all(map(eq, map(sub, msgs, past), map(sub, past, record[0]))):
-                        found, p = (t - 2 * q, q), q
-                        lasting = _lasting(record, q, rank[1:], mode)
-            elif (mark is not None and 2 * p < len(probes)
-                  and all(map(eq, map(sub, probes[-1], probes[-1 - p]),
-                              map(sub, probes[-1 - p], probes[-1 - 2 * p])))):
+                    # the orders of their steps hold
+                    past = middle
+                    if all(map(eq, map(sub, msgs, middle), map(sub, middle, first))):
+                        found, p, since = (t - 2 * q, q), q, kept
+                        lasting = _lasting(first, middle, record, rank[1:], mode)
+            elif (mark is not None and 2 * (n := p // length) < len(probes)
+                  and all(map(eq, map(sub, probes[-1], probes[-1 - n]),
+                              map(sub, probes[-1 - n], probes[-1 - 2 * n])))):
                 # the probed messages moved alike in the last two periods:
                 # record the next two
-                record, q = [msgs], p
+                record, q, first = [], p, list(msgs)
             if found and (lasting is None or lasting >= 0):
                 cycle = found
-                k = _periods(stop, t, p, history, last_change, window_size, limit)
+                grown = None if counts is None else list(map(sub, counts, since))
+                k = _periods(stop, t, p, history, last_change, window_size, limit,
+                             counts, grown, need)
                 if lasting is not None:
                     k = min(k, lasting)
                 history.extend(history[-p:] * k)
                 if last_change > t - p:
                     last_change += k * p
                 t += k * p
+                nxt += k * p
                 skipped += k * p
+                if k and counts is not None:
+                    counts = [c + k * d for c, d in zip(counts, grown)]
+                    pending = sum(c < need for c in counts)
                 if k and past is not None:
                     # a translation moves the messages k periods on: shift
                     # them there and rank them again
@@ -656,10 +709,10 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                     probes.append(probe(msgs))
             if past is not None:
                 # after two recorded periods, a translation or not, look for
-                # the next cycle from this round on
+                # the next cycle from this boundary on
                 base, mark, record = t, None, None
-            elif seek and t > base and not (t - base) & (t - base - 1):
-                mark, mark_t = msgs, t
+            elif seek and (n := (t - base) // length) and not n & (n - 1):
+                mark, mark_t, held = list(msgs), t, counts and list(counts)
         if stop.kind == "coverage":
             stop_met = not pending
 
@@ -681,10 +734,11 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
 def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,
              stop: StopPolicy | None = None, keep_trace: bool = False) -> RunResult:
     """Synchronous message passing: the run loop under the all-edges
-    schedule, which updates every directed edge at every step."""
+    schedule, which updates every directed edge at every step and so
+    repeats with period 1 from step 0 on.  It counts no updates."""
     _check_input(g, mode)
     stop = stop or StopPolicy.window()
     if stop.kind == "coverage":
         raise EngineError("coverage stopping applies to asynchronous runs only")
     return _run(g, mode, init, stop, repeat(frozenset(g.directed_edges())), keep_trace,
-                fixed_step=True)
+                repeats=(0, 1), count=False)

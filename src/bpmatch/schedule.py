@@ -56,15 +56,18 @@ class Schedule:
     they are trusted; materialized kinds (files, explicit lists) are finite
     and untrusted.  `once` lists the directed edges a generated schedule
     updates once and never again, because they cannot be re-updated
-    without redundancy.
+    without redundancy.  `repeats` is (s, L) when the schedule repeats its
+    steps every L steps after its first s, so that steps t and t + L update
+    the same set for every t > s, and None when it states no such period.
     """
 
-    def __init__(self, kind, *, sets=None, factory=None, seed=None, once=()):
+    def __init__(self, kind, *, sets=None, factory=None, seed=None, once=(), repeats=None):
         if (sets is None) == (factory is None):
             raise ScheduleError("exactly one of sets/factory required")
         self.kind = kind
         self.seed = seed
         self.once = tuple(once)
+        self.repeats = repeats
         self._sets = None if sets is None else [frozenset(s) for s in sets]
         self._factory = factory
 
@@ -109,12 +112,15 @@ def _reupdatable(g: Graph):
 def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
     """Build a schedule.
 
-    sync: every directed edge at every step.
-    roundrobin: single edges cycling in a fixed global order.
+    sync: every directed edge at every step; repeats (0, 1).
+    roundrobin: single edges cycling in a fixed global order: each `once`
+        edge, then the re-updatable ones for ever; repeats (len(once), the
+        number of re-updatable edges), or (len(once), 1) when none is.
     random: seeded random single edges; each later cycle is drawn one edge
         at a time from the edges whose re-update is fed, so the result is
-        redundancy-free by construction.
-    explicit: the given list of update sets, verbatim (untrusted).
+        redundancy-free by construction.  It states no period.
+    explicit: the given list of update sets, verbatim (untrusted), with no
+        stated period.
     Generated schedules are infinite and trusted, so run_async feeds them
     to the run loop unchecked: on a graph where no directed edge can be
     re-updated without redundancy (one with no directed edges included),
@@ -127,7 +133,7 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
 
     if kind == "sync":
         every = frozenset(dirs)
-        return Schedule("sync", factory=lambda: forever(every))
+        return Schedule("sync", factory=lambda: forever(every), repeats=(0, 1))
 
     if kind == "roundrobin":
         repeat = sorted(_reupdatable(g))
@@ -141,7 +147,8 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
                 yield from forever(frozenset())
             while True:
                 yield from singles
-        return Schedule("roundrobin", factory=factory, once=once)
+        return Schedule("roundrobin", factory=factory, once=once,
+                        repeats=(len(once), len(repeat) or 1))
 
     if kind == "random":
         repeat = sorted(_reupdatable(g))
@@ -283,7 +290,8 @@ def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
     """Drive message passing along a schedule.
 
     The run loop draws a generated (trusted, infinite) schedule's steps
-    directly; a materialized one's are checked for redundancies unless
+    directly, and skips the message cycles of one that repeats (see
+    engine._run); a materialized one's are checked for redundancies unless
     check_redundancy is False (the run is then uncertified), and
     ScheduleExhausted is raised when they end before the stop condition is
     met.  A coverage stop triggers at the first step t with u(t) >
@@ -299,7 +307,7 @@ def run_async(g: Graph, sched: Schedule, init: MessageInit | None = None,
             f"only once, and the stop needs {floor(stop.threshold) + 1} updates of every "
             "directed edge")
     steps = iter(sched) if sched.trusted else _checked(g, sched, check_redundancy)
-    run = _run(g, mode, init, stop, steps, keep_trace)
+    run = _run(g, mode, init, stop, steps, keep_trace, sched.repeats)
     run.schedule_kind = sched.describe()
     return run
 

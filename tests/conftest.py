@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, parse_graph,
-                     fixture_path, make_schedule, run_async, run_sync)
+from bpmatch import (Graph, PERFECT, InfeasibleError, MessageInit, StopPolicy, is_tight,
+                     parse_graph, fixture_path, make_schedule, run_async, run_sync)
+from bpmatch.harness import random_instance
 
 
 def load_fixture(name):
@@ -26,6 +28,22 @@ def async_step(g, s, updates, mode=PERFECT):
     run = run_async(g, sched, MessageInit.explicit(s.m), StopPolicy.budget(1), mode,
                     keep_trace=True)
     return run.trace[1]
+
+
+def tight_instances(count=21, seed=404):
+    """The c4 fixture, then the perfect random_instance draws of `seed`
+    (n <= 6, weights 1..10) whose LP relaxation is tight, `count` graphs in
+    all: the instances of the asynchronous acceptance runs."""
+    instances = [load_fixture("c4")]
+    rng = random.Random(seed)
+    while len(instances) < count:
+        g = random_instance(rng, n_max=6, mode=PERFECT, weight_lo=1, weight_hi=10)
+        try:
+            if is_tight(g, PERFECT).tight:
+                instances.append(g)
+        except InfeasibleError:
+            continue
+    return instances
 
 
 @pytest.fixture

@@ -15,9 +15,9 @@ from bpmatch import (PERFECT, NONPERFECT, MessageInit, StopPolicy,
                      LPSolution, brute_force, build_certificate, check_cs,
                      is_tight, iteration_bound, solve_relaxation,
                      coverage_threshold, run_sync, run_async, make_schedule,
-                     validate_schedule, InfeasibleError)
+                     validate_schedule)
 from bpmatch.harness import sweep, random_instance, tree_verify
-from conftest import load_fixture
+from conftest import load_fixture, tight_instances
 
 
 def _ok(name, elapsed, extra=""):
@@ -98,16 +98,7 @@ def test_asynchronous_schedules_reach_optimum():
     been updated often enough, the estimate is the optimum; the all-edges
     schedule replays the synchronous trajectory exactly."""
     t0 = time.monotonic()
-    instances = [load_fixture("c4")]
-    rng = random.Random(404)
-    while len(instances) < 21:
-        g = random_instance(rng, n_max=6, mode=PERFECT, weight_lo=1, weight_hi=10)
-        try:
-            if is_tight(g, PERFECT).tight:
-                instances.append(g)
-        except InfeasibleError:
-            continue
-
+    instances = tight_instances()
     runs = 0
     for g in instances:
         _, optima = brute_force(g, PERFECT)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, MessageInit, StopPolicy,
                      TrivialVertexError, ValidationError, make_schedule, run_async,
                      validate)
 from bpmatch.harness import prepare_instance
-from conftest import async_step, load_fixture, sync_rounds
+from conftest import async_step, load_fixture, sync_rounds, tight_instances
 
 
 def messages(state, *pairs):
@@ -349,13 +350,20 @@ CHORD = (Graph(4, [1, 1, 1, 1], [(1, 2, -1), (1, 3, 2), (1, 4, -3), (2, 3, 1), (
 # k = 7; the messages then reach a fixed point
 RISE = (Graph(4, [1, 2, 1, 2], [(1, 2, -11), (1, 3, -3), (1, 4, -11), (2, 3, -26), (2, 4, -18),
                                 (3, 4, -27)]), None)
+# a path: a round-robin schedule updates each directed edge once, then
+# takes empty steps; its first two steps leave the messages as they are,
+# and its last two change the estimate
+PREFIX = (Graph(3, [1, 1, 1], [(1, 2, -1), (2, 3, -2)]),
+          MessageInit.explicit({(1, 2): -1, (2, 1): -1, (2, 3): 7, (3, 2): 5}))
+
 
 class TestCycleJump:
-    """A synchronous run without a trace skips whole periods of an exact
-    message cycle or of a translation; it must give what stepping every
-    round gives.  Each case pins the run's stop values, the cycle found and
-    the rounds computed, which RunResult.computed reports and the `rounds`
-    fixture counts as a cross-check."""
+    """A run without a trace under a repeating schedule (all edges or
+    round-robin) skips whole periods of an exact message cycle or of a
+    translation; it must give what stepping every update gives.  Each case
+    pins the run's stop values, the cycle found and the steps computed,
+    which RunResult.computed reports and the `rounds` fixture counts as a
+    cross-check."""
 
     @pytest.fixture
     def rounds(self, monkeypatch):
@@ -410,32 +418,69 @@ class TestCycleJump:
     def test_translation_jump_equals_stepping(self, start, mode, stop, want, rounds):
         self._check(*start, mode, stop, want, rounds)
 
+    # (graph, init), mode, a budget of schedule periods and (iterations,
+    # stabilized_at, converged, period, cycle, steps computed) of a
+    # round-robin run
+    ROUNDROBIN = [
+        (("c4", None), PERFECT, 400, (3200, 0, True, None, (56, 24), 104)),
+        (("k4-appendix", None), PERFECT, 100, (1200, 6, True, None, (72, 24), 120)),
+        (TWICE, PERFECT, 45, (360, 137, True, None, (160, 24), 216)),
+        (TIE, PERFECT, 25, (200, 107, True, None, None, 200)),
+        (CHORD, PERFECT, 112, (1120, 55, True, None, (190, 30), 250)),
+        (RISE, NONPERFECT, 280, (3360, 108, True, None, (3348, 12), 516)),
+        # the cycle is sought from the end of the prefix on: sought from
+        # step 0, no-op step 2 would close a cycle, and the jump would skip
+        # steps 3 and 4
+        (PREFIX, NONPERFECT, 10, (10, 3, True, None, (5, 1), 6)),
+    ]
+
+    @pytest.mark.parametrize("start, mode, periods, want", ROUNDROBIN)
+    def test_roundrobin_jump_equals_stepping(self, start, mode, periods, want, rounds):
+        g, init = start
+        if isinstance(g, str):
+            g = load_fixture(g)
+        sched = make_schedule(g, "roundrobin")
+        stop = StopPolicy.budget(periods * sched.repeats[1])
+        run = run_async(g, sched, init, stop, mode)
+        assert run.computed == len(rounds)
+        stepped = run_async(g, sched, init, stop, mode, keep_trace=True)
+        for name in ("estimate", "iterations", "stabilized_at", "stable_for", "converged",
+                     "period", "history", "coverage"):
+            assert getattr(run, name) == getattr(stepped, name), name
+        assert (run.iterations, run.stabilized_at, run.converged, run.period, run.cycle,
+                run.computed) == want
+
+    @pytest.mark.parametrize("kind", ["sync", "roundrobin"])
     @pytest.mark.parametrize("start, mode, stop, want", DRIFTS)
-    def test_a_translation_lasts_as_the_stepped_orders(self, start, mode, stop, want,
+    def test_a_translation_lasts_as_the_stepped_orders(self, start, mode, stop, want, kind,
                                                         monkeypatch):
-        # _lasting, on each translation the run finds, against the orders of
-        # the stepped run: the last period in which every round ranks each
+        # _lasting, on each translation a run finds, against the orders of
+        # the stepped run: the last period in which every step ranks each
         # vertex's incoming messages (and, in non-perfect mode, sees their
-        # signs) as its phase did in the first
+        # signs) as its phase did in the first.  A round-robin run gets a
+        # schedule period for each round of the budget
         from bpmatch import engine
         g, init = start
         if isinstance(g, str):
             g = load_fixture(g)
+        sched = make_schedule(g, kind)
+        s, length = sched.repeats
         found = []
         real = engine._lasting
 
-        def spy(snaps, p, rank, mode):
-            found.append((snaps[0], p, real(snaps, p, rank, mode)))
+        def spy(first, middle, steps, rank, mode):
+            found.append((first, len(steps) // 2, real(first, middle, steps, rank, mode)))
             return found[-1][2]
 
         monkeypatch.setattr(engine, "_lasting", spy)
-        run_sync(g, mode, init, stop)
+        steps = stop.iterations * length
+        run_async(g, sched, init, StopPolicy.budget(steps), mode)
         assert found
         net = engine._Net(g, (init or MessageInit.weights()).build(g).values())
         # stepped past the stop, so that the flips just beyond it show
-        trace = run_sync(g, mode, init, StopPolicy.budget(stop.iterations + 40),
-                         keep_trace=True).trace
-        msgs = [net.up([s.m[d] for d in net.dirs]) for s in trace]
+        trace = run_async(g, sched, init, StopPolicy.budget(steps + 40 * length), mode,
+                          keep_trace=True).trace
+        msgs = [net.up([state.m[d] for d in net.dirs]) for state in trace]
 
         def orders(m):
             # each vertex's neighbors by (incoming message, label), and in
@@ -445,7 +490,9 @@ class TestCycleJump:
                     for i in g.vertices()]
 
         for first, p, lasting in found:
-            seen = [orders(m) for m in msgs[msgs.index(first):]]
+            # the translation starts at a period boundary
+            at = next(t for t in range(s, len(msgs), length) if msgs[t] == first)
+            seen = [orders(m) for m in msgs[at:]]
             flip = next((r for r in range(p, len(seen)) if seen[r] != seen[r % p]), None)
             if flip is None:
                 assert lasting is None
@@ -467,7 +514,9 @@ class TestCycleJump:
             assert getattr(sync, name) == getattr(asyn, name), name
         assert (sync.iterations, sync.stabilized_at, sync.converged, sync.period, sync.cycle,
                 sync.computed) == want
-        assert asyn.cycle is None and asyn.computed == asyn.iterations
+        # the all-edges schedule repeats with period 1, so run_async seeks
+        # and jumps the cycles run_sync does
+        assert (asyn.cycle, asyn.computed) == (sync.cycle, sync.computed)
 
     @pytest.mark.parametrize("mode, seed, want", [
         # (runs, iterations, rounds computed, runs ending on a translation)
@@ -496,6 +545,98 @@ class TestCycleJump:
                 translations += trace[mark_t + p].m != trace[mark_t].m
         assert (len(runs), sum(res.iterations for _, _, res in runs),
                 sum(res.computed for _, _, res in runs), translations) == want
+
+    def test_the_certified_async_runs_compute(self):
+        # the work of the acceptance suite's certified round-robin runs:
+        # (runs, iterations, steps computed, runs ending on a translation);
+        # stepping every update they compute the iterations
+        from bpmatch import coverage_threshold, solve_relaxation
+        runs = []
+        for g in tight_instances():
+            _, cert = solve_relaxation(g, PERFECT)
+            sched = make_schedule(g, "roundrobin")
+            stop = StopPolicy.coverage(coverage_threshold(g, cert))
+            runs.append((g, sched, run_async(g, sched, stop=stop)))
+        translations = 0
+        for g, sched, res in runs:
+            if res.cycle is not None and res.computed < res.iterations:
+                mark_t, p = res.cycle
+                trace = run_async(g, sched, stop=StopPolicy.budget(mark_t + p),
+                                  keep_trace=True).trace
+                translations += trace[mark_t + p].m != trace[mark_t].m
+        assert (len(runs), sum(res.iterations for _, _, res in runs),
+                sum(res.computed for _, _, res in runs), translations) == (21, 15660, 8156, 13)
+
+    def test_drifting_draws_jump_as_they_step(self, monkeypatch):
+        # perfect-mode draws prone to translations that a flip ends: a
+        # 4-cycle, a 4-cycle with a chord and K4, b = 1, weights in -3..3
+        # and explicit inits in -30..30, run for 80 schedule periods under
+        # both repeating schedules.  Each jumped run gives what its traced
+        # run gives, and the counts of runs in which a flip cut a jump short
+        # (_lasting bounding it below _periods) are pinned
+        from bpmatch import engine
+        from bpmatch.engine import RunResult
+        shapes = [[(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)],
+                  [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
+        calls = []
+        real_lasting, real_periods = engine._lasting, engine._periods
+
+        def lasting(*args):
+            calls.append(("lasting", real_lasting(*args)))
+            return calls[-1][1]
+
+        def periods(*args):
+            calls.append(("periods", real_periods(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(engine, "_lasting", lasting)
+        monkeypatch.setattr(engine, "_periods", periods)
+        rng = random.Random(2024)
+        cut = {"sync": 0, "roundrobin": 0}
+        for n in range(240):
+            g = Graph(4, [1] * 4, [(i, j, rng.randint(-3, 3)) for i, j in shapes[n % 3]])
+            init = MessageInit.explicit({d: rng.randint(-30, 30) for d in g.directed_edges()})
+            for kind in cut:
+                sched = make_schedule(g, kind)
+                stop = StopPolicy.budget(80 * sched.repeats[1])
+                calls.clear()
+                run = run_async(g, sched, init, stop)
+                cut[kind] += any(a == "lasting" and x is not None and 0 <= x < y
+                                 for (a, x), (_, y) in zip(calls, calls[1:]))
+                stepped = run_async(g, sched, init, stop, keep_trace=True)
+                for f in dataclasses.fields(RunResult):
+                    if f.name not in ("trace", "cycle", "computed"):
+                        assert getattr(run, f.name) == getattr(stepped, f.name), (n, kind, f.name)
+        assert cut == {"sync": 33, "roundrobin": 14}
+
+    def test_a_long_period_records_only_what_each_step_wrote(self, monkeypatch):
+        # a round-robin run on a planted bipartite graph of 200 vertices and
+        # 1 586 directed edges finds a translation of 3 schedule periods at
+        # period 19 and records two of them: 9 516 steps, each keeping the
+        # one value it wrote, not a copy of every message
+        import tracemalloc
+        from bpmatch import engine, parse_graph
+        from test_scale import planted_instance
+        mode, text, _, _ = planted_instance("p1", seed=1)
+        g = parse_graph(text)
+        sched = make_schedule(g, "roundrobin")
+        assert sched.repeats == (0, 1586)
+        recorded = []
+        real = engine._lasting
+
+        def spy(first, middle, steps, rank, mode):
+            recorded.append(len(steps))
+            return real(first, middle, steps, rank, mode)
+
+        monkeypatch.setattr(engine, "_lasting", spy)
+        tracemalloc.start()
+        try:
+            run = run_async(g, sched, None, StopPolicy.budget(25 * 1586), mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert recorded == [2 * 3 * 1586] and run.cycle == (19 * 1586, 3 * 1586)
+        assert peak < 20 * 2 ** 20
 
     def test_a_trace_steps_every_round(self, rounds):
         g = load_fixture("tri-half")

@@ -4,8 +4,9 @@ the generalized trees of that schedule, and both agree with the tree
 dynamic program, also when one tree-DP memo is shared across a builder's
 trees; the integer tree DP agrees with its Fraction reference.  The run
 loop's scaled-integer messages and incremental estimates agree with a
-plain rational stepper, and a synchronous run that skips whole periods of
-its message cycle agrees with the run that steps every round.  The
+plain rational stepper, and a synchronous or round-robin run that skips
+whole periods of its message cycle agrees with the run that steps every
+update.  The
 tightness decision agrees with half-integral enumeration, and its cycle
 search with the Fraction reference's LP over the optimal face, up to
 which optimal fractional point it names; the exhaustive searches agree with
@@ -417,56 +418,81 @@ TWICE = (parse_graph("4 4\n1 1 1 1\n1 2 0\n1 4 0\n2 3 -1\n3 4 -2\n"),
 
 # budgets past the first cycles, which most runs find by round 21, and
 # past the flips that end perfect-mode translations; the default window;
-# and short windows with small limits
+# short windows with small limits; and coverage stops, run_async's only
 JUMP_STOPS = st.one_of(
     st.integers(0, 400).map(StopPolicy.budget),
     st.just(StopPolicy.window()),
     st.builds(StopPolicy.window, st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 30)),
+    st.builds(StopPolicy.coverage, st.one_of(st.integers(-1, 40), st.just(Fraction(5, 2)))),
 )
 
 
 @settings(SETTINGS, max_examples=200)
 @given(st.sampled_from([PERFECT, NONPERFECT]).flatmap(
            lambda mode: st.tuples(st.just(mode), graphs(mode, (1, 2, 3, 7)))),
-       JUMP_STOPS, st.data())
+       st.sampled_from(["sync", "roundrobin"]), JUMP_STOPS, st.data())
 # a budget that ends inside the period-2 cycle found at round 4
-@example((NONPERFECT, parse_graph("3 3\n1 1 1\n1 2 -1\n2 3 -1\n1 3 -1\n")),
+@example((NONPERFECT, parse_graph("3 3\n1 1 1\n1 2 -1\n2 3 -1\n1 3 -1\n")), "sync",
          StopPolicy.budget(7), _Draws(None))
 # an alternating estimate over a period-2 message cycle under a short window
-@example((NONPERFECT, parse_graph("3 3\n1 1 1\n1 2 -1/2\n2 3 -1/2\n1 3 -1/2\n")),
+@example((NONPERFECT, parse_graph("3 3\n1 1 1\n1 2 -1/2\n2 3 -1/2\n1 3 -1/2\n")), "sync",
          StopPolicy.window(1, 11), _Draws(MessageInit.constant(0)))
 # estimate changes with cyclic gaps of 1 and 3 rounds, longer than the window
 @example((PERFECT, parse_graph("4 6\n1 1 1 1\n1 2 16\n1 3 4\n1 4 9\n2 3 14\n2 4 30\n"
-                               "3 4 7\n")), StopPolicy.window(2, 60), _Draws(None))
+                               "3 4 7\n")), "sync", StopPolicy.window(2, 60), _Draws(None))
 # a translation ended by a flip of the ranking at vertex 2, then another,
 # under a budget and under a window that the changing estimate never meets
-@example((PERFECT, TWICE[0]), StopPolicy.budget(400), _Draws(TWICE[1]))
-@example((PERFECT, TWICE[0]), StopPolicy.window(3, 200), _Draws(TWICE[1]))
+@example((PERFECT, TWICE[0]), "sync", StopPolicy.budget(400), _Draws(TWICE[1]))
+@example((PERFECT, TWICE[0]), "sync", StopPolicy.window(3, 200), _Draws(TWICE[1]))
+@example((PERFECT, TWICE[0]), "roundrobin", StopPolicy.budget(400), _Draws(TWICE[1]))
 # a non-perfect translation ended by a message reaching 0
 @example((NONPERFECT, parse_graph("4 6\n1 2 1 2\n1 2 -11\n1 3 -3\n1 4 -11\n2 3 -26\n"
-                                  "2 4 -18\n3 4 -27\n")), StopPolicy.budget(60), _Draws(None))
-def test_cycle_jump_equals_the_step_by_step_run(instance, stop, data):
-    # run_async never skips a round, even under the all-edges schedule
+                                  "2 4 -18\n3 4 -27\n")), "sync", StopPolicy.budget(60),
+         _Draws(None))
+# vertex 4 is a leaf: a round-robin schedule updates (4 -> 1) once, before
+# it repeats, so the run seeks from step 1 on
+@example((NONPERFECT, Graph(4, [2, 1, 1, 1], [(1, 2, Fraction(-3, 2)), (1, 3, -2),
+                                              (1, 4, -5), (2, 3, Fraction(-1, 7))])),
+         "roundrobin", StopPolicy.budget(400), _Draws(None))
+def test_cycle_jump_equals_the_step_by_step_run(instance, kind, stop, data):
+    # a run under a repeating schedule that jumps the cycles of its messages
+    # gives what a traced run, which steps every update, gives; under the
+    # all-edges schedule run_async jumps as run_sync does.  Round-robin
+    # budgets are tenths of a schedule period, up to 40 periods
     mode, g = instance
     init = data.draw(_inits(g))
-    sync = run_sync(g, mode, init, stop)
-    asyn = run_async(g, make_schedule(g, "sync"), init, stop, mode)
+    sched = make_schedule(g, kind)
+    s, length = sched.repeats
+    if kind == "roundrobin" and stop.kind == "budget":
+        stop = StopPolicy.budget(s + stop.iterations * length // 10)
+    if sched.once and stop.kind == "coverage":
+        stop = StopPolicy.coverage(0)
+    run = run_async(g, sched, init, stop, mode)
+    stepped = run_async(g, sched, init, stop, mode, keep_trace=True)
+    assert stepped.computed == stepped.iterations and stepped.cycle is None
     for f in dataclasses.fields(RunResult):
-        if f.name not in ("coverage", "schedule_kind", "cycle", "computed"):
-            assert getattr(sync, f.name) == getattr(asyn, f.name), f.name
-    assert asyn.cycle is None and asyn.computed == asyn.iterations
-    assert sync.computed <= sync.iterations
-    if sync.cycle is not None:
-        # the messages after round mark_t + p equal those after round mark_t,
-        # or differ from them as those after round mark_t + 2p differ from
-        # those after round mark_t + p, a translation found two periods on
-        mark_t, p = sync.cycle
-        trace = run_sync(g, mode, init, StopPolicy.budget(mark_t + 2 * p), keep_trace=True).trace
-        m0, m1, m2 = ([s.m[d] for d in g.directed_edges()] for s in trace[mark_t::p])
+        if f.name not in ("trace", "cycle", "computed"):
+            assert getattr(run, f.name) == getattr(stepped, f.name), f.name
+    if kind == "sync" and stop.kind != "coverage":
+        sync = run_sync(g, mode, init, stop)
+        for f in dataclasses.fields(RunResult):
+            if f.name not in ("coverage", "schedule_kind"):
+                assert getattr(sync, f.name) == getattr(run, f.name), f.name
+    assert run.computed <= run.iterations
+    if run.cycle is not None:
+        # the messages after step mark_t + p equal those after step mark_t,
+        # or differ from them as those after step mark_t + 2p differ from
+        # those after step mark_t + p, a translation found two periods on;
+        # both are period boundaries past the prefix
+        mark_t, p = run.cycle
+        assert mark_t >= s and (mark_t - s) % length == 0 and p % length == 0
+        trace = run_async(g, sched, init, StopPolicy.budget(mark_t + 2 * p), mode,
+                          keep_trace=True).trace
+        m0, m1, m2 = ([state.m[d] for d in g.directed_edges()] for state in trace[mark_t::p])
         assert [b - a for a, b in zip(m1, m2)] == [b - a for a, b in zip(m0, m1)]
-        assert mark_t + (p if m1 == m0 else 2 * p) <= sync.iterations
+        assert mark_t + (p if m1 == m0 else 2 * p) <= run.iterations
     else:
-        assert sync.computed == sync.iterations
+        assert run.computed == run.iterations
 
 
 # an integral relaxation vertex on a face with a fractional point (tri-neg),

@@ -1,15 +1,19 @@
 """Checks on the repository rather than on the algorithms: the benchmark in
 perfbench/ runs against the package, so a package change that breaks the
-benchmark's answer checkers or its tracer must fail the tests, the runtime
+benchmark's answer checkers or its tracer, or gives an answer its
+independent checkers reject, must fail the tests, the runtime
 package imports nothing outside the standard library, the README's module table
 names each module once, and the README's library example runs against the
 current API."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,6 +22,19 @@ def test_perfbench_selftest_passes():
     proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["async-certify", "certify-sweep"])
+def test_perfbench_answers_pass_its_checkers(workload):
+    # --seconds 0 runs the fewest rounds the benchmark takes; every answer is
+    # checked against the benchmark's own references: coverage counted along
+    # the schedule, u(t) past the threshold, the exhaustive optimum
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "0", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0, report
 
 
 # the package's layers as the benchmark loads them, then its tracer: every
