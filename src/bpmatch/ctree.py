@@ -22,6 +22,7 @@ values); only its public results are Fractions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -69,8 +70,7 @@ class LabeledTree:
 
 
 def tree_size(tree: LabeledTree) -> int:
-    """Number of nodes of the unrolled tree (shared subtrees counted by
-    multiplicity)."""
+    """Nodes of the unrolled tree, shared subtrees counted by multiplicity."""
     return tree.root.size
 
 
@@ -106,11 +106,11 @@ class GCTBuilder:
     tree builder, so many trees over one schedule share their branches.
 
     `steps` is any iterable of update sets, such as a Schedule; one that
-    ends before `t_max` continues with empty steps.  _at[t][(i, j)] is the
-    branch of (i -> j) after step t: the node labeled i hanging under a
-    parent labeled j.  An edge updated at step t gets a new node over the
-    step t-1 branches feeding it; any other edge keeps the same node, so
-    branches share every subtree that did not change."""
+    ends before `t_max` continues with empty steps.  An edge (i -> j)
+    updated at step t gets a new branch: a node labeled i over the step t-1
+    branches feeding it.  grown[t] maps the edges updated at t to their new
+    branches (grown[0]: each edge's single node), and each edge's timeline
+    lists its steps there, so the builder holds 2m + sum |E(t)| branches."""
 
     def __init__(self, g: Graph, steps, t_max: int):
         if t_max < 0:
@@ -118,13 +118,17 @@ class GCTBuilder:
         self.g = g
         self.t_max = t_max
         node = {(i, j): TreeNode(i, g.weight(i, j), ()) for (i, j) in g.directed_edges()}
-        self._at = [node]
-        for updates in islice(chain(steps, repeat(())), t_max):
-            prev, node = node, dict(node)
-            for (i, j) in updates:
-                kids = tuple(prev[(r, i)] for r in g.neighbors(i) if r != j)
-                node[(i, j)] = TreeNode(i, prev[(i, j)].edge_weight, kids)
-            self._at.append(node)
+        self.grown = [node]
+        self._times = {e: [0] for e in node}
+        cur = dict(node)
+        for t, updates in enumerate(islice(chain(steps, repeat(())), t_max), start=1):
+            new = {(i, j): TreeNode(i, cur[(i, j)].edge_weight,
+                                    tuple(cur[(r, i)] for r in g.neighbors(i) if r != j))
+                   for (i, j) in updates}
+            cur.update(new)
+            for e in new:
+                self._times[e].append(t)
+            self.grown.append(new)
 
     def gct(self, root: int, t: int, node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
         """Generalized computation tree at time t: the root's branches are the
@@ -142,12 +146,12 @@ class GCTBuilder:
         return self._rooted(j, (i,), t, node_cap)
 
     def _rooted(self, root, sources, t, node_cap) -> LabeledTree:
-        # the root's children are the branches at time t of the edges into
-        # it from `sources`
+        # the root's children: its in-edges' branches from `sources` at t
         if not 0 <= t <= self.t_max:
             raise TreeError(f"t must be within 0..{self.t_max}")
-        at = self._at[t]
-        tree = LabeledTree(TreeNode(root, None, tuple(at[(r, root)] for r in sources)), self.g)
+        kids = tuple(self.grown[s[bisect_right(s, t) - 1]][(r, root)]
+                     for r in sources for s in (self._times[(r, root)],))
+        tree = LabeledTree(TreeNode(root, None, kids), self.g)
         if tree_size(tree) > node_cap:
             raise TreeSizeError(f"tree exceeds {node_cap} nodes")
         return tree
@@ -179,9 +183,9 @@ class TreeDPResult:
     ties: frozenset       # labels whose selection threshold was non-strict
 
 
-def _solve(g: Graph, root: TreeNode, init, memo) -> int:
-    """Solve in scaled ints every branch node under `root` that `memo` lacks;
-    returns the memo's scale.
+def _solve(g: Graph, branches, init, memo) -> int:
+    """Solve in scaled ints every node at or under the (node, parent label)
+    pairs `branches` that `memo` lacks; returns the memo's scale.
 
     memo[node] is (n, w_minus, ties) for the branch hanging at `node`:
     W+ - W- and W-, both times the scale, and the labels with a non-strict
@@ -199,7 +203,7 @@ def _solve(g: Graph, root: TreeNode, init, memo) -> int:
         scale = memo[_SCALE] = lcm(*(v.denominator for v in values))
     # post-order over distinct unsolved nodes: a node is solved when it is
     # back on top of the stack with all its children solved
-    stack = [(c, root.label) for c in reversed(root.children)]
+    stack = list(branches)[::-1]
     while stack:
         node, parent_label = stack[-1]
         if node in memo:
@@ -248,20 +252,16 @@ def tree_bmatching_dp(tree: LabeledTree, init=None, memo=None) -> TreeDPResult:
     value replaces the leaf edge weight, which reproduces runs started from
     arbitrary initial messages.
 
-    The DP runs on ints scaled by one least common denominator of the
-    graph's weights and the `init` values; only the root's BranchValues and
-    the total are Fractions.  `memo` holds that scale and, for each solved
-    branch node, its scaled values and the labels with a non-strict
-    selection threshold in its subtree.  A branch's value depends only
-    on the node and `init`, so one dict passed to every call over the trees
-    of one builder and one `init` solves each shared branch once; by
-    default every call starts a fresh memo.
-    """
+    `memo` is _solve's: the scale and each solved branch's scaled values;
+    only the root's BranchValues and the total are Fractions.  A branch's
+    value depends only on the node and `init`, so one memo passed to every
+    call over the trees of one builder and one `init` solves each shared
+    branch once; by default every call starts a fresh memo."""
     g = tree.graph
     if memo is None:
         memo = {}
     root = tree.root
-    scale = _solve(g, root, init, memo)
+    scale = _solve(g, [(c, root.label) for c in root.children], init, memo)
     kids = [(c.label, memo[c]) for c in root.children]
     branches = {label: BranchValue(Fraction(n + m, scale), Fraction(m, scale))
                 for label, (n, m, _) in kids}

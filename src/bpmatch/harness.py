@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 import time
+from operator import itemgetter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from .graph import (Graph, PERFECT, NONPERFECT, Matching, Reduction, require_val
                     reduce_trivial)
 from .engine import MessageInit, StopPolicy, RunResult, run_sync, _select
 from .schedule import make_schedule, run_async
-from .ctree import GCTBuilder, _solve, tree_depth
+from .ctree import GCTBuilder, _solve
 from . import oracle
 from .oracle import (brute_force, solve_relaxation, is_tight, check_cs,
                      iteration_bound, coverage_threshold,
@@ -22,9 +23,7 @@ from .oracle import (brute_force, solve_relaxation, is_tight, check_cs,
 
 
 def _fmt(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def _fmt_edges(edges):
@@ -396,42 +395,43 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     least u(t) deep; returns (rows, ok, first_mismatch).  A missing schedule
     kind means the all-edges schedule, whose trees are the balanced ones.
 
-    The checks run on the tree DP's scaled ints: each engine message times
-    the DP's scale is compared with the DP's value, and both sides rank a
-    root's incoming values, the engine's by _select, as its estimate does,
+    One forward pass: step t solves the branches new at t and scales the
+    trace entries that are not the same object as at t - 1 (the trace
+    replaces just a step's writes).  The node cap is checked at t_max only,
+    as unrolled sizes never shrink with t.  Both sides compare as the DP's
+    scaled ints and rank a root's incoming values, the engine's by _select,
     the DP's by (value, label)."""
-    rows = []
-    first = None
+    rows, first = [], None
     init_map = init.build(g) if init is not None and init.kind != "weights" else None
     sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
     builder = GCTBuilder(g, sched, t_max)
-    memo = {}  # one tree-DP memo for every tree of the builder and init map
     run = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
-    # u(t) for every t <= t_max in one pass over the schedule prefix
-    counts = dict.fromkeys(g.directed_edges(), 0)
-    u = [0]
-    for updates in sched.prefix(t_max):
-        for e in updates:
+    for root in g.vertices():
+        builder.gct(root, t_max)
+    # per directed edge: its branch's DP value and depth, scaled message and
+    # updates at t (grown[0] counts none); per root, a gather of its 2+ in-edges
+    memo, want, depth, got = {}, {}, {}, {}
+    counts = dict.fromkeys(g.directed_edges(), -1)
+    roots = [(i, g.neighbors(i), g.cap(i), itemgetter(*((r, i) for r in g.neighbors(i))))
+             for i in g.vertices()]
+    for t, new in enumerate(builder.grown):
+        scale = _solve(g, [(node, j) for (_, j), node in new.items()], init_map, memo)
+        for e, node in new.items():
+            want[e], depth[e] = memo[node][0], node.depth
             counts[e] += 1
-        u.append(min(counts.values(), default=0))
-    for t in range(t_max + 1):
-        m = run.trace[t].m
-        for root in g.vertices():
-            tree = builder.gct(root, t)
-            scale = _solve(g, tree.root, init_map, memo)
-            # the root's children are its neighbors' branches, in order
-            nbrs = g.neighbors(root)
-            want = [memo[c][0] for c in tree.root.children]
-            got = [_scaled(m[(r, root)], scale) for r in nbrs]
-            msgs_ok = want == got
-            chosen = sorted(zip(want, nbrs))[:g.cap(root)]
+        u = min(counts.values(), default=0)
+        m, old = run.trace[t].m, run.trace[t - 1].m if t else {}
+        got.update((e, _scaled(v, scale)) for e, v in m.items() if old.get(e) is not v)
+        for root, nbrs, b, into in roots:
+            dp, vals = into(want), into(got)
+            msgs_ok = dp == vals
+            chosen = sorted(zip(dp, nbrs))[:b]
             sel_ok = (sorted(label for _, label in chosen)
-                      == sorted(_select(nbrs, g.cap(root), got, PERFECT)[0]))
-            depth_ok = tree_depth(tree) >= u[t]
-            ok = msgs_ok and sel_ok and depth_ok
+                      == sorted(_select(nbrs, b, vals, PERFECT)[0]))
+            depth_ok = 1 + min(into(depth)) >= u
             rows.append({"root": root, "t": t, "messages": msgs_ok,
                          "selection": sel_ok, "depth": depth_ok})
-            if not ok and first is None:
+            if first is None and not (msgs_ok and sel_ok and depth_ok):
                 first = rows[-1]
     return rows, first is None, first
 

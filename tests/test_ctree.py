@@ -9,6 +9,7 @@ from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, TreeError, TreeSiz
                      tree_bmatching_dp, tree_depth, tree_size,
                      dump_tree, make_schedule, coverage, run_sync,
                      init_messages)
+from bpmatch.ctree import TreeNode
 from bpmatch.harness import tree_verify, random_instance
 from conftest import sync_rounds
 
@@ -241,7 +242,7 @@ class TestEquivalence:
 class TestVerifyFails:
     """tree_verify reports the first (root, t) where the engine and the tree
     DP disagree: one corrupted message, or one corrupted root selection,
-    fails exactly that row."""
+    fails exactly that row; so does a tree one level short of u(t)."""
 
     @pytest.mark.parametrize("delta", [F(1), F(1, 7)])
     def test_a_wrong_message_fails_its_row(self, c4, monkeypatch, delta):
@@ -284,6 +285,30 @@ class TestVerifyFails:
                          "depth": True}
         assert [(r["root"], r["t"]) for r in rows if not r["selection"]] == [(2, 3)]
 
+    @pytest.mark.parametrize("depth", [1, 0])
+    def test_a_tree_short_of_u_fails_its_depth_row(self, c4, monkeypatch, depth):
+        # round-robin c4 reaches u = 2 at t = 16, when root 1's shallowest
+        # branch is that of (2 -> 1), grown two levels deep at t = 11; at
+        # depth 1 root 1's tree is exactly u(16) deep and passes, at depth 0
+        # it is one level short and fails there alone
+        from bpmatch import harness
+        real = harness.GCTBuilder
+
+        def shortened(*args):
+            builder = real(*args)
+            object.__setattr__(builder.grown[11][(2, 1)], "depth", depth)
+            return builder
+
+        monkeypatch.setattr(harness, "GCTBuilder", shortened)
+        rows, ok, first = tree_verify(c4, 16, "roundrobin")
+        short = [(r["root"], r["t"]) for r in rows if not r["depth"]]
+        if depth:
+            assert ok and short == []
+        else:
+            assert first == {"root": 1, "t": 16, "messages": True, "selection": True,
+                             "depth": False}
+            assert short == [(1, 16)]
+
 
 class TestWork:
     """tree_verify solves each distinct branch node once, however many
@@ -304,15 +329,28 @@ class TestWork:
         monkeypatch.setattr(ctree, "_up", counting)
         return seen
 
-    @pytest.mark.parametrize("kind", ["sync", "roundrobin"])
-    def test_one_value_per_distinct_branch_node(self, c4, solves, kind):
+    @pytest.mark.parametrize("kind, seed", [("sync", None), ("roundrobin", None), ("random", 5)])
+    def test_one_value_per_distinct_branch_node(self, c4, solves, kind, seed):
         t_max = 100
-        nodes = 2 * c4.m + sum(len(s) for s in make_schedule(c4, kind).prefix(t_max))
+        nodes = 2 * c4.m + sum(len(s) for s in make_schedule(c4, kind, seed=seed).prefix(t_max))
         assert nodes <= 2 * c4.m * (t_max + 1)
-        rows, ok, first = tree_verify(c4, t_max, kind)
+        rows, ok, first = tree_verify(c4, t_max, kind, seed)
         assert ok, first
         assert len(rows) == c4.n * (t_max + 1)
-        assert 0 < len(solves) <= nodes
+        assert len(solves) == nodes
+
+    def test_the_node_cap_is_checked_before_any_row(self, k4, monkeypatch):
+        # unrolled sizes never shrink with t, so the check at t_max alone
+        # raises exactly when some tree at some t <= t_max is over the cap:
+        # the balanced k4 trees fit at t = 15 and not at t = 16
+        from bpmatch import harness
+        rows, ok, first = tree_verify(k4, 15)
+        assert ok and len(rows) == 4 * 16
+        calls = []
+        monkeypatch.setattr(harness, "_select", lambda *args: calls.append(args))
+        with pytest.raises(TreeSizeError, match="tree exceeds 200000 nodes"):
+            tree_verify(k4, 16)
+        assert calls == []
 
 
 class TestBuilder:
@@ -328,6 +366,27 @@ class TestBuilder:
         for e in c4.directed_edges():
             at_two = dump_tree(builder.branch(e, 2))
             assert all(dump_tree(builder.branch(e, t)) == at_two for t in range(3, 6))
+
+    def test_a_single_edge_schedule_holds_one_branch_per_update(self, c4):
+        # the 2m single-node branches plus one per update, not 2m per step;
+        # counted in the builder's own containers, not inside the nodes
+        t_max = 1200
+        builder = GCTBuilder(c4, make_schedule(c4, "roundrobin"), t_max)
+
+        def held(obj):
+            if isinstance(obj, TreeNode):
+                return 1
+            if isinstance(obj, dict):
+                return sum(map(held, obj.values()))
+            if isinstance(obj, (list, tuple)):
+                return sum(map(held, obj))
+            return 0
+
+        assert sum(held(v) for v in vars(builder).values()) == 2 * c4.m + t_max
+        for t in (0, 1, 7, 8, 600, t_max):
+            for root in c4.vertices():
+                assert dump_tree(builder.gct(root, t)) == dump_tree(
+                    GCTBuilder(c4, make_schedule(c4, "roundrobin"), t).gct(root, t))
 
     def test_out_of_range_requests_rejected(self, c4):
         builder = GCTBuilder(c4, make_schedule(c4, "sync"), 3)

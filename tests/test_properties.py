@@ -2,7 +2,9 @@
 synchronous runs are runs under the all-edges schedule, balanced trees are
 the generalized trees of that schedule, and both agree with the tree
 dynamic program, also when one tree-DP memo is shared across a builder's
-trees; the integer tree DP agrees with its Fraction reference.  The run
+trees; the integer tree DP agrees with its Fraction reference, and
+tree_verify's forward pass with its per-tree reference, also on a
+corrupted trace.  The run
 loop's scaled-integer messages and incremental estimates agree with a
 plain rational stepper, and a synchronous or round-robin run that skips
 whole periods of its message cycle agrees with the run that steps every
@@ -21,6 +23,7 @@ import io
 import math
 import random
 import tempfile
+from unittest import mock
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -44,12 +47,15 @@ from bpmatch.graph import GraphParseError  # noqa: E402
 from bpmatch.oracle import (CertificateError, LPSolution, OracleError,  # noqa: E402
                             ENUMERATION_GUARD, build_certificate, check_cs, dual_objective)
 from bpmatch.simplex import LPError  # noqa: E402
+from bpmatch import harness  # noqa: E402
+from bpmatch.ctree import TreeSizeError  # noqa: E402
 from bpmatch.harness import random_instance  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import _select, detect_period  # noqa: E402
 from conftest import naive_optima, random_graph_any  # noqa: E402
 import _fraction_certificate as fraction_certificate  # noqa: E402
 import _fraction_tree_dp as fraction_tree_dp  # noqa: E402
+import _reference_tree_verify as reference_tree_verify  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -209,6 +215,55 @@ def test_integer_tree_dp_matches_the_fraction_dp(g, t_max, kind, explicit_init, 
                 for v in got.branches.values():
                     out += [v.w_plus, v.w_minus]
                 assert all(type(x) is Fraction for x in out)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 16), st.sampled_from([(None, None), ("sync", None),
+                                                 ("roundrobin", None), ("random", 9),
+                                                 ("random", 31)]),
+       st.booleans(), st.booleans(), st.data())
+def test_tree_verify_matches_the_per_tree_reference(seed, kind, explicit_init, corrupt, data):
+    # the forward pass against the per-(root, t) loop over the builder's
+    # trees: the same rows, verdict and first mismatch, or the same error
+    # (balanced trees outgrow the node cap past t of about 10).  A
+    # corrupted trace changes one message at one t, on an edge that step
+    # wrote or on one it did not; a zero change is a new object of the
+    # same value
+    g = random_instance(random.Random(seed), n_max=5, mode=PERFECT)
+    balanced = kind[0] in (None, "sync")
+    t_max = data.draw(st.integers(0, 12 if balanced else 30))
+    init = None
+    if explicit_init:
+        values = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3]))
+        init = MessageInit.explicit({d: data.draw(values) for d in g.directed_edges()})
+    real = harness.run_async
+    if corrupt:
+        t = data.draw(st.integers(0, t_max))
+        wrote = make_schedule(g, kind[0] or "sync", seed=kind[1]).prefix(t)[-1] if t else ()
+        on = data.draw(st.booleans())
+        edge = data.draw(st.sampled_from([e for e in g.directed_edges() if (e in wrote) == on]
+                                         or g.directed_edges()))
+        delta = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2),
+                                           Fraction(1, 7)]))
+
+        def run_async(*args, **kwargs):
+            run = real(*args, **kwargs)
+            m = dict(run.trace[t].m)
+            m[edge] += delta
+            run.trace[t] = MessageState(t, m)
+            return run
+    else:
+        run_async = real
+
+    def outcome(verify):
+        try:
+            return verify(g, t_max, kind[0], kind[1], init)
+        except TreeSizeError as exc:
+            return type(exc), str(exc)
+
+    with mock.patch.object(harness, "run_async", run_async), \
+            mock.patch.object(reference_tree_verify, "run_async", run_async):
+        assert outcome(harness.tree_verify) == outcome(reference_tree_verify.tree_verify)
 
 
 def _rational_step(g, m, updates, mode):

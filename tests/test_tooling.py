@@ -24,7 +24,7 @@ def test_perfbench_selftest_passes():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize("workload", ["async-certify", "certify-sweep"])
+@pytest.mark.parametrize("workload", ["async-certify", "certify-sweep", "tree-verify"])
 def test_perfbench_answers_pass_its_checkers(workload):
     # --seconds 0 runs the fewest rounds the benchmark takes; every answer is
     # checked against the benchmark's own references: coverage counted along
