@@ -19,15 +19,17 @@ is the union over vertices.
 
 A step of an asynchronous schedule recomputes only the directed edges in
 its update set, all from the state before the step; a synchronous round is
-the step that updates every directed edge, and the kernel has one step path
-for every update set.  Runs work on messages scaled to exact integers (see
-_Net) and recompute only the selections a step can change; every public
-value (MessageState, traces, estimates) is the same exact rational as the
-unscaled rule gives.  The update rule and the estimate read one order
-statistic of a vertex's incoming messages, so one ranking per vertex
-(_select) serves both: a run ranks a vertex's messages only after one of
-them is updated, and the next step reads the b_i-th and (b_i+1)-th smallest
-from that ranking.
+the step that updates every directed edge.  One rule serves every update
+set: the run loop applies a one-edge step (every step of a round-robin or
+random schedule) as one update in place, and _round computes every other
+set, empty or of two or more edges.  Runs work on messages scaled to exact
+integers (see _Net) and recompute only the selections a step can change;
+every public value (MessageState, traces, estimates) is the same exact
+rational as the unscaled rule gives.  The update rule and the estimate
+read one order statistic of a vertex's incoming messages, so one ranking
+per vertex (_select) serves both: a run ranks a vertex's messages only
+after one of them is updated, and the next step reads the b_i-th and
+(b_i+1)-th smallest from that ranking.
 
 A synchronous round is a function of the scaled messages alone: the ranks,
 selections and estimate after it are recomputed from them, and the update
@@ -61,7 +63,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import floor, lcm
+from math import floor, inf, lcm
 from operator import eq, itemgetter, sub
 from typing import NamedTuple
 
@@ -221,11 +223,12 @@ class _Plan(NamedTuple):
 
 
 def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> list:
-    """One step on scaled messages, the same for every update set (all
-    edges, one edge or any subset): recompute the edges of `plan` from the
-    values at t-1 in `msgs`, computing every new value before writing any,
-    and return the messages at t: a new list when every edge updates, which
-    leaves `msgs` as it was, and `msgs` itself, updated, otherwise.
+    """One step on scaled messages for an update set of any size (all
+    edges, none or any subset; the run loop applies one-edge steps itself,
+    by the same rule): recompute the edges of `plan` from the values at t-1
+    in `msgs`, computing every new value before writing any, and return the
+    messages at t: a new list when every edge updates, which leaves `msgs`
+    as it was, and `msgs` itself, updated, otherwise.
 
     `plan` holds the step's sorted edge ids, their tails and scaled
     weights, and a gather of their reverse messages, all worked out once
@@ -510,7 +513,12 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     are recomputed, which keeps every vertex's ranks current for the next
     step; an edge is in the estimate while either endpoint selects it, and
     the estimate's edge set is rebuilt only when an edge enters or leaves
-    it.
+    it.  A one-edge step i -> j, every step of a round-robin or random
+    schedule, skips _round and refresh: the loop reads m(j -> i) and i's
+    ranks, writes the edge's one new value in place, counts it, and re-ranks
+    j alone, entering the estimate's bookkeeping only when j's selection
+    changed.  _round and refresh compute every other step: empty steps and
+    update sets of two or more edges.
 
     `repeats` is (s, L) when the steps repeat every L steps after the
     first s (Schedule.repeats; run_sync's all-edges step is (0, 1)).  The
@@ -569,25 +577,30 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     free = [False] + [mode != PERFECT and len(nb) <= b for _, nb, b, _ in rank[1:]]
     cur = set()
 
+    def reselect(j, new):
+        # j now selects `new`, not sel[j]; True when `cur` changed
+        old = sel[j]
+        sel[j] = new
+        touched = False
+        for l in old + new:
+            e = (j, l) if j < l else (l, j)
+            chosen = l in new or j in sel[l]
+            if chosen != (e in cur):
+                if chosen:
+                    cur.add(e)
+                else:
+                    cur.discard(e)
+                touched = True
+        return touched
+
     def refresh(heads):
         # recompute the selections and ranks at the vertices of the ranking
         # records `heads`; True when `cur` changed
         touched = False
         for j, nb, b, read in heads:
             new, tie[j], lo[j], hi[j] = select(nb, b, read(msgs), mode)
-            old = sel[j]
-            if new == old:
-                continue
-            sel[j] = new
-            for l in old + new:
-                e = (j, l) if j < l else (l, j)
-                chosen = l in new or j in sel[l]
-                if chosen != (e in cur):
-                    if chosen:
-                        cur.add(e)
-                    else:
-                        cur.discard(e)
-                    touched = True
+            if new != sel[j] and reselect(j, new):
+                touched = True
         return touched
 
     refresh(rank[1:])
@@ -624,12 +637,14 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             probes.append(probe(msgs))
             nxt = length
     t = 0
-    stop_met = stop.kind == "coverage" and not pending
+    covering, windowed = stop.kind == "coverage", stop.kind == "window"
+    # the step at which a budget, or a window's limit, stops the run
+    end = stop.iterations if stop.kind == "budget" else limit if windowed else inf
+    perfect = mode == PERFECT
+    stop_met = covering and not pending
     it = iter(steps)
     while not stop_met:
-        if stop.kind == "budget" and t >= stop.iterations:
-            break
-        if stop.kind == "window" and (t - last_change >= window_size or t >= limit):
+        if t >= end or windowed and t - last_change >= window_size:
             break
         updates = next(it)
         t += 1
@@ -640,18 +655,34 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                                           _gather([rev[k] for k in ids]),
                                           [rank[j] for j in sorted({head[k] for k in ids})],
                                           _gather(ids))
-        msgs = _round(msgs, mode, plan, lo, hi, free)
+        ids = plan.ids
+        if len(ids) == 1:
+            # one edge i -> j: _round's rule on one value, in place, then
+            # one re-rank of j
+            k = ids[0]
+            i = tail[k]
+            if free[i]:
+                msgs[k] = w[k]
+            else:
+                kth = hi[i] if msgs[rev[k]] <= lo[i] else lo[i]
+                msgs[k] = w[k] - kth if perfect or kth < 0 else w[k]
+            j, nb, b, read = plan.heads[0]
+            new, tie[j], lo[j], hi[j] = select(nb, b, read(msgs), mode)
+            touched = new != sel[j] and reselect(j, new)
+        else:
+            msgs = _round(msgs, mode, plan, lo, hi, free)
+            touched = refresh(plan.heads)
         if counts is not None:
-            for k in plan.ids:
+            for k in ids:
                 counts[k] += 1
                 if counts[k] == need:
                     pending -= 1
         if keep_trace:
             m = dict(trace[-1].m)
-            for k in plan.ids:
+            for k in ids:
                 m[dirs[k]] = net.down(msgs[k])
             trace.append(MessageState(t, m))
-        if refresh(plan.heads):
+        if touched:
             now = frozenset(cur)
             if now != edges:
                 edges = now
@@ -713,13 +744,13 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                 base, mark, record = t, None, None
             elif seek and (n := (t - base) // length) and not n & (n - 1):
                 mark, mark_t, held = list(msgs), t, counts and list(counts)
-        if stop.kind == "coverage":
+        if covering:
             stop_met = not pending
 
     est = Estimate(edges, {i: sel[i] for i in g.vertices()},
                    frozenset(i for i in g.vertices() if tie[i]))
     stable_for = t - last_change
-    converged = stop_met if stop.kind == "coverage" else stable_for >= window_size
+    converged = stop_met if covering else stable_for >= window_size
     period = None
     if not converged:
         period = detect_period(history, max(window_size, 2))

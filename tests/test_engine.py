@@ -315,6 +315,52 @@ class TestWork:
         assert len(calls) == c4.n * (rounds + 1)
 
 
+class TestKernelPaths:
+    """The run loop updates a one-edge step itself, as one value; _round
+    computes only empty steps and steps of two or more edges.  Records the
+    size of each update set _round computes, times nothing."""
+
+    @pytest.fixture
+    def kernel(self, monkeypatch):
+        from bpmatch import engine
+        seen = []
+        real = engine._round
+
+        def counting(msgs, mode, plan, *args):
+            seen.append(len(plan.ids))
+            return real(msgs, mode, plan, *args)
+
+        monkeypatch.setattr(engine, "_round", counting)
+        return seen
+
+    @pytest.mark.parametrize("kind, seed", [("roundrobin", None), ("random", 5)])
+    @pytest.mark.parametrize("name, mode", [("k4-appendix", PERFECT), ("tri-neg", NONPERFECT)])
+    def test_single_edge_schedules_never_call_round(self, name, mode, kind, seed, kernel):
+        g = load_fixture(name)
+        for stop in (StopPolicy.budget(300), StopPolicy.coverage(0)):
+            res = run_async(g, make_schedule(g, kind, seed=seed), stop=stop, mode=mode)
+            assert res.computed > 0 and kernel == []
+
+    @pytest.mark.parametrize("name, mode", [("k4-appendix", PERFECT), ("tri-half", NONPERFECT)])
+    def test_sync_runs_call_round_once_per_computed_round(self, name, mode, kernel):
+        g = load_fixture(name)
+        stop = StopPolicy.budget(300)
+        res = run_sync(g, mode, stop=stop)
+        assert res.computed > 0 and kernel == [2 * g.m] * res.computed
+        kernel.clear()
+        res = run_async(g, make_schedule(g, "sync"), stop=stop, mode=mode)
+        assert res.computed > 0 and kernel == [2 * g.m] * res.computed
+
+    def test_mixed_steps_call_round_for_empty_and_multi_edge_steps(self, k4, kernel):
+        # one-edge, empty, all-edges and two-edge steps, in turn
+        every = k4.directed_edges()
+        sets = [[(3, 1)], [], every, [(1, 2), (2, 1)], [(2, 4)]] * 4
+        res = run_async(k4, make_schedule(k4, "explicit", sets=sets),
+                        stop=StopPolicy.budget(len(sets)), check_redundancy=False)
+        assert res.computed == len(sets)
+        assert kernel == [0, len(every), 2] * 4
+
+
 # messages reach a fixed point: the messages after round 3 equal those after
 # round 2
 FIXED = Graph(3, [1, 2, 1], [(1, 2, -3), (1, 3, -21), (2, 3, -22)])
@@ -367,15 +413,21 @@ class TestCycleJump:
 
     @pytest.fixture
     def rounds(self, monkeypatch):
-        from bpmatch import engine
+        # the run loop draws one update set for each step it computes, on
+        # either kernel path, and none for the steps a jump skips
+        from bpmatch import engine, schedule
         seen = []
-        real = engine._round
+        real = engine._run
 
-        def counting(*args):
-            seen.append(None)
-            return real(*args)
+        def counting(g, mode, init, stop, steps, *args, **kwargs):
+            def drawn():
+                for updates in steps:
+                    seen.append(None)
+                    yield updates
+            return real(g, mode, init, stop, drawn(), *args, **kwargs)
 
-        monkeypatch.setattr(engine, "_round", counting)
+        monkeypatch.setattr(engine, "_run", counting)
+        monkeypatch.setattr(schedule, "_run", counting)
         return seen
 
     @pytest.mark.parametrize("g, mode, stop, want", [

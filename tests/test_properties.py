@@ -422,6 +422,9 @@ K4 = Graph(4, [1, 1, 1, 1], [(1, 2, Fraction(2, 3)), (1, 3, 1), (1, 4, 2), (2, 3
                              (2, 4, Fraction(-1, 3)), (3, 4, 5)])
 # an empty step, a one-edge step and an all-edges step listed out of order
 K4_STEPS = [[(3, 1)], [], sorted(K4.directed_edges(), key=lambda d: (d[1], -d[0]))]
+# K4 with non-positive weights and b = 2 at vertex 2, for non-perfect runs
+K4_NEG = Graph(4, [1, 2, 1, 1], [(1, 2, -2), (1, 3, Fraction(-1, 3)), (1, 4, -1), (2, 3, -3),
+                                 (2, 4, -1), (3, 4, -4)])
 
 
 @SETTINGS
@@ -440,6 +443,29 @@ K4_STEPS = [[(3, 1)], [], sorted(K4.directed_edges(), key=lambda d: (d[1], -d[0]
 @example((PERFECT, K4), ("explicit", None), StopPolicy.budget(9), True,
          _Draws(MessageInit.constant(Fraction(1, 5)),
                 [K4_STEPS[t % 3] for t in range(128)]))
+# the corners of the one-edge update.  Step 1 updates 1 -> 2, and m(2 -> 1)
+# is lo at vertex 1, its smallest incoming message: the rule takes hi
+@example((PERFECT, K4), ("roundrobin", None), StopPolicy.budget(12), False,
+         _Draws(MessageInit.explicit({**dict.fromkeys(K4.directed_edges(), 2),
+                                      (2, 1): -1, (3, 1): 4, (4, 1): 6})))
+# vertex 1 has degree b = 2: free, with lo its larger message and hi None
+@example((NONPERFECT, Graph(3, [2, 1, 1], [(1, 2, -1), (1, 3, -2), (2, 3, -3)])),
+         ("random", 3), StopPolicy.budget(30), True, _Draws(None))
+# step 1, 1 -> 2, reads the b-th smallest -2 < 0 and writes w - (-2); step
+# 3, 1 -> 4, reads 3 >= 0 and writes w
+@example((NONPERFECT, Graph(4, [1, 1, 1, 1], [(1, 2, -1), (1, 3, Fraction(-1, 2)),
+                                              (1, 4, -3), (2, 3, -2), (3, 4, -1)])),
+         ("roundrobin", None), StopPolicy.window(2, 40), True,
+         _Draws(MessageInit.explicit({(1, 2): -1, (1, 3): 5, (1, 4): 2, (2, 1): 3,
+                                      (2, 3): -4, (3, 1): 4, (3, 2): 1, (3, 4): 0,
+                                      (4, 1): -2, (4, 3): 3})))
+# empty steps between one-edge steps, up to a coverage stop
+@example((NONPERFECT, K4_NEG), ("explicit", None), StopPolicy.coverage(1), True,
+         _Draws(MessageInit.constant(Fraction(1, 3)),
+                [s for e in K4_NEG.directed_edges() * 6 for s in ([], [e])]))
+# a graph of one edge: two free vertices, then empty steps
+@example((NONPERFECT, Graph(2, [1, 1], [(1, 2, Fraction(-3, 2))])), ("roundrobin", None),
+         StopPolicy.budget(5), True, _Draws(MessageInit.constant(-4)))
 def test_integer_run_equals_rational_stepper(instance, kind, stop, keep_trace, data):
     mode, g = instance
     init = data.draw(_inits(g))
