@@ -9,7 +9,7 @@ from .graph import (Graph, Matching, Reduction, Violation, GraphError,
                     require_valid, reduce_trivial)
 from .engine import (MessageInit, MessageState, Estimate, StopPolicy, RunResult,
                      init_messages, extract_estimate, run_sync, EngineError,
-                     TrivialVertexError)
+                     TrivialVertexError, MessageTrace)
 from .schedule import (Schedule, ScheduleViolation, CoverageStats, ScheduleError,
                        RedundantScheduleError, ScheduleExhausted, make_schedule,
                        parse_schedule, serialize_schedule, validate_schedule,

@@ -135,10 +135,8 @@ def _emit(args, payload, human_lines):
 
 
 def _write_trace(path, trace):
-    lines = []
-    for state in trace:
-        for (i, j) in sorted(state.m):
-            lines.append(f"{state.t}\t{i}\t{j}\t{state.m[(i, j)]}")
+    # one pass over the states, each in directed_edges() order, which is sorted
+    lines = [f"{state.t}\t{i}\t{j}\t{v}" for state in trace for (i, j), v in state.m.items()]
     _write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

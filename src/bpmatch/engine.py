@@ -52,14 +52,15 @@ once.  A run without a trace under such a schedule looks for both kinds
 of cycle by Brent's method (BIT 1980) at period boundaries, proves a
 translation's extent in ints (_lasting) and skips whole periods up to
 where its stop could next hold (see _run).  A random or explicit schedule
-need not repeat its steps, and a trace records every state, so those runs
-step every update.
+need not repeat its steps, and a trace (MessageTrace) logs every step, so
+those runs step every update.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -140,6 +141,44 @@ def init_messages(g: Graph, init: MessageInit | None = None) -> MessageState:
     return MessageState(0, init.build(g))
 
 
+class MessageTrace(Sequence):
+    """A traced run's states, built when read from its step log: `start`,
+    the messages at step 0, and writes[t - 1], the _Plan of step t and the
+    values it wrote, all ints scaled by `scale`, edges in `dirs` order.  A
+    read, a slice or an iteration replays the log once."""
+
+    def __init__(self, dirs, scale, start, writes):
+        self.dirs, self.scale, self.start, self.writes = dirs, scale, start, writes
+
+    def __len__(self):
+        return len(self.writes) + 1
+
+    def __getitem__(self, t):
+        at = range(len(self))[t]  # the step or steps t names
+        if isinstance(t, slice):
+            states = list(self._states(sorted(at)))
+            return states if at.step > 0 else states[::-1]
+        return next(self._states([at]))
+
+    def __iter__(self):
+        return self._states(range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def _states(self, ascending):
+        vals, at, stale = list(self.start), 0, dict(enumerate(self.start))
+        for t in ascending:
+            for plan, wrote in self.writes[at:t]:
+                stale.update(zip(plan.ids, wrote))
+            for k, v in stale.items():
+                vals[k] = Fraction(v, self.scale)
+            at, stale = t, {}
+            yield MessageState(t, dict(zip(self.dirs, vals)))
+
+
 # -- the integer kernel ------------------------------------------------------
 
 def _check_input(g: Graph, mode: str):
@@ -194,9 +233,6 @@ class _Net:
         scale = self.scale
         return [v.numerator * (scale // v.denominator) for v in values]
 
-    def down(self, v) -> Fraction:
-        return Fraction(v, self.scale)
-
 
 def _gather(ids):
     """A C-level read of msgs[k] for the k in `ids`, in order, always as a
@@ -213,7 +249,7 @@ class _Plan(NamedTuple):
     """An update set compiled for _round: its sorted edge ids, their tails
     and scaled weights, a gather of their reverse messages, the ranking
     records of its heads, in label order, and a gather of its own messages
-    (what a step of it wrote, for a run recording a cycle)."""
+    (what a step of it wrote, for a trace or a run recording a cycle)."""
     ids: list
     tails: list
     w: list
@@ -373,7 +409,8 @@ class RunResult:
     period: int | None
     history: list
     stop: StopPolicy
-    trace: list | None = None
+    # every state of a traced run, read from its step log
+    trace: MessageTrace | None = None
     coverage: CoverageStats | None = None
     schedule_kind: str | None = None
     # (mark_t, p), in steps: the last cycle of its messages that a run
@@ -553,18 +590,16 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     advancing: k whole periods bring the schedule back to the same phase.
     An exact cycle lasts for ever, so the run then steps the updates that
     remain and seeks no further.  A schedule that does not repeat, and a
-    trace, which records every state, make the run step every update.
+    trace, which logs every step (MessageTrace), make the run step every update.
     RunResult.computed counts the steps computed."""
     init = init or MessageInit.weights()
-    # a weights init starts from the scaled weights themselves; its message
-    # map is built only for a trace to start from
-    start = init.build(g) if keep_trace or init.kind != "weights" else None
     if init.kind == "weights":
         net = _Net(g)
         msgs = list(net.w)
     else:
-        net = _Net(g, start.values())
-        msgs = net.up(map(start.__getitem__, net.dirs))
+        values = init.build(g)
+        net = _Net(g, values.values())
+        msgs = net.up(map(values.__getitem__, net.dirs))
     dirs, eid, head, tail, rev, w, gin = (net.dirs, net.ids, net.head, net.tail, net.rev,
                                           net.w, net.gin)
     plans = {}
@@ -606,7 +641,6 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     refresh(rank[1:])
     edges = frozenset(cur)
     history = [edges]
-    trace = [MessageState(0, start)] if keep_trace else None
     last_change = 0
     if stop.kind == "window":
         window_size = stop.window_size if stop.window_size else max(g.n, 1)
@@ -627,7 +661,8 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     # over its last two periods of q steps (`middle` one period on, with
     # the counts there); `seek` ends at the first exact cycle
     seek = repeats is not None and not keep_trace
-    mark, mark_t, record, cycle, skipped = None, 0, None, None, 0
+    mark, mark_t, cycle, skipped = None, 0, None, 0
+    start, record = (list(msgs), []) if keep_trace else (None, None)
     if seek:
         base, length = repeats
         probe = _gather(range(0, len(dirs), max(1, -(-len(dirs) // _PROBES))))
@@ -677,19 +712,14 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                 counts[k] += 1
                 if counts[k] == need:
                     pending -= 1
-        if keep_trace:
-            m = dict(trace[-1].m)
-            for k in ids:
-                m[dirs[k]] = net.down(msgs[k])
-            trace.append(MessageState(t, m))
+        if record is not None:
+            record.append((plan, plan.own(msgs)))
         if touched:
             now = frozenset(cur)
             if now != edges:
                 edges = now
                 last_change = t
         history.append(edges)
-        if seek and record is not None:
-            record.append((plan, plan.own(msgs)))
         if seek and t == nxt:
             nxt += length
             p = t - mark_t
@@ -697,7 +727,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             probes.append(probe(msgs))
             if msgs == mark:
                 # an exact cycle, the translation by 0: no order can flip
-                found, seek, since = (mark_t, p), False, held
+                found, seek, since, record = (mark_t, p), False, held, None
             elif record is not None:
                 if len(record) == q:
                     middle, kept = list(msgs), counts and list(counts)
@@ -758,8 +788,8 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                                                    min(counts, default=0))
     return RunResult(mode=mode, estimate=est, iterations=t, stabilized_at=last_change,
                      stable_for=stable_for, converged=converged, period=period,
-                     history=history, stop=stop, trace=trace, coverage=cov, cycle=cycle,
-                     computed=t - skipped)
+                     history=history, stop=stop, coverage=cov, cycle=cycle, computed=t - skipped,
+                     trace=MessageTrace(dirs, net.scale, start, record) if keep_trace else None)
 
 
 def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,

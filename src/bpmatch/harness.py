@@ -395,33 +395,32 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     least u(t) deep; returns (rows, ok, first_mismatch).  A missing schedule
     kind means the all-edges schedule, whose trees are the balanced ones.
 
-    One forward pass: step t solves the branches new at t and scales the
-    trace entries that are not the same object as at t - 1 (the trace
-    replaces just a step's writes).  The node cap is checked at t_max only,
-    as unrolled sizes never shrink with t.  Both sides compare as the DP's
-    scaled ints and rank a root's incoming values, the engine's by _select,
-    the DP's by (value, label)."""
+    One forward pass: step t solves the branches new at t and applies the
+    trace's writes at t, both ints of one scale (the least common denominator
+    of the weights and init values).  The node cap is checked at t_max only,
+    as unrolled sizes never shrink with t.  A root ranks its incoming values
+    by _select on the engine's side, by (value, label) on the DP's."""
     rows, first = [], None
     init_map = init.build(g) if init is not None and init.kind != "weights" else None
     sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
     builder = GCTBuilder(g, sched, t_max)
-    run = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
+    trace = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True).trace
     for root in g.vertices():
         builder.gct(root, t_max)
     # per directed edge: its branch's DP value and depth, scaled message and
     # updates at t (grown[0] counts none); per root, a gather of its 2+ in-edges
-    memo, want, depth, got = {}, {}, {}, {}
+    memo, want, depth, got = {}, {}, {}, dict(zip(trace.dirs, trace.start))
     counts = dict.fromkeys(g.directed_edges(), -1)
     roots = [(i, g.neighbors(i), g.cap(i), itemgetter(*((r, i) for r in g.neighbors(i))))
              for i in g.vertices()]
     for t, new in enumerate(builder.grown):
-        scale = _solve(g, [(node, j) for (_, j), node in new.items()], init_map, memo)
+        _solve(g, [(node, j) for (_, j), node in new.items()], init_map, memo)
         for e, node in new.items():
             want[e], depth[e] = memo[node][0], node.depth
             counts[e] += 1
         u = min(counts.values(), default=0)
-        m, old = run.trace[t].m, run.trace[t - 1].m if t else {}
-        got.update((e, _scaled(v, scale)) for e, v in m.items() if old.get(e) is not v)
+        for plan, wrote in trace.writes[t - 1:t] if t else ():
+            got.update(zip(map(trace.dirs.__getitem__, plan.ids), wrote))
         for root, nbrs, b, into in roots:
             dp, vals = into(want), into(got)
             msgs_ok = dp == vals
@@ -434,10 +433,3 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
             if first is None and not (msgs_ok and sel_ok and depth_ok):
                 first = rows[-1]
     return rows, first is None, first
-
-
-def _scaled(v: Fraction, scale: int):
-    # v * scale exactly: an int when v's denominator divides the scale, as
-    # every message of a correct run does, else a Fraction no int equals
-    x, r = divmod(v.numerator * scale, v.denominator)
-    return Fraction(v.numerator * scale, v.denominator) if r else x

@@ -30,6 +30,26 @@ def async_step(g, s, updates, mode=PERFECT):
     return run.trace[1]
 
 
+def corrupt_message(trace, t, edge, delta):
+    """Add `delta` to the message on `edge` at step t of `trace`, in its step
+    log: to the value step t wrote there, as one more write of step t when
+    it wrote none, or to the start at t = 0.  The wrong value lasts until
+    the edge is written again."""
+    k = trace.dirs.index(edge)
+    value = (trace[t].m[edge] + delta) * trace.scale
+    if t == 0:
+        trace.start[k] = value
+        return
+    plan, wrote = trace.writes[t - 1]
+    ids, wrote = list(plan.ids), list(wrote)
+    if k in ids:
+        wrote[ids.index(k)] = value
+    else:
+        ids.append(k)
+        wrote.append(value)
+    trace.writes[t - 1] = plan._replace(ids=ids), wrote
+
+
 def tight_instances(count=21, seed=404):
     """The c4 fixture, then the perfect random_instance draws of `seed`
     (n <= 6, weights 1..10) whose LP relaxation is tight, `count` graphs in

@@ -11,7 +11,7 @@ from bpmatch import (Graph, PERFECT, MessageInit, StopPolicy, TreeError, TreeSiz
                      init_messages)
 from bpmatch.ctree import TreeNode
 from bpmatch.harness import tree_verify, random_instance
-from conftest import sync_rounds
+from conftest import corrupt_message, sync_rounds
 
 
 class TestBuildBalanced:
@@ -241,28 +241,28 @@ class TestEquivalence:
 
 class TestVerifyFails:
     """tree_verify reports the first (root, t) where the engine and the tree
-    DP disagree: one corrupted message, or one corrupted root selection,
-    fails exactly that row; so does a tree one level short of u(t)."""
+    DP disagree: one corrupted message fails the rows of its head from its
+    step until the edge is written again, one corrupted root selection
+    exactly that row; so does a tree one level short of u(t)."""
 
     @pytest.mark.parametrize("delta", [F(1), F(1, 7)])
     def test_a_wrong_message_fails_its_row(self, c4, monkeypatch, delta):
-        # F(1, 7) leaves a denominator the DP's scale does not fit
+        # F(1, 7) leaves a denominator the DP's scale does not fit; the
+        # round-robin schedule writes 4 -> 1 at steps 7, 15, ..., so the wrong
+        # value written at step 3 lasts through t_max = 5
         from bpmatch import harness
-        from bpmatch.engine import MessageState
         real = harness.run_async
 
         def corrupted(*args, **kwargs):
             run = real(*args, **kwargs)
-            m = dict(run.trace[3].m)
-            m[(4, 1)] += delta
-            run.trace[3] = MessageState(3, m)
+            corrupt_message(run.trace, 3, (4, 1), delta)
             return run
 
         monkeypatch.setattr(harness, "run_async", corrupted)
         rows, ok, first = tree_verify(c4, 5, "roundrobin")
         assert not ok
         assert (first["root"], first["t"], first["messages"]) == (1, 3, False)
-        assert [(r["root"], r["t"]) for r in rows if not r["messages"]] == [(1, 3)]
+        assert [(r["root"], r["t"]) for r in rows if not r["messages"]] == [(1, 3), (1, 4), (1, 5)]
 
     def test_a_wrong_selection_fails_its_row(self, c4, monkeypatch):
         # tree_verify asks _select once per (root, t), t in order: the

@@ -273,6 +273,97 @@ class TestDefaultInit:
             assert (runs[0].trace is None) == (not keep_trace)
 
 
+def _traced(g, kind, init, steps):
+    # a traced run of `steps` steps under the schedule `kind`; "mixed" is an
+    # explicit schedule of several edges, none, one and all edges per step
+    if kind == "sync":
+        return run_sync(g, PERFECT, init, StopPolicy.budget(steps), keep_trace=True)
+    if kind == "mixed":
+        dirs = g.directed_edges()
+        sets = [dirs[:3], [], [dirs[4]], dirs, dirs[5:9:2]] * (steps // 5 + 1)
+        sched = make_schedule(g, "explicit", sets=sets)
+    else:
+        sched = make_schedule(g, kind, seed=3)
+    return run_async(g, sched, init, StopPolicy.budget(steps), PERFECT,
+                     check_redundancy=False, keep_trace=True)
+
+
+class TestMessageTrace:
+    """A trace holds a run's step log and reads as the list of its states:
+    by index in any order, negative indexes and slices, by iteration, and
+    compared with any sequence of states."""
+
+    INITS = [None, MessageInit.constant(F(1, 3)),
+             MessageInit.explicit({d: F(k - 5, 2) for k, d in
+                                   enumerate(load_fixture("k4-appendix").directed_edges())})]
+
+    @pytest.mark.parametrize("kind", ["sync", "roundrobin", "random", "mixed"])
+    @pytest.mark.parametrize("init", INITS, ids=["weights", "constant", "explicit"])
+    def test_a_trace_reads_as_its_list_of_states(self, kind, init):
+        g = load_fixture("k4-appendix")
+        trace = _traced(g, kind, init, 17).trace
+        states = list(trace)
+        assert len(trace) == len(states) == 18
+        assert [s.t for s in states] == list(range(18))
+        assert all(list(s.m) == list(g.directed_edges()) for s in states)
+        assert states[0] == init_messages(g, init)
+        # each index read after a later one, and from the end
+        assert [trace[t] for t in range(17, -1, -1)] == states[::-1]
+        assert [trace[-k] for k in range(1, 19)] == states[::-1]
+        for s in (slice(None), slice(1, None), slice(2, 15, 3), slice(None, None, -2),
+                  slice(-3, 1, -4), slice(9, 4), slice(-40, 40, 5)):
+            assert trace[s] == states[s]
+        for t in (18, -19):
+            with pytest.raises(IndexError):
+                trace[t]
+        assert list(zip(trace, trace)) == list(zip(states, states))
+
+    @pytest.mark.parametrize("kind", ["sync", "roundrobin", "random", "mixed"])
+    def test_a_trace_equals_any_sequence_of_its_states(self, kind):
+        g = load_fixture("k4-appendix")
+        trace = _traced(g, kind, None, 12).trace
+        states = [trace[t] for t in range(len(trace))]
+        assert trace == states and states == trace and trace == tuple(states)
+        assert trace == _traced(g, kind, None, 12).trace
+        assert trace != states[:-1] and trace != _traced(g, kind, None, 11).trace
+        assert trace != _traced(g, kind, self.INITS[1], 12).trace
+        assert trace != states[:-1] + [dataclasses.replace(states[-1], t=99)]
+        assert trace != None and not trace == None  # noqa: E711
+        assert trace != 12
+
+    def test_a_traced_sync_run_keeps_each_rounds_writes(self):
+        # 300 rounds on the planted "pb" instance, 199 vertices and 958 edges
+        # once reduced, keep 1 916 scaled ints per round; a dict of 1 916
+        # Fractions per round takes over twice the bound
+        import tracemalloc
+        from bpmatch import parse_graph, reduce_trivial
+        from test_scale import planted_instance
+        mode, text, _, _ = planted_instance("pb", seed=1)
+        g = reduce_trivial(parse_graph(text)).graph
+        tracemalloc.start()
+        try:
+            run = run_sync(g, mode, None, StopPolicy.budget(300), keep_trace=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m, len(run.trace)) == (199, 958, 301)
+        assert peak < 30 * 2 ** 20
+
+    def test_a_traced_round_robin_run_keeps_each_steps_write(self):
+        # 20 000 one-edge steps on k4-appendix keep one int each; a dict of
+        # all 12 messages per step takes over twice the bound
+        import tracemalloc
+        g = load_fixture("k4-appendix")
+        tracemalloc.start()
+        try:
+            run = run_async(g, make_schedule(g, "roundrobin"), None, StopPolicy.budget(20000),
+                            keep_trace=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.trace) == 20001 and peak < 6 * 2 ** 20
+
+
 class TestWork:
     """The run loop recomputes a vertex's selection only when one of its
     incoming messages was updated: once per vertex for the initial state,

@@ -4,7 +4,9 @@
 random:3 schedules, on every shipped fixture in both modes, and of
 `sweep --json` at seeds 1 and 7 in both modes (200 random instances each:
 the tight counts, the agreement with the enumeration cross-check and the
-largest bound), compared byte for byte with the files under
+largest bound), and of `solve --json --stop budget=24` with the file
+`--trace` writes, under the sync and round-robin schedules on c4 and
+k4-appendix, compared byte for byte with the files under
 tests/data/golden/.
 
 The commands run from the repository root on relative fixture paths, so
@@ -29,65 +31,72 @@ FIXTURES = ("c4", "k4-appendix", "p4", "tri-half", "tri-neg")
 MODES = ("perfect", "nonperfect")
 SCHEDULES = ("sync", "roundrobin", "random:3")
 SWEEP_SEEDS = (1, 7)
+# the flag naming the file a command writes, and the suffix of its golden copy
+WRITES = {"--emit-cert": ".cert", "--trace": ".trace"}
 
 
 def cases():
-    """(name, argv, whether the command writes a certificate file)."""
+    """(name, argv, the flag of the file the command writes or None)."""
     out = []
     for fixture in FIXTURES:
         graph = f"src/bpmatch/fixtures/{fixture}.graph"
         for mode in MODES:
             out.append((f"certify-{fixture}-{mode}",
-                        ["certify", graph, "--mode", mode, "--json"], True))
+                        ["certify", graph, "--mode", mode, "--json"], "--emit-cert"))
             for schedule in SCHEDULES:
                 out.append((f"solve-{schedule.replace(':', '')}-{fixture}-{mode}",
                              ["solve", graph, "--mode", mode, "--json", "--certify",
-                              "--stop", "certified", "--schedule", schedule], False))
+                              "--stop", "certified", "--schedule", schedule], None))
+    for fixture in FIXTURES[:2]:
+        for schedule in SCHEDULES[:2]:
+            out.append((f"trace-{schedule}-{fixture}",
+                        ["solve", f"src/bpmatch/fixtures/{fixture}.graph", "--json",
+                         "--stop", "budget=24", "--schedule", schedule], "--trace"))
     for seed in SWEEP_SEEDS:
         for mode in MODES:
             out.append((f"sweep-seed{seed}-{mode}",
-                        ["sweep", "--mode", mode, "--seed", str(seed), "--json"], False))
+                        ["sweep", "--mode", mode, "--seed", str(seed), "--json"], None))
     return out
 
 
-def run(argv, emit):
-    """(exit code, stdout, stderr, certificate file text or None) of one
-    command, run from the repository root."""
+def run(argv, flag):
+    """(exit code, stdout, stderr, text of the file written by `flag` or
+    None) of one command, run from the repository root."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        cert = Path(tmp) / "cert.txt"
+        path = Path(tmp) / "written.txt"
         try:
             os.chdir(ROOT)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv + (["--emit-cert", str(cert)] if emit else []))
+                code = main(argv + ([flag, str(path)] if flag else []))
         finally:
             os.chdir(cwd)
-        text = cert.read_text(encoding="utf-8") if cert.exists() else None
+        text = path.read_text(encoding="utf-8") if path.exists() else None
     return code, out.getvalue(), err.getvalue(), text
 
 
 def record():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     index = {}
-    for name, argv, emit in cases():
-        code, stdout, stderr, cert = run(argv, emit)
+    for name, argv, flag in cases():
+        code, stdout, stderr, text = run(argv, flag)
         (GOLDEN / f"{name}.out").write_text(stdout, encoding="utf-8")
-        if cert is not None:
-            (GOLDEN / f"{name}.cert").write_text(cert, encoding="utf-8")
+        if text is not None:
+            (GOLDEN / f"{name}{WRITES[flag]}").write_text(text, encoding="utf-8")
         index[name] = {"argv": argv, "exit": code, "stderr": stderr}
     (GOLDEN / "cases.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("name, argv, emit", cases(), ids=[c[0] for c in cases()])
-def test_cli_output_is_the_golden_file(name, argv, emit):
+@pytest.mark.parametrize("name, argv, flag", cases(), ids=[c[0] for c in cases()])
+def test_cli_output_is_the_golden_file(name, argv, flag):
     want = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))[name]
-    code, stdout, stderr, cert = run(argv, emit)
+    code, stdout, stderr, text = run(argv, flag)
     assert want["argv"] == argv
     assert (code, stderr) == (want["exit"], want["stderr"])
     assert stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    cert_file = GOLDEN / f"{name}.cert"
-    assert cert == (cert_file.read_text(encoding="utf-8") if cert_file.exists() else None)
+    written = GOLDEN / f"{name}{WRITES[flag]}" if flag else None
+    assert text == (written.read_text(encoding="utf-8") if written and written.exists() else None)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ the generalized trees of that schedule, and both agree with the tree
 dynamic program, also when one tree-DP memo is shared across a builder's
 trees; the integer tree DP agrees with its Fraction reference, and
 tree_verify's forward pass with its per-tree reference, also on a
-corrupted trace.  The run
+corrupted step log.  The run
 loop's scaled-integer messages and incremental estimates agree with a
 plain rational stepper, and a synchronous or round-robin run that skips
 whole periods of its message cycle agrees with the run that steps every
@@ -52,7 +52,7 @@ from bpmatch.ctree import TreeSizeError  # noqa: E402
 from bpmatch.harness import random_instance  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import _select, detect_period  # noqa: E402
-from conftest import naive_optima, random_graph_any  # noqa: E402
+from conftest import corrupt_message, naive_optima, random_graph_any  # noqa: E402
 import _fraction_certificate as fraction_certificate  # noqa: E402
 import _fraction_tree_dp as fraction_tree_dp  # noqa: E402
 import _reference_tree_verify as reference_tree_verify  # noqa: E402
@@ -226,9 +226,9 @@ def test_tree_verify_matches_the_per_tree_reference(seed, kind, explicit_init, c
     # the forward pass against the per-(root, t) loop over the builder's
     # trees: the same rows, verdict and first mismatch, or the same error
     # (balanced trees outgrow the node cap past t of about 10).  A
-    # corrupted trace changes one message at one t, on an edge that step
-    # wrote or on one it did not; a zero change is a new object of the
-    # same value
+    # corrupted trace changes one message from one t on, on an edge that
+    # step wrote or, as one more write, on one it did not; a zero change
+    # writes the same value
     g = random_instance(random.Random(seed), n_max=5, mode=PERFECT)
     balanced = kind[0] in (None, "sync")
     t_max = data.draw(st.integers(0, 12 if balanced else 30))
@@ -248,9 +248,7 @@ def test_tree_verify_matches_the_per_tree_reference(seed, kind, explicit_init, c
 
         def run_async(*args, **kwargs):
             run = real(*args, **kwargs)
-            m = dict(run.trace[t].m)
-            m[edge] += delta
-            run.trace[t] = MessageState(t, m)
+            corrupt_message(run.trace, t, edge, delta)
             return run
     else:
         run_async = real
