@@ -143,15 +143,18 @@ def init_messages(g: Graph, init: MessageInit | None = None) -> MessageState:
 
 class MessageTrace(Sequence):
     """A traced run's states, built when read from its step log: `start`,
-    the messages at step 0, and writes[t - 1], the _Plan of step t and the
-    values it wrote, all ints scaled by `scale`, edges in `dirs` order.  A
-    read, a slice or an iteration replays the log once."""
+    the messages at step 0, plans[t - 1], the _Plan of step t, and `wrote`,
+    the values each step wrote to the edges of its plan, in step order,
+    one flat list; all ints scaled by `scale`, edges in `dirs` order.  A
+    read, a slice or an iteration replays the log once: zip(plan.ids,
+    values), with `values` one iterator over `wrote`, takes a step's own
+    values and leaves the next step's in it."""
 
-    def __init__(self, dirs, scale, start, writes):
-        self.dirs, self.scale, self.start, self.writes = dirs, scale, start, writes
+    def __init__(self, dirs, scale, start, plans, wrote):
+        self.dirs, self.scale, self.start, self.plans, self.wrote = dirs, scale, start, plans, wrote
 
     def __len__(self):
-        return len(self.writes) + 1
+        return len(self.plans) + 1
 
     def __getitem__(self, t):
         at = range(len(self))[t]  # the step or steps t names
@@ -170,8 +173,9 @@ class MessageTrace(Sequence):
 
     def _states(self, ascending):
         vals, at, stale = list(self.start), 0, dict(enumerate(self.start))
+        wrote = iter(self.wrote)
         for t in ascending:
-            for plan, wrote in self.writes[at:t]:
+            for plan in self.plans[at:t]:
                 stale.update(zip(plan.ids, wrote))
             for k, v in stale.items():
                 vals[k] = Fraction(v, self.scale)
@@ -484,12 +488,13 @@ _SPAN = 64
 _PROBES = 16
 
 
-def _lasting(start, mid, steps, rank, mode):
+def _lasting(start, mid, steps, wrote, rank, mode):
     """How many periods a translation lasts.  `start` and `mid` hold the
     scaled messages after steps T and T + p of a run whose schedule repeats
-    with period p from T on, and `steps` the plan of each step T + 1 ..
-    T + 2p with the values it wrote; the second period moved the messages
-    as the first did: m(T + 2p) - m(T + p) = mid - start.  With a_j =
+    with period p from T on, `steps` the plan of each step T + 1 ..
+    T + 2p and `wrote` the values they wrote, logged as MessageTrace logs
+    them; the second period moved the messages as the first did:
+    m(T + 2p) - m(T + p) = mid - start.  With a_j =
     m(T + j) and d_j = m(T + p + j) - a_j, let K be the largest k such
     that, for every k' <= k and phase j < p, a_j + k'*d_j ranks the
     incoming messages of each vertex of `rank` as a_j does (by value, ties
@@ -512,9 +517,10 @@ def _lasting(start, mid, steps, rank, mode):
     p = len(steps) // 2
     a = list(start)
     d = list(map(sub, mid, start))
+    once, twice = iter(wrote), iter(wrote[len(wrote) // 2:])
     heads = rank
     last = None
-    for (plan, once), (_, twice) in zip(steps, steps[p:]):
+    for plan in steps[:p]:
         for _, nbrs, _, read in heads:
             ranked = sorted(chain(zip(read(a), nbrs, read(d)), zero))
             for (x, lx, dx), (y, ly, dy) in zip(ranked, ranked[1:]):
@@ -543,19 +549,22 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     run into a ranking record: its label, neighbors, capacity and the
     gather net.gin of its incoming messages, the arguments of _select.
     Each distinct update set is compiled once per run (a sync run has one)
-    into a _Plan: its sorted edge ids, their tails and scaled weights, a
-    gather of their reverse messages (_gather), the records of its heads
-    and a gather of its own messages.  Only the heads of a step's updated
-    edges have new incoming messages, so only their selections and ranks
-    are recomputed, which keeps every vertex's ranks current for the next
-    step; an edge is in the estimate while either endpoint selects it, and
-    the estimate's edge set is rebuilt only when an edge enters or leaves
-    it.  A one-edge step i -> j, every step of a round-robin or random
-    schedule, skips _round and refresh: the loop reads m(j -> i) and i's
-    ranks, writes the edge's one new value in place, counts it, and re-ranks
-    j alone, entering the estimate's bookkeeping only when j's selection
-    changed.  _round and refresh compute every other step: empty steps and
-    update sets of two or more edges.
+    into a record that one dict probe per step finds.  It holds a _Plan:
+    the set's sorted edge ids, their tails and scaled weights, a gather of
+    their reverse messages (_gather), the records of its heads and a gather
+    of its own messages.  Only the heads of a step's updated edges have new
+    incoming messages, so only their selections and ranks are recomputed,
+    which keeps every vertex's ranks current for the next step; an edge is
+    in the estimate while either endpoint selects it, and the estimate's
+    edge set is rebuilt only when an edge enters or leaves it.  The record
+    of a one-edge set i -> j, every step of a round-robin or random
+    schedule, also holds the edge's id, its tail i, the id of j -> i, its
+    scaled weight and j's ranking record, so its step skips _round and
+    refresh and reads no list of its plan: the loop reads m(j -> i) and
+    i's ranks, writes the edge's one new value in place, counts it as one
+    scalar, and re-ranks j alone, entering the estimate's bookkeeping only
+    when j's selection changed.  _round and refresh compute every other
+    step: empty steps and update sets of two or more edges.
 
     `repeats` is (s, L) when the steps repeat every L steps after the
     first s (Schedule.repeats; run_sync's all-edges step is (0, 1)).  The
@@ -603,6 +612,22 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     dirs, eid, head, tail, rev, w, gin = (net.dirs, net.ids, net.head, net.tail, net.rev,
                                           net.w, net.gin)
     plans = {}
+
+    def compiled(updates):
+        # the record of an update set: (k, i, r, w_k, into_j, plan) for its
+        # one edge k = i -> j, with r = j -> i and into_j j's ranking record,
+        # else five Nones and its plan
+        ids = sorted([eid[e] for e in updates])
+        plan = _Plan(ids, [tail[k] for k in ids], [w[k] for k in ids],
+                     _gather([rev[k] for k in ids]),
+                     [rank[j] for j in sorted({head[k] for k in ids})], _gather(ids))
+        if len(ids) == 1:
+            k = ids[0]
+            plans[updates] = rec = (k, tail[k], rev[k], w[k], plan.heads[0], plan)
+        else:
+            plans[updates] = rec = (None, None, None, None, None, plan)
+        return rec
+
     select = _select
     rank = [None] + [(i, g.neighbors(i), g.cap(i), gin[i]) for i in g.vertices()]
     sel = [()] * (g.n + 1)
@@ -656,13 +681,14 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     # cycle finding at the period boundaries `nxt`: `mark` holds a copy of
     # the messages at step mark_t, a power of two periods past `base`, and
     # `held` the counts there; `probes` the probed messages of the last
-    # boundaries; and `record` the plan and written values of each step
-    # since `first`, the messages at a boundary whose probes moved alike
-    # over its last two periods of q steps (`middle` one period on, with
-    # the counts there); `seek` ends at the first exact cycle
+    # boundaries; and `record` the plan of each step since `first`, the
+    # messages at a boundary whose probes moved alike over its last two
+    # periods of q steps (`middle` one period on, with the counts there),
+    # and `wrote` the values those steps wrote, as a trace logs them;
+    # `seek` ends at the first exact cycle
     seek = repeats is not None and not keep_trace
     mark, mark_t, cycle, skipped = None, 0, None, 0
-    start, record = (list(msgs), []) if keep_trace else (None, None)
+    start, record, wrote = (list(msgs), [], []) if keep_trace else (None, None, None)
     if seek:
         base, length = repeats
         probe = _gather(range(0, len(dirs), max(1, -(-len(dirs) // _PROBES))))
@@ -683,37 +709,36 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             break
         updates = next(it)
         t += 1
-        plan = plans.get(updates)
-        if plan is None:
-            ids = sorted([eid[e] for e in updates])
-            plan = plans[updates] = _Plan(ids, [tail[k] for k in ids], [w[k] for k in ids],
-                                          _gather([rev[k] for k in ids]),
-                                          [rank[j] for j in sorted({head[k] for k in ids})],
-                                          _gather(ids))
-        ids = plan.ids
-        if len(ids) == 1:
+        k, i, r, v, into_j, plan = plans.get(updates) or compiled(updates)
+        if into_j is not None:
             # one edge i -> j: _round's rule on one value, in place, then
             # one re-rank of j
-            k = ids[0]
-            i = tail[k]
-            if free[i]:
-                msgs[k] = w[k]
-            else:
-                kth = hi[i] if msgs[rev[k]] <= lo[i] else lo[i]
-                msgs[k] = w[k] - kth if perfect or kth < 0 else w[k]
-            j, nb, b, read = plan.heads[0]
+            if not free[i]:
+                kth = hi[i] if msgs[r] <= lo[i] else lo[i]
+                if perfect or kth < 0:
+                    v -= kth
+            msgs[k] = v
+            j, nb, b, read = into_j
             new, tie[j], lo[j], hi[j] = select(nb, b, read(msgs), mode)
             touched = new != sel[j] and reselect(j, new)
+            if counts is not None:
+                counts[k] = c = counts[k] + 1
+                if c == need:
+                    pending -= 1
+            if record is not None:
+                record.append(plan)
+                wrote.append(v)
         else:
             msgs = _round(msgs, mode, plan, lo, hi, free)
             touched = refresh(plan.heads)
-        if counts is not None:
-            for k in ids:
-                counts[k] += 1
-                if counts[k] == need:
-                    pending -= 1
-        if record is not None:
-            record.append((plan, plan.own(msgs)))
+            if counts is not None:
+                for k in plan.ids:
+                    counts[k] += 1
+                    if counts[k] == need:
+                        pending -= 1
+            if record is not None:
+                record.append(plan)
+                wrote += plan.own(msgs)
         if touched:
             now = frozenset(cur)
             if now != edges:
@@ -727,7 +752,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             probes.append(probe(msgs))
             if msgs == mark:
                 # an exact cycle, the translation by 0: no order can flip
-                found, seek, since, record = (mark_t, p), False, held, None
+                found, seek, since, record, wrote = (mark_t, p), False, held, None, None
             elif record is not None:
                 if len(record) == q:
                     middle, kept = list(msgs), counts and list(counts)
@@ -738,13 +763,13 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                     past = middle
                     if all(map(eq, map(sub, msgs, middle), map(sub, middle, first))):
                         found, p, since = (t - 2 * q, q), q, kept
-                        lasting = _lasting(first, middle, record, rank[1:], mode)
+                        lasting = _lasting(first, middle, record, wrote, rank[1:], mode)
             elif (mark is not None and 2 * (n := p // length) < len(probes)
                   and all(map(eq, map(sub, probes[-1], probes[-1 - n]),
                               map(sub, probes[-1 - n], probes[-1 - 2 * n])))):
                 # the probed messages moved alike in the last two periods:
                 # record the next two
-                record, q, first = [], p, list(msgs)
+                record, wrote, q, first = [], [], p, list(msgs)
             if found and (lasting is None or lasting >= 0):
                 cycle = found
                 grown = None if counts is None else list(map(sub, counts, since))
@@ -771,7 +796,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             if past is not None:
                 # after two recorded periods, a translation or not, look for
                 # the next cycle from this boundary on
-                base, mark, record = t, None, None
+                base, mark, record, wrote = t, None, None, None
             elif seek and (n := (t - base) // length) and not n & (n - 1):
                 mark, mark_t, held = list(msgs), t, counts and list(counts)
         if covering:
@@ -789,7 +814,8 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     return RunResult(mode=mode, estimate=est, iterations=t, stabilized_at=last_change,
                      stable_for=stable_for, converged=converged, period=period,
                      history=history, stop=stop, coverage=cov, cycle=cycle, computed=t - skipped,
-                     trace=MessageTrace(dirs, net.scale, start, record) if keep_trace else None)
+                     trace=MessageTrace(dirs, net.scale, start, record, wrote) if keep_trace
+                     else None)
 
 
 def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,

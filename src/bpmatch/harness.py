@@ -410,6 +410,7 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     # per directed edge: its branch's DP value and depth, scaled message and
     # updates at t (grown[0] counts none); per root, a gather of its 2+ in-edges
     memo, want, depth, got = {}, {}, {}, dict(zip(trace.dirs, trace.start))
+    wrote = iter(trace.wrote)
     counts = dict.fromkeys(g.directed_edges(), -1)
     roots = [(i, g.neighbors(i), g.cap(i), itemgetter(*((r, i) for r in g.neighbors(i))))
              for i in g.vertices()]
@@ -419,7 +420,7 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
             want[e], depth[e] = memo[node][0], node.depth
             counts[e] += 1
         u = min(counts.values(), default=0)
-        for plan, wrote in trace.writes[t - 1:t] if t else ():
+        for plan in trace.plans[t - 1:t] if t else ():
             got.update(zip(map(trace.dirs.__getitem__, plan.ids), wrote))
         for root, nbrs, b, into in roots:
             dp, vals = into(want), into(got)

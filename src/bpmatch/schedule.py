@@ -118,7 +118,10 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         number of re-updatable edges), or (len(once), 1) when none is.
     random: seeded random single edges; each later cycle is drawn one edge
         at a time from the edges whose re-update is fed, so the result is
-        redundancy-free by construction.  It states no period.
+        redundancy-free by construction.  Each draw is a uniform index into
+        the sorted ready list, by rejection over getrandbits(k) with k the
+        list length's bit length: the draws of Random.randrange.  It states
+        no period.
     explicit: the given list of update sets, verbatim (untrusted), with no
         stated period.
     Generated schedules are infinite and trusted, so run_async feeds them
@@ -162,6 +165,7 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
 
         def factory():
             rng = _random.Random(seed)
+            draw = rng.getrandbits
             for e in sorted(once, key=lambda _: rng.random()):
                 yield frozenset((e,))
             if not repeat:
@@ -183,7 +187,14 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
                 ready = [e for e, ok in enumerate(up) if ok]
                 cycle = []
                 while ready:
-                    e = ready.pop(rng.randrange(len(ready)))
+                    # rng.randrange(n), inline: k random bits, drawn again
+                    # while they name no index
+                    n = len(ready)
+                    k = n.bit_length()
+                    r = draw(k)
+                    while r >= n:
+                        r = draw(k)
+                    e = ready.pop(r)
                     cycle.append(e)
                     for x in fed[e]:
                         if not up[x]:

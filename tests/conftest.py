@@ -40,14 +40,13 @@ def corrupt_message(trace, t, edge, delta):
     if t == 0:
         trace.start[k] = value
         return
-    plan, wrote = trace.writes[t - 1]
-    ids, wrote = list(plan.ids), list(wrote)
-    if k in ids:
-        wrote[ids.index(k)] = value
+    plan = trace.plans[t - 1]
+    at = sum(len(p.ids) for p in trace.plans[:t - 1])  # step t's first value
+    if k in plan.ids:
+        trace.wrote[at + plan.ids.index(k)] = value
     else:
-        ids.append(k)
-        wrote.append(value)
-    trace.writes[t - 1] = plan._replace(ids=ids), wrote
+        trace.wrote.insert(at + len(plan.ids), value)
+        trace.plans[t - 1] = plan._replace(ids=plan.ids + [k])
 
 
 def tight_instances(count=21, seed=404):

@@ -350,8 +350,9 @@ class TestMessageTrace:
         assert peak < 30 * 2 ** 20
 
     def test_a_traced_round_robin_run_keeps_each_steps_write(self):
-        # 20 000 one-edge steps on k4-appendix keep one int each; a dict of
-        # all 12 messages per step takes over twice the bound
+        # 20 000 one-edge steps on k4-appendix keep one int each, in one flat
+        # list beside the list of their plans; a (plan, values) pair per
+        # step takes over the bound, a dict of all 12 messages over six times it
         import tracemalloc
         g = load_fixture("k4-appendix")
         tracemalloc.start()
@@ -361,7 +362,7 @@ class TestMessageTrace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(run.trace) == 20001 and peak < 6 * 2 ** 20
+        assert len(run.trace) == 20001 and peak < 2.5 * 2 ** 20
 
 
 class TestWork:
@@ -389,6 +390,14 @@ class TestWork:
         steps = 37
         res = run_async(c4, make_schedule(c4, "roundrobin"), stop=StopPolicy.budget(steps))
         assert res.iterations == steps
+        assert len(calls) == c4.n + steps
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_random_single_edge_steps_recompute_one_head(self, c4, calls, seed):
+        from bpmatch import make_schedule, run_async
+        steps = 53
+        res = run_async(c4, make_schedule(c4, "random", seed=seed), stop=StopPolicy.budget(steps))
+        assert res.iterations == res.computed == steps
         assert len(calls) == c4.n + steps
 
     def test_mixed_steps_recompute_each_distinct_head_once(self, c4, calls):
@@ -431,6 +440,26 @@ class TestKernelPaths:
         for stop in (StopPolicy.budget(300), StopPolicy.coverage(0)):
             res = run_async(g, make_schedule(g, kind, seed=seed), stop=stop, mode=mode)
             assert res.computed > 0 and kernel == []
+
+    @pytest.mark.parametrize("kind, seed", [("roundrobin", None), ("random", 5), ("random", 9)])
+    def test_single_edge_schedules_compile_each_edge_once(self, kind, seed, kernel, monkeypatch):
+        # one _Plan, inside one one-edge record, per distinct directed edge
+        from bpmatch import engine
+        g = load_fixture("k4-appendix")
+        compiled = []
+        real = engine._Plan
+
+        def spy(ids, *args):
+            compiled.append(tuple(ids))
+            return real(ids, *args)
+
+        monkeypatch.setattr(engine, "_Plan", spy)
+        for keep_trace in (False, True):
+            compiled.clear()
+            res = run_async(g, make_schedule(g, kind, seed=seed), stop=StopPolicy.budget(500),
+                            keep_trace=keep_trace)
+            assert res.computed > 0 and kernel == []
+            assert sorted(compiled) == [(k,) for k in range(len(g.directed_edges()))]
 
     @pytest.mark.parametrize("name, mode", [("k4-appendix", PERFECT), ("tri-half", NONPERFECT)])
     def test_sync_runs_call_round_once_per_computed_round(self, name, mode, kernel):
@@ -611,8 +640,8 @@ class TestCycleJump:
         found = []
         real = engine._lasting
 
-        def spy(first, middle, steps, rank, mode):
-            found.append((first, len(steps) // 2, real(first, middle, steps, rank, mode)))
+        def spy(first, middle, steps, *args):
+            found.append((first, len(steps) // 2, real(first, middle, steps, *args)))
             return found[-1][2]
 
         monkeypatch.setattr(engine, "_lasting", spy)
@@ -767,9 +796,9 @@ class TestCycleJump:
         recorded = []
         real = engine._lasting
 
-        def spy(first, middle, steps, rank, mode):
+        def spy(first, middle, steps, *args):
             recorded.append(len(steps))
-            return real(first, middle, steps, rank, mode)
+            return real(first, middle, steps, *args)
 
         monkeypatch.setattr(engine, "_lasting", spy)
         tracemalloc.start()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, GraphError,
                      RedundantScheduleError, ScheduleExhausted, make_schedule,
                      parse_schedule, serialize_schedule, validate_schedule,
                      coverage, run_async, run_sync, init_messages, brute_force,
-                     solve_relaxation, coverage_threshold, MessageInit)
+                     solve_relaxation, coverage_threshold, MessageInit, is_tight)
 from bpmatch.harness import random_instance, solve_pipeline
 from conftest import async_step, load_fixture, random_graph_any, sync_rounds
 
@@ -94,8 +95,13 @@ def _reference_random_prefix(g, seed, horizon):
     return out[:horizon]
 
 
+# the complete graph on 9 vertices: 72 re-updatable directed edges, each
+# fed by 7, so a cycle draws from ready lists of 1 to 64 edges and more
+K9 = Graph(9, [1] * 9, [(i, j, (7 * i + 3 * j) % 11 - 5) for i, j in combinations(range(1, 10), 2)])
+
+
 def _pinned_graphs():
-    """The fixtures, and six random_instance draws per mode: several have
+    """The fixtures, six random_instance draws per mode and K9: several have
     vertices of capacity 2, and in non-perfect mode one has an edge that
     is updated only once beside 19 re-updatable ones, and one has six such
     edges and no re-updatable edge."""
@@ -105,7 +111,7 @@ def _pinned_graphs():
         rng = random.Random(0)
         out += [pytest.param(random_instance(rng, 7, mode), id=f"{mode}-{k}")
                 for k in range(6)]
-    return out
+    return out + [pytest.param(K9, id="k9")]
 
 
 @pytest.mark.parametrize("g", _pinned_graphs())
@@ -114,6 +120,43 @@ def test_random_schedule_is_pinned(g, seed):
     horizon = 10 * len(g.directed_edges())  # at least ten cycles
     got = make_schedule(g, "random", seed=seed).prefix(horizon)
     assert got == _reference_random_prefix(g, seed, horizon)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_random_draws_from_ready_lists_past_64(monkeypatch, seed):
+    # the draws after the first cycle's shuffle take k random bits for a
+    # ready list of 2^(k-1) to 2^k - 1 edges; K9's cycles take every k up
+    # to 7, so the pinned schedules cover lists past 16, 32 and 64
+    widths = set()
+
+    class Spy(random.Random):
+        drawing = False
+
+        def shuffle(self, x):
+            super().shuffle(x)
+            self.drawing = True
+
+        def getrandbits(self, k):
+            if self.drawing:
+                widths.add(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "Random", Spy)
+    make_schedule(K9, "random", seed=seed).prefix(10 * len(K9.directed_edges()))
+    assert {5, 6, 7} <= widths
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 12345])
+def test_rejection_draw_is_randrange(seed):
+    # the random schedule draws each index as randrange does: k =
+    # n.bit_length() random bits, drawn again while they name no index
+    mine, theirs = random.Random(seed), random.Random(seed)
+    for n in [n for n in range(1, 301) for _ in range(3)]:
+        k = n.bit_length()
+        r = mine.getrandbits(k)
+        while r >= n:
+            r = mine.getrandbits(k)
+        assert r == theirs.randrange(n), n
 
 
 def test_random_cycles_rarely_repeat_the_previous_order(c4):
@@ -227,6 +270,21 @@ class TestRunAsync:
             sched = make_schedule(k4, "random", seed=seed)
             res = run_async(k4, sched, stop=StopPolicy.coverage(thr))
             assert res.estimate.edges == opts[0], seed
+
+    @pytest.mark.parametrize("kind, seed", [("roundrobin", None), ("random", 8), ("random", 21)])
+    def test_a_coverage_stop_fires_at_the_first_step_past_its_threshold(self, kind, seed):
+        # a tight cubic instance on 6 vertices, K3,3; the round-robin run
+        # jumps whole periods of a message cycle toward the stop, the random
+        # ones step every update
+        g = Graph(6, [1] * 6, [(1, 4, 3), (1, 5, 8), (1, 6, 5), (2, 4, 7), (2, 5, 2), (2, 6, 9),
+                               (3, 4, 6), (3, 5, 4), (3, 6, 1)])
+        assert is_tight(g, PERFECT).tight
+        sched = make_schedule(g, kind, seed=seed)
+        res = run_async(g, sched, stop=StopPolicy.coverage(90))
+        t = res.iterations
+        assert res.converged and (kind == "random") == (res.computed == t)
+        assert coverage(g, sched, t - 1).u <= 90 < res.coverage.u
+        assert res.coverage == coverage(g, sched, t)
 
     def test_unknown_mode_rejected(self, c4):
         with pytest.raises(GraphError, match="unknown mode"):
