@@ -170,7 +170,6 @@ class BranchValue:
 
 
 _NO_TIES = frozenset()
-_SCALE = object()  # the memo key of the scale its values are multiplied by
 
 
 @dataclass(frozen=True)
@@ -183,24 +182,20 @@ class TreeDPResult:
     ties: frozenset       # labels whose selection threshold was non-strict
 
 
-def _solve(g: Graph, branches, init, memo) -> int:
+def _solve(g: Graph, branches, init, scale, memo):
     """Solve in scaled ints every node at or under the (node, parent label)
-    pairs `branches` that `memo` lacks; returns the memo's scale.
+    pairs `branches` that `memo` lacks.
 
     memo[node] is (n, w_minus, ties) for the branch hanging at `node`:
-    W+ - W- and W-, both times the scale, and the labels with a non-strict
-    selection threshold in its subtree.  The scale is the least common
-    denominator of the graph's weights and of the `init` values, worked out
-    on the memo's first call.  A leaf has n = its edge weight (or init
-    value) and W- = 0.  An internal node labeled i with edge weight w
-    includes its b_i cheapest children (by n) in W- and b_i - 1 of them in
-    W+, so n = w - (b_i-th smallest child n), the engine's update rule.
-    The DP only adds, subtracts and compares, so every value is an exact
-    int."""
-    scale = memo.get(_SCALE)
-    if scale is None:
-        values = chain(g.weights().values(), init.values() if init is not None else ())
-        scale = memo[_SCALE] = lcm(*(v.denominator for v in values))
+    W+ - W- and W-, both times `scale`, and the labels with a non-strict
+    selection threshold in its subtree.  `scale` is a common denominator
+    of the graph's weights and of the `init` values, the same for every
+    call on one memo; an edge value it does not fit raises TreeError.  A
+    leaf has n = its edge weight (or init value) and W- = 0.  An internal
+    node labeled i with edge weight w includes its b_i cheapest children
+    (by n) in W- and b_i - 1 of them in W+, so n = w - (b_i-th smallest
+    child n), the engine's update rule.  The DP only adds, subtracts and
+    compares, so every value is an exact int."""
     # post-order over distinct unsolved nodes: a node is solved when it is
     # back on top of the stack with all its children solved
     stack = list(branches)[::-1]
@@ -231,7 +226,6 @@ def _solve(g: Graph, branches, init, memo) -> int:
             ties |= {node.label}
         memo[node] = (_up(w, scale) - diffs[a - 1],
                       sum(m for _, m, _ in solved) + sum(diffs[:a]), ties)
-    return scale
 
 
 def _up(v, scale) -> int:
@@ -252,16 +246,20 @@ def tree_bmatching_dp(tree: LabeledTree, init=None, memo=None) -> TreeDPResult:
     value replaces the leaf edge weight, which reproduces runs started from
     arbitrary initial messages.
 
-    `memo` is _solve's: the scale and each solved branch's scaled values;
-    only the root's BranchValues and the total are Fractions.  A branch's
-    value depends only on the node and `init`, so one memo passed to every
-    call over the trees of one builder and one `init` solves each shared
-    branch once; by default every call starts a fresh memo."""
+    The DP runs in ints scaled by the least common denominator of the
+    graph's weights and the `init` values, worked out on each call; only
+    the root's BranchValues and the total are Fractions.  `memo` is
+    _solve's, each solved branch's scaled values.  A branch's value depends
+    only on the node and `init`, so one memo passed to every call over the
+    trees of one builder and one `init` solves each shared branch once; by
+    default every call starts a fresh memo."""
     g = tree.graph
     if memo is None:
         memo = {}
     root = tree.root
-    scale = _solve(g, [(c, root.label) for c in root.children], init, memo)
+    values = chain(g.weights().values(), init.values() if init is not None else ())
+    scale = lcm(*(v.denominator for v in values))
+    _solve(g, [(c, root.label) for c in root.children], init, scale, memo)
     kids = [(c.label, memo[c]) for c in root.children]
     branches = {label: BranchValue(Fraction(n + m, scale), Fraction(m, scale))
                 for label, (n, m, _) in kids}

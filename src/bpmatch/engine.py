@@ -142,13 +142,15 @@ def init_messages(g: Graph, init: MessageInit | None = None) -> MessageState:
 
 
 class MessageTrace(Sequence):
-    """A traced run's states, built when read from its step log: `start`,
-    the messages at step 0, plans[t - 1], the _Plan of step t, and `wrote`,
-    the values each step wrote to the edges of its plan, in step order,
-    one flat list; all ints scaled by `scale`, edges in `dirs` order.  A
-    read, a slice or an iteration replays the log once: zip(plan.ids,
-    values), with `values` one iterator over `wrote`, takes a step's own
-    values and leaves the next step's in it."""
+    """A run's step log: a traced run's every step, or the two periods a
+    run records to prove a translation (see _run and _lasting).  Its states
+    are built when read: `start`, the messages at step 0 of the log,
+    plans[t - 1], the _Plan of step t, and `wrote`, the values each step
+    wrote to the edges of its plan, in step order, one flat list; all ints
+    scaled by `scale`, edges in `dirs` order.  A read, a slice or an
+    iteration replays the log once: zip(plan.ids, values), with `values`
+    one iterator over `wrote`, takes a step's own values and leaves the
+    next step's in it."""
 
     def __init__(self, dirs, scale, start, plans, wrote):
         self.dirs, self.scale, self.start, self.plans, self.wrote = dirs, scale, start, plans, wrote
@@ -413,17 +415,17 @@ class RunResult:
     period: int | None
     history: list
     stop: StopPolicy
-    # every state of a traced run, read from its step log
+    # every state of a traced run, read from the run's step log
     trace: MessageTrace | None = None
     coverage: CoverageStats | None = None
     schedule_kind: str | None = None
-    # (mark_t, p), in steps: the last cycle of its messages that a run
-    # without a trace under a repeating schedule found, and proved to hold
-    # through step mark_t + p, or mark_t + 2p for a translation: the
-    # messages after step mark_t + p equal those after step mark_t, or
-    # differ from them as those after step mark_t + 2p differ from those
-    # after mark_t + p (a translation, see _lasting); p is a whole number of
-    # schedule periods; None when no cycle was found or sought
+    # (s, p), in steps: the last cycle of its messages that a run without
+    # a trace under a repeating schedule found, and proved to hold through
+    # step s + p, or s + 2p for a translation: the messages after step
+    # s + p equal those after step s, or differ from them as those after
+    # step s + 2p differ from those after s + p (a translation, see
+    # _lasting); p is a whole number of schedule periods; None when no
+    # cycle was found or sought
     cycle: tuple | None = None
     # the steps the kernel computed: iterations less the steps jumped
     computed: int = 0
@@ -488,13 +490,13 @@ _SPAN = 64
 _PROBES = 16
 
 
-def _lasting(start, mid, steps, wrote, rank, mode):
-    """How many periods a translation lasts.  `start` and `mid` hold the
-    scaled messages after steps T and T + p of a run whose schedule repeats
-    with period p from T on, `steps` the plan of each step T + 1 ..
-    T + 2p and `wrote` the values they wrote, logged as MessageTrace logs
-    them; the second period moved the messages as the first did:
-    m(T + 2p) - m(T + p) = mid - start.  With a_j =
+def _lasting(log, mid, rank, mode):
+    """How many periods a translation lasts.  `log` is the MessageTrace of
+    steps T + 1 .. T + 2p of a run whose schedule repeats with period p
+    from T on: log.start holds the scaled messages after step T, and
+    log.plans and log.wrote each step's plan and writes.  `mid` holds the
+    messages after step T + p, and the second period moved the messages as
+    the first did: m(T + 2p) - m(T + p) = mid - log.start.  With a_j =
     m(T + j) and d_j = m(T + p + j) - a_j, let K be the largest k such
     that, for every k' <= k and phase j < p, a_j + k'*d_j ranks the
     incoming messages of each vertex of `rank` as a_j does (by value, ties
@@ -514,13 +516,14 @@ def _lasting(start, mid, steps, wrote, rank, mode):
     heads are every vertex."""
     # 0 ranks as the message of a label 0, before a message equal to it
     zero = [(0, 0, 0)] if mode != PERFECT else []
-    p = len(steps) // 2
-    a = list(start)
-    d = list(map(sub, mid, start))
+    p = len(log.plans) // 2
+    a = list(log.start)
+    d = list(map(sub, mid, log.start))
+    wrote = log.wrote
     once, twice = iter(wrote), iter(wrote[len(wrote) // 2:])
     heads = rank
     last = None
-    for plan in steps[:p]:
+    for plan in log.plans[:p]:
         for _, nbrs, _, read in heads:
             ranked = sorted(chain(zip(read(a), nbrs, read(d)), zero))
             for (x, lx, dx), (y, ly, dy) in zip(ranked, ranked[1:]):
@@ -573,18 +576,19 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     t >= s and (t - s) % L == 0, is a function of the messages there, and
     a run without a trace skips the cycles of its messages, which it seeks
     at period boundaries only.  As Brent's cycle finding does, it marks a
-    copy of the messages at the boundaries 1, 2, 4, ... periods after
-    `base` (at first step s), and it keeps _PROBES of the messages
+    snapshot (t, messages, counts) at the boundaries 1, 2, 4, ... periods
+    after `base` (at first step s), and it keeps _PROBES of the messages
     (`probe`) of its last 2*_SPAN + 1 boundaries: a period costs one list
     compare and, up to _SPAN periods after a mark, one compare of probes.
     - An exact cycle: at the first boundary t whose messages equal the
-      mark's, the run is periodic from mark_t on, with p = t - mark_t.
+      mark's, the run is periodic from the mark's step on, p steps later.
     - A translation, m(t + p) = m(t) + d_(t mod p): at a boundary whose
-      probes moved alike in the last two periods of p = t - mark_t steps,
-      the run records the messages there and one period on, and what each
-      step writes, over the next two periods.  If the second period moved
-      the messages as the first did, _lasting proves how many more periods
-      the translation lasts.  Either way the run then looks for the next
+      probes moved alike in the last two periods of p steps since the
+      mark, the run logs the next two periods as a trace logs its steps,
+      in a MessageTrace that starts at that boundary, and takes a snapshot
+      one period on.  If the second period moved the messages as the
+      first did, _lasting proves from the log how many more periods the
+      translation lasts.  Either way the run then looks for the next
       cycle, with this boundary as `base`.
     The run skips as many whole periods as the cycle lasts and the stop
     cannot hold in (_periods): a budget stop to just short of its count, a
@@ -594,12 +598,14 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     or not at all when a gap between changes is longer than the window.
     The history repeats its last p entries, last_change moves by the
     skipped steps when it lies inside the cycle, each count grows by k
-    times its growth over the cycle, and a translation adds k times its
-    shift to the messages and ranks them again.  The step iterator needs no
-    advancing: k whole periods bring the schedule back to the same phase.
-    An exact cycle lasts for ever, so the run then steps the updates that
-    remain and seeks no further.  A schedule that does not repeat, and a
-    trace, which logs every step (MessageTrace), make the run step every update.
+    times its growth over the cycle (since the snapshot at its start), and
+    a translation adds k times its shift to the messages and ranks them
+    again.  The step iterator needs no advancing: k whole periods bring
+    the schedule back to the same phase.  An exact cycle lasts for ever,
+    so the run then steps the updates that remain and seeks no further.  A
+    schedule that does not repeat, and a trace, which logs every step in
+    the same MessageTrace and is returned as RunResult.trace, make the run
+    step every update.
     RunResult.computed counts the steps computed."""
     init = init or MessageInit.weights()
     if init.kind == "weights":
@@ -674,21 +680,22 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         window_size, limit = g.n, None
 
     # a coverage stop needs every count above the threshold, i.e. at least
-    # `need`; `pending` counts the directed edges still short of it
+    # `need`; `pending` counts the directed edges still short of it, and the
+    # stop holds once none is
     counts = [0] * len(dirs) if count else None
-    need = floor(stop.threshold) + 1 if stop.kind == "coverage" else 0
+    covering, windowed = stop.kind == "coverage", stop.kind == "window"
+    need = floor(stop.threshold) + 1 if covering else 0
     pending = len(dirs) if need > 0 else 0
-    # cycle finding at the period boundaries `nxt`: `mark` holds a copy of
-    # the messages at step mark_t, a power of two periods past `base`, and
-    # `held` the counts there; `probes` the probed messages of the last
-    # boundaries; and `record` the plan of each step since `first`, the
-    # messages at a boundary whose probes moved alike over its last two
-    # periods of q steps (`middle` one period on, with the counts there),
-    # and `wrote` the values those steps wrote, as a trace logs them;
-    # `seek` ends at the first exact cycle
+    # `log` is the run's step log, a MessageTrace: its trace, or else the
+    # steps since a period boundary whose probes moved alike over its last
+    # two periods of q steps (`middle` is the snapshot one period on).
+    # Cycle finding at the period boundaries `nxt`: `mark` is the snapshot
+    # (t, messages, counts) at a power of two periods past `base`, `probes`
+    # the probed messages of the last boundaries; `seek` ends at the first
+    # exact cycle
     seek = repeats is not None and not keep_trace
-    mark, mark_t, cycle, skipped = None, 0, None, 0
-    start, record, wrote = (list(msgs), [], []) if keep_trace else (None, None, None)
+    mark, cycle, skipped = (0, None, None), None, 0
+    log = MessageTrace(dirs, net.scale, list(msgs), [], []) if keep_trace else None
     if seek:
         base, length = repeats
         probe = _gather(range(0, len(dirs), max(1, -(-len(dirs) // _PROBES))))
@@ -698,13 +705,11 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             probes.append(probe(msgs))
             nxt = length
     t = 0
-    covering, windowed = stop.kind == "coverage", stop.kind == "window"
     # the step at which a budget, or a window's limit, stops the run
     end = stop.iterations if stop.kind == "budget" else limit if windowed else inf
     perfect = mode == PERFECT
-    stop_met = covering and not pending
     it = iter(steps)
-    while not stop_met:
+    while pending or not covering:
         if t >= end or windowed and t - last_change >= window_size:
             break
         updates = next(it)
@@ -725,9 +730,9 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                 counts[k] = c = counts[k] + 1
                 if c == need:
                     pending -= 1
-            if record is not None:
-                record.append(plan)
-                wrote.append(v)
+            if log is not None:
+                log.plans.append(plan)
+                log.wrote.append(v)
         else:
             msgs = _round(msgs, mode, plan, lo, hi, free)
             touched = refresh(plan.heads)
@@ -736,9 +741,9 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                     counts[k] += 1
                     if counts[k] == need:
                         pending -= 1
-            if record is not None:
-                record.append(plan)
-                wrote += plan.own(msgs)
+            if log is not None:
+                log.plans.append(plan)
+                log.wrote.extend(plan.own(msgs))
         if touched:
             now = frozenset(cur)
             if now != edges:
@@ -747,29 +752,29 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         history.append(edges)
         if seek and t == nxt:
             nxt += length
-            p = t - mark_t
+            p = t - mark[0]
             found = lasting = past = None
             probes.append(probe(msgs))
-            if msgs == mark:
+            if msgs == mark[1]:
                 # an exact cycle, the translation by 0: no order can flip
-                found, seek, since, record, wrote = (mark_t, p), False, held, None, None
-            elif record is not None:
-                if len(record) == q:
-                    middle, kept = list(msgs), counts and list(counts)
-                elif len(record) == 2 * q:
+                found, seek, since, log = (mark[0], p), False, mark[2], None
+            elif log is not None:
+                if len(log.plans) == q:
+                    middle = (t, list(msgs), counts and list(counts))
+                elif len(log.plans) == 2 * q:
                     # two periods recorded: a translation if the second
                     # moved the messages as the first did, for as long as
                     # the orders of their steps hold
-                    past = middle
-                    if all(map(eq, map(sub, msgs, middle), map(sub, middle, first))):
-                        found, p, since = (t - 2 * q, q), q, kept
-                        lasting = _lasting(first, middle, record, wrote, rank[1:], mode)
-            elif (mark is not None and 2 * (n := p // length) < len(probes)
+                    past = middle[1]
+                    if all(map(eq, map(sub, msgs, past), map(sub, past, log.start))):
+                        found, p, since = (t - 2 * q, q), q, middle[2]
+                        lasting = _lasting(log, past, rank[1:], mode)
+            elif (mark[1] is not None and 2 * (n := p // length) < len(probes)
                   and all(map(eq, map(sub, probes[-1], probes[-1 - n]),
                               map(sub, probes[-1 - n], probes[-1 - 2 * n])))):
                 # the probed messages moved alike in the last two periods:
                 # record the next two
-                record, wrote, q, first = [], [], p, list(msgs)
+                log, q = MessageTrace(dirs, net.scale, list(msgs), [], []), p
             if found and (lasting is None or lasting >= 0):
                 cycle = found
                 grown = None if counts is None else list(map(sub, counts, since))
@@ -796,16 +801,14 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             if past is not None:
                 # after two recorded periods, a translation or not, look for
                 # the next cycle from this boundary on
-                base, mark, record, wrote = t, None, None, None
+                base, mark, log = t, (0, None, None), None
             elif seek and (n := (t - base) // length) and not n & (n - 1):
-                mark, mark_t, held = list(msgs), t, counts and list(counts)
-        if covering:
-            stop_met = not pending
+                mark = (t, list(msgs), counts and list(counts))
 
     est = Estimate(edges, {i: sel[i] for i in g.vertices()},
                    frozenset(i for i in g.vertices() if tie[i]))
     stable_for = t - last_change
-    converged = stop_met if covering else stable_for >= window_size
+    converged = not pending if covering else stable_for >= window_size
     period = None
     if not converged:
         period = detect_period(history, max(window_size, 2))
@@ -814,8 +817,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     return RunResult(mode=mode, estimate=est, iterations=t, stabilized_at=last_change,
                      stable_for=stable_for, converged=converged, period=period,
                      history=history, stop=stop, coverage=cov, cycle=cycle, computed=t - skipped,
-                     trace=MessageTrace(dirs, net.scale, start, record, wrote) if keep_trace
-                     else None)
+                     trace=log if keep_trace else None)
 
 
 def run_sync(g: Graph, mode: str = PERFECT, init: MessageInit | None = None,

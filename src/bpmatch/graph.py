@@ -386,9 +386,9 @@ def reduce_trivial(g: Graph) -> Reduction:
     Forcing an edge consumes one unit of the neighbor's capacity, so
     neighbors are decremented and the cascade repeats: vertices whose
     capacity reaches zero are deleted along with their remaining edges.
-    Any vertex ending with fewer edges than capacity, or negative capacity,
-    proves the perfect matching infeasible.  When nothing is forced or
-    removed, the reduction's graph is `g` itself.
+    Any vertex ending with fewer edges than capacity proves the perfect
+    matching infeasible.  When nothing is forced or removed, the
+    reduction's graph is `g` itself.
     """
     alive = set(g.vertices())
     b = {i: g.cap(i) for i in alive}
@@ -402,10 +402,9 @@ def reduce_trivial(g: Graph) -> Reduction:
         adj.pop(v)
         alive.discard(v)
 
+    # each forced edge takes one unit from a neighbor whose capacity is at
+    # least 1 (vertices at 0 are dropped first), so none goes negative
     while True:
-        if any(b[i] < 0 for i in alive):
-            infeasible = True
-            break
         exhausted = sorted(i for i in alive if b[i] == 0)
         if exhausted:
             for v in exhausted:

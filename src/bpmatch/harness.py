@@ -115,7 +115,7 @@ class ExperimentReport:
             return 5
         return 0
 
-    def to_dict(self, include_timing=False):
+    def to_dict(self):
         out = {
             "instance": self.instance,
             "n": self.n,
@@ -148,8 +148,6 @@ class ExperimentReport:
         if self.match is not None:
             out["match"] = self.match
         out["exit_code"] = self.exit_code()
-        if include_timing:
-            out["wall_time_s"] = round(self.wall_time, 4)
         return out
 
 
@@ -396,10 +394,12 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     kind means the all-edges schedule, whose trees are the balanced ones.
 
     One forward pass: step t solves the branches new at t and applies the
-    trace's writes at t, both ints of one scale (the least common denominator
-    of the weights and init values).  The node cap is checked at t_max only,
-    as unrolled sizes never shrink with t.  A root ranks its incoming values
-    by _select on the engine's side, by (value, label) on the DP's."""
+    trace's writes at t, both ints of the run's scale, trace.scale (the
+    least common denominator of the weights and init values), which the DP
+    is handed; a tree value off that scale raises TreeError rather than
+    reading as a mismatch.  The node cap is checked at t_max only, as
+    unrolled sizes never shrink with t.  A root ranks its incoming values by
+    _select on the engine's side, by (value, label) on the DP's."""
     rows, first = [], None
     init_map = init.build(g) if init is not None and init.kind != "weights" else None
     sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
@@ -415,7 +415,7 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     roots = [(i, g.neighbors(i), g.cap(i), itemgetter(*((r, i) for r in g.neighbors(i))))
              for i in g.vertices()]
     for t, new in enumerate(builder.grown):
-        _solve(g, [(node, j) for (_, j), node in new.items()], init_map, memo)
+        _solve(g, [(node, j) for (_, j), node in new.items()], init_map, trace.scale, memo)
         for e, node in new.items():
             want[e], depth[e] = memo[node][0], node.depth
             counts[e] += 1

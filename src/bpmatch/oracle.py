@@ -445,12 +445,12 @@ def tightness_by_enumeration(g: Graph, mode: str, lp_objective: Fraction,
     _, points = _min_points(g, mode, edges, (0, 1, 2), lp_objective)
     if not points:
         raise OracleError("no optimal half-integral point found; wrong objective value?")
+    # the search meets points in lexicographic order, and between two
+    # integral optima lies their midpoint, optimal and half-integral: so a
+    # second point met is fractional
     if 1 in points[-1]:
         return False, {e: Fraction(d, 2) for e, d in zip(edges, points[-1])}
-    if len(points) == 1:
-        return True, None
-    # two integral optima: their midpoint
-    return False, {e: Fraction(a + b, 4) for e, a, b in zip(edges, *points)}
+    return True, None
 
 
 # -- iteration bound --------------------------------------------------------------------

@@ -97,16 +97,21 @@ class Schedule:
 
 # -- generators ----------------------------------------------------------------
 
-def _reupdatable(g: Graph):
-    """Directed edges that can be updated more than once without redundancy:
-    largest set in which every edge has a feeding edge also in the set."""
-    alive = set(g.directed_edges())
-    while True:
-        dead = {(i, j) for (i, j) in alive
-                if not any((l, i) in alive for l in g.neighbors(i) if l != j)}
-        if not dead:
-            return alive
+def _split(g: Graph):
+    """(once, repeat): the directed edges that cannot be re-updated without
+    redundancy, in directed_edges() order, and the sorted rest, the largest
+    set in which every edge has a feeding edge also in the set.  The peel
+    drops, pass by pass, the edges with no feeder left in the set; after
+    the first pass, only the edges that a dropped edge fed can have lost
+    their last feeder, so only they are checked again."""
+    dirs = g.directed_edges()
+    alive, suspects = set(dirs), dirs
+    while suspects:
+        dead = {(i, j) for (i, j) in suspects if (i, j) in alive
+                and not any((l, i) in alive for l in g.neighbors(i) if l != j)}
         alive -= dead
+        suspects = {(i, k) for (l, i) in dead for k in g.neighbors(i) if k != l}
+    return [e for e in dirs if e not in alive], sorted(alive)
 
 
 def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
@@ -139,8 +144,7 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         return Schedule("sync", factory=lambda: forever(every), repeats=(0, 1))
 
     if kind == "roundrobin":
-        repeat = sorted(_reupdatable(g))
-        once = [e for e in dirs if e not in set(repeat)]
+        once, repeat = _split(g)
         singles = [frozenset((e,)) for e in repeat]
 
         def factory():
@@ -154,8 +158,7 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
                         repeats=(len(once), len(repeat) or 1))
 
     if kind == "random":
-        repeat = sorted(_reupdatable(g))
-        once = [e for e in dirs if e not in set(repeat)]
+        once, repeat = _split(g)
         # cycles are drawn as indices into `repeat`, so the ready list keeps
         # `repeat` order; fed[e] lists the edges that e feeds
         index = {e: k for k, e in enumerate(repeat)}

@@ -2,8 +2,9 @@
 
 The same checks made tree by tree: for every t <= t_max and every root,
 the builder's generalized computation tree of that root at t, its tree DP
-over one shared memo, every engine message of the trace scaled afresh, the
-root's selection on both sides and the tree's depth against u(t).  Tests
+over one shared memo, in the scale it works out from the weights and init
+values, every engine message of the trace scaled afresh, the root's
+selection on both sides and the tree's depth against u(t).  Tests
 compare `tree_verify` with `tree_verify` here, (rows, ok, first) for
 (rows, ok, first).
 """
@@ -11,6 +12,8 @@ compare `tree_verify` with `tree_verify` here, (rows, ok, first) for
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from bpmatch.ctree import GCTBuilder, _solve, tree_depth
 from bpmatch.engine import MessageInit, StopPolicy, _select
@@ -26,6 +29,8 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
     builder = GCTBuilder(g, sched, t_max)
     memo = {}
+    values = chain(g.weights().values(), init_map.values() if init_map is not None else ())
+    scale = lcm(*(v.denominator for v in values))
     run = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True)
     counts = dict.fromkeys(g.directed_edges(), 0)
     u = [0]
@@ -37,7 +42,7 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
         m = run.trace[t].m
         for root in g.vertices():
             tree = builder.gct(root, t)
-            scale = _solve(g, [(c, root) for c in tree.root.children], init_map, memo)
+            _solve(g, [(c, root) for c in tree.root.children], init_map, scale, memo)
             nbrs = g.neighbors(root)
             want = [memo[c][0] for c in tree.root.children]
             got = [_scaled(m[(r, root)], scale) for r in nbrs]

@@ -3,9 +3,12 @@ import sys
 
 import pytest
 
-from bpmatch import PERFECT, fixture_path, parse_certificate, parse_graph
+from bpmatch import (PERFECT, StopPolicy, fixture_path, make_schedule, parse_certificate,
+                     parse_graph, parse_schedule, reduce_trivial, run_async)
 from bpmatch import cli
 from bpmatch.cli import main
+from bpmatch.harness import solve_pipeline
+from conftest import load_fixture
 
 
 def fx(name):
@@ -228,6 +231,53 @@ class TestSolve:
                                "--stop", f"budget={3 * len(order)}", "--certify")
         assert code == 0 and "match vs oracle: True" in out
 
+    def test_schedule_file_on_a_reduced_instance(self, capsys, tmp_path):
+        # vertex 1 is trivial: forcing 1-2 uses up vertex 2, and what is left
+        # is c4 on vertices 3..6, so the file's steps, named in the input
+        # graph's labels, are relabeled onto the reduced instance
+        graph = tmp_path / "pendant.graph"
+        graph.write_text("6 6\n1 1 1 1 1 1\n1 2 1\n2 3 7\n3 4 1\n4 5 2\n5 6 1\n3 6 3\n")
+        g = parse_graph(graph.read_text())
+        order = [(i, j) for (i, j) in g.directed_edges() if i > 2 and j > 2]
+        path = tmp_path / "sched.txt"
+        path.write_text("".join(f"{i}>{j}\n" for (i, j) in order) * 3)
+        code, out, _ = run_cli(capsys, "solve", str(graph), "--schedule", f"file={path}",
+                               "--stop", "budget=24", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["estimate"] == [[1, 2], [3, 4], [5, 6]]
+        assert "schedule relabeled onto the reduced instance" in payload["notes"]
+        reduction = reduce_trivial(g)
+        assert reduction.graph == load_fixture("c4")
+        sets = [{(i - 2, j - 2)} for (i, j) in order] * 3
+        report = solve_pipeline(g, PERFECT, schedule_kind="explicit",
+                                schedule_sets=parse_schedule(path.read_text(), g).prefix(24),
+                                stop_spec=("budget", 24))
+        want = run_async(reduction.graph, make_schedule(reduction.graph, "explicit", sets=sets),
+                         stop=StopPolicy.budget(24))
+        assert report.run == want
+
+    def test_redundant_schedule_file_needs_force(self, capsys, tmp_path):
+        # 1 -> 2 twice with no feeding update between, then round-robin
+        g = parse_graph(fixture_path("c4").read_text())
+        path = tmp_path / "redundant.sched"
+        path.write_text("1>2\n1>2\n" + "".join(f"{i}>{j}\n" for (i, j) in
+                                                  sorted(g.directed_edges())) * 100)
+        argv = ("solve", fx("c4"), "--schedule", f"file={path}", "--stop", "certified", "--json")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "redundant update of (1, 2) at step 2" in err
+        code, out, _ = run_cli(capsys, *argv, "--force")
+        payload = json.loads(out)
+        assert code == 0 and payload["certified"] is False and payload["match"] is True
+        assert "schedule validation waived; result uncertified" in payload["notes"]
+
+    def test_solve_emits_the_certificate_certify_emits(self, capsys, tmp_path):
+        solved, certified = tmp_path / "solve.cert", tmp_path / "certify.cert"
+        code, _, _ = run_cli(capsys, "solve", fx("k4-appendix"), "--certify",
+                             "--emit-cert", str(solved))
+        assert code == 0
+        assert run_cli(capsys, "certify", fx("k4-appendix"), "--emit-cert", str(certified))[0] == 0
+        assert solved.read_text() == certified.read_text() != ""
+
     def test_dual_file_override_gives_sharper_bound(self, capsys, tmp_path):
         cert = tmp_path / "c4.cert"
         cert.write_text("y 1 1/2\ny 2 1/2\ny 3 1/2\ny 4 1/2\n")
@@ -348,6 +398,13 @@ class TestTreeVerify:
     def test_single_edge_schedule_on_a_reduced_away_instance(self, capsys):
         code, out, err = run_cli(capsys, "tree-verify", fx("p4"), "--schedule", "roundrobin")
         assert code == 0 and err == "" and "checks passed" in out
+
+    def test_schedule_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "sched.txt"
+        path.write_text("1>2\n")
+        code, out, err = run_cli(capsys, "tree-verify", fx("c4"), "--schedule", f"file={path}")
+        assert code == 2 and out == ""
+        assert err == "error: tree-verify supports generated schedules only\n"
 
     def test_invalid_graph_is_a_validation_error(self, capsys, tmp_path):
         # capacity 2 at a degree-1 vertex: exit 2 before the reduction, as

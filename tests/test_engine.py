@@ -640,8 +640,8 @@ class TestCycleJump:
         found = []
         real = engine._lasting
 
-        def spy(first, middle, steps, *args):
-            found.append((first, len(steps) // 2, real(first, middle, steps, *args)))
+        def spy(log, middle, *args):
+            found.append((log.start, len(log.plans) // 2, real(log, middle, *args)))
             return found[-1][2]
 
         monkeypatch.setattr(engine, "_lasting", spy)
@@ -796,9 +796,9 @@ class TestCycleJump:
         recorded = []
         real = engine._lasting
 
-        def spy(first, middle, steps, *args):
-            recorded.append(len(steps))
-            return real(first, middle, steps, *args)
+        def spy(log, middle, *args):
+            recorded.append(len(log.plans))
+            return real(log, middle, *args)
 
         monkeypatch.setattr(engine, "_lasting", spy)
         tracemalloc.start()

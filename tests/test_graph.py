@@ -129,6 +129,30 @@ def test_every_reader_error(text, message, line, field):
     assert (str(err.value), err.value.line, err.value.field) == (message, line, field)
 
 
+# (n, capacities, edges, str(error)) for every check of Graph's constructor
+CONSTRUCTOR_ERRORS = [
+    (-1, [], [], "vertex count must be >= 0"),
+    (3, [1, 1], [(1, 2, 1)], "expected 3 capacities, got 2"),
+    (2, [1, 1, 1], [(1, 2, 1)], "expected 2 capacities, got 3"),
+    (2, [1, True], [(1, 2, 1)], "capacity of vertex 2 must be a positive integer, got True"),
+    (2, [1.0, 1], [(1, 2, 1)], "capacity of vertex 1 must be a positive integer, got 1.0"),
+    (2, ["1", 1], [(1, 2, 1)], "capacity of vertex 1 must be a positive integer, got '1'"),
+    (2, [1, 0], [(1, 2, 1)], "capacity of vertex 2 must be a positive integer, got 0"),
+    (2, [-1, 1], [(1, 2, 1)], "capacity of vertex 1 must be a positive integer, got -1"),
+    (2, [1, 1], [(1, 3, 1)], "edge (1,3) references a vertex outside 1..2"),
+    (2, [1, 1], [(0, 2, 1)], "edge (0,2) references a vertex outside 1..2"),
+    (3, [1, 1, 1], [(1, 2, 1), (2, 1, 5)], "duplicate edge (1, 2)"),
+    (2, [1, 1], [(2, 2, 1)], "self-loop at vertex 2"),
+]
+
+
+@pytest.mark.parametrize("n, caps, edges, message", CONSTRUCTOR_ERRORS)
+def test_every_constructor_error(n, caps, edges, message):
+    with pytest.raises(GraphError) as err:
+        Graph(n, caps, edges)
+    assert str(err.value) == message
+
+
 class TestWeights:
     @pytest.mark.parametrize("w", [0.1, 2.0, True, False])
     def test_float_and_bool_weights_rejected(self, w):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -170,6 +171,61 @@ def test_random_cycles_rarely_repeat_the_previous_order(c4):
     assert repeats < 29  # of 290 boundaries
 
 
+def _once_by_feeder_counts(g):
+    """The directed edges a schedule can update only once, edge by edge:
+    each edge counts its feeders still in play, an edge at zero leaves
+    play, and its leaving takes one feeder from each edge it feeds."""
+    fed_by = {(i, j): sum(1 for l in g.neighbors(i) if l != j) for (i, j) in g.directed_edges()}
+    gone = [e for e, c in fed_by.items() if c == 0]
+    out = set(gone)
+    while gone:
+        l, i = gone.pop()
+        for k in g.neighbors(i):
+            if k != l and (i, k) not in out:
+                fed_by[(i, k)] -= 1
+                if fed_by[(i, k)] == 0:
+                    out.add((i, k))
+                    gone.append((i, k))
+    return [e for e in g.directed_edges() if e in out]
+
+
+def _pendant_graph(kind):
+    """'paths': 1 100 vertices of average degree 6 and twenty 3-edge
+    pendant paths, 6 720 directed edges; 'tail': a triangle with a
+    2 000-edge pendant path, which the peel drops one edge per pass."""
+    rng = random.Random(28)
+    if kind == "tail":
+        edges = [(1, 2), (2, 3), (1, 3)] + [(k, k + 1) for k in range(3, 2003)]
+        return Graph(2003, [1] * 2003, [(i, j, rng.randint(1, 9)) for i, j in edges])
+    n = 1100
+    pairs = set()
+    while len(pairs) < 3 * n:
+        i, j = rng.sample(range(1, n + 1), 2)
+        pairs.add((min(i, j), max(i, j)))
+    edges = sorted(pairs)
+    for v in range(n + 1, n + 61, 3):
+        edges += [(rng.randint(1, n), v), (v, v + 1), (v + 1, v + 2)]
+    return Graph(n + 60, [1] * (n + 60), [(i, j, rng.randint(1, 9)) for i, j in edges])
+
+
+@pytest.mark.parametrize("shape, size, single", [("paths", 6720, 60), ("tail", 4006, 2000)])
+@pytest.mark.parametrize("kind", ["roundrobin", "random"])
+def test_schedule_construction_at_scale(shape, size, single, kind):
+    g = _pendant_graph(shape)
+    once = _once_by_feeder_counts(g)
+    assert len(g.directed_edges()) == size and len(once) >= single
+    t0 = time.perf_counter()
+    sched = make_schedule(g, kind, seed=5)
+    took = time.perf_counter() - t0
+    assert list(sched.once) == once
+    assert sched.repeats == (None if kind == "random" else (len(once), size - len(once)))
+    assert took < 0.5, took
+    # the single updates first, then one cycle over every other edge
+    steps = [e for s in sched.prefix(size) for e in s]
+    assert sorted(steps[:len(once)]) == sorted(once)
+    assert sorted(steps[len(once):]) == sorted(set(g.directed_edges()) - set(once))
+
+
 class TestCoverage:
     def test_full_sync_counts(self, c4):
         assert coverage(c4, make_schedule(c4, "sync"), 7).u == 7
@@ -334,6 +390,10 @@ class TestFiles:
         sched = parse_schedule(text, c4)
         assert sched.prefix(3) == [frozenset({(1, 2), (3, 4)}), frozenset(), frozenset({(2, 1)})]
         assert serialize_schedule(sched.prefix(3)) == text
+
+    def test_comment_lines_skipped(self, c4):
+        sched = parse_schedule("# step one:\n1>2\n  # no step\n\n2>1\n", c4)
+        assert sched.prefix(5) == [frozenset({(1, 2)}), frozenset(), frozenset({(2, 1)})]
 
     def test_bad_token(self, c4):
         with pytest.raises(ScheduleError):

@@ -24,11 +24,12 @@ def test_perfbench_selftest_passes():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize("workload", ["async-certify", "certify-sweep", "tree-verify"])
+@pytest.mark.parametrize("workload", ["async-certify", "certify-sweep", "solve-large", "tree-verify"])
 def test_perfbench_answers_pass_its_checkers(workload):
     # --seconds 0 runs the fewest rounds the benchmark takes; every answer is
     # checked against the benchmark's own references: coverage counted along
-    # the schedule, u(t) past the threshold, the exhaustive optimum
+    # the schedule, u(t) past the threshold, the exhaustive optimum, and on
+    # solve-large the min-cost-flow optimum
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "1", "--seconds", "0", "--trace", "0"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
