@@ -399,7 +399,13 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     is handed; a tree value off that scale raises TreeError rather than
     reading as a mismatch.  The node cap is checked at t_max only, as
     unrolled sizes never shrink with t.  A root ranks its incoming values by
-    _select on the engine's side, by (value, label) on the DP's."""
+    _select on the engine's side, by (value, label) on the DP's.
+
+    Every root is checked at t = 0, and after that only when one of its
+    in-edges got a new branch or a new message at t; otherwise its values,
+    its branches and so its flags are those of t - 1, and it keeps them.
+    Only the depth check is read again at every t, against the current
+    u(t).  So the checks cost O(n + sum |E(t)|) and the rows O(n t)."""
     rows, first = [], None
     init_map = init.build(g) if init is not None and init.kind != "weights" else None
     sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
@@ -408,27 +414,37 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     for root in g.vertices():
         builder.gct(root, t_max)
     # per directed edge: its branch's DP value and depth, scaled message and
-    # updates at t (grown[0] counts none); per root, a gather of its 2+ in-edges
+    # updates at t (grown[0] counts none); per root, a gather of its 2+
+    # in-edges, and its flags as last checked: messages, selection and the
+    # least depth of its in-edges' branches
     memo, want, depth, got = {}, {}, {}, dict(zip(trace.dirs, trace.start))
     wrote = iter(trace.wrote)
     counts = dict.fromkeys(g.directed_edges(), -1)
-    roots = [(i, g.neighbors(i), g.cap(i), itemgetter(*((r, i) for r in g.neighbors(i))))
-             for i in g.vertices()]
+    roots = {i: (g.neighbors(i), g.cap(i), itemgetter(*((r, i) for r in g.neighbors(i))))
+             for i in g.vertices()}
+    flags, head = dict.fromkeys(g.vertices()), itemgetter(1)
     for t, new in enumerate(builder.grown):
         _solve(g, [(node, j) for (_, j), node in new.items()], init_map, trace.scale, memo)
         for e, node in new.items():
             want[e], depth[e] = memo[node][0], node.depth
             counts[e] += 1
         u = min(counts.values(), default=0)
+        # a root's flags change only with its in-edges' branches or messages;
+        # grown[0] holds every edge, so at t = 0 every root is checked
+        dirty = set(map(head, new))
         for plan in trace.plans[t - 1:t] if t else ():
-            got.update(zip(map(trace.dirs.__getitem__, plan.ids), wrote))
-        for root, nbrs, b, into in roots:
+            written = list(map(trace.dirs.__getitem__, plan.ids))
+            got.update(zip(written, wrote))
+            dirty.update(map(head, written))
+        for root in dirty:
+            nbrs, b, into = roots[root]
             dp, vals = into(want), into(got)
-            msgs_ok = dp == vals
             chosen = sorted(zip(dp, nbrs))[:b]
             sel_ok = (sorted(label for _, label in chosen)
                       == sorted(_select(nbrs, b, vals, PERFECT)[0]))
-            depth_ok = 1 + min(into(depth)) >= u
+            flags[root] = (dp == vals, sel_ok, min(into(depth)))
+        for root, (msgs_ok, sel_ok, least) in flags.items():
+            depth_ok = 1 + least >= u
             rows.append({"root": root, "t": t, "messages": msgs_ok,
                          "selection": sel_ok, "depth": depth_ok})
             if first is None and not (msgs_ok and sel_ok and depth_ok):

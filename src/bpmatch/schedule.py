@@ -223,18 +223,17 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
 
 def parse_schedule(text: str, g: Graph) -> Schedule:
     """One line per step: whitespace-separated tokens "i>j", each directed
-    edge at most once per line; an empty line is an empty update set; lines
-    starting with '#' are skipped."""
+    edge at most once per line; an empty line is an empty update set.
+    Anything after '#' on a line is a comment, and a line that holds only a
+    comment is no step."""
     sets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            continue
-        if not stripped:
-            sets.append(frozenset())
+        line, comment, _ = raw.partition("#")
+        tokens = line.split()
+        if comment and not tokens:
             continue
         step = set()
-        for tok in stripped.split():
+        for tok in tokens:
             if ">" not in tok:
                 raise ScheduleError(f"line {lineno}: expected 'i>j', got {tok!r}")
             a, _, b = tok.partition(">")

@@ -242,8 +242,9 @@ class TestEquivalence:
 class TestVerifyFails:
     """tree_verify reports the first (root, t) where the engine and the tree
     DP disagree: one corrupted message fails the rows of its head from its
-    step until the edge is written again, one corrupted root selection
-    exactly that row; so does a tree one level short of u(t)."""
+    step until the edge is written again, one corrupted root selection the
+    rows of that root until one of its in-edges changes again; a tree one
+    level short of u(t) fails exactly that row."""
 
     @pytest.mark.parametrize("delta", [F(1), F(1, 7)])
     def test_a_wrong_message_fails_its_row(self, c4, monkeypatch, delta):
@@ -264,9 +265,30 @@ class TestVerifyFails:
         assert (first["root"], first["t"], first["messages"]) == (1, 3, False)
         assert [(r["root"], r["t"]) for r in rows if not r["messages"]] == [(1, 3), (1, 4), (1, 5)]
 
+    def test_a_wrong_message_no_step_wrote_fails_its_row(self, c4, monkeypatch):
+        # round-robin step 4 writes 2 -> 3 only, so the wrong value on 4 -> 1,
+        # one more write of step 4, is what marks root 1 for a check there;
+        # 4 -> 1 is written again at step 7
+        from bpmatch import harness
+        real = harness.run_async
+
+        def corrupted(*args, **kwargs):
+            run = real(*args, **kwargs)
+            corrupt_message(run.trace, 4, (4, 1), F(1))
+            return run
+
+        monkeypatch.setattr(harness, "run_async", corrupted)
+        rows, ok, first = tree_verify(c4, 8, "roundrobin")
+        assert not ok
+        assert (first["root"], first["t"], first["messages"]) == (1, 4, False)
+        assert [(r["root"], r["t"]) for r in rows if not r["messages"]] == [(1, 4), (1, 5), (1, 6)]
+
     def test_a_wrong_selection_fails_its_row(self, c4, monkeypatch):
-        # tree_verify asks _select once per (root, t), t in order: the
-        # fourth call at root 2 is t = 3, where it now picks the other edge
+        # tree_verify asks _select at a root at t = 0 and then only at the
+        # steps that change one of its in-edges: at root 2, the round-robin
+        # schedule writes 1 -> 2 at t = 1 and 3 -> 2 at t = 5, so its second
+        # call is t = 1, where it now picks the other edge, and the wrong
+        # flag lasts until t = 5, as a wrong message lasts until rewritten
         from bpmatch import harness
         real, calls = harness._select, []
 
@@ -274,16 +296,18 @@ class TestVerifyFails:
             chosen, *rest = real(nbrs, b, vals, mode)
             if nbrs is c4.neighbors(2):  # root 2, by its own neighbor tuple
                 calls.append(2)
-                if len(calls) == 4:
+                if len(calls) == 2:
                     chosen = tuple(j for j in nbrs if j not in chosen)
             return (chosen, *rest)
 
         monkeypatch.setattr(harness, "_select", corrupted)
         rows, ok, first = tree_verify(c4, 5, "roundrobin")
         assert not ok
-        assert first == {"root": 2, "t": 3, "messages": True, "selection": False,
+        assert first == {"root": 2, "t": 1, "messages": True, "selection": False,
                          "depth": True}
-        assert [(r["root"], r["t"]) for r in rows if not r["selection"]] == [(2, 3)]
+        assert [(r["root"], r["t"]) for r in rows if not r["selection"]] == [
+            (2, 1), (2, 2), (2, 3), (2, 4)]
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("depth", [1, 0])
     def test_a_tree_short_of_u_fails_its_depth_row(self, c4, monkeypatch, depth):
@@ -338,6 +362,29 @@ class TestWork:
         assert ok, first
         assert len(rows) == c4.n * (t_max + 1)
         assert len(solves) == nodes
+
+    @pytest.mark.parametrize("kind, seed", [("sync", None), ("roundrobin", None),
+                                            ("random", 3), ("random", 8)])
+    @pytest.mark.parametrize("name", ["c4", "k4"])
+    def test_a_root_is_ranked_again_only_when_an_in_edge_changes(
+            self, request, monkeypatch, name, kind, seed):
+        # every root at t = 0, then the head of each edge a step updates:
+        # one root per one-edge step, every root per all-edges step (whose
+        # balanced k4 trees outgrow the node cap past t = 15)
+        from bpmatch import harness
+        g = request.getfixturevalue(name)
+        real, calls = harness._select, []
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_select", counting)
+        t_max = 8 if kind == "sync" else 3 * 2 * g.m
+        rows, ok, first = tree_verify(g, t_max, kind, seed)
+        assert ok, first
+        assert len(rows) == g.n * (t_max + 1)
+        assert len(calls) == (g.n * (t_max + 1) if kind == "sync" else g.n + t_max)
 
     def test_the_node_cap_is_checked_before_any_row(self, k4, monkeypatch):
         # unrolled sizes never shrink with t, so the check at t_max alone

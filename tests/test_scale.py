@@ -2,7 +2,8 @@
 vertices, each with a planted b-matching cheaper than every other edge.  At
 every vertex the b cheapest edges are then planted ones, so the planted
 b-matching is the unique optimum in both modes and the estimate from round 0
-on.  The generator is seeded and uses the standard library only."""
+on.  Tree verification at scale: a 40-vertex cubic graph under a random
+schedule.  The generators are seeded and use the standard library only."""
 
 import contextlib
 import io
@@ -12,7 +13,10 @@ from fractions import Fraction
 
 import pytest
 
+from bpmatch import Graph
 from bpmatch.cli import main
+from bpmatch.harness import tree_verify
+import _reference_tree_verify as reference_tree_verify
 
 K = 100          # vertices per side: left 1..K, right K+1..2K
 EXTRA = 6        # random edges per left vertex beyond its capacity
@@ -84,3 +88,29 @@ def test_solve_finds_the_planted_b_matching(kind, tmp_path):
     else:
         cap = int(text.splitlines()[1].split()[trivial - 1])
         assert forced == [f"{cap} forced edge(s) from trivial vertices"]
+
+
+def cubic_graph(n, seed):
+    """A cubic graph on n (even) vertices with b = 1: the cycle 1..n plus a
+    random perfect matching of chords, drawn again until no chord is a cycle
+    edge; weights 1..100."""
+    rng = random.Random(f"cubic:{n}:{seed}")
+    cycle = {frozenset((i, i % n + 1)) for i in range(1, n + 1)}
+    while True:
+        order = rng.sample(range(1, n + 1), n)
+        chords = {frozenset(order[k:k + 2]) for k in range(0, n, 2)}
+        if not chords & cycle:
+            break
+    edges = [(*pair, rng.randint(1, 100)) for pair in sorted(map(sorted, cycle | chords))]
+    return Graph(n, [1] * n, edges)
+
+
+def test_tree_verify_on_a_cubic_graph_matches_the_reference():
+    # 360 one-edge steps: each re-checks the one root whose in-edge it
+    # wrote, and every row still equals the per-(root, t) reference's
+    g = cubic_graph(40, seed=1)
+    t_max = 3 * 2 * g.m
+    rows, ok, first = tree_verify(g, t_max, "random", 7)
+    assert ok, first
+    assert len(rows) == g.n * (t_max + 1)
+    assert (rows, ok, first) == reference_tree_verify.tree_verify(g, t_max, "random", 7)

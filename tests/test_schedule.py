@@ -395,6 +395,14 @@ class TestFiles:
         sched = parse_schedule("# step one:\n1>2\n  # no step\n\n2>1\n", c4)
         assert sched.prefix(5) == [frozenset({(1, 2)}), frozenset(), frozenset({(2, 1)})]
 
+    def test_inline_comments_dropped(self, c4):
+        # as in graph files; a comment-only line between steps is no step,
+        # a blank one an empty step
+        sched = parse_schedule("1>2 # first\n2>1 3>4#no space\n\t# only a note\n  \n", c4)
+        assert sched.prefix(4) == [frozenset({(1, 2)}), frozenset({(2, 1), (3, 4)}), frozenset()]
+        with pytest.raises(ScheduleError, match=r"^line 2: expected 'i>j', got '1-2'$"):
+            parse_schedule("1>2\n1-2 # a bad token before a comment\n", c4)
+
     def test_bad_token(self, c4):
         with pytest.raises(ScheduleError):
             parse_schedule("1-2\n", c4)
