@@ -16,15 +16,14 @@ import sys
 import time
 
 from .graph import (PERFECT, NONPERFECT, GraphError, GraphParseError,
-                    ValidationError, parse_graph, parse_rational)
+                    ValidationError, parse_graph, parse_rational, text_rows)
 from .engine import MessageInit
-from .schedule import (ScheduleError, make_schedule, parse_schedule,
+from .schedule import (Schedule, ScheduleError, make_schedule, parse_schedule,
                        validate_schedule, coverage)
-from .ctree import GCTBuilder, dump_tree, TreeError
+from .ctree import GCTBuilder, dump_tree
 from .harness import (prepare_instance, solve_pipeline, certify_instance, sweep,
                       tree_verify, WeightRangeError, _fmt_edges)
-from .oracle import (InfeasibleError, GuardExceeded, CertificateError,
-                     serialize_certificate)
+from .oracle import InfeasibleError, CertificateError, serialize_certificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -49,7 +48,8 @@ class UsageError(Exception):
 
 
 def _parse_init(spec, g) -> MessageInit:
-    """--init value; an init file gives a value for every directed edge of `g`."""
+    """--init value; an init file gives a value for every directed edge of
+    `g`, one "i j value" line each, read by graph.text_rows."""
     if spec is None or spec == "weights":
         return MessageInit.weights()
     if spec == "zero":
@@ -58,10 +58,7 @@ def _parse_init(spec, g) -> MessageInit:
         raise UsageError(f"unknown --init {spec!r} (use weights, zero or file=PATH)")
     known = set(g.directed_edges())
     mapping = {}
-    for lineno, raw in enumerate(_read(spec[5:]).splitlines(), start=1):
-        body = raw.split("#", 1)[0].split()
-        if not body:
-            continue
+    for lineno, body in text_rows(_read(spec[5:])):
         if len(body) != 3:
             raise GraphParseError(f"init file line {lineno}: expected 'i j value'")
         try:
@@ -97,21 +94,21 @@ def _parse_stop(spec):
     raise UsageError(f"unknown --stop {spec!r} (use budget=T, window=K, or certified)")
 
 
-def _parse_schedule_flag(spec, g):
-    """Returns (kind, seed, sets) or (None, None, None) for synchronous runs."""
-    if spec is None or spec == "sync":
-        return None, None, None
-    if spec == "roundrobin":
-        return "roundrobin", None, None
+def _parse_schedule_flag(spec, g) -> Schedule:
+    """--schedule value as a Schedule on `g`: sync (also when `spec` is
+    None), roundrobin and random:SEED from make_schedule, file=PATH from
+    parse_schedule."""
+    if spec is None or spec in ("sync", "roundrobin"):
+        return make_schedule(g, spec or "sync")
     if spec.startswith("random:"):
         try:
-            return "random", int(spec[7:]), None
+            seed = int(spec[7:])
         except ValueError:
             raise UsageError(f"--schedule random:SEED needs an integer seed, "
                              f"got {spec[7:]!r}") from None
+        return make_schedule(g, "random", seed=seed)
     if spec.startswith("file="):
-        sched = parse_schedule(_read(spec[5:]), g)
-        return "explicit", None, sched.prefix(len(sched))
+        return parse_schedule(_read(spec[5:]), g)
     raise UsageError(f"unknown --schedule {spec!r}")
 
 
@@ -144,12 +141,11 @@ def cmd_solve(args) -> int:
     g = parse_graph(_read(args.graph))
     init = _parse_init(args.init, g)
     stop_spec = _parse_stop(args.stop)
-    kind, seed, sets = _parse_schedule_flag(args.schedule, g)
+    schedule = _parse_schedule_flag(args.schedule, g)
     dual_text = _read(args.dual_file) if args.dual_file else None
 
     report = solve_pipeline(g, args.mode, instance_name=args.graph, init=init,
-                            stop_spec=stop_spec, schedule_kind=kind,
-                            schedule_seed=seed, schedule_sets=sets,
+                            stop_spec=stop_spec, schedule=schedule,
                             certify=args.certify, dual_text=dual_text,
                             force_schedule=args.force, keep_trace=bool(args.trace))
     if args.trace and report.run is not None:
@@ -245,20 +241,20 @@ def cmd_tree_verify(args) -> int:
     if work is None:
         _emit(args, {"instance": args.graph, "infeasible": True}, ["infeasible instance"])
         return EXIT_INFEASIBLE
-    kind, seed, sets = _parse_schedule_flag(args.schedule, work)
-    if kind == "explicit":
+    sched = _parse_schedule_flag(args.schedule, work)
+    if not sched.trusted:
         raise ScheduleError("tree-verify supports generated schedules only")
-    rows, ok, first = tree_verify(work, args.t_max, kind, seed)
+    rows, ok, first = tree_verify(work, args.t_max, sched.kind, sched.seed)
     if args.dump_tree:
-        builder = GCTBuilder(work, make_schedule(work, kind or "sync", seed=seed), args.t_max)
+        builder = GCTBuilder(work, sched, args.t_max)
         chunks = [f"# root {root}, t={args.t_max}\n" + dump_tree(builder.gct(root, args.t_max))
                   for root in work.vertices()]
         _write(args.dump_tree, "\n".join(chunks))
     payload = {"instance": args.graph, "t_max": args.t_max,
-               "schedule": kind or "sync", "checks": len(rows), "ok": ok,
+               "schedule": sched.kind, "checks": len(rows), "ok": ok,
                "first_mismatch": first}
     lines = [f"instance: {args.graph} (reduced n={work.n}), t_max={args.t_max}, "
-             f"schedule={kind or 'sync'}"]
+             f"schedule={sched.kind}"]
     if ok:
         lines.append(f"all {len(rows)} root/time checks passed "
                      "(messages, selections, depth)")
@@ -295,8 +291,7 @@ def cmd_sweep(args) -> int:
 def cmd_schedule_validate(args) -> int:
     _at_least(args.horizon, 0, "--horizon")
     g = parse_graph(_read(args.graph))
-    kind, seed, sets = _parse_schedule_flag(args.schedule, g)
-    sched = make_schedule(g, kind or "sync", seed=seed, sets=sets)
+    sched = _parse_schedule_flag(args.schedule, g)
     violation = validate_schedule(g, sched, args.horizon)
     cov = coverage(g, sched, args.horizon)
     payload = {"instance": args.graph, "schedule": sched.describe(),
@@ -391,7 +386,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (GraphError, GuardExceeded, TreeError, OSError, ValueError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -190,23 +190,29 @@ def _int(tok, lineno, fieldno, what):
         raise GraphParseError(f"expected integer {what}, got {tok!r}", lineno, fieldno) from None
 
 
+def text_rows(text: str) -> list:
+    """(line number, tokens) for each line of `text` that still holds a
+    token once everything after '#' is dropped: the comment rule of graph,
+    init and dual files.  Line numbers count from 1 over every line, so an
+    error can name the line it is on."""
+    return [(lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (tokens := raw.partition("#")[0].split())]
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the plain-text graph format.
 
     Line 1: "n m".  Line 2: n capacities (omitted when n = 0).  Then m lines
     "i j w" with 1-based vertex ids; w is any token ``Fraction`` reads (an
     integer, a decimal or a "p/q" rational), read by ``parse_rational``.
-    Anything after '#' on a line is a comment; blank lines are skipped.
+    Lines are read by ``text_rows``: anything after '#' is a comment, and
+    lines with no token are skipped.
 
     Each fact is checked once, here, where the error can name its line and
     field; the graph is built from the checked parts without checking them
     again.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            rows.append((lineno, tokens))
+    rows = text_rows(text)
     if not rows:
         raise GraphParseError("empty graph file")
 

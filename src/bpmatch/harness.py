@@ -13,7 +13,7 @@ from fractions import Fraction
 from .graph import (Graph, PERFECT, NONPERFECT, Matching, Reduction, require_valid,
                     reduce_trivial)
 from .engine import MessageInit, StopPolicy, RunResult, run_sync, _select
-from .schedule import make_schedule, run_async
+from .schedule import Schedule, make_schedule, run_async
 from .ctree import GCTBuilder, _solve
 from . import oracle
 from .oracle import (brute_force, solve_relaxation, is_tight, check_cs,
@@ -152,24 +152,40 @@ class ExperimentReport:
 
 
 def _resolve_stop(stop_spec, g: Graph, certification, mode, init, is_async, notes):
-    """Map a CLI stop spec onto a concrete policy; returns (policy, certified)."""
-    if stop_spec is None:
-        stop_spec = ("window", None)
-    kind, arg = stop_spec
+    """The policy a run on `g` stops by, and whether it is certified, from a
+    CLI stop spec: None is ("window", None).
+
+    A window of no given size is the engine's default, n, on a synchronous
+    run, and max(n, 2 |directed edges|) on an asynchronous one, whose
+    single-edge steps move slowly.  A certified stop is the certificate's
+    iteration bound (sync) or coverage threshold (async) when the relaxation
+    is tight.  When it is not, the stop falls back to a window of no given
+    size, with a note, and a synchronous run gives up after 10 n rounds."""
+    kind, arg = stop_spec or ("window", None)
     if kind == "budget":
         return StopPolicy.budget(arg), False
-    if kind == "window":
-        return StopPolicy.window(arg), False
     if kind == "certified":
-        if certification is None or not certification.tight:
-            notes.append("certified stop unavailable (relaxation not tight); "
-                         "falling back to a stability window")
+        if certification is not None and certification.tight:
+            if is_async:
+                return StopPolicy.coverage(
+                    coverage_threshold(g, certification.cert, mode, init)), True
+            return StopPolicy.budget(certification.bound), True
+        notes.append("certified stop unavailable (relaxation not tight); "
+                     "falling back to a stability window")
+        if not is_async:
             return StopPolicy.window(None, limit=10 * max(g.n, 1)), False
-        if is_async:
-            return StopPolicy.coverage(
-                coverage_threshold(g, certification.cert, mode, init)), True
-        return StopPolicy.budget(certification.bound), True
-    raise ValueError(f"unknown stop kind {kind!r}")
+    elif kind != "window":
+        raise ValueError(f"unknown stop kind {kind!r}")
+    if arg is None and is_async:
+        arg = max(g.n, 2 * len(g.directed_edges()))
+    return StopPolicy.window(arg), False
+
+
+def _infeasible_report(instance_name, g: Graph, mode, t0, note) -> ExperimentReport:
+    """The report of a solve of `g` that found it infeasible, begun at t0."""
+    return ExperimentReport(instance_name, g.n, g.m, mode, None, None, True,
+                            None, None, None, None, None, False,
+                            wall_time=time.monotonic() - t0, notes=[note])
 
 
 def prepare_instance(g: Graph, mode: str, dual_text=None):
@@ -190,20 +206,22 @@ def prepare_instance(g: Graph, mode: str, dual_text=None):
 
 def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
                    init: MessageInit | None = None, stop_spec=None,
-                   schedule_kind=None, schedule_seed=None, schedule_sets=None,
-                   certify=False, dual_text=None, force_schedule=False,
-                   keep_trace=False) -> ExperimentReport:
+                   schedule: Schedule | None = None, certify=False, dual_text=None,
+                   force_schedule=False, keep_trace=False) -> ExperimentReport:
     """Full solve: validate, reduce (perfect) and parse `dual_text` through
     `prepare_instance`, run message passing, restore forced edges, and
-    optionally certify against the oracle."""
+    optionally certify against the oracle.
+
+    `schedule` is a Schedule on `g`.  None, or one of kind sync, is the
+    synchronous run (run_sync); any other runs run_async.  On a reduced
+    instance a generated schedule is made again on the reduced graph from
+    its kind and seed, and a materialized one is relabeled onto it."""
     t0 = time.monotonic()
     notes = []
     work, reduction, cert_override = prepare_instance(g, mode, dual_text)
     if work is None:
-        return ExperimentReport(instance_name, g.n, g.m, mode, None, None, True,
-                                None, None, None, None, None, False,
-                                wall_time=time.monotonic() - t0,
-                                notes=["trivial-vertex cascade proves infeasibility"])
+        return _infeasible_report(instance_name, g, mode, t0,
+                                  "trivial-vertex cascade proves infeasibility")
     if reduction.forced:
         notes.append(f"{len(reduction.forced)} forced edge(s) from trivial vertices")
     if init is not None and init.kind == "explicit" and not reduction.is_identity:
@@ -216,40 +234,29 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
         try:
             certification = certify_instance(work, mode, init, cert_override)
         except InfeasibleError:
-            return ExperimentReport(instance_name, g.n, g.m, mode, None, None, True,
-                                    None, None, None, None, None, False,
-                                    wall_time=time.monotonic() - t0,
-                                    notes=["oracle found no feasible matching"])
+            return _infeasible_report(instance_name, g, mode, t0,
+                                      "oracle found no feasible matching")
 
-    if schedule_kind == "sync":
-        schedule_kind = None  # the all-edges schedule is the synchronous run
-    is_async = schedule_kind is not None
+    is_async = schedule is not None and schedule.kind != "sync"
     stop, certified = _resolve_stop(stop_spec, work, certification, mode, init, is_async,
                                     notes)
     extrapolated = certified and is_async and mode == NONPERFECT
     if extrapolated:
         notes.append("asynchronous non-perfect certified stop is extrapolated")
 
-    sched = None
-    if schedule_kind is None:
+    if not is_async:
         run = run_sync(work, mode, init, stop, keep_trace=keep_trace)
-        sched_name = None
     else:
-        if schedule_kind == "explicit":
-            sets = schedule_sets
-            if not reduction.is_identity:
-                sets = [set(reduction.to_reduced(dict.fromkeys(s))) for s in schedule_sets]
+        if not reduction.is_identity:
+            if schedule.trusted:
+                schedule = make_schedule(work, schedule.kind, seed=schedule.seed)
+            else:
+                schedule = make_schedule(work, "explicit", sets=[
+                    reduction.to_reduced(dict.fromkeys(s)) for s in schedule])
                 notes.append("schedule relabeled onto the reduced instance")
-            sched = make_schedule(work, "explicit", sets=sets)
-        else:
-            sched = make_schedule(work, schedule_kind, seed=schedule_seed)
-        if stop.kind == "window" and stop.window_size is None:
-            # single-edge schedules move slowly; widen the stability window
-            stop = StopPolicy.window(max(work.n, 2 * len(work.directed_edges())))
-        run = run_async(work, sched, init, stop, mode,
+        run = run_async(work, schedule, init, stop, mode,
                         check_redundancy=not force_schedule, keep_trace=keep_trace)
-        sched_name = sched.describe()
-        if force_schedule and not sched.trusted:
+        if force_schedule and not schedule.trusted:
             certified = False
             notes.append("schedule validation waived; result uncertified")
 
@@ -262,7 +269,7 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
     if certification is not None:
         match = final == reduction.to_original(certification.bf_optima[0])
 
-    return ExperimentReport(instance_name, g.n, g.m, mode, sched_name, certification,
+    return ExperimentReport(instance_name, g.n, g.m, mode, run.schedule_kind, certification,
                             False, run, final, weight, matching_ok, match,
                             certified, extrapolated, time.monotonic() - t0, notes)
 
@@ -419,7 +426,12 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     # least depth of its in-edges' branches
     memo, want, depth, got = {}, {}, {}, dict(zip(trace.dirs, trace.start))
     wrote = iter(trace.wrote)
+    # u(t) is the least update count and at_u the number of edges at it; u
+    # is taken again, by an O(m) pass, only once the last of those is
+    # updated, and has then risen: u = k takes k updates of every edge, so
+    # the passes cost O(1) per update, amortized
     counts = dict.fromkeys(g.directed_edges(), -1)
+    u, at_u = -1, len(counts)
     roots = {i: (g.neighbors(i), g.cap(i), itemgetter(*((r, i) for r in g.neighbors(i))))
              for i in g.vertices()}
     flags, head = dict.fromkeys(g.vertices()), itemgetter(1)
@@ -427,8 +439,13 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
         _solve(g, [(node, j) for (_, j), node in new.items()], init_map, trace.scale, memo)
         for e, node in new.items():
             want[e], depth[e] = memo[node][0], node.depth
-            counts[e] += 1
-        u = min(counts.values(), default=0)
+            c = counts[e]
+            counts[e] = c + 1
+            if c == u:
+                at_u -= 1
+        if not at_u:
+            u = min(counts.values(), default=0)
+            at_u = list(counts.values()).count(u)
         # a root's flags change only with its in-edges' branches or messages;
         # grown[0] holds every edge, so at t = 0 every root is checked
         dirty = set(map(head, new))

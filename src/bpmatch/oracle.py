@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import (Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError, edge_key,
-                    parse_rational)
+                    parse_rational, text_rows)
 from .engine import MessageInit
 from .simplex import solve_lp, LPInfeasible
 
@@ -493,13 +493,10 @@ def serialize_certificate(cert: DualCertificate) -> str:
 
 
 def parse_certificate(text: str, g: Graph, mode: str) -> DualCertificate:
-    """Read "y i value" / "lambda i j value" lines; absent entries are zero."""
+    """Read "y i value" / "lambda i j value" lines, by graph.text_rows;
+    absent entries are zero."""
     y, lam = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tokens = body.split()
+    for lineno, tokens in text_rows(text):
         try:
             if tokens[0] == "y" and len(tokens) == 3:
                 i = int(tokens[1])

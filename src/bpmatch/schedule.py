@@ -140,8 +140,8 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         raise ScheduleError("random schedules need a seed")
 
     if kind == "sync":
-        every = frozenset(dirs)
-        return Schedule("sync", factory=lambda: forever(every), repeats=(0, 1))
+        # the set is built per iteration, so a schedule never iterated costs nothing
+        return Schedule("sync", factory=lambda: forever(frozenset(dirs)), repeats=(0, 1))
 
     if kind == "roundrobin":
         once, repeat = _split(g)
@@ -223,9 +223,10 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
 
 def parse_schedule(text: str, g: Graph) -> Schedule:
     """One line per step: whitespace-separated tokens "i>j", each directed
-    edge at most once per line; an empty line is an empty update set.
-    Anything after '#' on a line is a comment, and a line that holds only a
-    comment is no step."""
+    edge at most once per line.  Anything after '#' on a line is a comment,
+    and a line that holds only a comment is no step, as in graph.text_rows;
+    but unlike there, a blank line, with no token and no comment, is a step
+    with an empty update set."""
     sets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line, comment, _ = raw.partition("#")

@@ -139,6 +139,23 @@ class TestSolve:
         code, _, err = self._bad_init(capsys, tmp_path, "# no line for 2 1")
         assert code == 2 and err == "error: init file: no value for directed edge (2, 1)\n"
 
+    def test_init_file_inline_comments(self, capsys, tmp_path):
+        # the text after '#' is dropped from every line, and an error still
+        # names its line among all lines, comment lines included
+        g = parse_graph(fixture_path("c4").read_text())
+        rows = [f"{i} {j} 2  # into {j}" for (i, j) in g.directed_edges()]
+        path = tmp_path / "init.txt"
+        path.write_text("\n".join(rows[:3] + ["# the rest", ""] + rows[3:]) + "\n")
+        code, out, _ = run_cli(capsys, "solve", fx("c4"), "--init", f"file={path}", "--json")
+        plain = tmp_path / "plain.txt"
+        plain.write_text("\n".join(f"{i} {j} 2" for (i, j) in g.directed_edges()) + "\n")
+        assert (code, out) == run_cli(capsys, "solve", fx("c4"), "--init", f"file={plain}",
+                                      "--json")[:2]
+        rows[4] = "3 2 x  # not a number"
+        path.write_text("\n".join(rows[:3] + ["# the rest", ""] + rows[3:]) + "\n")
+        code, out, err = run_cli(capsys, "solve", fx("c4"), "--init", f"file={path}")
+        assert code == 2 and err == "error: init file line 7: bad value 'x'\n"
+
     def test_init_file_on_a_reduced_instance(self, capsys, tmp_path):
         # p4 reduces away entirely; its init file names the input graph's edges
         path = tmp_path / "init.txt"
@@ -249,12 +266,33 @@ class TestSolve:
         reduction = reduce_trivial(g)
         assert reduction.graph == load_fixture("c4")
         sets = [{(i - 2, j - 2)} for (i, j) in order] * 3
-        report = solve_pipeline(g, PERFECT, schedule_kind="explicit",
-                                schedule_sets=parse_schedule(path.read_text(), g).prefix(24),
+        report = solve_pipeline(g, PERFECT, schedule=parse_schedule(path.read_text(), g),
                                 stop_spec=("budget", 24))
         want = run_async(reduction.graph, make_schedule(reduction.graph, "explicit", sets=sets),
                          stop=StopPolicy.budget(24))
         assert report.run == want
+
+    @pytest.mark.parametrize("spec, kind, seed", [("roundrobin", "roundrobin", None),
+                                                  ("random:5", "random", 5)])
+    def test_generated_schedule_on_a_reduced_instance(self, capsys, tmp_path, spec, kind,
+                                                      seed):
+        # the graph of test_schedule_file_on_a_reduced_instance: a generated
+        # schedule is made again on the reduced instance, c4 on vertices 3..6
+        graph = tmp_path / "pendant.graph"
+        graph.write_text("6 6\n1 1 1 1 1 1\n1 2 1\n2 3 7\n3 4 1\n4 5 2\n5 6 1\n3 6 3\n")
+        g = parse_graph(graph.read_text())
+        work = reduce_trivial(g).graph
+        want = run_async(work, make_schedule(work, kind, seed=seed), stop=StopPolicy.budget(24))
+        report = solve_pipeline(g, PERFECT, schedule=cli._parse_schedule_flag(spec, g),
+                                stop_spec=("budget", 24))
+        assert report.run == want and report.schedule == spec.replace(":5", "(seed=5)")
+        code, out, _ = run_cli(capsys, "solve", str(graph), "--schedule", spec,
+                               "--stop", "budget=24", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["bp"]["iterations"] == want.iterations == 24
+        assert payload["estimate"] == [[1, 2]] + [[i + 2, j + 2] for (i, j) in
+                                                  sorted(want.estimate.edges)]
+        assert "schedule relabeled onto the reduced instance" not in payload["notes"]
 
     def test_redundant_schedule_file_needs_force(self, capsys, tmp_path):
         # 1 -> 2 twice with no feeding update between, then round-robin
@@ -308,6 +346,19 @@ class TestSolve:
             code, out, err = run_cli(capsys, *argv, "--dual-file", str(cert))
             assert code == 2 and out == ""
             assert err == "error: line 2: self-loop at vertex 2\n"
+
+    def test_dual_file_inline_comments(self, capsys, tmp_path):
+        # as in graph and init files: what follows '#' is dropped, and an
+        # error names its line among all lines
+        cert = tmp_path / "c4.cert"
+        cert.write_text("# c4, all duals 1/2\ny 1 1/2  # vertex 1\n\n"
+                        "y 2 1/2\ny 3 1/2 # vertex 3\ny 4 1/2\n")
+        code, out, _ = run_cli(capsys, "solve", fx("c4"), "--certify",
+                               "--stop", "certified", "--dual-file", str(cert), "--json")
+        assert code == 0 and json.loads(out)["certification"]["bound"] == 4
+        cert.write_text("# header\ny 1 1/2  # fine\n# a comment line\nlambda 2 2 0  # loop\n")
+        code, out, err = run_cli(capsys, "certify", fx("c4"), "--dual-file", str(cert))
+        assert code == 2 and out == "" and err == "error: line 4: self-loop at vertex 2\n"
 
     def test_dual_file_duplicate_entry_is_a_parse_error(self, capsys, tmp_path):
         cert = tmp_path / "dup.cert"

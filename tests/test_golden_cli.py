@@ -6,8 +6,12 @@ random:3 schedules, on every shipped fixture in both modes, and of
 the tight counts, the agreement with the enumeration cross-check and the
 largest bound), and of `solve --json --stop budget=24` with the file
 `--trace` writes, under the sync and round-robin schedules on c4 and
-k4-appendix, compared byte for byte with the files under
-tests/data/golden/.
+k4-appendix, and of `tree-verify --json --t-max 4` with the file
+`--dump-tree` writes, under the default, sync, round-robin and random:3
+schedules on c4 and k4-appendix, and of `schedule-validate --json` on c4
+under the round-robin and random:3 schedules and two schedule files under
+tests/data/ (one redundancy-free, one with a redundancy), compared byte for
+byte with the files under tests/data/golden/.
 
 The commands run from the repository root on relative fixture paths, so
 the outputs name the same paths wherever the repository lives.  To record
@@ -32,7 +36,11 @@ MODES = ("perfect", "nonperfect")
 SCHEDULES = ("sync", "roundrobin", "random:3")
 SWEEP_SEEDS = (1, 7)
 # the flag naming the file a command writes, and the suffix of its golden copy
-WRITES = {"--emit-cert": ".cert", "--trace": ".trace"}
+WRITES = {"--emit-cert": ".cert", "--trace": ".trace", "--dump-tree": ".tree"}
+# the schedules of the tree-verify cases: no flag, then each flag value
+TREE_SCHEDULES = ((), ("--schedule", "sync"), ("--schedule", "roundrobin"),
+                  ("--schedule", "random:3"))
+SCHEDULE_FILES = ("c4-cycles", "c4-redundant")
 
 
 def cases():
@@ -52,6 +60,17 @@ def cases():
             out.append((f"trace-{schedule}-{fixture}",
                         ["solve", f"src/bpmatch/fixtures/{fixture}.graph", "--json",
                          "--stop", "budget=24", "--schedule", schedule], "--trace"))
+    for fixture in FIXTURES[:2]:
+        for schedule in TREE_SCHEDULES:
+            name = schedule[1].replace(":", "") if schedule else "default"
+            out.append((f"tree-verify-{name}-{fixture}",
+                        ["tree-verify", f"src/bpmatch/fixtures/{fixture}.graph", "--json",
+                         "--t-max", "4", *schedule], "--dump-tree"))
+    for name, schedule in ([(s.replace(":", ""), s) for s in SCHEDULES[1:]]
+                           + [(f, f"file=tests/data/{f}.sched") for f in SCHEDULE_FILES]):
+        out.append((f"schedule-validate-{name}-c4",
+                    ["schedule-validate", "src/bpmatch/fixtures/c4.graph", "--json",
+                     "--schedule", schedule], None))
     for seed in SWEEP_SEEDS:
         for mode in MODES:
             out.append((f"sweep-seed{seed}-{mode}",

@@ -226,25 +226,28 @@ def test_tree_verify_matches_the_per_tree_reference(seed, kind, explicit_init, c
     # the forward pass against the per-(root, t) loop over the builder's
     # trees: the same rows, verdict and first mismatch, or the same error
     # (balanced trees outgrow the node cap past t of about 10).  A
-    # corrupted trace changes one message from one t on, on an edge that
-    # step wrote or, as one more write, on one it did not; a zero change
-    # writes the same value
+    # corrupted trace changes one message by a nonzero amount from one
+    # t < t_max on, on an edge that step wrote or, as one more write, on
+    # one it did not, so the wrong value is read past t too
     g = random_instance(random.Random(seed), n_max=5, mode=PERFECT)
     balanced = kind[0] in (None, "sync")
-    t_max = data.draw(st.integers(0, 12 if balanced else 30))
+    t_max = data.draw(st.integers(1 if corrupt else 0, 12 if balanced else 30))
     init = None
     if explicit_init:
         values = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3]))
         init = MessageInit.explicit({d: data.draw(values) for d in g.directed_edges()})
     real = harness.run_async
     if corrupt:
-        t = data.draw(st.integers(0, t_max))
+        t = data.draw(st.integers(0, t_max - 1))
         wrote = make_schedule(g, kind[0] or "sync", seed=kind[1]).prefix(t)[-1] if t else ()
+        heads = {j for _, j in wrote}
         on = data.draw(st.booleans())
-        edge = data.draw(st.sampled_from([e for e in g.directed_edges() if (e in wrote) == on]
-                                         or g.directed_edges()))
-        delta = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2),
-                                           Fraction(1, 7)]))
+        # not on: an edge into a root no write of step t reaches, where
+        # there is one, so that only the corrupted write marks that root
+        edge = data.draw(st.sampled_from(
+            [e for e in g.directed_edges() if (e in wrote if on else e[1] not in heads)]
+            or g.directed_edges()))
+        delta = data.draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 7)]))
 
         def run_async(*args, **kwargs):
             run = real(*args, **kwargs)

@@ -285,12 +285,12 @@ class TestRunAsync:
     def test_pipeline_sync_schedule_is_the_synchronous_run(self, name, mode):
         g = load_fixture(name)
 
-        def report(kind):
+        def report(schedule):
             try:
-                return solve_pipeline(g, mode, schedule_kind=kind, certify=True).to_dict()
+                return solve_pipeline(g, mode, schedule=schedule, certify=True).to_dict()
             except GraphError as exc:
                 return repr(exc)
-        assert report("sync") == report(None)
+        assert report(make_schedule(g, "sync")) == report(None)
 
     def test_round_robin_certified_matches_optimum(self, c4):
         w, opts = brute_force(c4, PERFECT)
