@@ -16,8 +16,9 @@ a branch hanging off a node, W+ / W- denote the minimum matching weight with
 the branch's top edge forced in / out; their difference reproduces the
 engine's messages exactly, and the root's optimal selection reproduces the
 engine's per-vertex estimates.  The DP computes, as the engine does, on ints
-scaled by one least common denominator (of the weights and the initial
-values); only its public results are Fractions.
+scaled by lcm(g.scale, the initial values' denominators), the graph's
+scale widened only as far as the initial values need; only its public
+results are Fractions.
 """
 
 from __future__ import annotations
@@ -246,19 +247,16 @@ def tree_bmatching_dp(tree: LabeledTree, init=None, memo=None) -> TreeDPResult:
     value replaces the leaf edge weight, which reproduces runs started from
     arbitrary initial messages.
 
-    The DP runs in ints scaled by the least common denominator of the
-    graph's weights and the `init` values, worked out on each call; only
-    the root's BranchValues and the total are Fractions.  `memo` is
+    The DP runs in ints scaled by lcm(g.scale, the `init` values'
+    denominators), g.scale being the graph's own, worked out once per
+    graph; only the root's BranchValues and the total are Fractions.  `memo` is
     _solve's, each solved branch's scaled values.  A branch's value depends
     only on the node and `init`, so one memo passed to every call over the
     trees of one builder and one `init` solves each shared branch once; by
     default every call starts a fresh memo."""
-    g = tree.graph
-    if memo is None:
-        memo = {}
-    root = tree.root
-    values = chain(g.weights().values(), init.values() if init is not None else ())
-    scale = lcm(*(v.denominator for v in values))
+    g, root = tree.graph, tree.root
+    memo = {} if memo is None else memo
+    scale = lcm(g.scale, *{v.denominator for v in init.values()}) if init else g.scale
     _solve(g, [(c, root.label) for c in root.children], init, scale, memo)
     kids = [(c.label, memo[c]) for c in root.children]
     branches = {label: BranchValue(Fraction(n + m, scale), Fraction(m, scale))

@@ -104,8 +104,7 @@ class MessageInit:
     def build(self, g: Graph) -> dict:
         dirs = g.directed_edges()
         if self.kind == "weights":
-            w = g.weights()
-            return {(i, j): w[(i, j) if i < j else (j, i)] for (i, j) in dirs}
+            return {(i, j): g.weight(i, j) for (i, j) in dirs}
         if self.kind == "constant":
             v = Fraction(self.value)
             return {d: v for d in dirs}
@@ -122,8 +121,7 @@ class MessageInit:
         raise EngineError(f"unknown init kind {self.kind!r}")
 
     def max_abs(self, g: Graph):
-        values = self.build(g).values()
-        return max((abs(v) for v in values), default=ZERO)
+        return max((abs(v) for v in self.build(g).values()), default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,7 @@ class MessageState:
 
 
 def init_messages(g: Graph, init: MessageInit | None = None) -> MessageState:
-    init = init or MessageInit.weights()
-    return MessageState(0, init.build(g))
+    return MessageState(0, (init or MessageInit.weights()).build(g))
 
 
 class MessageTrace(Sequence):
@@ -206,22 +203,18 @@ class _Net:
     Directed edge k is g.directed_edges()[k]; rev[k] is the reverse of edge
     k, tail[k] and head[k] its endpoints, and gin[i] reads the messages on
     the edges into i, in neighbor order, in one call (_gather).  Weights and
-    messages are multiplied by `scale`, the least common denominator of the
-    weights and of the initial messages `values`, all of them Fractions, as
-    Graph and MessageInit.build make them; up() scales a sequence of them,
-    and w holds the scaled weights, each weight read and scaled once.  A
-    weights init passes no `values`: its messages are w itself.  The update
-    rule only subtracts, takes min(0, .) and compares, so every later
-    message is an exact int too, scale times its rational value, in the same
-    order."""
+    messages are multiplied by `scale`, lcm(g.scale, the denominators of the
+    initial messages `values`), Fractions as MessageInit.build makes them;
+    up() scales a sequence of them, and w holds the graph's int weights
+    times scale // g.scale.  A weights init passes no `values`: its messages
+    are w itself.  The update rule only subtracts, takes min(0, .) and
+    compares, so every later message is an exact int too, scale times its
+    rational value, in the same order."""
 
     def __init__(self, g: Graph, values=()):
-        dirs = g.directed_edges()
-        ids = {e: k for k, e in enumerate(dirs)}
-        weights = g.weights()
-        self.dirs = dirs
-        self.ids = ids
-        self.scale = lcm(*{v.denominator for v in chain(weights.values(), values)})
+        self.dirs = dirs = g.directed_edges()
+        self.ids = ids = {e: k for k, e in enumerate(dirs)}
+        self.scale = lcm(g.scale, *{v.denominator for v in values})
         self.head = head = [j for (_, j) in dirs]
         self.tail = tail = [i for (i, _) in dirs]
         self.rev = rev = list(map(ids.__getitem__, zip(head, tail)))
@@ -232,8 +225,8 @@ class _Net:
         for i in g.vertices():
             start, end = end, end + g.degree(i)
             gin.append(_gather(rev[start:end]))
-        scaled = dict(zip(weights, self.up(weights.values())))
-        self.w = [scaled[(i, j) if i < j else (j, i)] for (i, j) in dirs]
+        iw, f = g.int_weights, self.scale // g.scale
+        self.w = [iw[(i, j) if i < j else (j, i)] * f for (i, j) in dirs]
 
     def up(self, values) -> list:
         scale = self.scale
@@ -607,14 +600,9 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     the same MessageTrace and is returned as RunResult.trace, make the run
     step every update.
     RunResult.computed counts the steps computed."""
-    init = init or MessageInit.weights()
-    if init.kind == "weights":
-        net = _Net(g)
-        msgs = list(net.w)
-    else:
-        values = init.build(g)
-        net = _Net(g, values.values())
-        msgs = net.up(map(values.__getitem__, net.dirs))
+    values = init.build(g) if init is not None and init.kind != "weights" else {}
+    net = _Net(g, values.values())
+    msgs = net.up(map(values.__getitem__, net.dirs)) if values else list(net.w)
     dirs, eid, head, tail, rev, w, gin = (net.dirs, net.ids, net.head, net.tail, net.rev,
                                           net.w, net.gin)
     plans = {}

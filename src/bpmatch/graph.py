@@ -6,14 +6,20 @@ weight; every vertex i carries a positive integer capacity b_i.  A matching
 here means a subgraph whose degrees are bounded by (non-perfect mode) or
 equal to (perfect mode) the capacities.
 
-All weights are exact rationals.
+All weights are exact rationals.  A graph also holds them as ints: `scale`,
+the least common denominator of its weights, and `int_weights`, each weight
+times it, worked out once, on first use.  Every exact layer reads these, and
+one that mixes in other rationals (initial messages, dual values) rescales
+them by one integer factor to lcm(g.scale, its own denominator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from types import MappingProxyType
 
 PERFECT = "perfect"
 NONPERFECT = "nonperfect"
@@ -165,12 +171,22 @@ class Graph:
     def weights(self) -> dict:
         return dict(self._w)
 
+    @cached_property
+    def scale(self) -> int:
+        """The least common denominator of the weights (1 with no edge)."""
+        return lcm(*{w.denominator for w in self._w.values()})
+
+    @cached_property
+    def int_weights(self):
+        """Each weight times `scale`, an exact int, keyed (i, j), i < j; a
+        read-only map."""
+        return MappingProxyType({e: w.numerator * (self.scale // w.denominator)
+                                 for e, w in self._w.items()})
+
     def total_weight(self, edges) -> Fraction:
-        """The exact weight of `edges`, keys (i, j) with i < j: the
-        numerators summed over one least common denominator."""
-        ws = [self._w[e] for e in edges]
-        den = lcm(*{w.denominator for w in ws})
-        return Fraction(sum(w.numerator * (den // w.denominator) for w in ws), den)
+        """The exact weight of `edges`, keys (i, j) with i < j: their int
+        weights summed over `scale`."""
+        return Fraction(sum(map(self.int_weights.__getitem__, edges)), self.scale)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -295,11 +311,10 @@ def validate(g: Graph, mode: str) -> list[Violation]:
             out.append(Violation("capacity_exceeds_degree", (i,),
                                  f"vertex {i}: capacity {b} exceeds degree {g.degree(i)}"))
     if mode == NONPERFECT:
-        weights = g.weights()
         for e in g.edges():
-            if weights[e].numerator > 0:  # a Fraction has the sign of its numerator
+            if g._w[e].numerator > 0:  # a Fraction has the sign of its numerator
                 out.append(Violation("positive_weight", e,
-                                     f"edge {e}: positive weight {weights[e]} in non-perfect mode"))
+                                     f"edge {e}: positive weight {g._w[e]} in non-perfect mode"))
     return out
 
 

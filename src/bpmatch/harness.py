@@ -66,10 +66,10 @@ def certify_instance(g: Graph, mode: str, init: MessageInit | None = None,
     optima = bf_weight, bf_all = brute_force(g, mode)
     relaxation = sol, cert = solve_relaxation(g, mode)
     if cert_override is not None:
-        if oracle.dual_objective(g, cert_override) != sol.objective:
+        if (value := oracle.dual_objective(g, cert_override)) != sol.objective:
             raise oracle.CertificateError(
                 "supplied dual is feasible but not optimal; its objective is "
-                f"{oracle.dual_objective(g, cert_override)}, the optimum is {sol.objective}")
+                f"{value}, the optimum is {sol.objective}")
         cert = cert_override
     # the verdict uses the solver's own dual, whatever bound dual was supplied
     report = is_tight(g, mode, optima=optima, relaxation=relaxation)
@@ -401,12 +401,12 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     kind means the all-edges schedule, whose trees are the balanced ones.
 
     One forward pass: step t solves the branches new at t and applies the
-    trace's writes at t, both ints of the run's scale, trace.scale (the
-    least common denominator of the weights and init values), which the DP
-    is handed; a tree value off that scale raises TreeError rather than
-    reading as a mismatch.  The node cap is checked at t_max only, as
-    unrolled sizes never shrink with t.  A root ranks its incoming values by
-    _select on the engine's side, by (value, label) on the DP's.
+    trace's writes at t, both ints of the run's scale, trace.scale
+    (lcm(g.scale, the init values' denominators)), which the DP is handed;
+    a tree value off that scale raises TreeError rather than reading as a
+    mismatch.  The node cap is checked at t_max only, as unrolled sizes
+    never shrink with t.  A root ranks its incoming values by _select on
+    the engine's side, by (value, label) on the DP's.
 
     Every root is checked at t = 0, and after that only when one of its
     in-edges got a new branch or a new message at t; otherwise its values,

@@ -15,8 +15,11 @@ optimal matchings and over {0, 1/2, 1}^E for the half-integral cross-check.
 The dual certificate carries the derived quantities the bound needs: the
 set S of edges whose weight differs from the sum of its endpoints' dual
 prices, the minimum such gap epsilon, and the largest price magnitude L.
-The certificate checks run on ints, the weights, y and lambda times one
-least common denominator, and build Fractions only for their results.
+The certificate checks run on ints and build Fractions only for their
+results: the graph's int weights (times its own `scale`) and the
+certificate's y and lambda times their least common denominator, which
+`build_certificate` keeps on the certificate, both rescaled to the lcm of
+the two scales.  No scale is carried from one graph to another.
 One horizon serves both certified stops: 2nL/epsilon in perfect mode and
 4nL/epsilon in non-perfect mode, with L grown by the largest initial
 message when the run does not start from the weights.  A synchronous run
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import (Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError, edge_key,
@@ -71,19 +74,18 @@ def _min_points(g: Graph, mode: str, edges, values, minimum=None):
     the points as tuples of half units in `edges` order), or (None, []) when
     there are none.
 
-    A depth-first search over `values` in the order given, in ints: weights
-    times their least common denominator, x and capacities times two.  It
-    prunes a branch whose lower bound exceeds the best weight found so far,
-    and in perfect mode a branch that leaves a capacity out of reach.  A
-    known `minimum` stands in for the best weight from the start, and a point
-    below it raises OracleError; once the search has met a fractional point
-    or a second point at `minimum`, it looks only for points below it.
+    A depth-first search over `values` in the order given, in ints: the
+    graph's int weights, x and capacities times two.  It prunes a branch
+    whose lower bound exceeds the best weight found so far, and in perfect
+    mode a branch that leaves a capacity out of reach.  A known `minimum`
+    stands in for the best weight from the start, and a point below it
+    raises OracleError; once the search has met a fractional point or a
+    second point at `minimum`, it looks only for points below it.
     """
-    scale, w = _scaled(g.weights())
-    w = [w[e] for e in edges]
+    w = [g.int_weights[e] for e in edges]
     best = None
     if minimum is not None:
-        best = 2 * scale * Fraction(minimum)
+        best = 2 * g.scale * Fraction(minimum)
         if best.denominator != 1:
             raise OracleError(f"{minimum} is not the weight of any half-integral point")
         best = int(best)
@@ -140,7 +142,7 @@ def _min_points(g: Graph, mode: str, edges, values, minimum=None):
     dfs(0, 0)
     if not points:
         return None, []
-    return Fraction(best, 2 * scale), points
+    return Fraction(best, 2 * g.scale), points
 
 
 def brute_force(g: Graph, mode: str, guard: int = BRUTE_FORCE_GUARD):
@@ -185,6 +187,10 @@ class DualCertificate:
     S: frozenset
     epsilon: Fraction | None
     L: Fraction
+    # (d, Y, Lm) from build_certificate: y and lambda times their least
+    # common denominator d, as ints; they depend on no graph's weights.  Not
+    # an init field, so dataclasses.replace leaves it unset, never stale
+    _ints: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _scaled(*maps):
@@ -194,13 +200,23 @@ def _scaled(*maps):
     return (D, *({k: v.numerator * (D // v.denominator) for k, v in m.items()} for m in maps))
 
 
-def _duals(g: Graph, mode: str, y, lam):
-    """(D, Y, Lm, gap): D the least common denominator of g's weights, y and
-    lambda, Y and Lm their values times D, and each edge's dual gap times D,
-    w - (y_i + y_j) in perfect mode, w + y_i + y_j in non-perfect mode."""
-    D, W, Y, Lm = _scaled(g.weights(), y, lam)
-    sign = 1 if mode == PERFECT else -1
-    return D, Y, Lm, {(i, j): W[i, j] - sign * (Y[i] + Y[j]) for (i, j) in g.edges()}
+def _dual_ints(cert: DualCertificate):
+    """(d, Y, Lm) of `cert`: as build_certificate kept them, else scaled here."""
+    return cert._ints or _scaled(cert.y, cert.lam)
+
+
+def _duals(g: Graph, mode: str, ints):
+    """(D, Y, Lm, gap): `ints` is (d, Y, Lm), y and lambda times their least
+    common denominator d, as _dual_ints gives them; D is lcm(g.scale, d),
+    Y and Lm come back times D, and gap holds each edge's dual gap times D,
+    w - (y_i + y_j) in perfect mode, w + y_i + y_j in non-perfect mode, from
+    g's own int weights."""
+    d, Y, Lm = ints
+    D = math.lcm(g.scale, d)
+    f, fw = D // d, D // g.scale
+    Y, Lm = {i: v * f for i, v in Y.items()}, {e: v * f for e, v in Lm.items()}
+    W, sign = g.int_weights, 1 if mode == PERFECT else -1
+    return D, Y, Lm, {(i, j): W[i, j] * fw - sign * (Y[i] + Y[j]) for (i, j) in g.edges()}
 
 
 def _entries(given, keys, label: str, what: str) -> dict:
@@ -224,7 +240,8 @@ def build_certificate(g: Graph, y, lam, mode: str) -> DualCertificate:
     _require_mode(mode)
     y = _entries(y, g.vertices(), "y[{!r}]", "a vertex")
     lam = _entries(lam, g.edges(), "lambda{!r}", "an edge (i, j), i < j,")
-    D, Y, Lm, gap = _duals(g, mode, y, lam)
+    ints = _scaled(y, lam)
+    D, Y, Lm, gap = _duals(g, mode, ints)
     problems = [f"lambda{e} = {lam[e]} < 0" for e, v in Lm.items() if v < 0]
     if mode == NONPERFECT:
         problems += [f"y[{i}] = {y[i]} < 0 in non-perfect mode" for i, v in Y.items() if v < 0]
@@ -237,11 +254,13 @@ def build_certificate(g: Graph, y, lam, mode: str) -> DualCertificate:
     S = frozenset(e for e, v in gap.items() if v)
     epsilon = Fraction(min(abs(gap[e]) for e in S), D) if S else None
     L = Fraction(max(map(abs, Y.values()), default=0), D)
-    return DualCertificate(mode, y, lam, S, epsilon, L)
+    cert = DualCertificate(mode, y, lam, S, epsilon, L)
+    object.__setattr__(cert, "_ints", ints)
+    return cert
 
 
 def dual_objective(g: Graph, cert: DualCertificate) -> Fraction:
-    D, Y, Lm = _scaled(cert.y, cert.lam)
+    D, Y, Lm = _dual_ints(cert)
     total_y = sum(g.cap(i) * Y[i] for i in g.vertices())
     return Fraction((total_y if cert.mode == PERFECT else -total_y) - sum(Lm.values()), D)
 
@@ -327,7 +346,7 @@ def check_cs(g: Graph, primal: LPSolution, dual: DualCertificate) -> CSReport:
     """
     if primal.mode != dual.mode:
         raise OracleError("primal/dual mode mismatch")
-    D, Y, Lm, gap = _duals(g, primal.mode, dual.y, dual.lam)
+    D, Y, Lm, gap = _duals(g, primal.mode, _dual_ints(dual))
     X, x = _scaled({e: primal.x.get(e, ZERO) for e in g.edges()})
     products = []  # (name, subject, the product times X * D)
     for e, v in gap.items():
@@ -390,7 +409,7 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
     # (q_i = i at a non-perfect vertex M leaves unsaturated); arcs p_i -> q_j,
     # p_j -> q_i per free edge of M, q_j -> p_i, q_i -> p_j per free edge off
     # M, and q_i -> p_i at a saturated non-perfect vertex with zero price.
-    _, Y, Lm, gap = _duals(g, mode, cert.y, cert.lam)
+    _, Y, Lm, gap = _duals(g, mode, _dual_ints(cert))
     M = frozenset(e for e, v in sol.x.items() if v)
     load = Counter(i for e in M for i in e)
     loose = {i for i in g.vertices() if mode == NONPERFECT and load[i] < g.cap(i)}
@@ -479,9 +498,7 @@ def iteration_bound(g: Graph, cert: DualCertificate, init: MessageInit | None = 
     Only meaningful on tight instances.
     """
     threshold = coverage_threshold(g, cert, mode, init)
-    if cert.epsilon is None:
-        return g.n + 1
-    return math.ceil(threshold)
+    return g.n + 1 if cert.epsilon is None else math.ceil(threshold)
 
 
 # -- certificate files --------------------------------------------------------------------

@@ -13,7 +13,9 @@ tightness decision agrees with half-integral enumeration, and its cycle
 search with the Fraction reference's LP over the optimal face, up to
 which optimal fractional point it names; the exhaustive searches agree with
 plain enumeration of every point, and the synchronous certified bound
-is the ceiling of the asynchronous certified threshold.  Graph, schedule and certificate
+is the ceiling of the asynchronous certified threshold.  A graph's scale is the
+lcm of its weight denominators however it is built, and a certificate read
+on a graph other than its own gives that graph's facts.  Graph, schedule and certificate
 files round-trip, every file reader reads a rational token exactly as Fraction does,
 and fuzzed input files give a clean CLI exit code."""
 
@@ -39,7 +41,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, edge_key,  # noqa: 
                      dump_tree, tree_bmatching_dp, tree_size, tree_depth,
                      extract_estimate, brute_force, solve_relaxation, is_tight,
                      tightness_by_enumeration, iteration_bound, coverage_threshold,
-                     InfeasibleError, parse_graph,
+                     InfeasibleError, parse_graph, reduce_trivial,
                      serialize_graph, parse_schedule, serialize_schedule,
                      parse_certificate, serialize_certificate, validate_schedule)
 from bpmatch.cli import _parse_init, main  # noqa: E402
@@ -789,13 +791,46 @@ def test_integer_certificate_checks_match_the_fraction_reference(case):
     assert _outcome(check_cs, g, primal, own) == _outcome(ref.check_cs, g, primal, own)
     for dual in (own, cert) if cert is not None else (own,):
         assert _outcome(check_cs, g, sol, dual) == _outcome(ref.check_cs, g, sol, dual)
-        if (_outcome(is_tight, g, mode, relaxation=(sol, dual))
-                != _outcome(ref.is_tight, g, mode, relaxation=(sol, dual))):
-            # the one difference allowed: another witness of the face
-            rep = is_tight(g, mode, relaxation=(sol, dual))
-            want = ref.is_tight(g, mode, relaxation=(sol, dual))
-            assert dataclasses.replace(rep, witness=None) == dataclasses.replace(want, witness=None)
-            _assert_face_witness(g, mode, rep, sol)
+        _assert_tightness_matches(g, mode, sol, dual)
+
+
+def _assert_tightness_matches(g, mode, sol, dual):
+    """is_tight with (sol, dual) as the relaxation gives what the Fraction
+    reference gives, but for another witness of a positive-dimensional face."""
+    ref = fraction_certificate
+    if (_outcome(is_tight, g, mode, relaxation=(sol, dual))
+            != _outcome(ref.is_tight, g, mode, relaxation=(sol, dual))):
+        rep = is_tight(g, mode, relaxation=(sol, dual))
+        want = ref.is_tight(g, mode, relaxation=(sol, dual))
+        assert dataclasses.replace(rep, witness=None) == dataclasses.replace(want, witness=None)
+        _assert_face_witness(g, mode, rep, sol)
+
+
+@SETTINGS
+@given(certificate_draws(), st.sampled_from([5, 7, 11]))
+def test_a_certificate_is_read_on_the_graph_it_is_given(case, d):
+    # a certificate built on g, read on h (g's edges, weights divided by d,
+    # a denominator none of g's weights has): every fact is h's, as the
+    # Fraction reference finds it on h, so no scale of g's is reused
+    mode, g, y, lam, x = case
+    ref = fraction_certificate
+    h = Graph(g.n, g.capacities(), [(i, j, w / d) for (i, j), w in g.weights().items()])
+    certs = []
+    with contextlib.suppress(CertificateError):
+        certs.append(build_certificate(g, y, lam, mode))
+    with contextlib.suppress(InfeasibleError):
+        certs.append(solve_relaxation(g, mode)[1])
+    primal = LPSolution(mode, x, Fraction(0), False)
+    try:
+        sol = solve_relaxation(h, mode)[0]
+    except InfeasibleError:
+        sol = None
+    for cert in certs:
+        assert _outcome(dual_objective, h, cert) == _outcome(ref.dual_objective, h, cert)
+        assert _outcome(check_cs, h, primal, cert) == _outcome(ref.check_cs, h, primal, cert)
+        if sol is not None:
+            assert _outcome(check_cs, h, sol, cert) == _outcome(ref.check_cs, h, sol, cert)
+            _assert_tightness_matches(h, mode, sol, cert)
 
 
 def _assert_face_witness(g, mode, rep, sol):
@@ -854,6 +889,28 @@ def test_cycle_search_verdict_is_the_face_lp_verdict(instance):
         assert rep.reason == "optimal_face_has_positive_dimension" and sol.integral
     if not rep.tight:
         _assert_face_witness(g, mode, rep, sol)
+
+
+@SETTINGS
+@given(tightness_draws(), st.data())
+@example((PERFECT, Graph(6, [1] * 6, [(1, 2, Fraction(1, 7)), (2, 3, Fraction(1, 5))]
+                       + [(i, j, Fraction(1, 2 + (i + j) % 2)) for i in range(3, 7)
+                          for j in range(i + 1, 7)])), None)
+def test_graph_scale_is_the_lcm_of_its_weight_denominators(instance, data):
+    # every way a graph is built: the constructor, the file reader and the
+    # reduction, whose graph keeps only some weights and so may need a
+    # smaller scale (the example forces 1-2 and drops 2: sevenths and
+    # fifths leave, the scale falls from 210 to 6)
+    _, g = instance
+    if data is not None:
+        dens = st.sampled_from([1, 2, 3, 7])
+        g = Graph(g.n, g.capacities(),
+                  [(i, j, w / data.draw(dens)) for (i, j), w in g.weights().items()])
+    for h in (g, parse_graph(serialize_graph(g)), reduce_trivial(g).graph):
+        assert h.scale == math.lcm(*(w.denominator for w in h.weights().values()))
+        assert sorted(h.int_weights) == list(h.edges())
+        for e, v in h.int_weights.items():
+            assert type(v) is int and v == h.weight(*e) * h.scale
 
 
 @SETTINGS

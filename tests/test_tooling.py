@@ -3,8 +3,8 @@ perfbench/ runs against the package, so a package change that breaks the
 benchmark's answer checkers or its tracer, or gives an answer its
 independent checkers reject, must fail the tests, the runtime
 package imports nothing outside the standard library, the README's module table
-names each module once, and the README's library example runs against the
-current API."""
+names each module once, the README's library example runs against the
+current API, and the code-line counter in tools/ counts code lines only."""
 
 import ast
 import json
@@ -104,3 +104,27 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["bound"] == 9
+
+
+def test_codelines_counts_code_lines_only(tmp_path):
+    proc = subprocess.run([sys.executable, "tools/codelines.py", "--json"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    modules = report["modules"]
+    assert set(modules) == {p.name for p in (ROOT / "src" / "bpmatch").glob("*.py")}
+    assert all(n > 0 for n in modules.values())
+    assert sum(modules.values()) == report["total"]
+    # comments, blank lines and the docstrings of a module, a class and a
+    # function count 0; the statements around them count one a line, and a
+    # string that is not first in its body is code
+    (tmp_path / "prose.py").write_text(
+        '"""Module\ndocstring."""\n# a comment\n\n', encoding="utf-8")
+    (tmp_path / "code.py").write_text(
+        '"""Doc."""\n\n\nclass A:\n    """Doc\n    string."""\n\n'
+        '    def f(self):  # comment\n        """Doc."""\n        x = 1\n'
+        '        """not a docstring"""\n        return (x +\n                1)\n',
+        encoding="utf-8")
+    proc = subprocess.run([sys.executable, "tools/codelines.py", "--json", str(tmp_path)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stdout) == {"modules": {"code.py": 6, "prose.py": 0}, "total": 6}
