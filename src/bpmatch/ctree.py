@@ -254,9 +254,11 @@ def tree_bmatching_dp(tree: LabeledTree, init=None, memo=None) -> TreeDPResult:
     only on the node and `init`, so one memo passed to every call over the
     trees of one builder and one `init` solves each shared branch once; by
     default every call starts a fresh memo."""
-    g, root = tree.graph, tree.root
-    memo = {} if memo is None else memo
-    scale = lcm(g.scale, *{v.denominator for v in init.values()}) if init else g.scale
+    g = tree.graph
+    if memo is None:
+        memo = {}
+    root = tree.root
+    scale = lcm(g.scale, *{v.denominator for v in (init or {}).values()})
     _solve(g, [(c, root.label) for c in root.children], init, scale, memo)
     kids = [(c.label, memo[c]) for c in root.children]
     branches = {label: BranchValue(Fraction(n + m, scale), Fraction(m, scale))

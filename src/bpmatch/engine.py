@@ -121,7 +121,8 @@ class MessageInit:
         raise EngineError(f"unknown init kind {self.kind!r}")
 
     def max_abs(self, g: Graph):
-        return max((abs(v) for v in self.build(g).values()), default=ZERO)
+        values = self.build(g).values()
+        return max((abs(v) for v in values), default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,8 @@ class MessageState:
 
 
 def init_messages(g: Graph, init: MessageInit | None = None) -> MessageState:
-    return MessageState(0, (init or MessageInit.weights()).build(g))
+    init = init or MessageInit.weights()
+    return MessageState(0, init.build(g))
 
 
 class MessageTrace(Sequence):
@@ -212,8 +214,10 @@ class _Net:
     rational value, in the same order."""
 
     def __init__(self, g: Graph, values=()):
-        self.dirs = dirs = g.directed_edges()
-        self.ids = ids = {e: k for k, e in enumerate(dirs)}
+        dirs = g.directed_edges()
+        ids = {e: k for k, e in enumerate(dirs)}
+        self.dirs = dirs
+        self.ids = ids
         self.scale = lcm(g.scale, *{v.denominator for v in values})
         self.head = head = [j for (_, j) in dirs]
         self.tail = tail = [i for (i, _) in dirs]
@@ -225,7 +229,8 @@ class _Net:
         for i in g.vertices():
             start, end = end, end + g.degree(i)
             gin.append(_gather(rev[start:end]))
-        iw, f = g.int_weights, self.scale // g.scale
+        iw = g.int_weights
+        f = self.scale // g.scale
         self.w = [iw[(i, j) if i < j else (j, i)] * f for (i, j) in dirs]
 
     def up(self, values) -> list:
@@ -600,9 +605,14 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     the same MessageTrace and is returned as RunResult.trace, make the run
     step every update.
     RunResult.computed counts the steps computed."""
-    values = init.build(g) if init is not None and init.kind != "weights" else {}
-    net = _Net(g, values.values())
-    msgs = net.up(map(values.__getitem__, net.dirs)) if values else list(net.w)
+    init = init or MessageInit.weights()
+    if init.kind == "weights":
+        net = _Net(g)
+        msgs = list(net.w)
+    else:
+        values = init.build(g)
+        net = _Net(g, values.values())
+        msgs = net.up(map(values.__getitem__, net.dirs))
     dirs, eid, head, tail, rev, w, gin = (net.dirs, net.ids, net.head, net.tail, net.rev,
                                           net.w, net.gin)
     plans = {}

@@ -66,7 +66,8 @@ def certify_instance(g: Graph, mode: str, init: MessageInit | None = None,
     optima = bf_weight, bf_all = brute_force(g, mode)
     relaxation = sol, cert = solve_relaxation(g, mode)
     if cert_override is not None:
-        if (value := oracle.dual_objective(g, cert_override)) != sol.objective:
+        value = oracle.dual_objective(g, cert_override)
+        if value != sol.objective:
             raise oracle.CertificateError(
                 "supplied dual is feasible but not optimal; its objective is "
                 f"{value}, the optimum is {sol.objective}")

@@ -16,10 +16,9 @@ The dual certificate carries the derived quantities the bound needs: the
 set S of edges whose weight differs from the sum of its endpoints' dual
 prices, the minimum such gap epsilon, and the largest price magnitude L.
 The certificate checks run on ints and build Fractions only for their
-results: the graph's int weights (times its own `scale`) and the
-certificate's y and lambda times their least common denominator, which
-`build_certificate` keeps on the certificate, both rescaled to the lcm of
-the two scales.  No scale is carried from one graph to another.
+results: y and lambda times lcm(g.scale, their denominators), and the
+graph's own int weights rescaled to it by one factor, so a check reads
+the scale of the graph it is handed and never another's.
 One horizon serves both certified stops: 2nL/epsilon in perfect mode and
 4nL/epsilon in non-perfect mode, with L grown by the largest initial
 message when the run does not start from the weights.  A synchronous run
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import (Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError, edge_key,
@@ -187,36 +186,26 @@ class DualCertificate:
     S: frozenset
     epsilon: Fraction | None
     L: Fraction
-    # (d, Y, Lm) from build_certificate: y and lambda times their least
-    # common denominator d, as ints; they depend on no graph's weights.  Not
-    # an init field, so dataclasses.replace leaves it unset, never stale
-    _ints: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _scaled(*maps):
-    """The least common denominator D of the values of `maps`, dicts of
-    Fractions (or ints), and each map with its values times D, as ints."""
-    D = math.lcm(*{v.denominator for m in maps for v in m.values()})
+def _scaled(*maps, scale=1):
+    """The least common multiple D of `scale` and the denominators of the
+    values of `maps`, dicts of Fractions (or ints), and each map with its
+    values times D, as ints."""
+    D = math.lcm(scale, *{v.denominator for m in maps for v in m.values()})
     return (D, *({k: v.numerator * (D // v.denominator) for k, v in m.items()} for m in maps))
 
 
-def _dual_ints(cert: DualCertificate):
-    """(d, Y, Lm) of `cert`: as build_certificate kept them, else scaled here."""
-    return cert._ints or _scaled(cert.y, cert.lam)
-
-
-def _duals(g: Graph, mode: str, ints):
-    """(D, Y, Lm, gap): `ints` is (d, Y, Lm), y and lambda times their least
-    common denominator d, as _dual_ints gives them; D is lcm(g.scale, d),
-    Y and Lm come back times D, and gap holds each edge's dual gap times D,
+def _duals(g: Graph, mode: str, y, lam):
+    """(D, Y, Lm, gap): D is lcm(g.scale, the denominators of y and lambda),
+    Y and Lm their values times D, and gap each edge's dual gap times D,
     w - (y_i + y_j) in perfect mode, w + y_i + y_j in non-perfect mode, from
-    g's own int weights."""
-    d, Y, Lm = ints
-    D = math.lcm(g.scale, d)
-    f, fw = D // d, D // g.scale
-    Y, Lm = {i: v * f for i, v in Y.items()}, {e: v * f for e, v in Lm.items()}
-    W, sign = g.int_weights, 1 if mode == PERFECT else -1
-    return D, Y, Lm, {(i, j): W[i, j] * fw - sign * (Y[i] + Y[j]) for (i, j) in g.edges()}
+    g's own int weights times D // g.scale."""
+    D, Y, Lm = _scaled(y, lam, scale=g.scale)
+    f = D // g.scale
+    W = g.int_weights
+    sign = 1 if mode == PERFECT else -1
+    return D, Y, Lm, {(i, j): W[i, j] * f - sign * (Y[i] + Y[j]) for (i, j) in g.edges()}
 
 
 def _entries(given, keys, label: str, what: str) -> dict:
@@ -240,8 +229,7 @@ def build_certificate(g: Graph, y, lam, mode: str) -> DualCertificate:
     _require_mode(mode)
     y = _entries(y, g.vertices(), "y[{!r}]", "a vertex")
     lam = _entries(lam, g.edges(), "lambda{!r}", "an edge (i, j), i < j,")
-    ints = _scaled(y, lam)
-    D, Y, Lm, gap = _duals(g, mode, ints)
+    D, Y, Lm, gap = _duals(g, mode, y, lam)
     problems = [f"lambda{e} = {lam[e]} < 0" for e, v in Lm.items() if v < 0]
     if mode == NONPERFECT:
         problems += [f"y[{i}] = {y[i]} < 0 in non-perfect mode" for i, v in Y.items() if v < 0]
@@ -254,13 +242,11 @@ def build_certificate(g: Graph, y, lam, mode: str) -> DualCertificate:
     S = frozenset(e for e, v in gap.items() if v)
     epsilon = Fraction(min(abs(gap[e]) for e in S), D) if S else None
     L = Fraction(max(map(abs, Y.values()), default=0), D)
-    cert = DualCertificate(mode, y, lam, S, epsilon, L)
-    object.__setattr__(cert, "_ints", ints)
-    return cert
+    return DualCertificate(mode, y, lam, S, epsilon, L)
 
 
 def dual_objective(g: Graph, cert: DualCertificate) -> Fraction:
-    D, Y, Lm = _dual_ints(cert)
+    D, Y, Lm = _scaled(cert.y, cert.lam)
     total_y = sum(g.cap(i) * Y[i] for i in g.vertices())
     return Fraction((total_y if cert.mode == PERFECT else -total_y) - sum(Lm.values()), D)
 
@@ -346,7 +332,7 @@ def check_cs(g: Graph, primal: LPSolution, dual: DualCertificate) -> CSReport:
     """
     if primal.mode != dual.mode:
         raise OracleError("primal/dual mode mismatch")
-    D, Y, Lm, gap = _duals(g, primal.mode, _dual_ints(dual))
+    D, Y, Lm, gap = _duals(g, primal.mode, dual.y, dual.lam)
     X, x = _scaled({e: primal.x.get(e, ZERO) for e in g.edges()})
     products = []  # (name, subject, the product times X * D)
     for e, v in gap.items():
@@ -409,7 +395,7 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
     # (q_i = i at a non-perfect vertex M leaves unsaturated); arcs p_i -> q_j,
     # p_j -> q_i per free edge of M, q_j -> p_i, q_i -> p_j per free edge off
     # M, and q_i -> p_i at a saturated non-perfect vertex with zero price.
-    _, Y, Lm, gap = _duals(g, mode, _dual_ints(cert))
+    _, Y, Lm, gap = _duals(g, mode, cert.y, cert.lam)
     M = frozenset(e for e, v in sol.x.items() if v)
     load = Counter(i for e in M for i in e)
     loose = {i for i in g.vertices() if mode == NONPERFECT and load[i] < g.cap(i)}
@@ -498,7 +484,9 @@ def iteration_bound(g: Graph, cert: DualCertificate, init: MessageInit | None = 
     Only meaningful on tight instances.
     """
     threshold = coverage_threshold(g, cert, mode, init)
-    return g.n + 1 if cert.epsilon is None else math.ceil(threshold)
+    if cert.epsilon is None:
+        return g.n + 1
+    return math.ceil(threshold)
 
 
 # -- certificate files --------------------------------------------------------------------

@@ -9,6 +9,7 @@ current API, and the code-line counter in tools/ counts code lines only."""
 import ast
 import json
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -106,25 +107,22 @@ def test_readme_library_example_runs():
     assert namespace["bound"] == 9
 
 
-def test_codelines_counts_code_lines_only(tmp_path):
-    proc = subprocess.run([sys.executable, "tools/codelines.py", "--json"], cwd=ROOT,
+def test_codelines_counts_code_lines_only():
+    proc = subprocess.run([sys.executable, "tools/codelines.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    report = json.loads(proc.stdout)
-    modules = report["modules"]
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    modules = {name: int(n) for n, name in rows[:-1]}
+    assert rows[-1][1] == "total" and sum(modules.values()) == int(rows[-1][0])
     assert set(modules) == {p.name for p in (ROOT / "src" / "bpmatch").glob("*.py")}
     assert all(n > 0 for n in modules.values())
-    assert sum(modules.values()) == report["total"]
+    codelines = runpy.run_path(str(ROOT / "tools" / "codelines.py"))
+    assert codelines["count_tree"](codelines["PACKAGE"]) == modules
     # comments, blank lines and the docstrings of a module, a class and a
     # function count 0; the statements around them count one a line, and a
     # string that is not first in its body is code
-    (tmp_path / "prose.py").write_text(
-        '"""Module\ndocstring."""\n# a comment\n\n', encoding="utf-8")
-    (tmp_path / "code.py").write_text(
-        '"""Doc."""\n\n\nclass A:\n    """Doc\n    string."""\n\n'
-        '    def f(self):  # comment\n        """Doc."""\n        x = 1\n'
-        '        """not a docstring"""\n        return (x +\n                1)\n',
-        encoding="utf-8")
-    proc = subprocess.run([sys.executable, "tools/codelines.py", "--json", str(tmp_path)],
-                          cwd=ROOT, capture_output=True, text=True, timeout=60)
-    assert json.loads(proc.stdout) == {"modules": {"code.py": 6, "prose.py": 0}, "total": 6}
+    count = codelines["count_source"]
+    assert count('"""Module\ndocstring."""\n# a comment\n\n') == 0
+    assert count('"""Doc."""\n\n\nclass A:\n    """Doc\n    string."""\n\n'
+                 '    def f(self):  # comment\n        """Doc."""\n        x = 1\n'
+                 '        """not a docstring"""\n        return (x +\n                1)\n') == 6

@@ -1,27 +1,21 @@
-"""Count the code lines of the package, per module and in total.
+"""Count the code lines of src/bpmatch, per module and in total.
 
 A code line is a line that holds a token of code: comments, blank lines
 and docstrings (a string statement first in a module, class or function,
 found by ``ast``) are left out; a token spanning several lines, such as a
 multi-line string that is not a docstring, counts each line it spans.
 
-    python3 tools/codelines.py            # src/bpmatch, one module a line
-    python3 tools/codelines.py --json     # {"modules": {...}, "total": N}
-    python3 tools/codelines.py DIR        # the .py files under another tree
+    python3 tools/codelines.py            # one module a line, then the total
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
-import json
-import sys
 import tokenize
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "bpmatch"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bpmatch"
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -55,22 +49,8 @@ def count_tree(root: Path) -> dict:
             for path in sorted(root.rglob("*.py"))}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("root", nargs="?", type=Path, default=PACKAGE,
-                        help="directory to count (default: src/bpmatch)")
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
-    args = parser.parse_args(argv)
-    modules = count_tree(args.root)
-    total = sum(modules.values())
-    if args.json:
-        print(json.dumps({"modules": modules, "total": total}))
-    else:
-        for name, n in modules.items():
-            print(f"{n:6d}  {name}")
-        print(f"{total:6d}  total")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    modules = count_tree(PACKAGE)
+    for name, n in modules.items():
+        print(f"{n:6d}  {name}")
+    print(f"{sum(modules.values()):6d}  total")
