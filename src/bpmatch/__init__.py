@@ -19,7 +19,7 @@ from .ctree import (LabeledTree, TreeNode, BranchValue, TreeDPResult, TreeError,
                     tree_bmatching_dp, tree_depth, tree_size, dump_tree)
 from .oracle import (LPSolution, DualCertificate, CSReport, TightnessReport,
                      OracleError, InfeasibleError, GuardExceeded, CertificateError,
-                     brute_force, solve_relaxation,
+                     StrongDualityError, brute_force, solve_relaxation,
                      build_certificate, dual_objective, check_cs, is_tight,
                      tightness_by_enumeration, iteration_bound, coverage_threshold,
                      parse_certificate, serialize_certificate)

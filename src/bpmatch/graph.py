@@ -178,10 +178,10 @@ class Graph:
 
     @cached_property
     def int_weights(self):
-        """Each weight times `scale`, an exact int, keyed (i, j), i < j; a
-        read-only map."""
+        """Each weight times `scale`, an exact int, keyed (i, j), i < j, in
+        edge order; a read-only map."""
         return MappingProxyType({e: w.numerator * (self.scale // w.denominator)
-                                 for e, w in self._w.items()})
+                                 for e, w in sorted(self._w.items())})
 
     def total_weight(self, edges) -> Fraction:
         """The exact weight of `edges`, keys (i, j) with i < j: their int

@@ -344,8 +344,10 @@ def analyze_instance(g: Graph, mode: str):
     except InfeasibleError:
         row.update(feasible=False, tight=None, match=None)
         return row
+    except oracle.StrongDualityError:
+        row.update(feasible=True, strong_duality=False, tight=None, match=None)
+        return row
     row["feasible"] = True
-    row["strong_duality"] = oracle.dual_objective(g, c.cert) == c.lp.objective
     row["cs_ok"] = c.cs_ok
     row["tight"] = c.tight
     if g.m <= oracle.ENUMERATION_GUARD:

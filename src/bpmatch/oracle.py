@@ -9,16 +9,21 @@ leaves free, an independent tightness verdict by half-integral enumeration,
 and the certified iteration bound for the engine.
 
 One enumerator serves both exhaustive searches: a pruned depth-first search
-for minimum-weight points in scaled ints, over x in {0, 1}^E for the
-optimal matchings and over {0, 1/2, 1}^E for the half-integral cross-check.
+for minimum-weight points over the graph's int weights, over x in
+{0, 1}^E for the optimal matchings (lightest edges first, ordered by those
+ints) and over {0, 1/2, 1}^E for the half-integral cross-check.
 
 The dual certificate carries the derived quantities the bound needs: the
 set S of edges whose weight differs from the sum of its endpoints' dual
 prices, the minimum such gap epsilon, and the largest price magnitude L.
 The certificate checks run on ints and build Fractions only for their
-results: y and lambda times lcm(g.scale, their denominators), and the
-graph's own int weights rescaled to it by one factor, so a check reads
-the scale of the graph it is handed and never another's.
+results: y and lambda times a multiple D of g.scale, and the graph's own
+int weights rescaled to it by one factor, so a check reads the scale of
+the graph it is handed and never another's.  The relaxation stays in ints
+from end to end: the simplex takes the int weights as its costs, and its
+int prices, over D = d * g.scale, go straight into those checks and the
+strong-duality check.  A given dual is put over D = lcm(g.scale, its
+denominators).
 One horizon serves both certified stops: 2nL/epsilon in perfect mode and
 4nL/epsilon in non-perfect mode, with L grown by the largest initial
 message when the run does not start from the weights.  A synchronous run
@@ -33,6 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import (Graph, PERFECT, NONPERFECT, MODES, ZERO, GraphError, edge_key,
                     parse_rational, text_rows)
@@ -56,6 +62,10 @@ class GuardExceeded(OracleError):
 
 
 class CertificateError(OracleError):
+    pass
+
+
+class StrongDualityError(OracleError):
     pass
 
 
@@ -146,7 +156,8 @@ def _min_points(g: Graph, mode: str, edges, values, minimum=None):
 
 def brute_force(g: Graph, mode: str, guard: int = BRUTE_FORCE_GUARD):
     """All minimum-weight matchings by exhaustive search over x in {0, 1}^E,
-    lightest edges first.
+    lightest edges first: sorted by the graph's int weights, which order
+    them as the weights do, ties by edge.
 
     Returns (optimal weight, sorted list of optimal edge sets).  Raises
     InfeasibleError when perfect mode has no feasible matching.
@@ -154,7 +165,7 @@ def brute_force(g: Graph, mode: str, guard: int = BRUTE_FORCE_GUARD):
     _require_mode(mode)
     if g.m > guard:
         raise GuardExceeded(f"{g.m} edges exceeds the enumeration guard {guard}")
-    edges = sorted(g.edges(), key=lambda e: (g.weight(*e), e))
+    edges = sorted(g.edges(), key=g.int_weights.__getitem__)
     weight, points = _min_points(g, mode, edges, (2, 0))
     if not points:
         raise InfeasibleError("no perfect matching exists")
@@ -196,16 +207,27 @@ def _scaled(*maps, scale=1):
     return (D, *({k: v.numerator * (D // v.denominator) for k, v in m.items()} for m in maps))
 
 
-def _duals(g: Graph, mode: str, y, lam):
-    """(D, Y, Lm, gap): D is lcm(g.scale, the denominators of y and lambda),
-    Y and Lm their values times D, and gap each edge's dual gap times D,
-    w - (y_i + y_j) in perfect mode, w + y_i + y_j in non-perfect mode, from
-    g's own int weights times D // g.scale."""
-    D, Y, Lm = _scaled(y, lam, scale=g.scale)
+def _gaps(g: Graph, mode: str, D, Y):
+    """Each edge's dual gap times D, w - (y_i + y_j) in perfect mode,
+    w + y_i + y_j in non-perfect mode, for y = Y/D, D a multiple of g.scale,
+    from g's own int weights times D // g.scale."""
     f = D // g.scale
     W = g.int_weights
     sign = 1 if mode == PERFECT else -1
-    return D, Y, Lm, {(i, j): W[i, j] * f - sign * (Y[i] + Y[j]) for (i, j) in g.edges()}
+    return {(i, j): W[i, j] * f - sign * (Y[i] + Y[j]) for (i, j) in g.edges()}
+
+
+def _duals(g: Graph, mode: str, y, lam):
+    """(D, Y, Lm, gap): D is lcm(g.scale, the denominators of y and lambda),
+    Y and Lm their values times D, and gap the `_gaps` of Y."""
+    D, Y, Lm = _scaled(y, lam, scale=g.scale)
+    return D, Y, Lm, _gaps(g, mode, D, Y)
+
+
+def _dual_value(g: Graph, mode: str, Y, Lm) -> int:
+    """The dual objective times D, for y and lambda times D."""
+    total_y = sum(g.cap(i) * v for i, v in Y.items())
+    return (total_y if mode == PERFECT else -total_y) - sum(Lm.values())
 
 
 def _entries(given, keys, label: str, what: str) -> dict:
@@ -222,33 +244,40 @@ def _entries(given, keys, label: str, what: str) -> dict:
     return out
 
 
-def build_certificate(g: Graph, y, lam, mode: str) -> DualCertificate:
-    """Derive S / epsilon / L from dual values, verifying dual feasibility:
-    `y` maps vertices and `lam` edges (i, j), i < j, to exact values, zero
-    where absent.  The checks run on ints, Fractions only name problems."""
-    _require_mode(mode)
-    y = _entries(y, g.vertices(), "y[{!r}]", "a vertex")
-    lam = _entries(lam, g.edges(), "lambda{!r}", "an edge (i, j), i < j,")
-    D, Y, Lm, gap = _duals(g, mode, y, lam)
-    problems = [f"lambda{e} = {lam[e]} < 0" for e, v in Lm.items() if v < 0]
+def _certify(g: Graph, mode: str, D, Y, Lm):
+    """(S, epsilon, L) of the dual y = Y/D, lambda = Lm/D, D a multiple of
+    g.scale, once its feasibility is verified: the checks run on these ints,
+    Fractions only name problems."""
+    gap = _gaps(g, mode, D, Y)
+    problems = [f"lambda{e} = {Fraction(v, D)} < 0" for e, v in Lm.items() if v < 0]
     if mode == NONPERFECT:
-        problems += [f"y[{i}] = {y[i]} < 0 in non-perfect mode" for i, v in Y.items() if v < 0]
+        problems += [f"y[{i}] = {Fraction(v, D)} < 0 in non-perfect mode"
+                     for i, v in Y.items() if v < 0]
     for e, v in gap.items():
         if v + Lm[e] < 0:
             w = g.weight(*e)
-            problems.append(f"edge {e}: w + lambda = {w + lam[e]} < {w - Fraction(v, D)}")
+            problems.append(f"edge {e}: w + lambda = {w + Fraction(Lm[e], D)} < "
+                            f"{w - Fraction(v, D)}")
     if problems:
         raise CertificateError("dual infeasible: " + "; ".join(problems))
     S = frozenset(e for e, v in gap.items() if v)
     epsilon = Fraction(min(abs(gap[e]) for e in S), D) if S else None
-    L = Fraction(max(map(abs, Y.values()), default=0), D)
-    return DualCertificate(mode, y, lam, S, epsilon, L)
+    return S, epsilon, Fraction(max(map(abs, Y.values()), default=0), D)
+
+
+def build_certificate(g: Graph, y, lam, mode: str) -> DualCertificate:
+    """Derive S / epsilon / L from dual values, verifying dual feasibility:
+    `y` maps vertices and `lam` edges (i, j), i < j, to exact values, zero
+    where absent."""
+    _require_mode(mode)
+    y = _entries(y, g.vertices(), "y[{!r}]", "a vertex")
+    lam = _entries(lam, g.edges(), "lambda{!r}", "an edge (i, j), i < j,")
+    return DualCertificate(mode, y, lam, *_certify(g, mode, *_scaled(y, lam, scale=g.scale)))
 
 
 def dual_objective(g: Graph, cert: DualCertificate) -> Fraction:
     D, Y, Lm = _scaled(cert.y, cert.lam)
-    total_y = sum(g.cap(i) * Y[i] for i in g.vertices())
-    return Fraction((total_y if cert.mode == PERFECT else -total_y) - sum(Lm.values()), D)
+    return Fraction(_dual_value(g, cert.mode, Y, Lm), D)
 
 
 def _degree_lp(g: Graph, mode: str, cost):
@@ -258,8 +287,8 @@ def _degree_lp(g: Graph, mode: str, cost):
     mode.
 
     Columns: x, the vertex slacks in non-perfect mode, the x <= 1 slacks.
-    Rows: one per vertex, then the x <= 1 caps.  A and b are ints, as
-    `solve_lp` requires; the costs stay rational.
+    Rows: one per vertex, then the x <= 1 caps.  A, b and the slacks' zero
+    costs are ints; the relaxation's costs are the graph's int weights.
     """
     idx = {e: k for k, e in enumerate(cost)}
     nvar = len(idx)
@@ -279,35 +308,47 @@ def _degree_lp(g: Graph, mode: str, cost):
         row[k] = row[nvar + nslack + k] = 1
         A.append(row)
         b.append(1)
-    c = list(cost.values()) + [ZERO] * (ncols - nvar)
+    c = list(cost.values()) + [0] * (ncols - nvar)
     return A, b, c, idx
 
 
 def solve_relaxation(g: Graph, mode: str):
-    """Optimal vertex of the relaxation plus the matching dual certificate."""
+    """Optimal vertex of the relaxation plus the matching dual certificate.
+
+    The simplex runs on the graph's int weights, so its objective and its
+    int prices over d are the relaxation's times g.scale: the certificate
+    is built from those prices over D = d * g.scale, and strong duality is
+    checked on the same ints (StrongDualityError when it fails).  Fractions
+    are built only for the returned x, objective, y and lambda.
+    """
     _require_mode(mode)
-    A, b, c, idx = _degree_lp(g, mode, {e: g.weight(*e) for e in g.edges()})
+    A, b, c, idx = _degree_lp(g, mode, g.int_weights)
     try:
         res = solve_lp(A, b, c)
     except LPInfeasible:
         raise InfeasibleError("relaxation infeasible") from None
-    x = {e: res.x[k] for e, k in idx.items()}
-    sol = LPSolution(mode, x, res.objective, all(v in (0, 1) for v in x.values()))
     # every vertex keeps its row: rows 0..n-1 are the vertices, then the caps
-    den, prices = res.scaled_dual
+    d, prices = res.scaled_dual
+    D = d * g.scale
     sign = 1 if mode == PERFECT else -1
-    y = {i: Fraction(sign * prices[i - 1], den) for i in g.vertices()}
-    lam = {e: Fraction(-prices[g.n + k], den) for e, k in idx.items()}
-    cert = build_certificate(g, y, lam, mode)
-    if dual_objective(g, cert) != sol.objective:
-        raise OracleError("strong duality violated; simplex produced a bad dual")
-    return sol, cert
+    Y = {i: sign * prices[i - 1] for i in g.vertices()}
+    Lm = {e: -prices[g.n + k] for e, k in idx.items()}
+    S, epsilon, L = _certify(g, mode, D, Y, Lm)
+    # the objective times g.scale is N/Q; the dual's is _dual_value / d
+    N, Q = res.objective.numerator, res.objective.denominator
+    if _dual_value(g, mode, Y, Lm) * Q != N * d:
+        raise StrongDualityError("strong duality violated; simplex produced a bad dual")
+    x = {e: res.x[k] for e, k in idx.items()}
+    integral = all(v.denominator == 1 for v in x.values())
+    sol = LPSolution(mode, x, Fraction(N, Q * g.scale), integral)
+    y = {i: Fraction(v, D) for i, v in Y.items()}
+    lam = {e: Fraction(v, D) for e, v in Lm.items()}
+    return sol, DualCertificate(mode, y, lam, S, epsilon, L)
 
 
 # -- complementary slackness -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CSCheck:
+class CSCheck(NamedTuple):
     name: str
     subject: tuple
     value: object

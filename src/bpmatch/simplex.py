@@ -3,8 +3,8 @@
 Solves  min c.x  subject to  A x = b, x >= 0  with Bland's smallest-index
 pivoting rule, which rules out cycling, so termination is guaranteed.  A and
 b must be integral (ints, or values such as Fraction(1) equal to one); a
-non-integral entry raises LPError naming its row, never truncated.  c may be
-any rational.  There are no tolerances anywhere.
+non-integral entry raises LPError naming its row, never truncated.  c holds
+ints or Fractions.  There are no tolerances anywhere.
 
 The tableau is an integer matrix M, right-hand side last, over one positive
 common denominator d (tableau = M/d, from A with d = 1); the costs are scaled
@@ -157,31 +157,28 @@ def solve_lp(A, b, c) -> LPResult:
             row = [-v for v in row]
             sign[i] = -1
         M.append(row)
-    cost = [v if type(v) is Fraction else Fraction(v) for v in c]
-    scale = lcm(*{v.denominator for v in cost})
-    cost = [v.numerator * (scale // v.denominator) for v in cost]
+    try:
+        scale = lcm(*{v.denominator for v in c})
+    except AttributeError:
+        raise LPError("c must hold ints or Fractions") from None
+    cost = [v.numerator * (scale // v.denominator) for v in c]
 
     # Seed the basis with unit columns where they exist.
     basis = [-1] * m
-    for j in range(n):
-        hit = None
-        for i in range(m):
-            v = M[i][j]
-            if v == 0:
-                continue
-            if v != 1 or hit is not None:
-                break
-            hit = i
-        else:
-            if hit is not None and basis[hit] == -1:
-                basis[hit] = j
+    for j, col in zip(range(n), zip(*M)):
+        if col.count(0) == m - 1 and 1 in col:
+            i = col.index(1)
+            if basis[i] == -1:
+                basis[i] = j
 
     art_rows = [i for i in range(m) if basis[i] == -1]
+    for row in M:
+        row[n:n] = [0] * len(art_rows)
     for k, i in enumerate(art_rows):
+        M[i][n + k] = 1
         basis[i] = n + k
     unit = list(basis)  # each row's unit column, whose reduced cost prices it
     cost += [0] * len(art_rows) + [0]
-    M = [row[:n] + [int(r == i) for i in art_rows] + row[n:] for r, row in enumerate(M)]
     d, _ = _bland(M, 1, basis, [0] * n + [1] * len(art_rows) + [0], range(n + len(art_rows)))
     if sum(M[i][-1] for i in range(m) if basis[i] >= n) != 0:
         raise LPInfeasible("phase one optimum is positive")
@@ -204,7 +201,8 @@ def solve_lp(A, b, c) -> LPResult:
 
     x = [ZERO] * n
     for row, bv in zip(M, basis):
-        x[bv] = Fraction(row[-1], d)
+        if row[-1]:
+            x[bv] = Fraction(row[-1], d)
     objective = Fraction(sum(cost[bv] * row[-1] for row, bv in zip(M, basis)), d * scale)
     prices = [sign[i] * (cost[u] * d - z[u]) for i, u in enumerate(unit)]
     return LPResult(x, objective, None, list(basis), (d * scale, prices))

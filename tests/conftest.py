@@ -49,6 +49,24 @@ def corrupt_message(trace, t, edge, delta):
         trace.plans[t - 1] = plan._replace(ids=plan.ids + [k])
 
 
+def lower_vertex_prices(monkeypatch):
+    """Make `oracle.solve_lp` return the perfect-mode degree LP's vertex
+    prices (its first n rows, n = rows - columns / 2) one cost unit lower:
+    the dual stays feasible, but its objective falls below the primal's."""
+    from bpmatch import oracle
+    from bpmatch.simplex import LPResult
+    real = oracle.solve_lp
+
+    def lowered(A, b, c):
+        res = real(A, b, c)
+        d, prices = res.scaled_dual
+        n = len(A) - len(A[0]) // 2
+        return LPResult(res.x, res.objective, None, res.basis,
+                        (d, [p - d if k < n else p for k, p in enumerate(prices)]))
+
+    monkeypatch.setattr(oracle, "solve_lp", lowered)
+
+
 def tight_instances(count=21, seed=404):
     """The c4 fixture, then the perfect random_instance draws of `seed`
     (n <= 6, weights 1..10) whose LP relaxation is tight, `count` graphs in

@@ -8,7 +8,7 @@ from bpmatch import (PERFECT, StopPolicy, fixture_path, make_schedule, parse_cer
 from bpmatch import cli
 from bpmatch.cli import main
 from bpmatch.harness import solve_pipeline
-from conftest import load_fixture
+from conftest import load_fixture, lower_vertex_prices
 
 
 def fx(name):
@@ -503,6 +503,13 @@ class TestSweepAndScheduleValidate:
         assert code == 0
         assert payload["mismatches"] == 0
         assert payload["tightness_agreements"] == payload["tightness_checked_both_ways"]
+
+    def test_sweep_reports_a_bad_dual_and_finishes(self, capsys, monkeypatch):
+        lower_vertex_prices(monkeypatch)
+        code, out, _ = run_cli(capsys, "sweep", "--mode", "perfect", "--instances", "6",
+                               "--seed", "3")
+        assert code == cli.EXIT_MISMATCH
+        assert "strong duality: FAIL" in out and "sweep: 6 instances" in out
 
     def test_schedule_validate_ok(self, capsys):
         code, out, _ = run_cli(capsys, "schedule-validate", fx("c4"),

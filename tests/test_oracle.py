@@ -13,7 +13,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, MessageInit, StopPolicy,
 from bpmatch import harness, oracle
 from bpmatch.cli import main
 from bpmatch.harness import certify_instance
-from conftest import naive_optima, random_graph_any
+from conftest import lower_vertex_prices, naive_optima, random_graph_any
 
 
 class TestBruteForce:
@@ -33,6 +33,20 @@ class TestBruteForce:
         g = Graph(3, [1, 1, 1], [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
         with pytest.raises(InfeasibleError):
             brute_force(g, PERFECT)
+
+    def test_lightest_edges_first_by_exact_weight(self, monkeypatch):
+        # 2/3 < 3/4 < 1/1 although the numerators run the other way round
+        g = Graph(4, [1] * 4, [(1, 2, 1), (3, 4, F(3, 4)), (1, 3, F(2, 3)), (2, 4, 3)])
+        orders = []
+        real = oracle._min_points
+
+        def spy(g, mode, edges, values, minimum=None):
+            orders.append(list(edges))
+            return real(g, mode, edges, values, minimum)
+
+        monkeypatch.setattr(oracle, "_min_points", spy)
+        brute_force(g, NONPERFECT)
+        assert orders == [[(1, 3), (3, 4), (1, 2), (2, 4)]]
 
     def test_guard(self, c4):
         with pytest.raises(GuardExceeded):
@@ -82,6 +96,28 @@ class TestRelaxation:
                 except InfeasibleError:
                     continue
                 assert solve_relaxation(g, mode)[0].objective <= w
+
+    def test_relaxation_hands_the_simplex_the_int_weights(self, monkeypatch):
+        g = Graph(4, [1] * 4, [(1, 2, F(1, 2)), (2, 3, F(2, 3)), (3, 4, F(5, 6)),
+                               (1, 4, F(1, 3))])
+        costs = []
+        real = oracle.solve_lp
+
+        def spy(A, b, c):
+            costs.append(c)
+            return real(A, b, c)
+
+        monkeypatch.setattr(oracle, "solve_lp", spy)
+        sol, cert = solve_relaxation(g, PERFECT)
+        [c] = costs
+        assert all(type(v) is int for v in c)
+        assert c[:g.m] == [3, 2, 4, 5] and g.scale == 6  # (1, 2), (1, 4), (2, 3), (3, 4)
+        assert sol.objective == 1 and dual_objective(g, cert) == sol.objective
+
+    def test_strong_duality_violation_has_its_own_error(self, c4, monkeypatch):
+        lower_vertex_prices(monkeypatch)
+        with pytest.raises(oracle.StrongDualityError, match="strong duality violated"):
+            solve_relaxation(c4, PERFECT)
 
     def test_infeasible_relaxation(self):
         # on the path, the middle vertex cannot satisfy both endpoints

@@ -893,6 +893,34 @@ def test_cycle_search_verdict_is_the_face_lp_verdict(instance):
 
 @SETTINGS
 @given(tightness_draws(), st.data())
+def test_certification_on_sevenths_and_elevenths_is_the_fraction_reference(instance, data):
+    # weights over 7 and 11, so g.scale is 7, 11 or 77: the int hand-off
+    # from the simplex gives the objective, dual, verdict and bound that the
+    # reference finds on Fractions
+    mode, g = instance
+    dens = st.sampled_from([7, 11])
+    g = Graph(g.n, g.capacities(),
+              [(i, j, w / data.draw(dens)) for (i, j), w in g.weights().items()])
+    try:
+        c = harness.certify_instance(g, mode)
+    except InfeasibleError:
+        return
+    ref = fraction_certificate
+    sol, cert = ref.solve_relaxation(g, mode)
+    tight = ref.is_tight(g, mode, relaxation=(sol, cert)).tight
+    assert c.lp == sol and c.cert == cert
+    assert c.tight == tight
+    if not tight:
+        assert c.bound is None
+    elif cert.epsilon is None:
+        assert c.bound == g.n + 1
+    else:
+        factor = 2 if mode == PERFECT else 4
+        assert c.bound == math.ceil(factor * g.n * cert.L / cert.epsilon)
+
+
+@SETTINGS
+@given(tightness_draws(), st.data())
 @example((PERFECT, Graph(6, [1] * 6, [(1, 2, Fraction(1, 7)), (2, 3, Fraction(1, 5))]
                        + [(i, j, Fraction(1, 2 + (i + j) % 2)) for i in range(3, 7)
                           for j in range(i + 1, 7)])), None)

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from unittest import mock
 
@@ -128,6 +129,12 @@ def test_integral_fractions_in_a_and_b_and_rational_costs_are_accepted():
     assert res.x == [4, 0] and res.objective == F(4, 3) and res.dual == [F(1, 3)]
 
 
+@pytest.mark.parametrize("cost", [0.5, Decimal("0.5"), "1/2"])
+def test_a_cost_that_is_no_int_or_fraction_is_rejected(cost):
+    with pytest.raises(LPError, match="c must hold ints or Fractions"):
+        solve_lp([[1, 1]], [1], [1, cost])
+
+
 def _outcome(solve, A, b, c):
     """The result of `solve`, or the class of the LPError it raised."""
     try:
@@ -183,6 +190,22 @@ def test_integer_simplex_matches_the_fraction_simplex(lp):
         _same_as_reference(*lp)
     except LPError:
         pass
+
+
+@SETTINGS
+@given(small_lps(), st.integers(1, 7))
+def test_costs_times_k_give_the_same_vertex_and_k_times_the_prices(lp, k):
+    # Bland's rule reads only the signs of the reduced costs, so the pivots
+    # do not change; the oracle hands its costs over this way, times g.scale
+    A, b, c = lp
+    base = _outcome(solve_lp, A, b, c)
+    scaled = _outcome(solve_lp, A, b, [k * v for v in c])
+    if isinstance(base, type):
+        assert scaled is base
+        return
+    assert scaled.x == base.x and scaled.basis == base.basis
+    assert scaled.objective == k * base.objective
+    assert scaled.dual == [k * p for p in base.dual]
 
 
 @settings(SETTINGS, max_examples=100)
