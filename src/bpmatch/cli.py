@@ -22,7 +22,7 @@ from .schedule import (Schedule, ScheduleError, make_schedule, parse_schedule,
                        validate_schedule, coverage)
 from .ctree import GCTBuilder, dump_tree
 from .harness import (prepare_instance, solve_pipeline, certify_instance, sweep,
-                      tree_verify, WeightRangeError, _fmt_edges)
+                      _tree_verify, WeightRangeError, _fmt_edges)
 from .oracle import InfeasibleError, CertificateError, serialize_certificate
 
 EXIT_OK = 0
@@ -244,9 +244,9 @@ def cmd_tree_verify(args) -> int:
     sched = _parse_schedule_flag(args.schedule, work)
     if not sched.trusted:
         raise ScheduleError("tree-verify supports generated schedules only")
-    rows, ok, first = tree_verify(work, args.t_max, sched.kind, sched.seed)
+    builder = GCTBuilder(work, sched, args.t_max)
+    rows, ok, first = _tree_verify(work, args.t_max, sched, builder)
     if args.dump_tree:
-        builder = GCTBuilder(work, sched, args.t_max)
         chunks = [f"# root {root}, t={args.t_max}\n" + dump_tree(builder.gct(root, args.t_max))
                   for root in work.vertices()]
         _write(args.dump_tree, "\n".join(chunks))

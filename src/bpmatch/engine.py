@@ -23,7 +23,8 @@ the step that updates every directed edge.  One rule serves every update
 set: the run loop applies a one-edge step (every step of a round-robin or
 random schedule) as one update in place, and _round computes every other
 set, empty or of two or more edges.  Runs work on messages scaled to exact
-integers (see _Net) and recompute only the selections a step can change;
+integers (see _Net) and recompute only the selections a step can change
+(a one-edge step re-ranks its head only when the edge's value changed);
 every public value (MessageState, traces, estimates) is the same exact
 rational as the unscaled rule gives.  The update rule and the estimate
 read one order statistic of a vertex's incoming messages, so one ranking
@@ -562,10 +563,13 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     schedule, also holds the edge's id, its tail i, the id of j -> i, its
     scaled weight and j's ranking record, so its step skips _round and
     refresh and reads no list of its plan: the loop reads m(j -> i) and
-    i's ranks, writes the edge's one new value in place, counts it as one
-    scalar, and re-ranks j alone, entering the estimate's bookkeeping only
-    when j's selection changed.  _round and refresh compute every other
-    step: empty steps and update sets of two or more edges.
+    i's ranks and counts the update as one scalar.  When the new value is
+    the one the edge holds, j's incoming messages and so its ranks and
+    selection are unchanged, and the step writes and re-ranks nothing;
+    otherwise it writes the value in place and re-ranks j alone, entering
+    the estimate's bookkeeping only when j's selection changed.  _round
+    and refresh compute every other step: empty steps and update sets of
+    two or more edges.
 
     `repeats` is (s, L) when the steps repeat every L steps after the
     first s (Schedule.repeats; run_sync's all-edges step is (0, 1)).  The
@@ -715,15 +719,19 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
         k, i, r, v, into_j, plan = plans.get(updates) or compiled(updates)
         if into_j is not None:
             # one edge i -> j: _round's rule on one value, in place, then
-            # one re-rank of j
+            # one re-rank of j, unless the value is the one the edge holds:
+            # j's incoming messages, and so its ranks, are then unchanged
             if not free[i]:
                 kth = hi[i] if msgs[r] <= lo[i] else lo[i]
                 if perfect or kth < 0:
                     v -= kth
-            msgs[k] = v
-            j, nb, b, read = into_j
-            new, tie[j], lo[j], hi[j] = select(nb, b, read(msgs), mode)
-            touched = new != sel[j] and reselect(j, new)
+            if v == msgs[k]:
+                touched = False
+            else:
+                msgs[k] = v
+                j, nb, b, read = into_j
+                new, tie[j], lo[j], hi[j] = select(nb, b, read(msgs), mode)
+                touched = new != sel[j] and reselect(j, new)
             if counts is not None:
                 counts[k] = c = counts[k] + 1
                 if c == need:

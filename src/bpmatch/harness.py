@@ -416,10 +416,16 @@ def tree_verify(g: Graph, t_max: int, schedule_kind=None, schedule_seed=None,
     its branches and so its flags are those of t - 1, and it keeps them.
     Only the depth check is read again at every t, against the current
     u(t).  So the checks cost O(n + sum |E(t)|) and the rows O(n t)."""
+    sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
+    return _tree_verify(g, t_max, sched, GCTBuilder(g, sched, t_max), init)
+
+
+def _tree_verify(g: Graph, t_max: int, sched, builder: GCTBuilder,
+                 init: MessageInit | None = None):
+    """tree_verify on the schedule `sched` and its trees' builder, which a
+    caller can keep to read the trees from."""
     rows, first = [], None
     init_map = init.build(g) if init is not None and init.kind != "weights" else None
-    sched = make_schedule(g, schedule_kind or "sync", seed=schedule_seed)
-    builder = GCTBuilder(g, sched, t_max)
     trace = run_async(g, sched, init, StopPolicy.budget(t_max), PERFECT, keep_trace=True).trace
     for root in g.vertices():
         builder.gct(root, t_max)

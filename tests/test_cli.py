@@ -481,6 +481,28 @@ class TestTreeVerify:
         assert "# root 1, t=1" in dump.read_text()
         assert "0 label=1" in dump.read_text()
 
+    def test_a_dumped_schedule_tree_is_the_builders_tree(self, capsys, tmp_path, monkeypatch):
+        # the check and the dump read one builder
+        from bpmatch import GCTBuilder, dump_tree
+        from bpmatch.harness import prepare_instance
+        built, init = [], GCTBuilder.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        dump = tmp_path / "trees.txt"
+        with monkeypatch.context() as m:
+            m.setattr(GCTBuilder, "__init__", counting)
+            code, _, _ = run_cli(capsys, "tree-verify", fx("c4"), "--schedule", "random:3",
+                                 "--t-max", "6", "--dump-tree", str(dump))
+        assert code == 0 and len(built) == 1
+        g = prepare_instance(load_fixture("c4"), PERFECT)[0]
+        builder = GCTBuilder(g, make_schedule(g, "random", seed=3), 6)
+        assert dump.read_text() == "\n".join(f"# root {root}, t=6\n"
+                                             + dump_tree(builder.gct(root, 6))
+                                             for root in g.vertices())
+
     def test_tree_code_needs_no_frame_per_level(self, capsys):
         # 100 frames above the current stack cannot hold one frame per
         # level of t = 60 trees

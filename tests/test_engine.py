@@ -365,27 +365,35 @@ class TestMessageTrace:
         assert len(run.trace) == 20001 and peak < 2.5 * 2 ** 20
 
 
+def _spy_select(monkeypatch, g):
+    # the labels of the vertices engine._select ranks, in call order
+    from bpmatch import engine
+    seen = []
+    real = engine._select
+    # a run passes each vertex's own neighbor tuple, which names it
+    label = {id(g.neighbors(i)): i for i in g.vertices()}
+
+    def counting(nbrs, b, vals, mode):
+        seen.append(label[id(nbrs)])
+        return real(nbrs, b, vals, mode)
+
+    monkeypatch.setattr(engine, "_select", counting)
+    return seen
+
+
 class TestWork:
     """The run loop recomputes a vertex's selection only when one of its
     incoming messages was updated: once per vertex for the initial state,
-    then once per head of an updated edge.  Counts calls, times nothing."""
+    then once per head of an updated edge, where a one-edge step counts as
+    an update only when it changed its edge's value.  Counts calls, times
+    nothing."""
 
     @pytest.fixture
     def calls(self, monkeypatch, c4):
-        from bpmatch import engine
-        seen = []
-        real = engine._select
-        # a run passes each vertex's own neighbor tuple, which names it
-        label = {id(c4.neighbors(i)): i for i in c4.vertices()}
-
-        def counting(nbrs, b, vals, mode):
-            seen.append(label[id(nbrs)])
-            return real(nbrs, b, vals, mode)
-
-        monkeypatch.setattr(engine, "_select", counting)
-        return seen
+        return _spy_select(monkeypatch, c4)
 
     def test_single_edge_steps_recompute_one_head(self, c4, calls):
+        # every one-edge step on c4 changes its edge's value
         from bpmatch import make_schedule, run_async
         steps = 37
         res = run_async(c4, make_schedule(c4, "roundrobin"), stop=StopPolicy.budget(steps))
@@ -399,6 +407,24 @@ class TestWork:
         res = run_async(c4, make_schedule(c4, "random", seed=seed), stop=StopPolicy.budget(steps))
         assert res.iterations == res.computed == steps
         assert len(calls) == c4.n + steps
+
+    @pytest.mark.parametrize("keep_trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("kind, seed", [("roundrobin", None), ("random", 3), ("random", 8)])
+    def test_a_one_edge_step_reranks_its_head_only_when_its_message_changed(
+            self, k4, monkeypatch, kind, seed, keep_trace):
+        # on k4-appendix 9 of the first 60 round-robin steps and 21 of the
+        # first 60 random ones (seed 3) write the value their edge holds
+        steps = 60
+        states = list(run_async(k4, make_schedule(k4, kind, seed=seed), None,
+                                StopPolicy.budget(steps), keep_trace=True).trace)
+        heads = [j for s, t in zip(states, states[1:])
+                 for (i, j), v in t.m.items() if s.m[(i, j)] != v]
+        assert steps - len(heads) >= 9
+        calls = _spy_select(monkeypatch, k4)
+        res = run_async(k4, make_schedule(k4, kind, seed=seed), None, StopPolicy.budget(steps),
+                        keep_trace=keep_trace)
+        assert res.iterations == res.computed == steps
+        assert calls == list(k4.vertices()) + heads
 
     def test_mixed_steps_recompute_each_distinct_head_once(self, c4, calls):
         from bpmatch import make_schedule, run_async

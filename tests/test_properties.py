@@ -466,6 +466,18 @@ K4_NEG = Graph(4, [1, 2, 1, 1], [(1, 2, -2), (1, 3, Fraction(-1, 3)), (1, 4, -1)
 @example((NONPERFECT, K4_NEG), ("explicit", None), StopPolicy.coverage(1), True,
          _Draws(MessageInit.constant(Fraction(1, 3)),
                 [s for e in K4_NEG.directed_edges() * 6 for s in ([], [e])]))
+# step 1 rewrites 1 -> 2 with the value it holds, so 2 is not ranked again:
+# its two smallest messages tie (lo == hi), and step 4, 2 -> 1, reads them
+@example((PERFECT, K4), ("roundrobin", None), StopPolicy.budget(4), True,
+         _Draws(MessageInit.explicit({**dict.fromkeys(K4.directed_edges(), 3),
+                                      (1, 2): Fraction(2, 3), (3, 2): Fraction(2, 3),
+                                      (2, 1): 5, (3, 1): 0, (4, 1): 1})))
+# step 1 rewrites the 0 on 1 -> 2 (w - (-2)); vertex 2, b = 2, picks only
+# its one negative message, so its tie flag is 0 in vals
+@example((NONPERFECT, K4_NEG), ("roundrobin", None), StopPolicy.budget(4), False,
+         _Draws(MessageInit.explicit({**dict.fromkeys(K4_NEG.directed_edges(), 2),
+                                      (1, 2): 0, (3, 2): -1, (4, 2): 1, (2, 1): 3,
+                                      (3, 1): -2, (4, 1): 1})))
 # a graph of one edge: two free vertices, then empty steps
 @example((NONPERFECT, Graph(2, [1, 1], [(1, 2, Fraction(-3, 2))])), ("roundrobin", None),
          StopPolicy.budget(5), True, _Draws(MessageInit.constant(-4)))
