@@ -266,7 +266,7 @@ def cmd_tree_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     _at_least(args.instances, 0, "--instances")
-    _at_least(args.n_max, 3, "--n-max")
+    _at_least(args.n_max, 4 if args.mode == PERFECT else 3, "--n-max")
     t0 = time.monotonic()
     result = sweep(args.mode, instances=args.instances, n_max=args.n_max,
                    seed=args.seed, weight_lo=args.weight_lo, weight_hi=args.weight_hi,

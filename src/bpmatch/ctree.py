@@ -94,12 +94,12 @@ def dump_tree(tree: LabeledTree) -> str:
 
 # -- construction -----------------------------------------------------------------
 
-def build_tree(g: Graph, root: int, t: int, node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
+def build_tree(g: Graph, root: int, t: int) -> LabeledTree:
     """Balanced level-t tree rooted at `root`: leaves at depth t+1, or
     earlier where the unrolling runs out of neighbors (acyclic regions).  It
     is the generalized tree of the all-edges schedule, built with shared
-    subtrees; `node_cap` still bounds the unrolled size."""
-    return GCTBuilder(g, repeat(frozenset(g.directed_edges())), t).gct(root, t, node_cap)
+    subtrees; DEFAULT_NODE_CAP still bounds the unrolled size."""
+    return GCTBuilder(g, repeat(frozenset(g.directed_edges())), t).gct(root, t)
 
 
 class GCTBuilder:
@@ -131,30 +131,30 @@ class GCTBuilder:
                 self._times[e].append(t)
             self.grown.append(new)
 
-    def gct(self, root: int, t: int, node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
+    def gct(self, root: int, t: int) -> LabeledTree:
         """Generalized computation tree at time t: the root's branches are the
         computation branches of all its incoming directed edges."""
         if not (1 <= root <= self.g.n):
             raise TreeError(f"vertex {root} out of range")
-        return self._rooted(root, self.g.neighbors(root), t, node_cap)
+        return self._rooted(root, self.g.neighbors(root), t)
 
-    def branch(self, edge, t: int, node_cap: int = DEFAULT_NODE_CAP) -> LabeledTree:
+    def branch(self, edge, t: int) -> LabeledTree:
         """Computation branch of the directed edge (i -> j) at time t: a tree
         rooted at j whose single child is the branch node of i."""
         i, j = edge
         if not self.g.has_edge(i, j):
             raise TreeError(f"({i},{j}) is not an edge of the graph")
-        return self._rooted(j, (i,), t, node_cap)
+        return self._rooted(j, (i,), t)
 
-    def _rooted(self, root, sources, t, node_cap) -> LabeledTree:
+    def _rooted(self, root, sources, t) -> LabeledTree:
         # the root's children: its in-edges' branches from `sources` at t
         if not 0 <= t <= self.t_max:
             raise TreeError(f"t must be within 0..{self.t_max}")
         kids = tuple(self.grown[s[bisect_right(s, t) - 1]][(r, root)]
                      for r in sources for s in (self._times[(r, root)],))
         tree = LabeledTree(TreeNode(root, None, kids), self.g)
-        if tree_size(tree) > node_cap:
-            raise TreeSizeError(f"tree exceeds {node_cap} nodes")
+        if tree_size(tree) > DEFAULT_NODE_CAP:
+            raise TreeSizeError(f"tree exceeds {DEFAULT_NODE_CAP} nodes")
         return tree
 
 

@@ -1,6 +1,6 @@
 """Experiment orchestration: the parse/validate/reduce/solve/certify pipeline
-behind the command line, random instance generation, sweeps, and the
-tree-versus-engine verifier."""
+behind the command line, random instance generation, sweeps that solve
+each instance through that pipeline, and the tree-versus-engine verifier."""
 
 from __future__ import annotations
 
@@ -278,14 +278,19 @@ def solve_pipeline(g: Graph, mode: str, *, instance_name="<memory>",
 # -- random instances and sweeps -----------------------------------------------------
 
 class WeightRangeError(ValueError):
-    """Random-instance weight bounds with no integer between them."""
+    """Random-instance weight bounds with no integer between them, or
+    with positive weights in non-perfect mode."""
 
 
 def random_instance(rng: random.Random, n_max=6, mode=PERFECT,
                     weight_lo=None, weight_hi=None, distinct=False) -> Graph:
     """Random simple graph with capacities admissible for the mode: every
     vertex keeps degree strictly above (perfect) or at least (non-perfect)
-    its capacity, so perfect instances need no reduction."""
+    its capacity, so perfect instances need no reduction.  A perfect
+    instance needs n_max >= 4: the triangle's capacities are all 1, an odd
+    total."""
+    if mode == PERFECT and n_max < 4:
+        raise ValueError(f"perfect instances need n_max >= 4, got {n_max}")
     if weight_lo is None:
         weight_lo = 1 if mode == PERFECT else -30
     if weight_hi is None:
@@ -293,6 +298,8 @@ def random_instance(rng: random.Random, n_max=6, mode=PERFECT,
     if weight_lo > weight_hi:
         raise WeightRangeError(f"empty weight range: weight_lo {weight_lo} > "
                                f"weight_hi {weight_hi} (mode {mode})")
+    if mode == NONPERFECT and weight_hi > 0:
+        raise WeightRangeError(f"non-perfect weights must be <= 0, but weight_hi is {weight_hi}")
     while True:
         n = rng.randint(3, n_max)
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -336,60 +343,54 @@ def random_instance(rng: random.Random, n_max=6, mode=PERFECT,
         return Graph(n, caps, [(i, j, w) for (i, j), w in zip(chosen, weights)])
 
 
-def analyze_instance(g: Graph, mode: str):
-    """One sweep step: oracle, consistency cross-checks, certified run."""
-    row = {"n": g.n, "m": g.m, "mode": mode}
-    try:
-        c = certify_instance(g, mode)
-    except InfeasibleError:
-        row.update(feasible=False, tight=None, match=None)
-        return row
-    except oracle.StrongDualityError:
-        row.update(feasible=True, strong_duality=False, tight=None, match=None)
-        return row
-    row["feasible"] = True
-    row["cs_ok"] = c.cs_ok
-    row["tight"] = c.tight
-    if g.m <= oracle.ENUMERATION_GUARD:
-        enum_tight, _ = tightness_by_enumeration(g, mode, c.lp.objective)
-        row["tight_enum"] = enum_tight
-        row["tight_agree"] = enum_tight == c.tight
-    if not c.tight:
-        row["match"] = None
-        return row
-    row["bound"] = c.bound
-    run = run_sync(g, mode, None, StopPolicy.budget(c.bound))
-    row["stabilized_at"] = run.stabilized_at
-    row["match"] = run.estimate.edges == c.bf_optima[0]
-    return row
-
-
 def sweep(mode: str, instances=200, n_max=6, seed=0, weight_lo=None, weight_hi=None,
           distinct=False):
-    """Generate, certify, and solve random instances; aggregate the outcome."""
+    """Draw random instances and solve each as `solve --certify --stop
+    certified` does (solve_pipeline); tally feasibility, tightness, the
+    certified runs' matches and stabilization, and, on instances of at
+    most ENUMERATION_GUARD edges, the tightness verdict against
+    half-integral enumeration.  A bad dual from the simplex counts as a
+    feasible instance and clears duality_ok; the fallback run of a loose
+    instance is not tallied."""
     rng = random.Random(seed)
-    rows = []
+    feasible = tight = matches = agreements = checked = 0
+    duality_ok = cs_ok = True
+    bounds, stabilized = [], []
     for _ in range(instances):
         g = random_instance(rng, n_max, mode, weight_lo, weight_hi, distinct)
-        rows.append(analyze_instance(g, mode))
-    feasible = [r for r in rows if r.get("feasible")]
-    tight = [r for r in feasible if r.get("tight")]
-    matches = [r for r in tight if r.get("match")]
-    agree = [r for r in rows if "tight_agree" in r]
+        try:
+            rep = solve_pipeline(g, mode, certify=True, stop_spec=("certified", None))
+        except oracle.StrongDualityError:
+            feasible += 1
+            duality_ok = False
+            continue
+        if rep.infeasible:
+            continue
+        c = rep.certification
+        feasible += 1
+        cs_ok = cs_ok and c.cs_ok
+        if g.m <= oracle.ENUMERATION_GUARD:
+            checked += 1
+            agreements += tightness_by_enumeration(g, mode, c.lp.objective)[0] == c.tight
+        if c.tight:
+            tight += 1
+            matches += rep.match
+            bounds.append(c.bound)
+            stabilized.append(rep.run.stabilized_at)
     return {
         "mode": mode,
-        "instances": len(rows),
-        "feasible": len(feasible),
-        "tight": len(tight),
-        "matches": len(matches),
-        "mismatches": len(tight) - len(matches),
-        "duality_ok": all(r.get("strong_duality", True) for r in rows),
-        "cs_ok": all(r.get("cs_ok", True) for r in rows),
-        "tightness_agreements": len([r for r in agree if r["tight_agree"]]),
-        "tightness_checked_both_ways": len(agree),
+        "instances": instances,
+        "feasible": feasible,
+        "tight": tight,
+        "matches": matches,
+        "mismatches": tight - matches,
+        "duality_ok": duality_ok,
+        "cs_ok": cs_ok,
+        "tightness_agreements": agreements,
+        "tightness_checked_both_ways": checked,
         "stabilization": {
-            "max_bound": max((r["bound"] for r in tight), default=None),
-            "max_stabilized_at": max((r["stabilized_at"] for r in tight), default=None),
+            "max_bound": max(bounds, default=None),
+            "max_stabilized_at": max(stabilized, default=None),
         },
     }
 

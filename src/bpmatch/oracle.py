@@ -154,7 +154,7 @@ def _min_points(g: Graph, mode: str, edges, values, minimum=None):
     return Fraction(best, 2 * g.scale), points
 
 
-def brute_force(g: Graph, mode: str, guard: int = BRUTE_FORCE_GUARD):
+def brute_force(g: Graph, mode: str):
     """All minimum-weight matchings by exhaustive search over x in {0, 1}^E,
     lightest edges first: sorted by the graph's int weights, which order
     them as the weights do, ties by edge.
@@ -163,8 +163,8 @@ def brute_force(g: Graph, mode: str, guard: int = BRUTE_FORCE_GUARD):
     InfeasibleError when perfect mode has no feasible matching.
     """
     _require_mode(mode)
-    if g.m > guard:
-        raise GuardExceeded(f"{g.m} edges exceeds the enumeration guard {guard}")
+    if g.m > BRUTE_FORCE_GUARD:
+        raise GuardExceeded(f"{g.m} edges exceeds the enumeration guard {BRUTE_FORCE_GUARD}")
     edges = sorted(g.edges(), key=g.int_weights.__getitem__)
     weight, points = _min_points(g, mode, edges, (2, 0))
     if not points:
@@ -474,8 +474,7 @@ def is_tight(g: Graph, mode: str, *, optima=None, relaxation=None) -> TightnessR
                            sol.objective, bf_weight, 1)
 
 
-def tightness_by_enumeration(g: Graph, mode: str, lp_objective: Fraction,
-                             guard: int = ENUMERATION_GUARD):
+def tightness_by_enumeration(g: Graph, mode: str, lp_objective: Fraction):
     """Independent tightness verdict via half-integral search.
 
     Every vertex of the relaxation polytope takes values in {0, 1/2, 1}, so
@@ -485,8 +484,8 @@ def tightness_by_enumeration(g: Graph, mode: str, lp_objective: Fraction,
     `lp_objective` is not the least weight of a half-integral point.
     """
     _require_mode(mode)
-    if g.m > guard:
-        raise GuardExceeded(f"{g.m} edges exceeds the enumeration guard {guard}")
+    if g.m > ENUMERATION_GUARD:
+        raise GuardExceeded(f"{g.m} edges exceeds the enumeration guard {ENUMERATION_GUARD}")
     edges = g.edges()
     _, points = _min_points(g, mode, edges, (0, 1, 2), lp_objective)
     if not points:

@@ -75,11 +75,6 @@ class Schedule:
     def trusted(self):
         return self._sets is None
 
-    def __len__(self):
-        if self._sets is None:
-            raise ScheduleError(f"{self.kind} schedule is unbounded")
-        return len(self._sets)
-
     def __iter__(self):
         if self._sets is not None:
             return iter(self._sets)

@@ -70,11 +70,6 @@ class LPResult:
     def _key(self):
         return self.x, self.objective, self.dual, self.basis
 
-    def __eq__(self, other):
-        if type(other) is not LPResult:
-            return NotImplemented
-        return self._key() == other._key()
-
     def __repr__(self):
         return "LPResult(x={!r}, objective={!r}, dual={!r}, basis={!r})".format(*self._key())
 

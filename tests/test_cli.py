@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -7,7 +8,7 @@ from bpmatch import (PERFECT, StopPolicy, fixture_path, make_schedule, parse_cer
                      parse_graph, parse_schedule, reduce_trivial, run_async)
 from bpmatch import cli
 from bpmatch.cli import main
-from bpmatch.harness import solve_pipeline
+from bpmatch.harness import random_instance, solve_pipeline
 from conftest import load_fixture, lower_vertex_prices
 
 
@@ -457,6 +458,14 @@ class TestTreeVerify:
         assert code == 2 and out == ""
         assert err == "error: tree-verify supports generated schedules only\n"
 
+    def test_a_mismatch_is_one_text_line(self, capsys, monkeypatch):
+        row = {"root": 2, "t": 1, "messages": False, "selection": True, "depth": True}
+        monkeypatch.setattr(cli, "_tree_verify", lambda *args: ([row], False, row))
+        code, out, _ = run_cli(capsys, "tree-verify", fx("c4"), "--t-max", "3")
+        assert code == cli.EXIT_MISMATCH
+        assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+            f"MISMATCH at root=2 t=1: {row}"]
+
     def test_invalid_graph_is_a_validation_error(self, capsys, tmp_path):
         # capacity 2 at a degree-1 vertex: exit 2 before the reduction, as
         # solve and certify do
@@ -532,6 +541,24 @@ class TestSweepAndScheduleValidate:
                                "--seed", "3")
         assert code == cli.EXIT_MISMATCH
         assert "strong duality: FAIL" in out and "sweep: 6 instances" in out
+
+    def test_distinct_weights(self, capsys):
+        # pairwise distinct when the range holds one weight per edge; drawn
+        # as without --distinct when it does not
+        for seed in range(20):
+            g = random_instance(random.Random(seed), 6, PERFECT, distinct=True)
+            assert len(set(g.weights().values())) == g.m
+            narrow = random_instance(random.Random(seed), 6, PERFECT, 1, 3, distinct=True)
+            assert narrow.m > 3
+            assert narrow == random_instance(random.Random(seed), 6, PERFECT, 1, 3)
+        code, out, _ = run_cli(capsys, "sweep", "--distinct", "--instances", "20", "--json")
+        assert code == 0 and json.loads(out)["instances"] == 20
+
+    def test_a_perfect_draw_needs_four_vertices(self):
+        # the one graph on three vertices that fits, the triangle, has an
+        # odd total capacity, so the draw would never end
+        with pytest.raises(ValueError, match="n_max >= 4"):
+            random_instance(random.Random(0), 3, PERFECT)
 
     def test_schedule_validate_ok(self, capsys):
         code, out, _ = run_cli(capsys, "schedule-validate", fx("c4"),
@@ -619,6 +646,12 @@ class TestWork:
         assert code == 0 and modes == [PERFECT]
 
 
+# what some of the malformed flag values below are reported as
+SAYS = {("sweep", "--n-max", "3"): "--n-max must be an integer >= 4",
+        ("sweep", "--mode", "nonperfect", "--weight-hi", "5"):
+            "non-perfect weights must be <= 0, but weight_hi is 5"}
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "C4", "--stop", "budget=abc"),
     ("solve", "C4", "--stop", "foo"),
@@ -630,10 +663,19 @@ class TestWork:
     ("tree-verify", "C4", "--t-max", "-1"),
     ("schedule-validate", "C4", "--schedule", "roundrobin", "--horizon", "-1"),
     ("sweep", "--n-max", "2"),
+    ("sweep", "--n-max", "3"),
     ("sweep", "--mode", "nonperfect", "--weight-lo", "5"),
+    ("sweep", "--mode", "nonperfect", "--weight-hi", "5"),
     ("sweep", "--instances", "-3"),
 ])
 def test_malformed_flag_value_is_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *(fx("c4") if a == "C4" else a for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert SAYS.get(argv, "") in err
+
+
+def test_a_missing_file_is_one_error_line(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "solve", str(tmp_path / "missing.graph"))
+    assert code == cli.EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "missing.graph" in err

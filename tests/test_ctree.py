@@ -52,9 +52,11 @@ class TestBuildBalanced:
         labels = sorted(leaf.label for leaf in _leaves(tree.root))
         assert labels == [3, 4]
 
-    def test_size_cap(self, k4):
+    def test_size_cap(self, k4, monkeypatch):
+        from bpmatch import ctree
+        monkeypatch.setattr(ctree, "DEFAULT_NODE_CAP", 100)
         with pytest.raises(TreeSizeError):
-            build_tree(k4, 1, 10, node_cap=100)
+            build_tree(k4, 1, 10)
 
     def test_deep_tree_is_walkable_without_recursion(self, c4):
         # 2000 levels, twice the default recursion limit: built, sized,

@@ -48,9 +48,10 @@ class TestBruteForce:
         brute_force(g, NONPERFECT)
         assert orders == [[(1, 3), (3, 4), (1, 2), (2, 4)]]
 
-    def test_guard(self, c4):
+    def test_guard(self, c4, monkeypatch):
+        monkeypatch.setattr(oracle, "BRUTE_FORCE_GUARD", 3)
         with pytest.raises(GuardExceeded):
-            brute_force(c4, PERFECT, guard=3)
+            brute_force(c4, PERFECT)
 
     def test_matches_reference_enumeration(self):
         rng = random.Random(8)

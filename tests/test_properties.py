@@ -4,7 +4,8 @@ the generalized trees of that schedule, and both agree with the tree
 dynamic program, also when one tree-DP memo is shared across a builder's
 trees; the integer tree DP agrees with its Fraction reference, and
 tree_verify's forward pass with its per-tree reference, also on a
-corrupted step log.  The run
+corrupted step log, and the sweep's solves through solve_pipeline with
+its per-instance reference.  The run
 loop's scaled-integer messages and incremental estimates agree with a
 plain rational stepper, and a synchronous or round-robin run that skips
 whole periods of its message cycle agrees with the run that steps every
@@ -54,10 +55,12 @@ from bpmatch.ctree import TreeSizeError  # noqa: E402
 from bpmatch.harness import random_instance  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
 from bpmatch.engine import _select, detect_period  # noqa: E402
-from conftest import corrupt_message, naive_optima, random_graph_any  # noqa: E402
+from conftest import (corrupt_message, load_fixture, lower_vertex_prices,  # noqa: E402
+                      naive_optima, random_graph_any)
 import _fraction_certificate as fraction_certificate  # noqa: E402
 import _fraction_tree_dp as fraction_tree_dp  # noqa: E402
 import _reference_tree_verify as reference_tree_verify  # noqa: E402
+import _reference_sweep as reference_sweep  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -267,6 +270,70 @@ def test_tree_verify_matches_the_per_tree_reference(seed, kind, explicit_init, c
     with mock.patch.object(harness, "run_async", run_async), \
             mock.patch.object(reference_tree_verify, "run_async", run_async):
         assert outcome(harness.tree_verify) == outcome(reference_tree_verify.tree_verify)
+
+
+# weight ranges per mode: the defaults, wide ones, and narrow ones that
+# give loose and tied instances
+SWEEP_RANGES = {PERFECT: [(None, None), (1, 30), (-5, 5), (1, 2), (0, 1), (3, 3)],
+                NONPERFECT: [(None, None), (-30, -1), (-3, 0), (-1, 0), (-2, -2)]}
+
+
+@SETTINGS
+@given(st.sampled_from([PERFECT, NONPERFECT]), st.integers(0, 2 ** 16), st.integers(0, 20),
+       st.booleans(), st.data())
+def test_sweep_matches_the_per_instance_reference(mode, seed, instances, distinct, data):
+    # a perfect instance needs n_max >= 4
+    n_max = data.draw(st.integers(4 if mode == PERFECT else 3, 6))
+    lo, hi = data.draw(st.sampled_from(SWEEP_RANGES[mode]))
+    args = (mode, instances, n_max, seed, lo, hi, distinct)
+    assert harness.sweep(*args) == reference_sweep.sweep(*args)
+
+
+@pytest.mark.parametrize("g, want", [
+    # (feasible, tight) over two draws of the instance
+    (Graph(3, [1, 1, 1], [(1, 2, 1), (1, 3, 2), (2, 3, 3)]), (0, 0)),
+    (load_fixture("c4"), (2, 2)),
+    (Graph(6, [1] * 6, [(1, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 10),
+                        (4, 5, 1), (4, 6, 1), (5, 6, 1)]), (2, 0)),
+])
+def test_sweep_of_a_scripted_instance_matches_the_reference(monkeypatch, g, want):
+    # an infeasible triangle (odd total capacity), a tight instance, and
+    # two unit triangles joined by a weight-10 edge, which every perfect
+    # 1-matching takes (weight 12) while the half-integral triangles weigh
+    # 3: a loose relaxation
+    for module in (harness, reference_sweep):
+        monkeypatch.setattr(module, "random_instance", lambda *args: g)
+    result = harness.sweep(PERFECT, instances=2)
+    assert (result["feasible"], result["tight"]) == want
+    assert result == reference_sweep.sweep(PERFECT, instances=2)
+
+
+def test_sweep_with_a_bad_dual_matches_the_reference(monkeypatch):
+    lower_vertex_prices(monkeypatch)
+    result = harness.sweep(PERFECT, instances=6, seed=3)
+    assert not result["duality_ok"]
+    assert result == reference_sweep.sweep(PERFECT, instances=6, seed=3)
+
+
+def test_sweep_solves_each_instance_once_as_a_certified_solve(monkeypatch):
+    drawn, calls = [], []
+    draw, solve = harness.random_instance, harness.solve_pipeline
+
+    def drawing(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def solving(g, mode, **kwargs):
+        calls.append((g, mode, kwargs))
+        return solve(g, mode, **kwargs)
+
+    monkeypatch.setattr(harness, "random_instance", drawing)
+    monkeypatch.setattr(harness, "solve_pipeline", solving)
+    harness.sweep(NONPERFECT, instances=12, seed=5)
+    assert len(drawn) == len(calls) == 12
+    for g, (h, mode, kwargs) in zip(drawn, calls):
+        assert h is g and mode == NONPERFECT
+        assert kwargs == {"certify": True, "stop_spec": ("certified", None)}
 
 
 def _rational_step(g, m, updates, mode):

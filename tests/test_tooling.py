@@ -4,7 +4,9 @@ benchmark's answer checkers or its tracer, or gives an answer its
 independent checkers reject, must fail the tests, the runtime
 package imports nothing outside the standard library, the README's module table
 names each module once, the README's library example runs against the
-current API, and the code-line counter in tools/ counts code lines only."""
+current API, the code-line counter in tools/ counts code lines only, and
+the unreached-statement lister there names the outermost statements that
+never ran."""
 
 import ast
 import json
@@ -126,3 +128,35 @@ def test_codelines_counts_code_lines_only():
     assert count('"""Doc."""\n\n\nclass A:\n    """Doc\n    string."""\n\n'
                  '    def f(self):  # comment\n        """Doc."""\n        x = 1\n'
                  '        """not a docstring"""\n        return (x +\n                1)\n') == 6
+
+
+def test_unreached_lists_the_outermost_statements_never_run():
+    unreached = runpy.run_path(str(ROOT / "tools" / "unreached.py"))["unreached"]
+    source = ('"""Doc."""\n'              # 1
+              'import os\n'               # 2
+              '\n'
+              '\n'
+              'def f(x):\n'               # 5
+              '    """Doc."""\n'
+              '    if x:\n'               # 7
+              '        return 1\n'        # 8
+              '    try:\n'                # 9
+              '        y = (x +\n'        # 10
+              '             1)\n'         # 11
+              '    except ValueError:\n'  # 12
+              '        y = 0\n'           # 13
+              '    return y\n'            # 14
+              '\n'
+              '\n'
+              '@staticmethod\n'           # 17
+              'def g():\n'                # 18
+              '    global G\n'            # 19
+              '    G = 1\n'               # 20
+              '    return G\n')           # 21
+    # a statement runs when a line of its own runs, or one inside it does:
+    # the try by line 11, g by its decorator; the except clause and g's
+    # body are listed, not the statements inside them, and a docstring or
+    # a global declaration never is
+    assert unreached(source, {2, 5, 7, 11, 14, 17}) == [8, 12, 20, 21]
+    assert unreached(source, {17}) == [2, 5, 20, 21]
+    assert unreached(source, set()) == [2, 5, 18]
