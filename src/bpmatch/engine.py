@@ -30,7 +30,15 @@ rational as the unscaled rule gives.  The update rule and the estimate
 read one order statistic of a vertex's incoming messages, so one ranking
 per vertex (_select) serves both: a run ranks a vertex's messages only
 after one of them is updated, and the next step reads the b_i-th and
-(b_i+1)-th smallest from that ranking.
+(b_i+1)-th smallest from that ranking.  On a graph of SPLIT_EDGES or more
+directed edges an all-edges step ranks fewer: each vertex keeps its rank
+split, the positions of its b_i smallest incoming messages (_Splits), and
+a step computes every message, then the greatest message inside each
+split and the least outside it, in a few C-level passes.  A split whose
+inside stays strictly below its outside keeps its selected set and gives
+the new ranks; only the vertices whose split broke are ranked again, and
+the run's estimate ranks every vertex once, for the order of its
+selection and its tie flag.
 
 A synchronous round is a function of the scaled messages alone: the ranks,
 selections and estimate after it are recomputed from them, and the update
@@ -64,9 +72,9 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import floor, inf, lcm
-from operator import eq, itemgetter, sub
+from operator import call, eq, itemgetter, lt, not_, sub
 from typing import NamedTuple
 
 from .graph import Graph, PERFECT, ZERO, GraphError, edge_key, require_valid
@@ -266,10 +274,11 @@ class _Plan(NamedTuple):
 def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> list:
     """One step on scaled messages for an update set of any size (all
     edges, none or any subset; the run loop applies one-edge steps itself,
-    by the same rule): recompute the edges of `plan` from the values at t-1
-    in `msgs`, computing every new value before writing any, and return the
-    messages at t: a new list when every edge updates, which leaves `msgs`
-    as it was, and `msgs` itself, updated, otherwise.
+    and all-edges steps on SPLIT_EDGES or more directed edges on the rank
+    splits, by the same rule): recompute the edges of `plan` from the
+    values at t-1 in `msgs`, computing every new value before writing any,
+    and return the messages at t: a new list when every edge updates,
+    which leaves `msgs` as it was, and `msgs` itself, updated, otherwise.
 
     `plan` holds the step's sorted edge ids, their tails and scaled
     weights, and a gather of their reverse messages, all worked out once
@@ -291,6 +300,98 @@ def _round(msgs: list, mode: str, plan: _Plan, lo, hi, free) -> list:
     for k, v in zip(ids, new):
         msgs[k] = v
     return msgs
+
+
+# the fewest directed edges at which an all-edges step runs on rank splits
+# (_Splits) instead of _round and one _select per vertex; read at call time
+SPLIT_EDGES = 64
+
+
+class _Splits:
+    """The rank splits of a run's vertices, which an all-edges step reads
+    in place of _round and refresh (see _run).
+
+    Vertex j's split is the set of positions, in neighbor order, of its b_j
+    smallest incoming messages, ties to the smaller label as _select ranks
+    them: its selected set.  inside[j - 1] and outside[j - 1] gather j's
+    incoming messages in and out of its split, and src[k] is the slot of
+    `vals` that edge k = i -> j reads for the b_i-th smallest message into
+    i other than j's: i + n + 1, i's hi, when j is in i's split and i, its
+    lo, when not (if m(j -> i) ties lo[i] outside the split, hi[i] ==
+    lo[i]).  vals holds each vertex's lo, then its hi, as _round reads
+    them: min(., 0) of them in non-perfect mode.  There a vertex that is
+    free or selects fewer than b_j sends its weights: both of its slots
+    read 0 and it has no split, so its gathers read one message on both
+    sides, which never holds, and it is ranked at every step."""
+
+    def __init__(self, net: _Net, rank, free, mode):
+        self.n = n = len(rank) - 1
+        self.rank, self.free, self.w = rank, free, net.w
+        self.perfect = mode == PERFECT
+        # j's incoming edge ids, and the id of its first outgoing edge
+        self.into, self.first = [None], [None]
+        start = 0
+        for _, nb, _, _ in rank[1:]:
+            self.into.append(net.rev[start:start + len(nb)])
+            self.first.append(start)
+            start += len(nb)
+        self.one = _gather([0])
+        self.cut = [None] * (n + 1)
+        self.inside, self.outside = [self.one] * n, [self.one] * n
+        self.src = [0] * len(net.w)
+        self.vals = [0] * (2 * n + 2)
+        self.pick = None
+        # the step whose messages the splits are cut from
+        self.at = None
+
+    def place(self, j, chosen, lo, hi):
+        """Cut j's split from its selection `chosen` and its ranks lo and
+        hi, as _select gave them."""
+        if not self.perfect and (self.free[j] or lo >= 0):
+            # a free vertex, or one selecting fewer than b_j, sends its
+            # weights: both of its slots read 0, and it has no split
+            cut, lo, hi = (), 0, 0
+        else:
+            cut = sorted(map(self.rank[j][1].index, chosen))
+            if not self.perfect:
+                hi = min(hi, 0)
+        n = self.n
+        self.vals[j], self.vals[n + 1 + j] = lo, hi
+        if cut == self.cut[j]:
+            return
+        self.cut[j] = cut
+        into, first = self.into[j], self.first[j]
+        if cut:
+            self.inside[j - 1] = _gather([into[p] for p in cut])
+            self.outside[j - 1] = _gather([e for p, e in enumerate(into) if p not in cut])
+        else:
+            self.inside[j - 1] = self.outside[j - 1] = self.one
+        self.src[first:first + len(into)] = [j] * len(into)
+        for p in cut:
+            self.src[first + p] = j + n + 1
+        self.pick = None
+
+    def step(self, msgs, lo, hi) -> tuple:
+        """The messages after an all-edges step from `msgs`, and the
+        vertices whose split broke.  Every other vertex j keeps its split
+        and selection, with lo[j] and hi[j] the greatest message inside
+        the split and the least outside; a broken vertex's entries are
+        left for the caller to rank and place."""
+        if self.pick is None:
+            self.pick = itemgetter(*self.src)
+        new = list(map(sub, self.w, self.pick(self.vals)))
+        top = list(map(max, map(call, self.inside, repeat(new))))
+        bottom = list(map(min, map(call, self.outside, repeat(new))))
+        lo[1:], hi[1:] = top, bottom
+        if not self.perfect:
+            # hi as _round reads it; a split holds only while its messages
+            # are negative, so that it stays the selection
+            bottom = [z if z < 0 else 0 for z in bottom]
+        self.vals = [0, *top, 0, *bottom]
+        held = list(map(lt, top, bottom))
+        if all(held):
+            return new, ()
+        return new, list(compress(range(1, self.n + 1), map(not_, held)))
 
 
 # -- estimates ----------------------------------------------------------------
@@ -567,9 +668,19 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
     the one the edge holds, j's incoming messages and so its ranks and
     selection are unchanged, and the step writes and re-ranks nothing;
     otherwise it writes the value in place and re-ranks j alone, entering
-    the estimate's bookkeeping only when j's selection changed.  _round
-    and refresh compute every other step: empty steps and update sets of
-    two or more edges.
+    the estimate's bookkeeping only when j's selection changed.  On a graph
+    of SPLIT_EDGES or more directed edges (read when the all-edges set is
+    compiled), the all-edges step runs on the rank splits (_Splits) in
+    place of _round and refresh: the splits are cut from the current
+    selections and ranks unless the step before was an all-edges step too
+    (any other step, and a translation's shift, leaves them stale), the
+    step computes the new messages and each split's greatest inside and
+    least outside message, and refresh ranks only the vertices whose split
+    broke, which are cut again.  A split that held keeps its vertex's
+    selected set but not its order or tie flag, so a run that took such a
+    step ranks every vertex once more for its estimate.  _round and
+    refresh compute every other step: empty steps and update sets of two
+    or more edges.
 
     `repeats` is (s, L) when the steps repeat every L steps after the
     first s (Schedule.repeats; run_sync's all-edges step is (0, 1)).  The
@@ -621,10 +732,15 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                                           net.w, net.gin)
     plans = {}
 
+    # the plan of the all-edges set and its rank splits, once compiled, on
+    # SPLIT_EDGES or more directed edges
+    whole = splits = None
+
     def compiled(updates):
         # the record of an update set: (k, i, r, w_k, into_j, plan) for its
         # one edge k = i -> j, with r = j -> i and into_j j's ranking record,
         # else five Nones and its plan
+        nonlocal whole, splits
         ids = sorted([eid[e] for e in updates])
         plan = _Plan(ids, [tail[k] for k in ids], [w[k] for k in ids],
                      _gather([rev[k] for k in ids]),
@@ -634,6 +750,8 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             plans[updates] = rec = (k, tail[k], rev[k], w[k], plan.heads[0], plan)
         else:
             plans[updates] = rec = (None, None, None, None, None, plan)
+            if len(ids) == len(dirs) >= SPLIT_EDGES:
+                whole, splits = plan, _Splits(net, rank, free, mode)
         return rec
 
     select = _select
@@ -740,8 +858,21 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                 log.plans.append(plan)
                 log.wrote.append(v)
         else:
-            msgs = _round(msgs, mode, plan, lo, hi, free)
-            touched = refresh(plan.heads)
+            if plan is whole:
+                # every edge, on the rank splits: cut them again unless they
+                # were cut at the step before, and rank and place the
+                # vertices whose split broke
+                if splits.at != t - 1:
+                    for j in g.vertices():
+                        splits.place(j, sel[j], lo[j], hi[j])
+                msgs, broken = splits.step(msgs, lo, hi)
+                touched = refresh([rank[j] for j in broken]) if broken else False
+                for j in broken:
+                    splits.place(j, sel[j], lo[j], hi[j])
+                splits.at = t
+            else:
+                msgs = _round(msgs, mode, plan, lo, hi, free)
+                touched = refresh(plan.heads)
             if counts is not None:
                 for k in plan.ids:
                     counts[k] += 1
@@ -811,6 +942,11 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
             elif seek and (n := (t - base) // length) and not n & (n - 1):
                 mark = (t, list(msgs), counts and list(counts))
 
+    if splits is not None and splits.at is not None:
+        # a split that held kept its vertex's selected set, not its order or
+        # tie flag
+        for j, nb, b, read in rank[1:]:
+            sel[j], tie[j], _, _ = select(nb, b, read(msgs), mode)
     est = Estimate(edges, {i: sel[i] for i in g.vertices()},
                    frozenset(i for i in g.vertices() if tie[i]))
     stable_for = t - last_change

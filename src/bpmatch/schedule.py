@@ -20,6 +20,7 @@ from __future__ import annotations
 import random as _random
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, repeat as forever
 from math import floor
 
@@ -59,26 +60,39 @@ class Schedule:
     without redundancy.  `repeats` is (s, L) when the schedule repeats its
     steps every L steps after its first s, so that steps t and t + L update
     the same set for every t > s, and None when it states no such period.
+
+    A generated schedule is laid out on first use, so one made and then
+    made again on a reduced graph does its graph work once: `layout`
+    returns (factory, once, repeats), with factory() a new iterator over
+    the steps.
     """
 
-    def __init__(self, kind, *, sets=None, factory=None, seed=None, once=(), repeats=None):
-        if (sets is None) == (factory is None):
-            raise ScheduleError("exactly one of sets/factory required")
+    def __init__(self, kind, *, sets=None, layout=None, seed=None):
+        if (sets is None) == (layout is None):
+            raise ScheduleError("exactly one of sets/layout required")
         self.kind = kind
         self.seed = seed
-        self.once = tuple(once)
-        self.repeats = repeats
         self._sets = None if sets is None else [frozenset(s) for s in sets]
-        self._factory = factory
+        self._layout = layout
+
+    @cached_property
+    def _laid(self):
+        return (lambda: iter(self._sets), (), None) if self._layout is None else self._layout()
+
+    @property
+    def once(self) -> tuple:
+        return self._laid[1]
+
+    @property
+    def repeats(self):
+        return self._laid[2]
 
     @property
     def trusted(self):
         return self._sets is None
 
     def __iter__(self):
-        if self._sets is not None:
-            return iter(self._sets)
-        return self._factory()
+        return self._laid[0]()
 
     def prefix(self, horizon: int) -> list:
         """E(1)..E(horizon); shorter if a materialized schedule ends first."""
@@ -136,69 +150,13 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
 
     if kind == "sync":
         # the set is built per iteration, so a schedule never iterated costs nothing
-        return Schedule("sync", factory=lambda: forever(frozenset(dirs)), repeats=(0, 1))
+        return Schedule("sync", layout=lambda: (lambda: forever(frozenset(dirs)), (), (0, 1)))
 
     if kind == "roundrobin":
-        once, repeat = _split(g)
-        singles = [frozenset((e,)) for e in repeat]
-
-        def factory():
-            for e in once:
-                yield frozenset((e,))
-            if not repeat:
-                yield from forever(frozenset())
-            while True:
-                yield from singles
-        return Schedule("roundrobin", factory=factory, once=once,
-                        repeats=(len(once), len(repeat) or 1))
+        return Schedule("roundrobin", layout=lambda: _roundrobin(g))
 
     if kind == "random":
-        once, repeat = _split(g)
-        # cycles are drawn as indices into `repeat`, so the ready list keeps
-        # `repeat` order; fed[e] lists the edges that e feeds
-        index = {e: k for k, e in enumerate(repeat)}
-        fed = [[index[(j, k)] for k in g.neighbors(j) if k != i and (j, k) in index]
-               for (i, j) in repeat]
-        singles = [frozenset((e,)) for e in repeat]
-
-        def factory():
-            rng = _random.Random(seed)
-            draw = rng.getrandbits
-            for e in sorted(once, key=lambda _: rng.random()):
-                yield frozenset((e,))
-            if not repeat:
-                yield from forever(frozenset())
-            cycle = list(range(len(repeat)))
-            rng.shuffle(cycle)
-            up = [False] * len(repeat)  # a feeder of x was yielded after x
-            while True:
-                for e in cycle:
-                    yield singles[e]
-                    up[e] = False
-                    for x in fed[e]:
-                        up[x] = True
-                # An undrawn edge is ready once a feeder comes after it in the
-                # last cycle or is drawn in this one, so its re-update is fed.
-                # The undrawn edge that came first in the last cycle is always
-                # ready: its feeder in the set is either drawn or after it.
-                # So `ready` is empty only once every edge is drawn.
-                ready = [e for e, ok in enumerate(up) if ok]
-                cycle = []
-                while ready:
-                    # rng.randrange(n), inline: k random bits, drawn again
-                    # while they name no index
-                    n = len(ready)
-                    k = n.bit_length()
-                    r = draw(k)
-                    while r >= n:
-                        r = draw(k)
-                    e = ready.pop(r)
-                    cycle.append(e)
-                    for x in fed[e]:
-                        if not up[x]:
-                            up[x] = True
-                            insort(ready, x)
-        return Schedule("random", factory=factory, seed=seed, once=once)
+        return Schedule("random", layout=lambda: _random_order(g, seed), seed=seed)
 
     if kind == "explicit":
         if sets is None:
@@ -214,6 +172,71 @@ def make_schedule(g: Graph, kind: str, seed=None, sets=None) -> Schedule:
         return Schedule("explicit", sets=out)
 
     raise ScheduleError(f"unknown schedule kind {kind!r}")
+
+
+def _roundrobin(g: Graph):
+    """The layout of a round-robin schedule on `g` (see Schedule)."""
+    once, repeat = _split(g)
+    singles = [frozenset((e,)) for e in repeat]
+
+    def factory():
+        for e in once:
+            yield frozenset((e,))
+        if not repeat:
+            yield from forever(frozenset())
+        while True:
+            yield from singles
+    return factory, tuple(once), (len(once), len(repeat) or 1)
+
+
+def _random_order(g: Graph, seed):
+    """The layout of a random schedule on `g` (see Schedule)."""
+    once, repeat = _split(g)
+    # cycles are drawn as indices into `repeat`, so the ready list keeps
+    # `repeat` order; fed[e] lists the edges that e feeds
+    index = {e: k for k, e in enumerate(repeat)}
+    fed = [[index[(j, k)] for k in g.neighbors(j) if k != i and (j, k) in index]
+           for (i, j) in repeat]
+    singles = [frozenset((e,)) for e in repeat]
+
+    def factory():
+        rng = _random.Random(seed)
+        draw = rng.getrandbits
+        for e in sorted(once, key=lambda _: rng.random()):
+            yield frozenset((e,))
+        if not repeat:
+            yield from forever(frozenset())
+        cycle = list(range(len(repeat)))
+        rng.shuffle(cycle)
+        up = [False] * len(repeat)  # a feeder of x was yielded after x
+        while True:
+            for e in cycle:
+                yield singles[e]
+                up[e] = False
+                for x in fed[e]:
+                    up[x] = True
+            # An undrawn edge is ready once a feeder comes after it in the
+            # last cycle or is drawn in this one, so its re-update is fed.
+            # The undrawn edge that came first in the last cycle is always
+            # ready: its feeder in the set is either drawn or after it.
+            # So `ready` is empty only once every edge is drawn.
+            ready = [e for e, ok in enumerate(up) if ok]
+            cycle = []
+            while ready:
+                # rng.randrange(n), inline: k random bits, drawn again
+                # while they name no index
+                n = len(ready)
+                k = n.bit_length()
+                r = draw(k)
+                while r >= n:
+                    r = draw(k)
+                e = ready.pop(r)
+                cycle.append(e)
+                for x in fed[e]:
+                    if not up[x]:
+                        up[x] = True
+                        insort(ready, x)
+    return factory, tuple(once), None
 
 
 def parse_schedule(text: str, g: Graph) -> Schedule:

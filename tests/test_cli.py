@@ -295,6 +295,30 @@ class TestSolve:
                                                   sorted(want.estimate.edges)]
         assert "schedule relabeled onto the reduced instance" not in payload["notes"]
 
+    @pytest.mark.parametrize("spec", ["roundrobin", "random:5"])
+    @pytest.mark.parametrize("text", [
+        "6 6\n1 1 1 1 1 1\n1 2 1\n2 3 7\n3 4 1\n4 5 2\n5 6 1\n3 6 3\n",
+        "4 4\n1 1 1 1\n1 2 1\n2 3 2\n3 4 1\n1 4 3\n"], ids=["reduced", "as-is"])
+    def test_generated_schedule_is_built_once(self, capsys, tmp_path, monkeypatch, spec,
+                                              text):
+        # a generated schedule splits its graph's edges (schedule._split) on
+        # first use: once, on the graph the run works on, c4 on 4 vertices
+        # in both cases, and never on an input graph that reduction shrank
+        from bpmatch import schedule
+        graph = tmp_path / "g.graph"
+        graph.write_text(text)
+        calls = []
+        real = schedule._split
+
+        def spy(g):
+            calls.append((g.n, g.m))
+            return real(g)
+
+        monkeypatch.setattr(schedule, "_split", spy)
+        code, _, _ = run_cli(capsys, "solve", str(graph), "--schedule", spec,
+                             "--stop", "budget=24", "--json")
+        assert code == 0 and calls == [(4, 4)]
+
     def test_redundant_schedule_file_needs_force(self, capsys, tmp_path):
         # 1 -> 2 twice with no feeding update between, then round-robin
         g = parse_graph(fixture_path("c4").read_text())

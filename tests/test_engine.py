@@ -39,6 +39,10 @@ class TestInit:
             with pytest.raises(EngineError, match="unknown"):
                 init_messages(c4, MessageInit.explicit(mapping))
 
+    def test_unknown_kind_rejected(self, c4):
+        with pytest.raises(EngineError, match="^unknown init kind 'bogus'$"):
+            init_messages(c4, MessageInit("bogus"))
+
 
 class TestPerfectRound:
     def test_c4_first_round_by_hand(self, c4):
@@ -221,6 +225,11 @@ class TestRunSync:
         assert res.estimate.edges == frozenset({(1, 2)})
         assert res.stabilized_at == 1
         assert 3 in res.estimate.ties  # two exactly-zero incoming messages
+
+    def test_coverage_stop_rejected(self, c4):
+        with pytest.raises(EngineError,
+                           match="^coverage stopping applies to asynchronous runs only$"):
+            run_sync(c4, stop=StopPolicy.coverage(0))
 
     def test_validation_enforced(self):
         g = Graph(3, [1, 1, 1], [(1, 2, 1), (2, 3, -1), (1, 3, -2)])
@@ -436,9 +445,58 @@ class TestWork:
         assert calls == [1, 2, 3, 4] + [2, 3] + [1, 4] + [2, 3]
 
     def test_sync_rounds_recompute_every_vertex(self, c4, calls):
+        # below engine.SPLIT_EDGES a round ranks every vertex
+        from bpmatch import engine
         rounds = 9
         run_sync(c4, PERFECT, stop=StopPolicy.budget(rounds))
+        assert len(c4.directed_edges()) < engine.SPLIT_EDGES
         assert len(calls) == c4.n * (rounds + 1)
+
+    @pytest.mark.parametrize("init", [None, MessageInit.constant(0)], ids=["weights", "zero"])
+    @pytest.mark.parametrize("kind", ["p1", "nb"])
+    def test_sync_rounds_on_rank_splits_rerank_each_broken_split(self, monkeypatch, kind,
+                                                                  init):
+        # at or above engine.SPLIT_EDGES a round ranks only the vertices
+        # whose split broke: n selections at the initial rank, one per
+        # broken split and n for the final estimate.  The splits are worked
+        # out here from the traced states, by their definition
+        from bpmatch import engine, parse_graph
+        from test_scale import planted_instance
+        mode, text, _, _ = planted_instance(kind, seed=1)
+        g = parse_graph(text)
+        rounds = 12
+        calls = _spy_select(monkeypatch, g)
+        states = list(run_sync(g, mode, init, StopPolicy.budget(rounds), keep_trace=True).trace)
+        assert len(g.directed_edges()) >= engine.SPLIT_EDGES
+
+        def split(j, s):
+            # the positions of j's b_j smallest messages, ties to the
+            # smaller label, while j selects all b_j (never, non-perfect,
+            # at a free vertex or one with fewer negative messages)
+            vals = [s.m[(l, j)] for l in g.neighbors(j)]
+            order = sorted(range(len(vals)), key=vals.__getitem__)
+            b = g.cap(j)
+            if mode == NONPERFECT and (len(vals) <= b or vals[order[b - 1]] >= 0):
+                return None
+            return order[:b], order[b:], vals
+
+        broken = 0
+        for s, after in zip(states, states[1:]):
+            for j in g.vertices():
+                cut = split(j, s)
+                if cut is None:
+                    broken += 1
+                    continue
+                vals = [after.m[(l, j)] for l in g.neighbors(j)]
+                top = max(vals[p] for p in cut[0])
+                bottom = min(vals[p] for p in cut[1])
+                if not (top < bottom and (mode == PERFECT or top < 0)):
+                    broken += 1
+        assert len(calls) == 2 * g.n + broken
+        # from weights the planted splits hold at every round; a zero init
+        # cuts them by label, and round 1 breaks 175 of them (perfect) or
+        # all 200 (non-perfect, where 0 is no selection)
+        assert broken ==(0 if init is None else {"p1": 175, "nb": 200}[kind])
 
 
 class TestKernelPaths:
@@ -489,13 +547,30 @@ class TestKernelPaths:
 
     @pytest.mark.parametrize("name, mode", [("k4-appendix", PERFECT), ("tri-half", NONPERFECT)])
     def test_sync_runs_call_round_once_per_computed_round(self, name, mode, kernel):
+        # below engine.SPLIT_EDGES every round is one _round
+        from bpmatch import engine
         g = load_fixture(name)
+        assert len(g.directed_edges()) < engine.SPLIT_EDGES
         stop = StopPolicy.budget(300)
         res = run_sync(g, mode, stop=stop)
         assert res.computed > 0 and kernel == [2 * g.m] * res.computed
         kernel.clear()
         res = run_async(g, make_schedule(g, "sync"), stop=stop, mode=mode)
         assert res.computed > 0 and kernel == [2 * g.m] * res.computed
+
+    @pytest.mark.parametrize("kind", ["p1", "nb"])
+    def test_sync_runs_on_rank_splits_never_call_round(self, kind, kernel):
+        # at or above engine.SPLIT_EDGES an all-edges round runs on the rank
+        # splits, whether run_sync or run_async steps it
+        from bpmatch import engine, parse_graph
+        from test_scale import planted_instance
+        mode, text, _, _ = planted_instance(kind, seed=1)
+        g = parse_graph(text)
+        assert len(g.directed_edges()) >= engine.SPLIT_EDGES
+        stop = StopPolicy.window(20)
+        for run in (run_sync(g, mode, stop=stop),
+                    run_async(g, make_schedule(g, "sync"), stop=stop, mode=mode)):
+            assert run.computed > 0 and kernel == []
 
     def test_mixed_steps_call_round_for_empty_and_multi_edge_steps(self, k4, kernel):
         # one-edge, empty, all-edges and two-edge steps, in turn

@@ -50,7 +50,7 @@ from bpmatch.graph import GraphParseError  # noqa: E402
 from bpmatch.oracle import (CertificateError, LPSolution, OracleError,  # noqa: E402
                             ENUMERATION_GUARD, build_certificate, check_cs, dual_objective)
 from bpmatch.simplex import LPError  # noqa: E402
-from bpmatch import harness  # noqa: E402
+from bpmatch import engine, harness  # noqa: E402
 from bpmatch.ctree import TreeSizeError  # noqa: E402
 from bpmatch.harness import random_instance  # noqa: E402
 from bpmatch.ctree import GCTBuilder, LabeledTree, TreeNode  # noqa: E402
@@ -553,25 +553,30 @@ def test_integer_run_equals_rational_stepper(instance, kind, stop, keep_trace, d
     init = data.draw(_inits(g))
     sets = data.draw(_mixed_steps(g)) if kind[0] == "explicit" else None
     sched = make_schedule(g, kind[0], seed=kind[1], sets=sets)
-    # generated schedules are trusted; mixed steps may be redundant
-    runs = [run_async(g, sched, init, stop, mode, check_redundancy=False,
-                      keep_trace=keep_trace)]
-    if sched.kind == "sync" and stop.kind != "coverage":
-        runs.append(run_sync(g, mode, init, stop, keep_trace))
+    # generated schedules are trusted; mixed steps may be redundant.  Every
+    # all-edges step runs once ranked and once on rank splits
+    asyns, runs = [], []
+    for limit in (math.inf, 1):
+        with mock.patch.object(engine, "SPLIT_EDGES", limit):
+            asyns.append(run_async(g, sched, init, stop, mode, check_redundancy=False,
+                                   keep_trace=keep_trace))
+            if sched.kind == "sync" and stop.kind != "coverage":
+                runs.append(run_sync(g, mode, init, stop, keep_trace))
     want, counts = _rational_run(g, mode, init, stop,
                                  make_schedule(g, kind[0], seed=kind[1], sets=sets))
     states = want["trace"]
     if not keep_trace:
         want["trace"] = None
-    for run in runs:
+    for run in asyns + runs:
         for name, value in want.items():
             assert getattr(run, name) == value, name
         assert run.estimate == extract_estimate(g, states[-1], mode)
-    asyn = runs[0]
     if sched.trusted:
-        assert validate_schedule(g, sched, asyn.iterations) is None
-    assert asyn.coverage == CoverageStats(asyn.iterations, counts, min(counts.values(), default=0))
-    assert asyn.schedule_kind == sched.describe()
+        assert validate_schedule(g, sched, asyns[0].iterations) is None
+    for asyn in asyns:
+        assert asyn.coverage == CoverageStats(asyn.iterations, counts,
+                                              min(counts.values(), default=0))
+        assert asyn.schedule_kind == sched.describe()
 
 
 # a perfect-mode 4-cycle whose messages drift from round 8 on
@@ -656,6 +661,40 @@ def test_cycle_jump_equals_the_step_by_step_run(instance, kind, stop, data):
         assert mark_t + (p if m1 == m0 else 2 * p) <= run.iterations
     else:
         assert run.computed == run.iterations
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.sampled_from([PERFECT, NONPERFECT]).flatmap(
+           lambda mode: st.tuples(st.just(mode), graphs(mode, (1, 2, 3, 7)))),
+       JUMP_STOPS.filter(lambda stop: stop.kind != "coverage"), st.booleans(), st.data())
+# every vertex ties its messages, lo == hi, so no split holds
+@example((PERFECT, Graph(4, [1] * 4, [(i, j, 1) for i in range(1, 5) for j in range(i + 1, 5)])),
+         StopPolicy.window(3, 30), False, _Draws(None))
+# vertex 2, b = 2, selects its one negative message, fewer than b
+@example((NONPERFECT, K4_NEG), StopPolicy.budget(12), False,
+         _Draws(MessageInit.explicit({**dict.fromkeys(K4_NEG.directed_edges(), 2),
+                                      (1, 2): 0, (3, 2): -1, (4, 2): 1, (2, 1): 3,
+                                      (3, 1): -2, (4, 1): 1})))
+# vertex 1 has degree b = 2: free, with no rest to split off
+@example((NONPERFECT, Graph(3, [2, 1, 1], [(1, 2, -1), (1, 3, -2), (2, 3, -3)])),
+         StopPolicy.window(2, 40), False, _Draws(None))
+# the translation of k4-appendix, jumped to step 400, then two rounds on
+# splits cut again from the shifted messages
+@example((PERFECT, load_fixture("k4-appendix")), StopPolicy.budget(402), False, _Draws(None))
+# a traced run, which steps every round
+@example((PERFECT, TWICE[0]), StopPolicy.budget(60), True, _Draws(TWICE[1]))
+def test_sync_rounds_on_rank_splits_equal_the_ranked_rounds(instance, stop, keep_trace, data):
+    # run_sync with every all-edges step on rank splits gives, field for
+    # field, what it gives with every step ranked by _select
+    mode, g = instance
+    init = data.draw(_inits(g))
+    runs = []
+    for limit in (math.inf, 1):
+        with mock.patch.object(engine, "SPLIT_EDGES", limit):
+            runs.append(run_sync(g, mode, init, stop, keep_trace))
+    ranked, split = runs
+    for f in dataclasses.fields(RunResult):
+        assert getattr(split, f.name) == getattr(ranked, f.name), f.name
 
 
 # an integral relaxation vertex on a face with a fractional point (tri-neg),

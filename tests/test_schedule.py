@@ -11,6 +11,7 @@ from bpmatch import (Graph, PERFECT, NONPERFECT, StopPolicy, GraphError,
                      parse_schedule, serialize_schedule, validate_schedule,
                      coverage, run_async, run_sync, init_messages, brute_force,
                      solve_relaxation, coverage_threshold, MessageInit, is_tight)
+from bpmatch.schedule import Schedule
 from bpmatch.harness import random_instance, solve_pipeline
 from conftest import async_step, load_fixture, random_graph_any, sync_rounds
 
@@ -56,6 +57,24 @@ class TestValidate:
     def test_foreign_edge_rejected(self, c4):
         with pytest.raises(ScheduleError):
             make_schedule(c4, "explicit", sets=[{(1, 3)}])
+
+    @pytest.mark.parametrize("kind, seed, sets, message", [
+        ("random", None, None, "random schedules need a seed"),
+        ("explicit", None, None, "explicit schedules need update sets"),
+        ("bogus", None, None, "unknown schedule kind 'bogus'")])
+    def test_incomplete_or_unknown_kind_rejected(self, c4, kind, seed, sets, message):
+        with pytest.raises(ScheduleError, match=f"^{message}$"):
+            make_schedule(c4, kind, seed=seed, sets=sets)
+
+    @pytest.mark.parametrize("given", [{}, {"sets": [], "layout": lambda: None}],
+                             ids=["neither", "both"])
+    def test_schedule_needs_sets_or_layout(self, given):
+        with pytest.raises(ScheduleError, match="^exactly one of sets/layout required$"):
+            Schedule("explicit", **given)
+
+    def test_unknown_stop_kind_rejected(self, c4):
+        with pytest.raises(ValueError, match="^unknown stop kind 'bogus'$"):
+            solve_pipeline(c4, PERFECT, stop_spec=("bogus", None))
 
 
 def _reference_random_prefix(g, seed, horizon):
@@ -214,10 +233,12 @@ def test_schedule_construction_at_scale(shape, size, single, kind):
     g = _pendant_graph(shape)
     once = _once_by_feeder_counts(g)
     assert len(g.directed_edges()) == size and len(once) >= single
+    # a generated schedule is laid out on first use: time through it
     t0 = time.perf_counter()
     sched = make_schedule(g, kind, seed=5)
+    laid = list(sched.once)
     took = time.perf_counter() - t0
-    assert list(sched.once) == once
+    assert laid == once
     assert sched.repeats == (None if kind == "random" else (len(once), size - len(once)))
     assert took < 0.5, took
     # the single updates first, then one cycle over every other edge
