@@ -866,7 +866,7 @@ def _run(g: Graph, mode: str, init: MessageInit | None, stop: StopPolicy, steps,
                     for j in g.vertices():
                         splits.place(j, sel[j], lo[j], hi[j])
                 msgs, broken = splits.step(msgs, lo, hi)
-                touched = refresh([rank[j] for j in broken]) if broken else False
+                touched = refresh([rank[j] for j in broken])
                 for j in broken:
                     splits.place(j, sel[j], lo[j], hi[j])
                 splits.at = t
